@@ -4,28 +4,17 @@ DESIGN.md calls out the solver as a substitution (the paper only says
 "convex programming"), so this bench checks that the choice does not matter:
 all three backends land on the same (P1) optimum for every protocol, and the
 hybrid is never worse than either component.
-
-A third stage measures the adaptive coarse-to-fine grid stage against the
-exhaustive scan at the paper's 60-point resolution, asserts the results
-are field-for-field identical, and writes the per-rule evaluation counts,
-seconds, and speedups to ``BENCH_solver.json`` — whose aggregate
-``evaluation_speedup`` is gated (≥5× by default) by
-``tools/check_bench.py --solver``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import assert_speedup_if_required, print_series
-from repro.core.problems import DelayMinimizationProblem, EnergyMinimizationProblem
+from repro.core.problems import EnergyMinimizationProblem
 from repro.core.requirements import ApplicationRequirements
-from repro.optimization import adaptive_grid_search, batched
 from repro.optimization.constrained import multistart_slsqp
 from repro.optimization.grid import grid_search
 from repro.optimization.hybrid import hybrid_solve
@@ -33,13 +22,6 @@ from repro.protocols.registry import available_protocols, create_protocol, paper
 from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenario import Scenario
 from repro.network.topology import RingTopology
-
-#: Where the adaptive-vs-exhaustive measurements land (CI uploads this and
-#: gates it through ``tools/check_bench.py --solver``).
-SOLVER_ARTIFACT = Path("BENCH_solver.json")
-
-#: The paper's figure resolution — the grid the adaptive solver is sold on.
-PAPER_GRID_POINTS = 60
 
 REQUIREMENTS = ApplicationRequirements(energy_budget=0.06, max_delay=4.0)
 SCENARIO = Scenario(topology=RingTopology(depth=5, density=8), sampling_rate=1.0 / 3600.0)
@@ -103,117 +85,6 @@ def _full_game_tasks() -> list:
                 )
             )
     return tasks
-
-
-def _grid_problems(model):
-    """The two single-objective rules the grid stage answers per protocol."""
-    p1 = EnergyMinimizationProblem(model, REQUIREMENTS)
-    p2 = DelayMinimizationProblem(model, REQUIREMENTS)
-    return {
-        "P1-energy": (
-            batched(model.system_energy, model.energy_many),
-            p1.space,
-            p1.constraints(),
-        ),
-        "P2-delay": (
-            batched(model.system_latency, model.latency_many),
-            p2.space,
-            p2.constraints(),
-        ),
-    }
-
-
-def test_adaptive_vs_exhaustive_grid(benchmark):
-    """Adaptive coarse-to-fine vs exhaustive scan at the paper resolution.
-
-    Identical results (same point, value, tie-break, feasibility) with the
-    evaluation counts, wall clock, and speedups written to
-    ``BENCH_solver.json``.  The hard ≥5× floor on the aggregate evaluation
-    speedup lives in ``tools/check_bench.py`` (``--min-solver-speedup``),
-    where it is configurable per runner.
-    """
-
-    def _measure():
-        artifact = {
-            "schema": "repro.bench.solver",
-            "schema_version": 1,
-            "grid_points_per_dimension": PAPER_GRID_POINTS,
-            "rules": {},
-            "aggregate": {},
-        }
-        rows = []
-        nominal_total = 0
-        adaptive_total = 0
-        for name in available_protocols():
-            model = create_protocol(name, SCENARIO)
-            for rule, (objective, space, constraints) in _grid_problems(model).items():
-                started = time.perf_counter()
-                exhaustive = grid_search(
-                    objective,
-                    space,
-                    constraints,
-                    points_per_dimension=PAPER_GRID_POINTS,
-                )
-                exhaustive_seconds = time.perf_counter() - started
-                started = time.perf_counter()
-                adaptive = adaptive_grid_search(
-                    objective,
-                    space,
-                    constraints,
-                    points_per_dimension=PAPER_GRID_POINTS,
-                )
-                adaptive_seconds = time.perf_counter() - started
-
-                # The differential guarantee, asserted in the bench too.
-                assert np.array_equal(exhaustive.x, adaptive.x), (name, rule)
-                assert exhaustive.value == adaptive.value, (name, rule)
-                assert exhaustive.feasible == adaptive.feasible, (name, rule)
-                assert exhaustive.evaluations == adaptive.evaluations, (name, rule)
-
-                work = adaptive.work
-                actual = work["coarse_evaluations"] + work["refined_evaluations"]
-                nominal = exhaustive.evaluations
-                speedup = nominal / actual if actual else 1.0
-                nominal_total += nominal
-                adaptive_total += actual
-                artifact["rules"][f"{name}/{rule}"] = {
-                    "nominal_evaluations": nominal,
-                    "adaptive_evaluations": actual,
-                    "cells_pruned": work["cells_pruned"],
-                    "exhaustive_seconds": exhaustive_seconds,
-                    "adaptive_seconds": adaptive_seconds,
-                    "evaluation_speedup": speedup,
-                }
-                rows.append(
-                    {
-                        "rule": f"{name}/{rule}",
-                        "nominal": nominal,
-                        "adaptive": actual,
-                        "speedup": round(speedup, 2),
-                    }
-                )
-                # Sanity floor only: the adaptive stage must never do *more*
-                # work than the grid it replaces.
-                assert actual <= nominal, (name, rule)
-        aggregate_speedup = nominal_total / adaptive_total if adaptive_total else 1.0
-        artifact["aggregate"] = {
-            "nominal_evaluations": nominal_total,
-            "adaptive_evaluations": adaptive_total,
-            "evaluation_speedup": aggregate_speedup,
-        }
-        return artifact, rows
-
-    artifact, rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
-    aggregate = artifact["aggregate"]
-    print_series(
-        f"Adaptive grid stage at {PAPER_GRID_POINTS} points/axis "
-        f"(aggregate {aggregate['evaluation_speedup']:.2f}x fewer evaluations)",
-        rows,
-    )
-    SOLVER_ARTIFACT.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    assert aggregate["evaluation_speedup"] > 1.0
 
 
 def test_batched_game_solves_parallel_speedup(benchmark, bench_workers):

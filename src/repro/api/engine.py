@@ -263,23 +263,8 @@ _Executor = Callable[
 
 
 def _solver_options_of(spec: ExperimentSpec, grid_points: int) -> Dict[str, object]:
-    """The solver options one ``game-solve`` cell dispatches with.
-
-    The grid-stage method comes from the spec's solver section unless the
-    runtime policy overrides it (``--solver-method``), mirroring how
-    ``sim_engine`` is resolved; the method knobs never reach the cache or
-    store keys (see :func:`repro.runtime.cache.solve_key`).
-    """
-    solver = spec.solver
-    method = spec.runtime.solver_method or solver.method
-    return {
-        "grid_points_per_dimension": int(grid_points),
-        "method": method,
-        "coarse_points": solver.coarse_points,
-        "refine_rounds": solver.refine_rounds,
-        "top_k": solver.top_k,
-        **solver.options,
-    }
+    """The solver options one ``game-solve`` cell dispatches with."""
+    return {"grid_points_per_dimension": int(grid_points), **spec.solver.options}
 
 
 def _unit_requirements(
@@ -461,9 +446,7 @@ def _execute_validate(
             parameters = space.to_dict(space.midpoint())
         jobs.append((model, dict(parameters)))
     config = SimulationConfig(
-        horizon=float(spec.simulation.horizon),
-        seed=int(spec.simulation.seed),
-        engine=spec.runtime.sim_engine,
+        horizon=float(spec.simulation.horizon), seed=int(spec.simulation.seed)
     )
     reports = validate_protocols(jobs, config, executor=runner.executor)
     records = []
@@ -508,8 +491,6 @@ def _execute_campaign(
         energy_tolerance=full.energy_tolerance,
         delay_tolerance=full.delay_tolerance,
         min_delivery_ratio=full.min_delivery_ratio,
-        sim_engine=full.sim_engine,
-        solver_method=full.solver_method,
     )
     result = run_campaign(campaign_spec, runner)
     records = []
@@ -537,31 +518,6 @@ _EXECUTORS: Dict[str, _Executor] = {
     "validate": _execute_validate,
     "campaign": _execute_campaign,
 }
-
-
-def _aggregate_solver_work(records: Sequence[ResultRecord]) -> Dict[str, int]:
-    """Summed volatile solver work counters across a run's game solutions.
-
-    Empty when no record carries counters — the exhaustive method records
-    none, and cached/stored replays did no fresh solver work.  The keys are
-    prefixed ``solver_`` and land in the run metadata next to the cache
-    counters (and, like them, stay out of written artifacts).
-    """
-    totals: Dict[str, int] = {}
-    for record in records:
-        value = record.value
-        solution = value if isinstance(value, GameSolution) else getattr(
-            value, "solution", None
-        )
-        if not isinstance(solution, GameSolution):
-            continue
-        work = solution.solver_work
-        if not work:
-            continue
-        for key, count in work.items():
-            name = f"solver_{key}"
-            totals[name] = totals.get(name, 0) + int(count)
-    return totals
 
 
 def runner_for(spec: ExperimentSpec, store: Optional[Any] = None) -> BatchRunner:
@@ -616,7 +572,6 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
         "runner": runner.describe(),
         "cache_hits": stats.hits,
         "cache_misses": stats.misses,
-        **_aggregate_solver_work(records),
     }
     if store is not None:
         # Deltas over this run only (the store counts every lookup —

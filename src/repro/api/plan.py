@@ -258,8 +258,6 @@ def campaign_spec_of(spec: ExperimentSpec) -> CampaignSpec:
         energy_tolerance=settings.energy_tolerance,
         delay_tolerance=settings.delay_tolerance,
         min_delivery_ratio=settings.min_delivery_ratio,
-        sim_engine=spec.runtime.sim_engine,
-        solver_method=spec.runtime.solver_method or spec.solver.method,
     )
 
 

@@ -37,10 +37,6 @@ VOLATILE_METADATA = (
     "store_hits",
     "store_misses",
     "store_puts",
-    "solver_coarse_evaluations",
-    "solver_refined_evaluations",
-    "solver_polish_evaluations",
-    "solver_cells_pruned",
 )
 
 
@@ -127,10 +123,8 @@ class ResultSet:
     def summary(self) -> Dict[str, object]:
         """Compact run summary (counts, kind, provenance, runner).
 
-        Includes the volatile counters present in the metadata — cache and
-        store traffic, plus the adaptive solver's work counters
-        (``solver_*_evaluations``, ``solver_cells_pruned``) when any solve
-        recorded them.
+        Includes the volatile counters (:data:`VOLATILE_METADATA`) present
+        in the metadata: the runner, cache and store traffic.
         """
         return {
             "kind": self.kind,
@@ -141,18 +135,7 @@ class ResultSet:
             "spec_sha256": self.provenance,
             **{
                 key: self.metadata[key]
-                for key in (
-                    "runner",
-                    "cache_hits",
-                    "cache_misses",
-                    "store_hits",
-                    "store_misses",
-                    "store_puts",
-                    "solver_coarse_evaluations",
-                    "solver_refined_evaluations",
-                    "solver_polish_evaluations",
-                    "solver_cells_pruned",
-                )
+                for key in VOLATILE_METADATA
                 if key in self.metadata
             },
         }

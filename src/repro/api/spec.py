@@ -35,8 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.optimization.hybrid import SOLVER_METHODS
-from repro.simulation.runner import SIM_ENGINES
+from repro.runtime.executor import EXECUTOR_MODES
 
 #: Every workload kind a spec may declare, in documentation order.
 WORKLOAD_KINDS = (
@@ -64,10 +63,31 @@ def _require_number(owner: str, name: str, value: object, positive: bool = True)
         raise ConfigurationError(f"{owner}.{name} must be a number, got {value!r}")
     if positive and value <= 0:
         raise ConfigurationError(f"{owner}.{name} must be positive, got {value!r}")
-    return float(value)
+    return _convert(owner, name, value, float)
 
 
-def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str]) -> None:
+def _convert(owner: str, name: str, value: object, kind: type) -> object:
+    """``kind(value)`` for a numeric spec field, or an error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"{owner}.{name} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
+def _sequence(owner: str, value: object) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{owner} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _check_keys(owner: str, payload: object, known: Sequence[str]) -> None:
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError(
+            f"{owner} must be a mapping, got {type(payload).__name__}"
+        )
     unknown = sorted(set(payload) - set(known))
     if unknown:
         raise ConfigurationError(
@@ -86,55 +106,38 @@ class RuntimePolicy:
         mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
             ``"process"``).
         chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
-        sim_engine: Simulation engine (``"scalar"`` or ``"batched"``).  The
-            engines are bit-identical, so this lives in the runtime section
-            (excluded from ``spec_hash``) and never changes a result.
-        solver_method: Grid-stage solver override (``"exhaustive"`` or
-            ``"adaptive"``); ``None`` defers to the spec's
-            ``solver.method``.  Like ``sim_engine``, the methods return
-            identical solutions, so the override is runtime provenance.
     """
 
     workers: int = 1
     cache: bool = True
     mode: str = "auto"
     chunk_size: Optional[int] = None
-    sim_engine: str = "scalar"
-    solver_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.sim_engine not in SIM_ENGINES:
+        if self.workers < 0:
+            raise ConfigurationError(f"runtime.workers must be >= 0, got {self.workers!r}")
+        if self.mode not in EXECUTOR_MODES:
             raise ConfigurationError(
-                f"runtime.sim_engine must be one of {', '.join(SIM_ENGINES)}; "
-                f"got {self.sim_engine!r}"
+                f"runtime.mode must be one of {', '.join(EXECUTOR_MODES)}; "
+                f"got {self.mode!r}"
             )
-        if self.solver_method is not None and self.solver_method not in SOLVER_METHODS:
+        if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(
-                f"runtime.solver_method must be one of {', '.join(SOLVER_METHODS)}; "
-                f"got {self.solver_method!r}"
+                f"runtime.chunk_size must be >= 1, got {self.chunk_size!r}"
             )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RuntimePolicy":
-        _check_keys(
-            "runtime",
-            payload,
-            ("workers", "cache", "mode", "chunk_size", "sim_engine", "solver_method"),
-        )
+        _check_keys("runtime", payload, ("workers", "cache", "mode", "chunk_size"))
+        chunk_size = payload.get("chunk_size")
         return cls(
-            workers=int(payload.get("workers", 1)),
+            workers=_convert("runtime", "workers", payload.get("workers", 1), int),
             cache=bool(payload.get("cache", True)),
             mode=str(payload.get("mode", "auto")),
             chunk_size=(
                 None
-                if payload.get("chunk_size") is None
-                else int(payload["chunk_size"])  # type: ignore[arg-type]
-            ),
-            sim_engine=str(payload.get("sim_engine", "scalar")),
-            solver_method=(
-                None
-                if payload.get("solver_method") is None
-                else str(payload["solver_method"])
+                if chunk_size is None
+                else _convert("runtime", "chunk_size", chunk_size, int)
             ),
         )
 
@@ -144,17 +147,26 @@ class RuntimePolicy:
             "cache": self.cache,
             "mode": self.mode,
             "chunk_size": self.chunk_size,
-            "sim_engine": self.sim_engine,
-            "solver_method": self.solver_method,
         }
 
 
-#: Solver keys that choose *how* the grid stage runs, never *what* it
-#: returns (the methods are differentially proven identical).  Stripped
-#: from ``spec_hash`` and from the solve cache/store keys, exactly like
-#: the runtime policy, so provenance and stored results are
-#: method-independent.
-SOLVER_METHOD_KEYS = ("method", "coarse_points", "refine_rounds", "top_k")
+#: The ``hybrid_solve`` keywords a spec's ``solver`` section may forward,
+#: with the type each converts to (``None`` = a JSON boolean or null).
+SOLVER_OPTION_TYPES: Dict[str, Optional[type]] = {
+    "random_starts": int,
+    "seed": int,
+    "feasibility_tolerance": float,
+    "vectorize": None,
+}
+
+
+def _solver_option(name: str, value: object) -> object:
+    kind = SOLVER_OPTION_TYPES[name]
+    if kind is not None:
+        return _convert("solver", name, value, kind)
+    if value is not None and not isinstance(value, bool):
+        raise ConfigurationError(f"solver.{name} must be true, false or null, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -163,24 +175,11 @@ class SolverSettings:
 
     Attributes:
         grid_points: Grid resolution per parameter dimension.
-        method: Grid-stage strategy: ``"exhaustive"`` scans the full grid,
-            ``"adaptive"`` refines coarse-to-fine to the identical answer
-            (see :mod:`repro.optimization.adaptive`).  Excluded from
-            ``spec_hash`` along with the three adaptive knobs below.
-        coarse_points: Adaptive method: points per axis of the coarse scan.
-        refine_rounds: Adaptive method: maximum bisection rounds before a
-            kept cell is evaluated at full resolution.
-        top_k: Adaptive method: incumbent points kept per ranking round.
-        options: Extra keyword options forwarded verbatim to
-            :class:`~repro.core.tradeoff.EnergyDelayGame` (e.g.
-            ``random_starts``).
+        options: Further ``hybrid_solve`` keywords, one of
+            :data:`SOLVER_OPTION_TYPES` each (e.g. ``random_starts``).
     """
 
     grid_points: int = 60
-    method: str = "exhaustive"
-    coarse_points: int = 11
-    refine_rounds: int = 3
-    top_k: int = 3
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -188,53 +187,25 @@ class SolverSettings:
             raise ConfigurationError(
                 f"solver.grid_points must be an integer >= 2, got {self.grid_points!r}"
             )
-        if self.method not in SOLVER_METHODS:
-            raise ConfigurationError(
-                f"unknown solver.method {self.method!r}; "
-                f"choose from {', '.join(SOLVER_METHODS)}"
-            )
-        for name, minimum in (("coarse_points", 2), ("refine_rounds", 1), ("top_k", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ConfigurationError(
-                    f"solver.{name} must be an integer >= {minimum}, got {value!r}"
-                )
-        object.__setattr__(self, "options", dict(self.options))
+        _check_keys("solver", self.options, tuple(SOLVER_OPTION_TYPES))
+        object.__setattr__(
+            self,
+            "options",
+            {name: _solver_option(name, value) for name, value in self.options.items()},
+        )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "SolverSettings":
-        first_class = ("grid_points",) + SOLVER_METHOD_KEYS
-        extra = {key: value for key, value in payload.items() if key not in first_class}
-        defaults = cls()
+        _check_keys("solver", payload, ("grid_points", *SOLVER_OPTION_TYPES))
         return cls(
-            grid_points=int(payload.get("grid_points", defaults.grid_points)),
-            method=str(payload.get("method", defaults.method)),
-            coarse_points=payload.get("coarse_points", defaults.coarse_points),  # type: ignore[arg-type]
-            refine_rounds=payload.get("refine_rounds", defaults.refine_rounds),  # type: ignore[arg-type]
-            top_k=payload.get("top_k", defaults.top_k),  # type: ignore[arg-type]
-            options=extra,
+            grid_points=_convert(
+                "solver", "grid_points", payload.get("grid_points", cls.grid_points), int
+            ),
+            options={key: value for key, value in payload.items() if key != "grid_points"},
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "grid_points": self.grid_points,
-            "method": self.method,
-            "coarse_points": self.coarse_points,
-            "refine_rounds": self.refine_rounds,
-            "top_k": self.top_k,
-            **dict(sorted(self.options.items())),
-        }
-
-    def game_options(self) -> Dict[str, object]:
-        """The solver options in the shape ``EnergyDelayGame`` accepts."""
-        return {
-            "grid_points_per_dimension": self.grid_points,
-            "method": self.method,
-            "coarse_points": self.coarse_points,
-            "refine_rounds": self.refine_rounds,
-            "top_k": self.top_k,
-            **self.options,
-        }
+        return {"grid_points": self.grid_points, **dict(sorted(self.options.items()))}
 
 
 @dataclass(frozen=True)
@@ -272,7 +243,7 @@ class SweepAxis:
             raise ConfigurationError("sweep needs both 'parameter' and 'values'")
         return cls(
             parameter=str(payload["parameter"]),
-            values=tuple(payload["values"]),  # type: ignore[arg-type]
+            values=_sequence("sweep.values", payload["values"]),
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -335,6 +306,10 @@ class SimulationSettings:
                 f"simulation.seed must be an integer, got {self.seed!r}"
             )
         if self.parameters is not None:
+            if not isinstance(self.parameters, Mapping):
+                raise ConfigurationError(
+                    f"simulation.parameters must be a mapping, got {self.parameters!r}"
+                )
             object.__setattr__(
                 self,
                 "parameters",
@@ -348,8 +323,8 @@ class SimulationSettings:
     def from_dict(cls, payload: Mapping[str, object]) -> "SimulationSettings":
         _check_keys("simulation", payload, ("horizon", "seed", "parameters"))
         return cls(
-            horizon=float(payload.get("horizon", 2000.0)),
-            seed=int(payload.get("seed", 1)),
+            horizon=_convert("simulation", "horizon", payload.get("horizon", cls.horizon), float),
+            seed=_convert("simulation", "seed", payload.get("seed", cls.seed), int),
             parameters=payload.get("parameters"),  # type: ignore[arg-type]
         )
 
@@ -380,34 +355,14 @@ class CampaignSettings:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSettings":
-        _check_keys(
-            "campaign",
-            payload,
-            (
-                "replications",
-                "base_seed",
-                "horizon",
-                "confidence",
-                "energy_tolerance",
-                "delay_tolerance",
-                "min_delivery_ratio",
-            ),
-        )
-        defaults = cls()
+        _check_keys("campaign", payload, tuple(f.name for f in fields(cls)))
         return cls(
-            replications=int(payload.get("replications", defaults.replications)),
-            base_seed=int(payload.get("base_seed", defaults.base_seed)),
-            horizon=float(payload.get("horizon", defaults.horizon)),
-            confidence=float(payload.get("confidence", defaults.confidence)),
-            energy_tolerance=float(
-                payload.get("energy_tolerance", defaults.energy_tolerance)
-            ),
-            delay_tolerance=float(
-                payload.get("delay_tolerance", defaults.delay_tolerance)
-            ),
-            min_delivery_ratio=float(
-                payload.get("min_delivery_ratio", defaults.min_delivery_ratio)
-            ),
+            **{
+                f.name: _convert(
+                    "campaign", f.name, payload.get(f.name, f.default), type(f.default)
+                )
+                for f in fields(cls)
+            }
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -440,6 +395,11 @@ def _normalize_scenario(ref: Optional[ScenarioRef]) -> Optional[ScenarioRef]:
         return name
     if isinstance(ref, Mapping):
         _check_keys("scenario", ref, _SCENARIO_KEYS)
+        for name in ("depth", "density", "sampling_period", "burstiness"):
+            if name in ref:
+                _require_number("scenario", name, ref[name])
+        if not isinstance(ref.get("radio", ""), str):
+            raise ConfigurationError(f"scenario.radio must be a name, got {ref['radio']!r}")
         return dict(ref)
     raise ConfigurationError(
         f"scenario must be a preset name or a mapping, got {type(ref).__name__}"
@@ -555,31 +515,15 @@ class ExperimentSpec:
         return replace(self, campaign=replace(self.campaign, **settings))
 
     def with_solver(
-        self,
-        grid_points: Optional[int] = None,
-        method: Optional[str] = None,
-        coarse_points: Optional[int] = None,
-        refine_rounds: Optional[int] = None,
-        top_k: Optional[int] = None,
-        **options: object,
+        self, grid_points: Optional[int] = None, **options: object
     ) -> "ExperimentSpec":
-        """Update the game solver settings."""
-        merged = dict(self.solver.options)
-        merged.update(options)
+        """Update the game solver settings (``options``: :data:`SOLVER_OPTION_TYPES`)."""
         current = self.solver
         return replace(
             self,
             solver=SolverSettings(
                 grid_points=current.grid_points if grid_points is None else grid_points,
-                method=current.method if method is None else method,
-                coarse_points=(
-                    current.coarse_points if coarse_points is None else coarse_points
-                ),
-                refine_rounds=(
-                    current.refine_rounds if refine_rounds is None else refine_rounds
-                ),
-                top_k=current.top_k if top_k is None else top_k,
-                options=merged,
+                options={**current.options, **options},
             ),
         )
 
@@ -616,9 +560,9 @@ class ExperimentSpec:
         if payload.get("scenario") is not None:
             kwargs["scenario"] = payload["scenario"]
         if payload.get("scenarios"):
-            kwargs["scenarios"] = tuple(payload["scenarios"])  # type: ignore[arg-type]
+            kwargs["scenarios"] = _sequence("scenarios", payload["scenarios"])
         if payload.get("protocols"):
-            kwargs["protocols"] = tuple(payload["protocols"])  # type: ignore[arg-type]
+            kwargs["protocols"] = _sequence("protocols", payload["protocols"])
         if payload.get("requirements") is not None:
             kwargs["requirements"] = RequirementOverrides.from_dict(
                 payload["requirements"]  # type: ignore[arg-type]
@@ -718,16 +662,9 @@ class ExperimentSpec:
 
         The runtime policy is *excluded*: a spec run with ``--workers 4``
         carries the same provenance as the serial run it is bit-identical
-        to.  The solver method knobs (:data:`SOLVER_METHOD_KEYS`) are
-        excluded the same way: the exhaustive and adaptive grid stages
-        return identical solutions, so a spec solved adaptively shares
-        provenance with its exhaustive twin.
+        to.
         """
         payload = self.to_dict()
         payload.pop("runtime")
-        solver = dict(payload["solver"])  # type: ignore[arg-type]
-        for key in SOLVER_METHOD_KEYS:
-            solver.pop(key, None)
-        payload["solver"] = solver
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -114,12 +114,7 @@ def _scenario_ref(args: argparse.Namespace) -> dict:
 
 
 def _runtime_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {"workers": args.workers, "cache": not args.no_cache}
-    if getattr(args, "sim_engine", None):
-        kwargs["sim_engine"] = args.sim_engine
-    if getattr(args, "solver_method", None):
-        kwargs["solver_method"] = args.solver_method
-    return kwargs
+    return {"workers": args.workers, "cache": not args.no_cache}
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -162,20 +157,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="persistent content-addressed result store directory "
         "(read-through/write-behind; created if missing)",
     )
-    parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="simulation engine for packet-level replications "
-        "(bit-identical results; batched is faster for X-MAC/LMAC)",
-    )
-    parser.add_argument(
-        "--solver-method",
-        choices=("exhaustive", "adaptive"),
-        default=None,
-        help="grid stage of the game solver (identical solutions; "
-        "adaptive evaluates a fraction of the grid)",
-    )
 
 
 def _write_optional_csv(result: ResultSet, path: Optional[str]) -> None:
@@ -202,10 +183,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.with_runtime(workers=args.workers)
     if args.no_cache:
         spec = spec.with_runtime(cache=False)
-    if args.sim_engine is not None:
-        spec = spec.with_runtime(sim_engine=args.sim_engine)
-    if args.solver_method is not None:
-        spec = spec.with_runtime(solver_method=args.solver_method)
     plan = plan_experiment(spec)
     if args.shard:
         try:
@@ -347,8 +324,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         .with_protocols(args.protocol)
         .with_simulation(horizon=args.horizon, seed=args.seed)
     )
-    if args.sim_engine is not None:
-        spec = spec.with_runtime(sim_engine=args.sim_engine)
     result = run_experiment(spec)
     print(format_table(result.rows()))
     return EXIT_OK
@@ -509,19 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--out", default=None, help="write the versioned result JSON to this path"
     )
-    run_parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="override the spec's simulation engine (bit-identical results)",
-    )
-    run_parser.add_argument(
-        "--solver-method",
-        choices=("exhaustive", "adaptive"),
-        default=None,
-        help="override the spec's grid-stage solver method "
-        "(identical solutions; adaptive evaluates a fraction of the grid)",
-    )
     run_parser.set_defaults(handler=_cmd_run)
 
     protocols_parser = subparsers.add_parser("protocols", help="list available protocols")
@@ -609,12 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument("protocol")
     validate_parser.add_argument("--horizon", type=float, default=2000.0)
     validate_parser.add_argument("--seed", type=int, default=1)
-    validate_parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="simulation engine (bit-identical results)",
-    )
     _add_scenario_arguments(validate_parser)
     validate_parser.set_defaults(handler=_cmd_validate)
 

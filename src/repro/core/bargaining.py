@@ -104,7 +104,6 @@ class NashBargainingSolver:
             fairness_residual=residual,
             solver=solver_result.method,
             evaluations=solver_result.evaluations,
-            work=solver_result.work,
         )
 
     # ------------------------------------------------------------------ #

@@ -169,7 +169,6 @@ class EnergyMinimizationProblem(_ProblemBase):
             solver=result.method,
             evaluations=result.evaluations,
             binding_constraint=_binding_constraint(self._model, self._requirements, result.x),
-            work=result.work,
         )
 
 
@@ -226,7 +225,6 @@ class DelayMinimizationProblem(_ProblemBase):
             solver=result.method,
             evaluations=result.evaluations,
             binding_constraint=_binding_constraint(self._model, self._requirements, result.x),
-            work=result.work,
         )
 
 

@@ -8,8 +8,8 @@ way the paper's figures report it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.units import s_to_ms
@@ -64,11 +64,6 @@ class OptimizationOutcome:
             optimum (``"delay-bound"``, ``"energy-budget"``, ``"parameter-bound"``
             or ``"interior"``), useful to explain the saturation behaviour in
             the paper's figures.
-        work: Volatile solver work counters (coarse/refined/polish
-            evaluations, cells pruned) describing how the point was found.
-            Excluded from equality, :meth:`as_dict` and store records, like
-            the runtime's cache counters — two outcomes differing only in
-            ``work`` are the same outcome.
     """
 
     problem: str
@@ -77,7 +72,6 @@ class OptimizationOutcome:
     solver: str
     evaluations: int = 0
     binding_constraint: str = "unknown"
-    work: Optional[Mapping[str, int]] = field(default=None, compare=False)
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dictionary view for reports and CSV writers."""
@@ -107,8 +101,6 @@ class BargainingOutcome:
             fair).
         solver: Name of the solver that produced the point.
         evaluations: Number of model evaluations spent.
-        work: Volatile solver work counters, excluded from equality and
-            :meth:`as_dict` (see :class:`OptimizationOutcome`).
     """
 
     point: TradeoffPoint
@@ -120,7 +112,6 @@ class BargainingOutcome:
     fairness_residual: float
     solver: str = ""
     evaluations: int = 0
-    work: Optional[Mapping[str, int]] = field(default=None, compare=False)
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dictionary view for reports and CSV writers."""
@@ -192,22 +183,6 @@ class GameSolution:
     def is_fully_feasible(self) -> bool:
         """Whether both single-objective problems were feasible."""
         return self.energy_optimum.feasible and self.delay_optimum.feasible
-
-    @property
-    def solver_work(self) -> Optional[Dict[str, int]]:
-        """Summed volatile work counters of the three solves, or ``None``.
-
-        ``None`` means no stage recorded any work — either the exhaustive
-        method ran (which has no counters) or the solution was replayed from
-        a cache/store, in which case no fresh solver work happened.  Not part
-        of :meth:`as_dict`, mirroring the runtime's volatile counters.
-        """
-        merged: Dict[str, int] = {}
-        for outcome in (self.energy_optimum, self.delay_optimum, self.bargaining):
-            if outcome.work:
-                for key, count in outcome.work.items():
-                    merged[key] = merged.get(key, 0) + int(count)
-        return merged or None
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary with the paper's named quantities (for tables)."""

@@ -8,9 +8,6 @@ the core framework uses:
 * :mod:`repro.optimization.grid` — exhaustive grid search (robust, derivative
   free; used to seed and to cross-check the gradient-based solver), with a
   vectorized whole-grid path for objectives carrying :func:`batched` twins.
-* :mod:`repro.optimization.adaptive` — coarse-to-fine refinement over the
-  same fine grid, returning the exhaustive scan's answer bit for bit at a
-  fraction of the evaluations (the ``solver.method = "adaptive"`` path).
 * :mod:`repro.optimization.constrained` — multi-start SLSQP via
   :func:`scipy.optimize.minimize`.
 * :mod:`repro.optimization.hybrid` — grid-seeded SLSQP, the default solver.
@@ -22,9 +19,8 @@ the core framework uses:
 
 from repro.optimization.result import SolverResult
 from repro.optimization.grid import batched, grid_search
-from repro.optimization.adaptive import adaptive_grid_search
 from repro.optimization.constrained import slsqp_solve, multistart_slsqp
-from repro.optimization.hybrid import SOLVER_METHODS, hybrid_solve
+from repro.optimization.hybrid import hybrid_solve
 from repro.optimization.scalarization import weighted_sum_scan
 from repro.optimization.convexity import (
     is_convex_on_grid,
@@ -36,8 +32,6 @@ __all__ = [
     "SolverResult",
     "batched",
     "grid_search",
-    "adaptive_grid_search",
-    "SOLVER_METHODS",
     "slsqp_solve",
     "multistart_slsqp",
     "hybrid_solve",

@@ -15,16 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.parameters import ParameterSpace
-from repro.optimization.adaptive import adaptive_grid_search
 from repro.optimization.constrained import multistart_slsqp, slsqp_solve
 from repro.optimization.grid import Constraint, Objective, grid_search
 from repro.optimization.result import SolverResult
-from repro.exceptions import ConfigurationError, SolverError
-
-#: Grid-stage strategies the hybrid dispatches between.  Both return the
-#: identical best fine-grid point; they differ only in how much of the grid
-#: they actually evaluate.
-SOLVER_METHODS = ("exhaustive", "adaptive")
+from repro.exceptions import SolverError
 
 
 def hybrid_solve(
@@ -37,10 +31,6 @@ def hybrid_solve(
     seed: int = 0,
     feasibility_tolerance: float = 1e-7,
     vectorize: Optional[bool] = None,
-    method: str = "exhaustive",
-    coarse_points: int = 11,
-    refine_rounds: int = 3,
-    top_k: int = 3,
 ) -> SolverResult:
     """Grid scan, polish the winner with SLSQP, cross-check with multi-start.
 
@@ -49,49 +39,24 @@ def hybrid_solve(
     infeasible) so callers can distinguish "requirements cannot be met" from
     "solver crashed".
 
-    ``method`` selects the grid stage: ``"exhaustive"`` evaluates the full
-    grid through :func:`~repro.optimization.grid.grid_search`;
-    ``"adaptive"`` routes through
-    :func:`~repro.optimization.adaptive.adaptive_grid_search` (coarse scan,
-    incumbent/boundary refinement), which returns the identical result at a
-    fraction of the evaluations and records the real work in the volatile
-    ``work`` counters.  ``coarse_points`` / ``refine_rounds`` / ``top_k``
-    only apply to the adaptive method.
-
     ``vectorize`` is forwarded to :func:`~repro.optimization.grid.grid_search`:
     ``None`` auto-uses the batched evaluation path when the objective and
     constraints carry ``.many`` twins, ``False`` forces the scalar loop.
     Either way the result is bit-identical; only the wall clock changes.
     """
-    if method not in SOLVER_METHODS:
-        raise ConfigurationError(
-            f"unknown solver method {method!r}; choose from {', '.join(SOLVER_METHODS)}"
-        )
     comparison_sign = -1.0 if maximize else 1.0
     candidates = []
 
     grid_result: Optional[SolverResult] = None
     try:
-        if method == "adaptive":
-            grid_result = adaptive_grid_search(
-                objective,
-                space,
-                constraints,
-                points_per_dimension=grid_points_per_dimension,
-                maximize=maximize,
-                coarse_points=coarse_points,
-                refine_rounds=refine_rounds,
-                top_k=top_k,
-            )
-        else:
-            grid_result = grid_search(
-                objective,
-                space,
-                constraints,
-                points_per_dimension=grid_points_per_dimension,
-                maximize=maximize,
-                vectorize=vectorize,
-            )
+        grid_result = grid_search(
+            objective,
+            space,
+            constraints,
+            points_per_dimension=grid_points_per_dimension,
+            maximize=maximize,
+            vectorize=vectorize,
+        )
         candidates.append(grid_result)
     except SolverError:
         grid_result = None
@@ -155,13 +120,6 @@ def hybrid_solve(
             best = candidate
 
     assert best is not None  # candidates is non-empty
-    work = None
-    if grid_result is not None and grid_result.work is not None:
-        # Polish evaluations are the real SLSQP/multi-start spend on top of
-        # the grid stage; grid_result.evaluations is the nominal full-grid
-        # count, which every non-grid candidate adds to honestly.
-        work = dict(grid_result.work)
-        work["polish_evaluations"] = int(total_evaluations - grid_result.evaluations)
     return SolverResult(
         x=best.x,
         value=best.value,
@@ -170,5 +128,4 @@ def hybrid_solve(
         evaluations=total_evaluations,
         message=best.message,
         constraint_violation=best.constraint_violation,
-        work=work,
     )

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -20,18 +20,10 @@ class SolverResult:
             used internally; callers that maximize negate before/after).
         feasible: Whether ``x`` satisfies all constraints within tolerance.
         method: Name of the solver that produced the result.
-        evaluations: Number of objective evaluations spent.  For the
-            adaptive grid stage this is the *nominal* full-grid count the
-            result is defined against, so serialized results stay identical
-            across solver methods; the real work lives in ``work``.
+        evaluations: Number of objective evaluations spent.
         message: Free-form diagnostic from the solver.
         constraint_violation: Largest constraint violation at ``x`` (zero
             when feasible).
-        work: Volatile work counters (e.g. ``coarse_evaluations``,
-            ``refined_evaluations``, ``cells_pruned``) describing how the
-            result was obtained.  Excluded from equality and from
-            :meth:`as_dict`, exactly like the runtime's cache counters —
-            two results differing only in ``work`` are the same result.
     """
 
     x: np.ndarray
@@ -41,7 +33,6 @@ class SolverResult:
     evaluations: int = 0
     message: str = ""
     constraint_violation: float = 0.0
-    work: Optional[Mapping[str, int]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).ravel())

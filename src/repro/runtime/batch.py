@@ -281,7 +281,7 @@ class BatchRunner:
 
 
 def build_runner(
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
     mode: str = "auto",
     use_cache: bool = True,
     cache: Optional[SolveCache] = None,
@@ -292,13 +292,16 @@ def build_runner(
     """Assemble a :class:`BatchRunner` from simple knobs.
 
     This is the one-stop constructor the CLI and the experiment drivers use:
-    ``workers`` picks the executor (1 → serial, N → process pool, ``None``/0
-    → one per CPU), ``use_cache`` toggles the process-wide solve cache, and
-    ``cache`` substitutes an explicit cache instance.
+    ``workers`` picks the executor (1, the default → serial, N → process
+    pool, ``None``/0 → one per CPU the process may run on), ``use_cache``
+    toggles the process-wide solve cache, and ``cache`` substitutes an
+    explicit cache instance.
 
     Args:
         workers: Worker count handed to
-            :func:`~repro.runtime.executor.resolve_executor`.
+            :func:`~repro.runtime.executor.resolve_executor`; serial unless
+            asked otherwise, like :func:`default_runner` and
+            ``RuntimePolicy.workers``.
         mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
             ``"process"``).
         use_cache: Whether solves are memoized; ``False`` forces every solve

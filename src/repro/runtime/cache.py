@@ -29,15 +29,6 @@ from repro.protocols.base import DutyCycledMACModel
 #: A fully resolved, hashable cache key.
 CacheKey = Tuple[Any, ...]
 
-#: Solver options that pick the grid-stage *strategy*, not the answer: the
-#: exhaustive and adaptive methods are differentially proven to return
-#: identical solutions, so these keys are stripped from the solve identity
-#: — a solution cached (or stored on disk) by one method is replayed for
-#: the other.
-SOLVER_METHOD_OPTION_KEYS = frozenset(
-    {"method", "coarse_points", "refine_rounds", "top_k"}
-)
-
 
 def freeze(value: Any) -> Any:
     """Convert a value into a deterministic, hashable representation.
@@ -128,19 +119,13 @@ def solve_key(
 
     Returns:
         A hashable key; two solves with equal keys are guaranteed to produce
-        bit-identical solutions (the game is deterministic, and the solver
-        method knobs — which never change the solution — are excluded).
+        bit-identical solutions (the game is deterministic).
     """
-    options = {
-        key: value
-        for key, value in dict(solver_options).items()
-        if key not in SOLVER_METHOD_OPTION_KEYS
-    }
     return (
         "solve",
         model_fingerprint(model),
         freeze(requirements),
-        freeze(options),
+        freeze(dict(solver_options)),
     )
 
 

@@ -36,6 +36,10 @@ ResultCallback = Callable[[int, Any], None]
 
 def _effective_workers(workers: Optional[int]) -> int:
     if workers is None or workers <= 0:
+        # The CPUs this process may run on: honours taskset/cgroup pinning
+        # where the platform exposes an affinity mask.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return int(workers)
 
@@ -187,7 +191,10 @@ def resolve_executor(workers: Optional[int] = None, mode: str = "auto") -> Execu
 
     Args:
         workers: Desired concurrency.  ``None`` or ``0`` means "one worker
-            per CPU"; ``1`` selects the serial policy under ``mode="auto"``.
+            per CPU this process may run on" (its affinity mask where the
+            platform has one, so a run pinned to one CPU resolves to one
+            worker); ``1`` selects the serial policy under
+            ``mode="auto"``.
         mode: ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
             (serial for one worker, process pool otherwise).
 

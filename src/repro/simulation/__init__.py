@@ -22,9 +22,10 @@ simulated quantities are directly comparable.
 * :mod:`repro.simulation.channel` — shared-medium busy bookkeeping.
 * :mod:`repro.simulation.mac` — per-protocol forwarding behaviours.
 * :mod:`repro.simulation.runner` — experiment driver returning a
-  :class:`~repro.simulation.runner.SimulationResult`.
-* :mod:`repro.simulation.batched` — array-batched replication engine,
-  bit-identical to the scalar driver (``engine="batched"``).
+  :class:`~repro.simulation.runner.SimulationResult`, plus the scalar
+  reference driver :func:`~repro.simulation.runner.simulate_scalar`.
+* :mod:`repro.simulation.batched` — the array-batched replication engine
+  every simulation runs on, bit-identical to the scalar reference.
 """
 
 from repro.simulation.batched import simulate_protocol_batched
@@ -32,10 +33,10 @@ from repro.simulation.engine import EventQueue, Simulator
 from repro.simulation.energy import EnergyAccount
 from repro.simulation.packets import DataPacket, DeliveryRecord
 from repro.simulation.runner import (
-    SIM_ENGINES,
     SimulationConfig,
     SimulationResult,
     simulate_protocol,
+    simulate_scalar,
 )
 
 __all__ = [
@@ -44,9 +45,9 @@ __all__ = [
     "EnergyAccount",
     "DataPacket",
     "DeliveryRecord",
-    "SIM_ENGINES",
     "SimulationConfig",
     "SimulationResult",
     "simulate_protocol",
     "simulate_protocol_batched",
+    "simulate_scalar",
 ]

@@ -10,11 +10,11 @@ proven **bit-identical** to the scalar engine by a differential test
 harness (``tests/simulation/test_batched_differential.py``).
 
 Entry point: :func:`simulate_protocol_batched` runs R independently seeded
-replications of one protocol configuration.  All four built-in behaviours
-(X-MAC, LMAC, DMAC, SCP-MAC) have registered batch kernels and run on the
-fast path; user-registered behaviours without a kernel transparently fall
-back to the scalar driver per replication — or raise, when the config sets
-``strict=True`` — and can opt in via :func:`register_batch_kernel`.
+replications of one protocol configuration; ``simulate_protocol`` runs
+every simulation through it.  All four built-in behaviours (X-MAC, LMAC,
+DMAC, SCP-MAC) have registered batch kernels and run on the fast path;
+user-registered behaviours without a kernel fall back to the scalar driver
+per replication, and can opt in via :func:`register_batch_kernel`.
 """
 
 from repro.simulation.batched.engine import simulate_protocol_batched

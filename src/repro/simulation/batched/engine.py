@@ -37,11 +37,7 @@ from repro.network.deployment import ring_deployment
 from repro.network.radio import RadioMode
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
 from repro.simulation.batched.kernels import BatchKernel, batch_kernel_for
-from repro.simulation.runner import (
-    SimulationConfig,
-    SimulationResult,
-    _SimulationRun,
-)
+from repro.simulation.runner import SimulationConfig, SimulationResult, simulate_scalar
 
 
 class ReplicationState:
@@ -292,11 +288,9 @@ def simulate_protocol_batched(
     """Simulate R independently seeded replications of one configuration.
 
     Behaviours with a registered batch kernel run on the flat array engine;
-    everything else falls back to the scalar driver per replication — unless
-    a config sets ``strict=True``, in which case the fallback raises so
-    callers can assert a protocol really ran batched.  Either way each
-    result is bit-identical to ``simulate_protocol(model, params, config)``
-    at the same config.
+    everything else falls back to the scalar driver per replication.  Either
+    way each result is bit-identical to ``simulate_scalar(model, params,
+    config)`` at the same config.
 
     Args:
         model: Analytical protocol model (defines scenario and timing).
@@ -308,9 +302,8 @@ def simulate_protocol_batched(
         One :class:`SimulationResult` per config, in input order.
 
     Raises:
-        SimulationError: if ``configs`` is empty, if a strict config would
-            fall back to the scalar driver, or on the scalar driver's error
-            conditions (no registered behaviour, runaway event budget,
+        SimulationError: if ``configs`` is empty, or on the scalar driver's
+            error conditions (no registered behaviour, runaway event budget,
             unroutable node).
     """
     configs = list(configs)
@@ -320,14 +313,7 @@ def simulate_protocol_batched(
         )
     kernel_class = batch_kernel_for(model)
     if kernel_class is None:
-        if any(config.strict for config in configs):
-            raise SimulationError(
-                f"strict batched run requested but no batch kernel is "
-                f"registered for {type(model).__name__}; register one via "
-                f"register_batch_kernel or drop strict=True to allow the "
-                f"scalar fallback"
-            )
-        return [_SimulationRun(model, params, config).run() for config in configs]
+        return [simulate_scalar(model, params, config) for config in configs]
     return [
         _run_replication(model, params, config, kernel_class) for config in configs
     ]

@@ -22,9 +22,9 @@ loop — folding is only legal when the folded value is bit-identical on
 every call.
 
 Kernels are registered per *exact* behaviour class: a user-registered
-subclass of :class:`XMACSimBehaviour` inherits ``supports_batch`` but may
-override ``plan_hop``, so it falls back to the scalar driver instead of
-silently batching with the parent's arithmetic.
+subclass of :class:`XMACSimBehaviour` may override ``plan_hop``, so it
+falls back to the scalar driver instead of silently batching with the
+parent's arithmetic.
 """
 
 from __future__ import annotations
@@ -597,10 +597,10 @@ _KERNELS: Dict[Type[DutyCycleKernel], Type[BatchKernel]] = {
 def batch_kernel_for(model: DutyCycledMACModel) -> Optional[Type[BatchKernel]]:
     """Resolve the batch kernel class for a model, or None to fall back.
 
-    Returns None (scalar fallback) when the model's behaviour does not
-    declare ``supports_batch``, has no registered kernel for its *exact*
-    class, or has no behaviour at all — in the last case the scalar driver
-    raises the canonical "no simulated behaviour" error.
+    Returns None (scalar fallback) when the model's behaviour has no
+    registered kernel for its *exact* class, or has no behaviour at all —
+    in the last case the scalar driver raises the canonical "no simulated
+    behaviour" error.
 
     Args:
         model: The analytical protocol model.
@@ -608,8 +608,6 @@ def batch_kernel_for(model: DutyCycledMACModel) -> Optional[Type[BatchKernel]]:
     try:
         behaviour_class = behaviour_class_for(model)
     except SimulationError:
-        return None
-    if not getattr(behaviour_class, "supports_batch", False):
         return None
     return _KERNELS.get(behaviour_class)
 

@@ -208,12 +208,6 @@ class MACSimBehaviour(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether the array-batched engine has a kernel replicating this
-    #: behaviour bit-for-bit (see :mod:`repro.simulation.batched`).  The
-    #: batched engine falls back to the scalar driver for behaviours that
-    #: leave this False, so every protocol keeps working either way.
-    supports_batch: bool = False
-
     def __init__(
         self,
         model: DutyCycledMACModel,

@@ -37,7 +37,6 @@ class DMACSimBehaviour(DutyCycleKernel):
     """Operational simulation of DMAC for one parameter setting."""
 
     name = "DMAC"
-    supports_batch = True
 
     def __init__(
         self,

@@ -38,7 +38,6 @@ class LMACSimBehaviour(DutyCycleKernel):
     """Operational simulation of LMAC for one parameter setting."""
 
     name = "LMAC"
-    supports_batch = True
 
     def __init__(
         self,

@@ -45,7 +45,6 @@ class SCPMACSimBehaviour(DutyCycleKernel):
     """Operational simulation of SCP-MAC for one parameter setting."""
 
     name = "SCP-MAC"
-    supports_batch = True
 
     def __init__(
         self,

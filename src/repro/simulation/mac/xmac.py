@@ -35,7 +35,6 @@ class XMACSimBehaviour(DutyCycleKernel):
     """Operational simulation of X-MAC for one parameter setting."""
 
     name = "X-MAC"
-    supports_batch = True
 
     def __init__(
         self,

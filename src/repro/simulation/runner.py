@@ -5,6 +5,11 @@ deployment and returns a :class:`SimulationResult` with the same quantities
 the analytical model predicts (per-node average power, end-to-end delays per
 source ring), so the two can be compared directly by
 :mod:`repro.analysis.validation`.
+
+It runs on the array-batched engine (:mod:`repro.simulation.batched`).
+The per-event object driver defined here, :func:`simulate_scalar`, is the
+reference that engine is proven bit-identical to, and the fallback for a
+behaviour without a registered batch kernel.
 """
 
 from __future__ import annotations
@@ -26,10 +31,6 @@ from repro.simulation.node import SensorNode
 from repro.simulation.packets import DataPacket, DeliveryRecord, PacketLog
 
 
-#: Valid values of :attr:`SimulationConfig.engine`.
-SIM_ENGINES = ("scalar", "batched")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Configuration of one simulation run.
@@ -44,14 +45,6 @@ class SimulationConfig:
             by never getting a chance to be delivered.
         queue_capacity: Per-node forwarding-queue capacity.
         max_events: Safety budget for the event loop.
-        engine: ``"scalar"`` (the per-event object driver) or ``"batched"``
-            (the array engine of :mod:`repro.simulation.batched`).  The two
-            produce bit-identical results; the knob only trades Python
-            dispatch for array bookkeeping.
-        strict: Only meaningful with ``engine="batched"``: raise instead of
-            silently falling back to the scalar driver when the behaviour
-            has no registered batch kernel, so callers can assert a
-            protocol really ran batched.
     """
 
     horizon: float = 2000.0
@@ -60,8 +53,6 @@ class SimulationConfig:
     generation_cutoff: float = 0.9
     queue_capacity: int = 64
     max_events: int = 2_000_000
-    engine: str = "scalar"
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -70,16 +61,6 @@ class SimulationConfig:
             raise SimulationError("generation_cutoff must lie in (0, 1]")
         if self.queue_capacity < 1:
             raise SimulationError("queue_capacity must be >= 1")
-        if self.engine not in SIM_ENGINES:
-            raise SimulationError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"choose from {', '.join(SIM_ENGINES)}"
-            )
-        if self.strict and self.engine != "batched":
-            raise SimulationError(
-                'strict=True requires engine="batched"; the scalar driver '
-                "has nothing to fall back from"
-            )
 
 
 @dataclass
@@ -101,9 +82,10 @@ class SimulationResult:
         processed_events: Number of discrete events the engine processed
             (used by ``benchmarks/bench_simulator.py`` for events/second).
         engine: Provenance: which driver actually produced this result
-            (``"scalar"`` or ``"batched"``).  Excluded from :meth:`as_dict`
-            on purpose — the two engines are bit-identical, so reports and
-            artifacts must not differ by engine.
+            (``"batched"``, or ``"scalar"`` for the reference driver and
+            kernel-less fallbacks).  Excluded from :meth:`as_dict` on
+            purpose — the two drivers are bit-identical, so reports and
+            artifacts must not differ by driver.
     """
 
     protocol: str
@@ -346,12 +328,29 @@ class _SimulationRun:
         )
 
 
+def simulate_scalar(
+    model: DutyCycledMACModel,
+    params: ParameterVector,
+    config: Optional[SimulationConfig] = None,
+) -> SimulationResult:
+    """Run one replication on the per-event object driver.
+
+    The reference implementation the batched engine is checked against
+    (differential matrix, golden traces, ``bench_simulator.py``); same
+    arguments, errors and result as :func:`simulate_protocol`.
+    """
+    return _SimulationRun(model, params, config or SimulationConfig()).run()
+
+
 def simulate_protocol(
     model: DutyCycledMACModel,
     params: ParameterVector,
     config: Optional[SimulationConfig] = None,
 ) -> SimulationResult:
     """Simulate one protocol configuration and return the measured metrics.
+
+    Runs on the array-batched engine, or on :func:`simulate_scalar` when the
+    behaviour has no registered batch kernel; the result is the same.
 
     Args:
         model: Analytical protocol model (defines scenario and timing).
@@ -370,10 +369,7 @@ def simulate_protocol(
             behaviour (an analytical-only user-registered protocol) or the
             configuration is inconsistent.
     """
-    config = config or SimulationConfig()
-    if config.engine == "batched":
-        # Imported lazily: the batched engine builds on this module.
-        from repro.simulation.batched import simulate_protocol_batched
+    # Imported lazily: the batched engine builds on this module.
+    from repro.simulation.batched import simulate_protocol_batched
 
-        return simulate_protocol_batched(model, params, [config])[0]
-    return _SimulationRun(model, params, config).run()
+    return simulate_protocol_batched(model, params, [config or SimulationConfig()])[0]

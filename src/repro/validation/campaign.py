@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, StoreError, ValidationError
-from repro.optimization.hybrid import SOLVER_METHODS
 from repro.protocols.registry import canonical_name, protocol_class
 from repro.runtime import BatchRunner, default_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
-from repro.simulation.runner import SIM_ENGINES, SimulationConfig, simulate_protocol
+from repro.simulation.runner import SimulationConfig, simulate_protocol
 from repro.validation.stats import MetricAggregate, StreamingMoments
 
 #: Metrics every campaign cell aggregates, in artifact order.
@@ -85,15 +84,6 @@ class CampaignSpec:
             prediction against the simulated mean.
         delay_tolerance: Allowed relative error of the delay prediction.
         min_delivery_ratio: Floor on the mean delivery ratio.
-        sim_engine: Simulation engine the replications run on (``"scalar"``
-            or ``"batched"``).  Pure runtime provenance: the engines are
-            bit-identical, so the knob is excluded from :meth:`as_dict`
-            (campaign artifacts stay byte-identical across engines) and
-            from the result-store record keys.
-        solver_method: Grid stage of the game solver (``"exhaustive"`` or
-            ``"adaptive"``).  Like ``sim_engine``, the methods return
-            identical solutions, so the knob is excluded from
-            :meth:`as_dict` and from the solve cache/store keys.
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -106,8 +96,6 @@ class CampaignSpec:
     energy_tolerance: float = 0.35
     delay_tolerance: float = 0.6
     min_delivery_ratio: float = 0.9
-    sim_engine: str = "scalar"
-    solver_method: str = "exhaustive"
 
     def __post_init__(self) -> None:
         scenarios = tuple(self.scenarios) or tuple(available_scenarios())
@@ -147,16 +135,6 @@ class CampaignSpec:
         if not (0.0 <= self.min_delivery_ratio <= 1.0):
             raise ConfigurationError(
                 f"min_delivery_ratio must lie in [0, 1], got {self.min_delivery_ratio!r}"
-            )
-        if self.sim_engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"unknown simulation engine {self.sim_engine!r}; "
-                f"choose from {', '.join(SIM_ENGINES)}"
-            )
-        if self.solver_method not in SOLVER_METHODS:
-            raise ConfigurationError(
-                f"unknown solver method {self.solver_method!r}; "
-                f"choose from {', '.join(SOLVER_METHODS)}"
             )
 
     @property
@@ -746,10 +724,7 @@ def run_campaign(
             protocol=protocol,
             scenario=scenario_preset(scenario_name).scenario,
             requirements=scenario_preset(scenario_name).requirements(),
-            solver_options={
-                "grid_points_per_dimension": spec.grid_points_per_dimension,
-                "method": spec.solver_method,
-            },
+            solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
         )
         for scenario_name in spec.scenarios
         for protocol in spec.protocols
@@ -806,9 +781,7 @@ def run_campaign(
                 (
                     model,
                     params,
-                    SimulationConfig(
-                        horizon=spec.horizon, seed=seed, engine=spec.sim_engine
-                    ),
+                    SimulationConfig(horizon=spec.horizon, seed=seed),
                 )
             )
     flat_measurements = _run_replications(payloads, runner, store)

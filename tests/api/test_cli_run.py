@@ -140,33 +140,43 @@ class TestRunErrorPaths:
             capsys, ["run", path, "--workers", "-2"], "workers must be >= 0"
         )
 
-    def test_unknown_solver_method(self, capsys, tmp_path):
-        spec = dict(GOOD_SOLVE, solver={"grid_points": 20, "method": "magic"})
-        self.assert_clean_error(
-            capsys, ["run", write_spec(tmp_path, spec)], "unknown solver.method 'magic'"
-        )
-
-    def test_unknown_runtime_solver_method(self, capsys, tmp_path):
-        spec = dict(GOOD_SOLVE, runtime={"solver_method": "magic"})
-        self.assert_clean_error(
-            capsys, ["run", write_spec(tmp_path, spec)], "runtime.solver_method"
-        )
-
     @pytest.mark.parametrize(
-        "knob, bad, floor",
+        "section, key, value",
         [
-            ("coarse_points", 1, 2),
-            ("refine_rounds", 0, 1),
-            ("top_k", "many", 1),
+            ("solver", "method", "adaptive"),
+            ("solver", "coarse_points", 11),
+            ("solver", "bogus", 1),
+            ("runtime", "sim_engine", "batched"),
+            ("runtime", "solver_method", "exhaustive"),
         ],
     )
-    def test_invalid_adaptive_option(self, capsys, tmp_path, knob, bad, floor):
-        spec = dict(GOOD_SOLVE, solver={"grid_points": 20, knob: bad})
+    def test_unknown_section_key(self, capsys, tmp_path, section, key, value):
+        # Removed knobs (and any other unknown key) fail at parse time,
+        # naming the key — never later, inside the solver.
+        spec = dict(GOOD_SOLVE)
+        spec[section] = dict(spec.get(section, {}), **{key: value})
         self.assert_clean_error(
             capsys,
             ["run", write_spec(tmp_path, spec)],
-            f"solver.{knob} must be an integer >= {floor}, got {bad!r}",
+            f"unknown {section} key(s): {key}",
         )
+
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"solver": {"grid_points": "abc"}}, "solver.grid_points"),
+            ({"solver": {"grid_points": 20, "random_starts": "x"}}, "solver.random_starts"),
+            ({"runtime": {"workers": [1]}}, "runtime.workers"),
+            ({"kind": "campaign", "campaign": {"replications": "x"}}, "campaign.replications"),
+            ({"kind": "suite", "scenarios": 5}, "scenarios"),
+            ({"scenario": {"depth": "deep"}}, "scenario.depth"),
+            ({"runtime": {"chunk_size": 0}}, "runtime.chunk_size"),
+            ({"runtime": {"mode": "gpu"}}, "runtime.mode"),
+        ],
+    )
+    def test_malformed_value(self, capsys, tmp_path, patch, field):
+        spec = dict(GOOD_SOLVE, **patch)
+        self.assert_clean_error(capsys, ["run", write_spec(tmp_path, spec)], field)
 
 
 class TestExitCodeContract:
@@ -192,22 +202,28 @@ class TestExitCodeContract:
             pytest.param({"kind": "frobnicate"}, [], EXIT_ERROR, id="unknown-kind"),
             pytest.param(INFEASIBLE, [], EXIT_ERROR, id="infeasible-solve"),
             pytest.param(
-                GOOD_SOLVE,
-                ["--solver-method", "adaptive"],
-                EXIT_OK,
-                id="adaptive-override-ok",
-            ),
-            pytest.param(
-                dict(GOOD_SOLVE, solver={"grid_points": 10, "method": "magic"}),
+                dict(GOOD_SOLVE, solver={"grid_points": 10, "method": "exhaustive"}),
                 [],
                 EXIT_ERROR,
-                id="unknown-solver-method",
+                id="solver-method",
             ),
             pytest.param(
-                dict(GOOD_SOLVE, solver={"grid_points": 10, "top_k": 0}),
+                dict(GOOD_SOLVE, runtime={"sim_engine": "batched"}),
                 [],
                 EXIT_ERROR,
-                id="bad-adaptive-knob",
+                id="runtime-sim-engine",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"solver_method": "adaptive"}),
+                [],
+                EXIT_ERROR,
+                id="runtime-solver-method",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, solver={"grid_points": "abc"}),
+                [],
+                EXIT_ERROR,
+                id="wrongly-typed-value",
             ),
             pytest.param(
                 GOOD_SOLVE,

@@ -144,6 +144,13 @@ class TestFluent:
         assert spec.solver.grid_points == 20
         assert spec.solver.options == {"random_starts": 3}
 
+    def test_with_solver_accepts_only_forwardable_keywords(self):
+        # Anything else would reach hybrid_solve and fail at solve time.
+        with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): method"):
+            ExperimentSpec.experiment("solve").with_solver(method="exhaustive")
+        with pytest.raises(ConfigurationError, match="solver.feasibility_tolerance"):
+            ExperimentSpec.experiment("solve").with_solver(feasibility_tolerance="tight")
+
 
 class TestHash:
     def test_hash_is_stable_and_64_hex_chars(self):

@@ -25,7 +25,7 @@ from repro.network.deployment import ring_deployment
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.scenario import Scenario
-from repro.simulation import SimulationConfig, simulate_protocol
+from repro.simulation import SimulationConfig, simulate_protocol, simulate_scalar
 from repro.simulation.batched import batch_kernel_for, simulate_protocol_batched
 from repro.simulation.batched.engine import ReplicationState
 from repro.validation.campaign import CampaignSpec, run_campaign
@@ -53,9 +53,7 @@ def _model(protocol: str, period: float = 30.0):
 
 def _batched(protocol, seed, horizon, period=30.0):
     model = _model(protocol, period)
-    config = SimulationConfig(
-        horizon=horizon, seed=seed, engine="batched", strict=True
-    )
+    config = SimulationConfig(horizon=horizon, seed=seed)
     return simulate_protocol(model, PROTOCOL_PARAMS[protocol], config)
 
 
@@ -162,16 +160,9 @@ class TestDeterminism:
     def test_scalar_and_batched_bit_identical(self, protocol, seed, horizon):
         model = _model(protocol)
         params = PROTOCOL_PARAMS[protocol]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=horizon, seed=seed)
-        )
-        batched = simulate_protocol(
-            model,
-            params,
-            SimulationConfig(
-                horizon=horizon, seed=seed, engine="batched", strict=True
-            ),
-        )
+        config = SimulationConfig(horizon=horizon, seed=seed)
+        scalar = simulate_scalar(model, params, config)
+        batched = simulate_protocol(model, params, config)
         assert scalar.engine == "scalar"
         assert batched.engine == "batched"
         assert scalar.node_power == batched.node_power
@@ -189,7 +180,6 @@ class TestDeterminism:
             replications=2,
             horizon=150.0,
             grid_points_per_dimension=12,
-            sim_engine="batched",
         )
         artifacts = []
         for workers in (1, 2):
@@ -211,13 +201,9 @@ class TestNewKernelEdges:
     def test_single_replication_matches_scalar(self, protocol):
         model = _model(protocol)
         params = PROTOCOL_PARAMS[protocol]
-        config = SimulationConfig(
-            horizon=150.0, seed=5, engine="batched", strict=True
-        )
+        config = SimulationConfig(horizon=150.0, seed=5)
         (batched,) = simulate_protocol_batched(model, params, [config])
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=150.0, seed=5)
-        )
+        scalar = simulate_scalar(model, params, config)
         assert batched.engine == "batched"
         assert scalar.as_dict() == batched.as_dict()
 
@@ -226,19 +212,13 @@ class TestNewKernelEdges:
         # Shorter than one frame (DMAC, 1 s) / poll interval (SCP-MAC,
         # 300 ms): zero periodic events fit and (with a quiet traffic
         # period) no packet is generated, so every node idles at exactly
-        # the sleep power — on both engines.
+        # the sleep power — on both drivers.
         model = _model(protocol, period=1.0e7)
         params = PROTOCOL_PARAMS[protocol]
         sleep = model.scenario.radio.power_sleep
         results = []
-        for engine, strict in (("scalar", False), ("batched", True)):
-            result = simulate_protocol(
-                model,
-                params,
-                SimulationConfig(
-                    horizon=0.05, seed=3, engine=engine, strict=strict
-                ),
-            )
+        for simulate in (simulate_scalar, simulate_protocol):
+            result = simulate(model, params, SimulationConfig(horizon=0.05, seed=3))
             assert result.generated_packets == 0
             assert set(result.node_power.values()) == {sleep}
             results.append(result)

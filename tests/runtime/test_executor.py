@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -70,6 +71,15 @@ class TestPolicies:
     def test_default_workers_use_cpu_count(self):
         assert ThreadExecutor().workers >= 1
         assert ProcessExecutor(workers=0).workers >= 1
+
+    def test_one_per_cpu_follows_the_affinity_mask(self, monkeypatch):
+        # A process pinned to one CPU (taskset, cgroup cpusets) gets one
+        # worker, however many CPUs the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ProcessExecutor(workers=0).workers == 1
+        assert isinstance(resolve_executor(0), SerialExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert ThreadExecutor().workers == 3
 
 
 class TestResolveExecutor:

@@ -194,3 +194,17 @@ class TestReplay:
         reopened = JobQueue(tmp_path)
         assert reopened.requeued == 1
         assert reopened.get(job.job_id).state == "queued"
+
+    def test_journal_naming_a_removed_key_is_a_named_error(self, tmp_path):
+        # A journal written before the solver-method and simulation-engine
+        # knobs were removed: replay refuses it by name, never silently.
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        queue.close()
+        journal = tmp_path / "jobs.jsonl"
+        event = json.loads(journal.read_text().splitlines()[0])
+        event["spec"]["solver"]["method"] = "exhaustive"
+        event["spec"]["runtime"]["sim_engine"] = "scalar"
+        journal.write_text(json.dumps(event) + "\n")
+        with pytest.raises(JobError, match=r"line 1: unknown solver key\(s\): method"):
+            JobQueue(tmp_path)

@@ -169,6 +169,37 @@ class TestKillAndRestart:
             )
 
 
+class TestParentFormatJournal:
+    def test_serve_refuses_a_journal_with_removed_keys(self, tmp_path, capsys):
+        # The journal a queue wrote before the solver-method and
+        # simulation-engine knobs were removed: every submit event carries
+        # them.  The service must refuse to start, naming the key — no
+        # traceback, and no job silently dropped.
+        from repro.cli import EXIT_ERROR, main as cli_main
+
+        spec = ExperimentSpec.from_dict(SOLVE)
+        payload = spec.to_dict()
+        payload["solver"].update(
+            method="exhaustive", coarse_points=11, refine_rounds=3, top_k=3
+        )
+        payload["runtime"].update(sim_engine="scalar", solver_method=None)
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        (queue_dir / "jobs.jsonl").write_text(
+            json.dumps(
+                {"event": "submit", "job_id": spec.spec_hash(), "spec": payload, "at": 1.0}
+            )
+            + "\n"
+        )
+        argv = ["serve", "--store", str(tmp_path / "store"), "--queue", str(queue_dir),
+                "--port", "0"]
+        assert cli_main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreplayable submit on journal line 1: ")
+        assert "unknown solver key(s): coarse_points, method, refine_rounds, top_k" in err
+        assert "Traceback" not in err
+
+
 class TestErrorStatuses:
     def test_submit_broken_json_is_400(self, service):
         client = ServiceClient(service.url)
@@ -180,6 +211,18 @@ class TestErrorStatuses:
             client.submit({"kind": "frobnicate"})
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("solver", "method"), ("runtime", "sim_engine"), ("runtime", "solver_method")],
+    )
+    def test_submit_removed_key_is_400_naming_it(self, client, section, key):
+        spec = {**SOLVE, section: {**SOLVE.get(section, {}), key: "x"}}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert f"unknown {section} key(s): {key}" in excinfo.value.payload["error"]
 
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):

@@ -1,22 +1,23 @@
-"""Differential harness: the batched engine is bit-identical to the scalar one.
+"""Differential harness: the production path is bit-identical to the reference.
 
-The batched engine (:mod:`repro.simulation.batched`) is only allowed to
-exist because it changes *nothing*: every metric of every replication —
-per-node power, per-ring delay lists, packet and channel counters — must
-match the scalar driver bit for bit at the same seed.  This module enforces
-that three ways:
+Every simulation runs on the batched engine (:mod:`repro.simulation.batched`
+behind ``simulate_protocol``); the scalar per-event driver
+(``simulate_scalar``) stays as the reference it must reproduce: every
+metric of every replication — per-node power, per-ring delay lists, packet
+and channel counters — must match bit for bit at the same seed.  This
+module enforces that three ways:
 
 * a seeded fuzzer sweeps the **full matrix** — every preset × every
   protocol (xmac, lmac, dmac, scpmac) × fuzzed (seed, horizon, sampling
   period) — as ~200 cases; the first :data:`FAST_CASES` run in tier-1
   (covering all four protocols), the full sweep is marked ``slow``;
 * a campaign identity test proves whole campaign artifacts (JSON bytes
-  included) are independent of ``sim_engine``;
-* edge cases both engines must agree on: horizons shorter than one duty
-  cycle, single replications, R=0, kernel-less fallback, invalid engines.
+  included) do not move when the replications run on the reference;
+* edge cases both drivers must agree on: horizons shorter than one duty
+  cycle, single replications, R=0, kernel-less fallback.
 
-Every batched run uses ``strict=True`` and asserts engine provenance, so a
-silent scalar fallback cannot masquerade as a passing differential case.
+Every production run asserts batched provenance, so a silent scalar
+fallback cannot masquerade as a passing differential case.
 Floats are compared with ``==`` (bit-equality for the NaN-free quantities
 the simulator produces); mismatches are reported in ``float.hex`` so a
 one-ulp drift is visible in the failure message, together with the exact
@@ -35,6 +36,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import validation
+from repro.api import ExperimentSpec, run
 from repro.exceptions import SimulationError
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
@@ -44,9 +47,11 @@ from repro.simulation import (
     SimulationConfig,
     simulate_protocol,
     simulate_protocol_batched,
+    simulate_scalar,
 )
 from repro.simulation.batched import kernels
 from repro.simulation.mac.xmac import XMACSimBehaviour
+from repro.validation import campaign
 from repro.validation.campaign import CampaignSpec, run_campaign
 
 #: Mid-box parameter vectors, one per protocol (the bench's choices).
@@ -57,7 +62,10 @@ PROTOCOL_PARAMS = {
     "scpmac": {"poll_interval": 0.3},
 }
 PROTOCOLS = tuple(sorted(PROTOCOL_PARAMS))
-ENGINES = ("scalar", "batched")
+#: The scalar reference and the production path, by the engine each runs on.
+DRIVERS = pytest.mark.parametrize(
+    "simulate", (simulate_scalar, simulate_protocol), ids=("scalar", "batched")
+)
 
 #: Fields of SimulationResult compared bit-for-bit.
 _COMPARED_FIELDS = (
@@ -161,15 +169,8 @@ def _run_both(preset, protocol, seed, horizon, period):
     scenario = _traffic_scenario(preset, period)
     model = create_protocol(protocol, scenario)
     params = PROTOCOL_PARAMS[protocol]
-    scalar = simulate_protocol(
-        model, params, SimulationConfig(horizon=horizon, seed=seed)
-    )
-    batched = simulate_protocol(
-        model,
-        params,
-        SimulationConfig(horizon=horizon, seed=seed, engine="batched", strict=True),
-    )
-    return scalar, batched
+    config = SimulationConfig(horizon=horizon, seed=seed)
+    return simulate_scalar(model, params, config), simulate_protocol(model, params, config)
 
 
 def _check_case(preset, protocol, seed, horizon, period):
@@ -189,8 +190,8 @@ def _check_case(preset, protocol, seed, horizon, period):
     context = f"case {case!r}\n  repro: {repro}"
     try:
         scalar, batched = _run_both(preset, protocol, seed, horizon, period)
-        # Provenance: strict mode already forbids the silent scalar
-        # fallback, the field proves the fast path actually produced this.
+        # Provenance: the fast path, not a silent scalar fallback, produced
+        # the production result.
         assert batched.engine == "batched", f"{context}: ran on {batched.engine!r}"
         assert scalar.engine == "scalar", f"{context}: ran on {scalar.engine!r}"
         assert_bit_identical(scalar, batched, context=context)
@@ -222,65 +223,87 @@ class TestFuzzedIdentityFull:
 
 
 class TestCampaignIdentity:
-    """``sim_engine`` is runtime provenance: campaign results don't move."""
+    """Campaign results do not depend on which driver ran the replications."""
 
-    @staticmethod
-    def _spec(engine: str) -> CampaignSpec:
-        return CampaignSpec(
-            scenarios=("high-rate",),
-            protocols=PROTOCOLS,
-            replications=2,
-            horizon=200.0,
-            grid_points_per_dimension=12,
-            sim_engine=engine,
+    SPEC = CampaignSpec(
+        scenarios=("high-rate",),
+        protocols=PROTOCOLS,
+        replications=2,
+        horizon=200.0,
+        grid_points_per_dimension=12,
+    )
+
+    def test_cells_and_artifact_bytes_identical(self, monkeypatch):
+        production = run_campaign(self.SPEC)
+        monkeypatch.setattr(campaign, "simulate_protocol", simulate_scalar)
+        reference = run_campaign(self.SPEC)
+        assert json.dumps(production.as_dict(), sort_keys=True) == json.dumps(
+            reference.as_dict(), sort_keys=True
         )
 
-    def test_cells_and_artifact_bytes_identical(self):
-        scalar = run_campaign(self._spec("scalar"))
-        batched = run_campaign(self._spec("batched"))
-        scalar_bytes = json.dumps(scalar.as_dict(), sort_keys=True)
-        batched_bytes = json.dumps(batched.as_dict(), sort_keys=True)
-        assert scalar_bytes == batched_bytes
 
-    def test_spec_dict_excludes_engine(self):
-        # The artifact embeds the campaign spec; an engine field there would
-        # break cross-engine byte-identity (and store replays).
-        assert "sim_engine" not in self._spec("batched").as_dict()
+class TestProductionPath:
+    """Spec-driven runs simulate every built-in protocol on the batched engine."""
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception, match="engine"):
-            self._spec("vectorized")
+    def test_validate_and_campaign_replications_run_batched(self, monkeypatch):
+        engines = []
+
+        def recording(model, params, config=None):
+            result = simulate_protocol(model, params, config)
+            engines.append((result.protocol, result.engine))
+            return result
+
+        monkeypatch.setattr(validation, "simulate_protocol", recording)
+        monkeypatch.setattr(campaign, "simulate_protocol", recording)
+        run(
+            ExperimentSpec.from_dict(
+                {
+                    "kind": "validate",
+                    "scenario": {"depth": 3, "density": 4, "sampling_period": 60.0},
+                    "protocols": list(PROTOCOLS),
+                    "simulation": {"horizon": 200.0},
+                }
+            )
+        )
+        run(
+            ExperimentSpec.from_dict(
+                {
+                    "kind": "campaign",
+                    "scenarios": ["high-rate"],
+                    "protocols": list(PROTOCOLS),
+                    "campaign": {"replications": 2, "horizon": 200.0},
+                    "solver": {"grid_points": 12},
+                }
+            )
+        )
+        assert len(engines) == 3 * len(PROTOCOLS)
+        assert {engine for _, engine in engines} == {"batched"}
 
 
 class TestEdgeCases:
-    """Degenerate inputs both engines must handle the same way."""
+    """Degenerate inputs both drivers must handle the same way."""
 
     @staticmethod
     def _model():
         scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
         return create_protocol("xmac", scenario)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_horizon_shorter_than_one_duty_cycle(self, engine):
+    @DRIVERS
+    def test_horizon_shorter_than_one_duty_cycle(self, simulate):
         # 50 ms horizon vs a 300 ms wake-up interval: zero periodic polls
         # fit, no packet is generated, every node idles at sleep power.
         model = self._model()
-        config = SimulationConfig(horizon=0.05, seed=3, engine=engine)
-        result = simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
+        config = SimulationConfig(horizon=0.05, seed=3)
+        result = simulate(model, PROTOCOL_PARAMS["xmac"], config)
         assert result.generated_packets == 0
         sleep_power = model.scenario.radio.power_sleep
         assert set(result.node_power.values()) == {sleep_power}
 
     def test_short_horizon_identical_across_engines(self):
         model = self._model()
-        scalar = simulate_protocol(
-            model, PROTOCOL_PARAMS["xmac"], SimulationConfig(horizon=0.05, seed=3)
-        )
-        batched = simulate_protocol(
-            model,
-            PROTOCOL_PARAMS["xmac"],
-            SimulationConfig(horizon=0.05, seed=3, engine="batched"),
-        )
+        config = SimulationConfig(horizon=0.05, seed=3)
+        scalar = simulate_scalar(model, PROTOCOL_PARAMS["xmac"], config)
+        batched = simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
         assert_bit_identical(scalar, batched, context="short-horizon")
 
     def test_single_replication(self):
@@ -289,74 +312,48 @@ class TestEdgeCases:
         (batched,) = simulate_protocol_batched(
             model, PROTOCOL_PARAMS["xmac"], [config]
         )
-        scalar = simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
+        scalar = simulate_scalar(model, PROTOCOL_PARAMS["xmac"], config)
         assert_bit_identical(scalar, batched, context="single-replication")
 
     def test_zero_replications_is_a_clean_error(self):
         with pytest.raises(SimulationError, match="at least one replication"):
             simulate_protocol_batched(self._model(), PROTOCOL_PARAMS["xmac"], [])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation engine"):
-            SimulationConfig(engine="vectorized")
+    def test_engine_is_not_a_config_knob(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(engine="scalar")  # type: ignore[call-arg]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_no_protocol_falls_back(self, protocol):
-        # All four built-in protocols have batch kernels: strict mode must
-        # succeed and the result must carry batched provenance.
+        # All four built-in protocols have batch kernels: the production
+        # path must carry batched provenance.
         scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
         model = create_protocol(protocol, scenario)
         params = PROTOCOL_PARAMS[protocol]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9)
-        )
-        batched = simulate_protocol(
-            model,
-            params,
-            SimulationConfig(horizon=300.0, seed=9, engine="batched", strict=True),
-        )
+        config = SimulationConfig(horizon=300.0, seed=9)
+        scalar = simulate_scalar(model, params, config)
+        batched = simulate_protocol(model, params, config)
         assert batched.engine == "batched"
-        assert_bit_identical(scalar, batched, context=f"strict-{protocol}")
+        assert_bit_identical(scalar, batched, context=f"batched-{protocol}")
 
     def test_kernel_less_behaviour_falls_back_transparently(self, monkeypatch):
         # Unregister X-MAC's kernel to simulate a user-registered behaviour
-        # without one: non-strict configs silently get the scalar result.
+        # without one: the kernel registry routes it to the scalar driver.
         monkeypatch.delitem(kernels._KERNELS, XMACSimBehaviour)
         model = self._model()
         params = PROTOCOL_PARAMS["xmac"]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9)
-        )
-        batched = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9, engine="batched")
-        )
-        assert batched.engine == "scalar"
-        assert_bit_identical(scalar, batched, context="fallback-xmac")
-
-    def test_strict_refuses_kernel_less_fallback(self, monkeypatch):
-        monkeypatch.delitem(kernels._KERNELS, XMACSimBehaviour)
-        model = self._model()
-        config = SimulationConfig(horizon=300.0, seed=9, engine="batched", strict=True)
-        with pytest.raises(SimulationError, match="no batch kernel"):
-            simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
-
-    def test_strict_requires_batched_engine(self):
-        with pytest.raises(SimulationError, match="strict"):
-            SimulationConfig(engine="scalar", strict=True)
+        config = SimulationConfig(horizon=300.0, seed=9)
+        scalar = simulate_scalar(model, params, config)
+        fallback = simulate_protocol(model, params, config)
+        assert fallback.engine == "scalar"
+        assert_bit_identical(scalar, fallback, context="fallback-xmac")
 
     def test_replications_vary_only_by_seed(self):
         # The batched entry point accepts heterogeneous configs; each one is
         # honoured independently.
         model = self._model()
-        configs = [
-            SimulationConfig(horizon=200.0, seed=seed, engine="batched")
-            for seed in (1, 2, 3)
-        ]
+        configs = [SimulationConfig(horizon=200.0, seed=seed) for seed in (1, 2, 3)]
         results = simulate_protocol_batched(model, PROTOCOL_PARAMS["xmac"], configs)
         for config, result in zip(configs, results):
-            scalar = simulate_protocol(
-                model,
-                PROTOCOL_PARAMS["xmac"],
-                SimulationConfig(horizon=200.0, seed=config.seed),
-            )
+            scalar = simulate_scalar(model, PROTOCOL_PARAMS["xmac"], config)
             assert_bit_identical(scalar, result, context=f"seed={config.seed}")

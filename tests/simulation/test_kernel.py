@@ -18,7 +18,12 @@ from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel
 from repro.scenario import Scenario
-from repro.simulation import EnergyAccount, SimulationConfig, simulate_protocol
+from repro.simulation import (
+    EnergyAccount,
+    SimulationConfig,
+    simulate_protocol,
+    simulate_scalar,
+)
 from repro.simulation.mac import (
     DMACSimBehaviour,
     KernelState,
@@ -105,9 +110,12 @@ GOLDEN_TRACES = {
     },
 }
 
-#: Both engines must reproduce the goldens: the batched engine dispatches
-#: all four protocols to array kernels — the trace is the same trace.
-ENGINES = ("scalar", "batched")
+#: The scalar reference driver and the production (batched) path must both
+#: reproduce the goldens: the batched engine dispatches all four protocols to
+#: array kernels — the trace is the same trace.
+DRIVERS = pytest.mark.parametrize(
+    "simulate", (simulate_scalar, simulate_protocol), ids=("scalar", "batched")
+)
 
 
 # Pinned edge-path traces (captured from the scalar engine at the settings
@@ -191,22 +199,20 @@ def _check_golden(result, golden):
 
 
 class TestTraceCompatibility:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @DRIVERS
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
     def test_kernel_reproduces_pre_refactor_traces_bit_identically(
-        self, scenario, name, engine
+        self, scenario, name, simulate
     ):
         model, params = {
             case[0]: (case[1], case[2]) for case in protocol_cases(scenario)
         }[name]
-        result = simulate_protocol(
-            model, params, SimulationConfig(horizon=600.0, seed=11, engine=engine)
-        )
+        result = simulate(model, params, SimulationConfig(horizon=600.0, seed=11))
         _check_golden(result, GOLDEN_TRACES[name])
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @DRIVERS
     @pytest.mark.parametrize("name", sorted(GOLDEN_EDGE_TRACES))
-    def test_edge_path_traces_are_pinned(self, name, engine):
+    def test_edge_path_traces_are_pinned(self, name, simulate):
         golden = GOLDEN_EDGE_TRACES[name]
         contended = Scenario(
             topology=RingTopology(depth=3, density=4), sampling_rate=1.0 / 20.0
@@ -214,27 +220,21 @@ class TestTraceCompatibility:
         model = {
             case[0]: case[1] for case in protocol_cases(contended)
         }[golden["protocol"]]
-        result = simulate_protocol(
-            model,
-            golden["params"],
-            SimulationConfig(horizon=300.0, seed=7, engine=engine),
-        )
+        result = simulate(model, golden["params"], SimulationConfig(horizon=300.0, seed=7))
         # The edge path actually fired: deferrals in the pinned counters.
         assert golden["counters"][3] > 0
         _check_golden(result, golden)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @DRIVERS
     @pytest.mark.parametrize("name", sorted(GOLDEN_QUIET_POWERS))
-    def test_zero_traffic_periodic_charges_are_pinned(self, name, engine):
+    def test_zero_traffic_periodic_charges_are_pinned(self, name, simulate):
         quiet = Scenario(
             topology=RingTopology(depth=3, density=4), sampling_rate=1.0 / 1.0e7
         )
         model, params = {
             case[0]: (case[1], case[2]) for case in protocol_cases(quiet)
         }[name]
-        result = simulate_protocol(
-            model, params, SimulationConfig(horizon=50.0, seed=3, engine=engine)
-        )
+        result = simulate(model, params, SimulationConfig(horizon=50.0, seed=3))
         assert result.generated_packets == 0
         expected = float.fromhex(GOLDEN_QUIET_POWERS[name])
         assert set(result.node_power.values()) == {expected}

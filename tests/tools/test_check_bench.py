@@ -263,82 +263,6 @@ class TestServiceGate:
             run_gate(base, fresh, "--service", str(tmp_path / "nope.json"))
 
 
-def solver_artifact(tmp_path, name, speedup, **overrides):
-    payload = {
-        "schema": "repro.bench.solver",
-        "schema_version": 1,
-        "grid_points_per_dimension": 60,
-        "rules": {
-            "lmac/P1-energy": {
-                "nominal_evaluations": 3600,
-                "adaptive_evaluations": 600,
-                "cells_pruned": 100,
-                "exhaustive_seconds": 0.01,
-                "adaptive_seconds": 0.01,
-                "evaluation_speedup": 6.0,
-            }
-        },
-        "aggregate": {
-            "nominal_evaluations": 7560,
-            "adaptive_evaluations": 1080,
-            "evaluation_speedup": speedup,
-        },
-        **overrides,
-    }
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return path
-
-
-class TestSolverGate:
-    """The ``--solver`` artifact: absolute evaluation-speedup floor."""
-
-    def test_above_floor_passes(self, tmp_path, capsys):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        solver = solver_artifact(tmp_path, "solver.json", 6.9)
-        assert run_gate(base, fresh, "--solver", str(solver)) == 0
-        out = capsys.readouterr().out
-        assert "OK   solver: aggregate 6.90x fewer evaluations" in out
-        assert "NOTE solver lmac/P1-energy: 6.00x" in out
-        assert "all 2 gated entries within bounds" in out
-
-    def test_below_floor_fails(self, tmp_path, capsys):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        solver = solver_artifact(tmp_path, "solver.json", 3.2)
-        assert run_gate(base, fresh, "--solver", str(solver)) == 1
-        assert "FAIL solver: aggregate 3.20x" in capsys.readouterr().out
-
-    def test_custom_floor(self, tmp_path):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        solver = solver_artifact(tmp_path, "solver.json", 3.2)
-        args = ["--solver", str(solver), "--min-solver-speedup"]
-        assert run_gate(base, fresh, *args, "4") == 1
-        assert run_gate(base, fresh, *args, "3") == 0
-        assert run_gate(base, fresh, *args, "0") == 0  # disabled
-
-    def test_missing_aggregate_fails(self, tmp_path, capsys):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        solver = solver_artifact(tmp_path, "solver.json", 6.9, aggregate={})
-        assert run_gate(base, fresh, "--solver", str(solver)) == 1
-        assert "no usable aggregate evaluation_speedup" in capsys.readouterr().out
-
-    def test_wrong_solver_schema_rejected(self, tmp_path):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        with pytest.raises(SystemExit, match="artifact"):
-            run_gate(base, fresh, "--solver", str(base))
-
-    def test_missing_solver_artifact_rejected(self, tmp_path):
-        base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
-        fresh = artifact(tmp_path, "fresh.json", {"xmac": 30000.0})
-        with pytest.raises(SystemExit, match="not found"):
-            run_gate(base, fresh, "--solver", str(tmp_path / "nope.json"))
-
-
 class TestArtifactValidation:
     def test_missing_fresh_artifact(self, tmp_path):
         base = artifact(tmp_path, "base.json", {"xmac": 30000.0})
@@ -385,11 +309,3 @@ class TestCommittedBaseline:
     def test_baseline_gates_against_itself(self, capsys):
         baseline = REPO_ROOT / "benchmarks" / "BENCH_simulator.json"
         assert run_gate(baseline, baseline) == 0
-
-    def test_solver_baseline_meets_the_floor(self):
-        payload = check_bench.load_solver_artifact(
-            REPO_ROOT / "benchmarks" / "BENCH_solver.json"
-        )
-        # The acceptance bar recorded in the committed baseline itself.
-        assert payload["aggregate"]["evaluation_speedup"] >= 5.0
-        assert not check_bench.check_solver_bench(payload, 5.0)

@@ -35,13 +35,6 @@ service's warm-hit throughput against the absolute
 stored bytes, so even a slow runner clears a conservative floor unless the
 serving path itself regressed).
 
-``--solver BENCH_solver.json`` gates the adaptive grid solver's aggregate
-``evaluation_speedup`` against ``--min-solver-speedup`` (default 5×,
-``0`` disables).  The speedup is a ratio of grid-point *counts* at a fixed
-resolution — fully deterministic and machine-independent — so the floor is
-hard: dropping below it means the refinement strategy itself regressed,
-not the runner.
-
 Throughput on shared CI runners is noisy, so the failure threshold is
 deliberately loose: it catches "accidentally made the event loop 2× slower"
 class regressions, not single-digit percentages.
@@ -62,10 +55,6 @@ BENCH_SCHEMA_VERSION = 1
 #: Service bench artifact identity (see ``benchmarks/bench_service.py``).
 SERVICE_SCHEMA = "repro.bench.service"
 SERVICE_SCHEMA_VERSION = 1
-
-#: Solver bench artifact identity (see ``benchmarks/bench_solvers.py``).
-SOLVER_SCHEMA = "repro.bench.solver"
-SOLVER_SCHEMA_VERSION = 1
 
 
 def load_artifact(path: Path) -> Dict[str, object]:
@@ -244,73 +233,6 @@ def check_service_bench(
     return failures
 
 
-def load_solver_artifact(path: Path) -> Dict[str, object]:
-    """Load and sanity-check one ``BENCH_solver.json`` artifact."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        sys.exit(f"error: solver bench artifact not found: {path}")
-    except json.JSONDecodeError as error:
-        sys.exit(f"error: {path} is not valid JSON: {error}")
-    if not isinstance(payload, dict) or payload.get("schema") != SOLVER_SCHEMA:
-        sys.exit(f"error: {path} is not a {SOLVER_SCHEMA!r} artifact")
-    if payload.get("schema_version") != SOLVER_SCHEMA_VERSION:
-        sys.exit(
-            f"error: {path} has schema_version {payload.get('schema_version')!r}, "
-            f"expected {SOLVER_SCHEMA_VERSION}"
-        )
-    return payload
-
-
-def check_solver_bench(
-    payload: Dict[str, object], min_speedup: float
-) -> List[str]:
-    """Enforce the adaptive solver's aggregate evaluation-speedup floor.
-
-    The speedup is nominal grid points over points actually evaluated at a
-    fixed resolution — a deterministic count ratio, not a timing — so an
-    absolute floor travels across machines.  Per-rule speedups are printed
-    for context but only the aggregate gates: 1-D rules have almost no
-    grid to skip, the aggregate is dominated by the rules where the full
-    grid actually hurts.  ``0`` disables the check.
-
-    Returns:
-        The list of failure messages (empty when the floor holds).
-    """
-    failures: List[str] = []
-    rules = payload.get("rules")
-    if isinstance(rules, dict):
-        for name in sorted(rules):
-            row = rules[name]
-            if not isinstance(row, dict):
-                continue
-            speedup = row.get("evaluation_speedup")
-            if isinstance(speedup, (int, float)):
-                print(
-                    f"NOTE solver {name}: {speedup:.2f}x fewer evaluations "
-                    f"({row.get('adaptive_evaluations')}/"
-                    f"{row.get('nominal_evaluations')} grid points)"
-                )
-    aggregate = payload.get("aggregate")
-    speedup = aggregate.get("evaluation_speedup") if isinstance(aggregate, dict) else None
-    if not isinstance(speedup, (int, float)) or speedup <= 0:
-        failures.append("solver: artifact has no usable aggregate evaluation_speedup")
-        print("FAIL solver: no usable aggregate evaluation_speedup in artifact")
-        return failures
-    if min_speedup <= 0:
-        print(f"NOTE solver: aggregate {speedup:.2f}x (floor disabled)")
-        return failures
-    line = f"solver: aggregate {speedup:.2f}x fewer evaluations (floor {min_speedup:g}x)"
-    if speedup < min_speedup:
-        failures.append(
-            f"solver: {speedup:.2f}x < {min_speedup:g}x evaluation-speedup floor"
-        )
-        print(f"FAIL {line}")
-    else:
-        print(f"OK   {line}")
-    return failures
-
-
 def compare(
     baseline: Dict[str, float],
     fresh: Dict[str, float],
@@ -408,21 +330,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="required warm-hit throughput of the experiment service in "
         "requests/second (absolute floor, no baseline; 0 disables)",
     )
-    parser.add_argument(
-        "--solver",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also gate a BENCH_solver.json artifact "
-        "(see benchmarks/bench_solvers.py)",
-    )
-    parser.add_argument(
-        "--min-solver-speedup",
-        type=float,
-        default=5.0,
-        help="required aggregate evaluation_speedup of the adaptive grid "
-        "solver (absolute floor, deterministic count ratio; 0 disables)",
-    )
     args = parser.parse_args(list(argv) if argv is not None else None)
     if not 0 < args.fail_below <= 1:
         sys.exit(f"error: --fail-below must be in (0, 1], got {args.fail_below}")
@@ -464,11 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.service is not None:
         failures += check_service_bench(
             load_service_artifact(args.service), args.min_service_warm_rps
-        )
-        gated += 1
-    if args.solver is not None:
-        failures += check_solver_bench(
-            load_solver_artifact(args.solver), args.min_solver_speedup
         )
         gated += 1
 

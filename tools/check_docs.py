@@ -197,7 +197,7 @@ def json_spec_blocks(markdown: str) -> Iterable[Tuple[int, str]]:
 #: Pages whose fenced ``json`` blocks must all be loadable experiment
 #: specs.  Response payloads and other non-spec JSON on these pages use a
 #: ``jsonc`` fence instead, which this check deliberately skips.
-_SPEC_SNIPPET_PAGES = ("docs/api.md", "docs/service.md", "docs/solver.md")
+_SPEC_SNIPPET_PAGES = ("docs/api.md", "docs/service.md")
 
 
 def check_spec_snippets(root: Path) -> List[str]:
