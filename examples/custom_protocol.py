@@ -62,7 +62,7 @@ class BeaconMACModel(DutyCycledMACModel):
         beacon = self._beacon_interval(params)
         radio = self.scenario.radio
         packets = self.scenario.packets
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         beacon_airtime = packets.strobe_airtime(radio)
         data = packets.data_airtime(radio)
         ack = packets.ack_airtime(radio)
@@ -89,7 +89,7 @@ class BeaconMACModel(DutyCycledMACModel):
 
     def duty_cycle(self, params, ring: int) -> float:
         beacon = self._beacon_interval(params)
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         packets = self.scenario.packets
         radio = self.scenario.radio
         awake = (
@@ -101,7 +101,7 @@ class BeaconMACModel(DutyCycledMACModel):
 
     def capacity_margin(self, params) -> float:
         beacon = self._beacon_interval(params)
-        traffic = self.traffic.ring_traffic(self.scenario.topology.bottleneck_ring)
+        traffic = self.ring_traffic(self.scenario.topology.bottleneck_ring)
         packets = self.scenario.packets
         radio = self.scenario.radio
         busy = (traffic.output + traffic.input) * (0.5 * beacon + packets.hop_exchange_time(radio))

@@ -6,11 +6,14 @@ the core framework uses:
 
 * :mod:`repro.optimization.result` — the common :class:`SolverResult` record.
 * :mod:`repro.optimization.grid` — exhaustive grid search (robust, derivative
-  free; used to seed and to cross-check the gradient-based solver), with a
-  vectorized whole-grid path for objectives carrying :func:`batched` twins.
-* :mod:`repro.optimization.constrained` — multi-start SLSQP via
+  free; reports the grid's distinct feasible local minima, which seed the
+  gradient-based solver), with a vectorized whole-grid path for objectives
+  carrying :func:`batched` twins.
+* :mod:`repro.optimization.constrained` — single- and multi-start SLSQP via
   :func:`scipy.optimize.minimize`.
-* :mod:`repro.optimization.hybrid` — grid-seeded SLSQP, the default solver.
+* :mod:`repro.optimization.hybrid` — SLSQP polish of the grid's best local
+  minima, the default solver; multi-start SLSQP only when the grid has no
+  feasible point.
 * :mod:`repro.optimization.scalarization` — weighted-sum scalarization of the
   two objectives (used for Pareto frontier extraction and ablations).
 * :mod:`repro.optimization.convexity` — numerical convexity and

@@ -33,19 +33,25 @@ def slsqp_solve(
 
     The objective and constraints are wrapped so that non-finite values are
     replaced by large penalties, which keeps SLSQP from aborting when it
-    probes the boundary of the admissible region.
+    probes the boundary of the admissible region.  The objective SciPy sees
+    is divided by its magnitude at the start point (1 when that is zero or
+    non-finite): SLSQP's ``ftol`` is absolute, so an objective of order
+    1e-5 J/s would otherwise count as converged at the start.
     """
     sign = -1.0 if maximize else 1.0
     start_point = space.midpoint() if start is None else space.clip(start)
 
-    evaluation_counter = {"count": 0}
+    scale = abs(float(objective(start_point)))
+    if not np.isfinite(scale) or scale == 0.0:
+        scale = 1.0
+    evaluation_counter = {"count": 1}
 
     def safe_objective(point: np.ndarray) -> float:
         evaluation_counter["count"] += 1
         value = float(objective(np.asarray(point, dtype=float)))
         if not np.isfinite(value):
             return 1e30
-        return sign * value
+        return sign * value / scale
 
     scipy_constraints = [
         {"type": "ineq", "fun": (lambda point, c=c: float(c(np.asarray(point, dtype=float))))}

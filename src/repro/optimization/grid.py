@@ -17,12 +17,17 @@ The vectorized path replicates the scalar path's skip/tie-break/violation
 semantics operation for operation, so the two return **bit-identical**
 results; ``tests/optimization/test_grid_vectorized.py`` enforces this and
 ``benchmarks/bench_vectorized_grid.py`` records the speedup.
+
+Both paths also report the grid's distinct feasible *local minima* — the
+seeds the hybrid solver polishes — through one shared rule
+(:func:`_local_minima`) applied to the values they collected.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+import itertools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +87,44 @@ def _violation(constraints: Sequence[Constraint], point: np.ndarray) -> float:
     return worst
 
 
+def _local_minima(
+    points: np.ndarray, signed: np.ndarray, shape: Tuple[int, ...]
+) -> Tuple[np.ndarray, ...]:
+    """The grid's distinct feasible local minima, best first.
+
+    Args:
+        points: The ``(n, dim)`` grid in :meth:`ParameterSpace.grid` order.
+        signed: ``(n,)`` objective in minimization sense, ``inf`` wherever
+            the point is skipped or infeasible.
+        shape: Points along each axis (row-major), ``prod(shape) == n``.
+
+    A point is a local minimum when it beats every neighbour of its
+    ``3**dim - 1`` neighbourhood, comparing ``(value, grid index)`` so a
+    plateau of exact ties yields the point the scan meets first rather than
+    all of them.  Sorting by the same key puts the grid's best feasible
+    point first.
+    """
+    values = signed.reshape(shape)
+    padded = np.pad(values, 1, constant_values=np.inf)
+    minimum = np.isfinite(values)
+    for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
+        if not any(offset):
+            continue
+        window = tuple(slice(1 + step, 1 + step + size) for step, size in zip(offset, shape))
+        neighbour = padded[window]
+        # In row-major order the neighbour comes later exactly when the
+        # first non-zero step is positive; a tie then goes to this point.
+        later = next(step for step in offset if step) > 0
+        minimum &= values <= neighbour if later else values < neighbour
+    indices = np.flatnonzero(minimum)
+    indices = indices[np.argsort(signed[indices], kind="stable")]
+    return tuple(points[index] for index in indices)
+
+
 def _grid_search_scalar(
     objective: Objective,
     points: np.ndarray,
+    shape: Tuple[int, ...],
     constraints: Sequence[Constraint],
     sign: float,
     maximize: bool,
@@ -93,7 +133,8 @@ def _grid_search_scalar(
     """Point-by-point reference implementation of the grid scan."""
     best: Optional[SolverResult] = None
     evaluations = 0
-    for point in points:
+    feasible_signed = np.full(points.shape[0], np.inf)
+    for index, point in enumerate(points):
         evaluations += 1
         violation = _violation(constraints, point)
         if not np.isfinite(violation):
@@ -101,6 +142,8 @@ def _grid_search_scalar(
         raw = float(objective(point))
         if not np.isfinite(raw):
             continue
+        if violation <= feasibility_tolerance:
+            feasible_signed[index] = sign * raw
         candidate = SolverResult(
             x=point,
             value=sign * raw,
@@ -121,12 +164,14 @@ def _grid_search_scalar(
         evaluations=evaluations,
         constraint_violation=best.constraint_violation,
         message=f"{points.shape[0]} grid points evaluated",
+        local_minima=_local_minima(points, feasible_signed, shape),
     )
 
 
 def _grid_search_vectorized(
     objective: Objective,
     points: np.ndarray,
+    shape: Tuple[int, ...],
     constraints: Sequence[Constraint],
     sign: float,
     feasibility_tolerance: float,
@@ -153,9 +198,9 @@ def _grid_search_vectorized(
         raise SolverError(_NO_FINITE_POINT)
 
     feasible_mask = valid & (violation <= feasibility_tolerance)
+    feasible_signed = np.where(feasible_mask, sign * raw, np.inf)
     if bool(feasible_mask.any()):
-        signed = sign * raw
-        best_index = int(np.argmin(np.where(feasible_mask, signed, np.inf)))
+        best_index = int(np.argmin(feasible_signed))
         feasible = True
     else:
         best_index = int(np.argmin(np.where(valid, violation, np.inf)))
@@ -168,6 +213,7 @@ def _grid_search_vectorized(
         evaluations=total,
         constraint_violation=float(violation[best_index]),
         message=f"{total} grid points evaluated",
+        local_minima=_local_minima(points, feasible_signed, shape),
     )
 
 
@@ -200,8 +246,10 @@ def grid_search(
 
     Returns:
         The best *feasible* grid point if one exists; otherwise the point of
-        least violation, flagged as infeasible.  Both evaluation paths
-        return bit-identical results.
+        least violation, flagged as infeasible.  ``local_minima`` holds the
+        grid's distinct feasible local minima, best first (empty when no
+        point is feasible).  Both evaluation paths return bit-identical
+        results.
 
     Raises:
         SolverError: if every grid point evaluates to a non-finite objective,
@@ -209,6 +257,7 @@ def grid_search(
     """
     sign = -1.0 if maximize else 1.0
     points = space.grid(points_per_dimension)
+    shape = tuple(parameter.sample_grid(points_per_dimension).size for parameter in space)
 
     batchable = _batched_twin(objective) is not None and all(
         _batched_twin(constraint) is not None for constraint in constraints
@@ -222,8 +271,8 @@ def grid_search(
         )
     if vectorize:
         return _grid_search_vectorized(
-            objective, points, constraints, sign, feasibility_tolerance
+            objective, points, shape, constraints, sign, feasibility_tolerance
         )
     return _grid_search_scalar(
-        objective, points, constraints, sign, maximize, feasibility_tolerance
+        objective, points, shape, constraints, sign, maximize, feasibility_tolerance
     )

@@ -1,24 +1,26 @@
 """Grid-seeded SLSQP: the library's default solver.
 
-A coarse grid scan locates the basin of the global optimum (the MAC energy
-curves are cheap to evaluate and only one- or two-dimensional), then SLSQP
-polishes the best grid point to high precision.  A plain multi-start SLSQP
-run is used as a cross-check: whichever of the two is better (feasible and
-lower objective) is returned, so the hybrid is never worse than either
-component.
+A grid scan locates the basins of the optimum (the MAC energy curves are
+cheap to evaluate and only one- or two-dimensional), then SLSQP polishes the
+best few of the grid's own local minima to high precision; whichever point
+is better (feasible and lower objective) is returned, so the hybrid is never
+worse than its grid.  Only when the grid holds no feasible point does a
+blind multi-start SLSQP run join the polish, so an infeasibility verdict
+still rests on every start the library knows.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core.parameters import ParameterSpace
 from repro.optimization.constrained import multistart_slsqp, slsqp_solve
 from repro.optimization.grid import Constraint, Objective, grid_search
 from repro.optimization.result import SolverResult
 from repro.exceptions import SolverError
+
+#: How many of the grid's local minima SLSQP polishes, best first.
+POLISHED_MINIMA = 3
 
 
 def hybrid_solve(
@@ -32,7 +34,13 @@ def hybrid_solve(
     feasibility_tolerance: float = 1e-7,
     vectorize: Optional[bool] = None,
 ) -> SolverResult:
-    """Grid scan, polish the winner with SLSQP, cross-check with multi-start.
+    """Grid scan, then polish the grid's best local minima with SLSQP.
+
+    Up to :data:`POLISHED_MINIMA` distinct feasible local minima of the
+    grid are polished.  When the grid has no feasible point (or no finite
+    one), its least-violating point is polished instead and
+    :func:`~repro.optimization.constrained.multistart_slsqp` runs as well;
+    ``random_starts`` and ``seed`` configure only that fallback.
 
     Returns the best feasible result found by any stage; if no stage finds a
     feasible point, the least-violating point is returned (flagged
@@ -61,13 +69,19 @@ def hybrid_solve(
     except SolverError:
         grid_result = None
 
-    if grid_result is not None:
+    if grid_result is None:
+        starts = []
+    elif grid_result.feasible:
+        starts = list(grid_result.local_minima[:POLISHED_MINIMA])
+    else:
+        starts = [grid_result.x]
+    for start in starts:
         try:
             polished = slsqp_solve(
                 objective,
                 space,
                 constraints,
-                start=np.asarray(grid_result.x, dtype=float),
+                start=start,
                 maximize=maximize,
                 feasibility_tolerance=feasibility_tolerance,
             )
@@ -75,19 +89,20 @@ def hybrid_solve(
         except SolverError:
             pass
 
-    try:
-        multistart = multistart_slsqp(
-            objective,
-            space,
-            constraints,
-            maximize=maximize,
-            random_starts=random_starts,
-            seed=seed,
-            feasibility_tolerance=feasibility_tolerance,
-        )
-        candidates.append(multistart)
-    except SolverError:
-        pass
+    if grid_result is None or not grid_result.feasible:
+        try:
+            multistart = multistart_slsqp(
+                objective,
+                space,
+                constraints,
+                maximize=maximize,
+                random_starts=random_starts,
+                seed=seed,
+                feasibility_tolerance=feasibility_tolerance,
+            )
+            candidates.append(multistart)
+        except SolverError:
+            pass
 
     if not candidates:
         raise SolverError("hybrid solver: every stage failed to produce a result")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,9 @@ class SolverResult:
         message: Free-form diagnostic from the solver.
         constraint_violation: Largest constraint violation at ``x`` (zero
             when feasible).
+        local_minima: The distinct feasible local minima of a grid scan,
+            best first (``x`` itself leads when the grid has a feasible
+            point); empty for every other solver.
     """
 
     x: np.ndarray
@@ -33,6 +36,7 @@ class SolverResult:
     evaluations: int = 0
     message: str = ""
     constraint_violation: float = 0.0
+    local_minima: Tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).ravel())

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.core.parameters import ParameterSpace
 from repro.exceptions import ConfigurationError
-from repro.network.traffic import TrafficModel
+from repro.network.traffic import RingTraffic, TrafficModel
 from repro.scenario import Scenario
 
 #: A parameter vector may be given as a mapping, a sequence or a numpy array.
@@ -136,6 +137,28 @@ class DutyCycledMACModel(abc.ABC):
     def traffic(self) -> TrafficModel:
         """The traffic model induced by the scenario."""
         return self._traffic
+
+    @cached_property
+    def traffic_by_ring(self) -> Dict[int, RingTraffic]:
+        """The :class:`RingTraffic` of every ring, computed once per model.
+
+        The rates depend on the scenario only, never on the parameters, yet
+        every energy, duty-cycle and capacity evaluation reads them.  A
+        ``cached_property`` memo stays out of the model's store identity
+        (see :func:`repro.runtime.cache.model_fingerprint`).
+        """
+        return self._traffic.all_rings()
+
+    def ring_traffic(self, ring: int) -> RingTraffic:
+        """The traffic of one ring, read from :attr:`traffic_by_ring`.
+
+        Raises:
+            ConfigurationError: if ``ring`` is not an integer ring index,
+                exactly as :meth:`TrafficModel.ring_traffic` does.
+        """
+        if isinstance(ring, int) and ring in self.traffic_by_ring:
+            return self.traffic_by_ring[ring]
+        return self._traffic.ring_traffic(ring)
 
     # ------------------------------------------------------------------ #
     # Abstract protocol-specific pieces

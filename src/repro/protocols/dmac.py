@@ -156,7 +156,7 @@ class DMACModel(DutyCycledMACModel):
         frame = self._frame_length(params)
         radio = self.scenario.radio
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
 
         carrier_sense = 2.0 * self.slot_time * radio.power_rx / frame
         transmit = traffic.output * (
@@ -205,7 +205,7 @@ class DMACModel(DutyCycledMACModel):
     def duty_cycle(self, params: ParameterVector, ring: int) -> float:
         """Fraction of time the radio is awake."""
         frame = self._frame_length(params)
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             2.0 * self.slot_time / frame
             + traffic.output * (0.5 * self._contention_window + self._times["exchange"])
@@ -219,7 +219,7 @@ class DMACModel(DutyCycledMACModel):
 
     def _duty_cycle_many(self, frame: np.ndarray, ring: int) -> np.ndarray:
         """Element-wise twin of :meth:`duty_cycle` for a frame-length column."""
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             2.0 * self.slot_time / frame
             + traffic.output * (0.5 * self._contention_window + self._times["exchange"])
@@ -234,7 +234,7 @@ class DMACModel(DutyCycledMACModel):
         times = self._times
         best = None
         for ring in self.scenario.topology.rings():
-            traffic = self.traffic.ring_traffic(ring)
+            traffic = self.ring_traffic(ring)
             carrier_sense = 2.0 * self.slot_time * radio.power_rx / frame
             transmit = traffic.output * (
                 0.5 * self._contention_window * radio.power_rx
@@ -270,7 +270,7 @@ class DMACModel(DutyCycledMACModel):
         frame = self.coerce_grid(grid)[:, 0]
         bottleneck = self.scenario.topology.bottleneck_ring
         offered_per_frame = (
-            self.scenario.density * self.traffic.peak_output_rate(bottleneck) * frame
+            self.scenario.density * self.ring_traffic(bottleneck).peak_output * frame
         )
         return self.max_utilization - offered_per_frame
 
@@ -288,6 +288,6 @@ class DMACModel(DutyCycledMACModel):
         frame = self._frame_length(params)
         bottleneck = self.scenario.topology.bottleneck_ring
         offered_per_frame = (
-            self.scenario.density * self.traffic.peak_output_rate(bottleneck) * frame
+            self.scenario.density * self.ring_traffic(bottleneck).peak_output * frame
         )
         return self.max_utilization - offered_per_frame

@@ -181,7 +181,7 @@ class LMACModel(DutyCycledMACModel):
         frame = slot * count
         radio = self.scenario.radio
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
 
         # The node listens to every slot's guard + control except its own.
         carrier_sense = (count - 1.0) * times["listen_per_slot"] * radio.power_rx / frame
@@ -220,7 +220,7 @@ class LMACModel(DutyCycledMACModel):
         count = values[self.SLOT_COUNT]
         frame = slot * count
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             (count - 1.0) * times["listen_per_slot"] / frame
             + (times["control"] + times["wakeup"]) / frame
@@ -237,7 +237,7 @@ class LMACModel(DutyCycledMACModel):
         """Element-wise twin of :meth:`duty_cycle` for slot/count columns."""
         frame = slot * count
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             (count - 1.0) * times["listen_per_slot"] / frame
             + (times["control"] + times["wakeup"]) / frame
@@ -255,7 +255,7 @@ class LMACModel(DutyCycledMACModel):
         times = self._times
         best = None
         for ring in self.scenario.topology.rings():
-            traffic = self.traffic.ring_traffic(ring)
+            traffic = self.ring_traffic(ring)
             carrier_sense = (count - 1.0) * times["listen_per_slot"] * radio.power_rx / frame
             transmit = traffic.output * times["data"] * radio.power_tx
             receive = traffic.input * times["data"] * radio.power_rx
@@ -282,7 +282,7 @@ class LMACModel(DutyCycledMACModel):
         grid = self.coerce_grid(grid)
         frame = grid[:, 0] * grid[:, 1]
         bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = self.traffic.peak_output_rate(bottleneck) * frame
+        offered_per_frame = self.ring_traffic(bottleneck).peak_output * frame
         return self.max_utilization - offered_per_frame
 
     def capacity_margin(self, params: ParameterVector) -> float:
@@ -292,5 +292,5 @@ class LMACModel(DutyCycledMACModel):
         """
         frame = self.frame_length(params)
         bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = self.traffic.peak_output_rate(bottleneck) * frame
+        offered_per_frame = self.ring_traffic(bottleneck).peak_output * frame
         return self.max_utilization - offered_per_frame

@@ -127,7 +127,7 @@ class SCPMACModel(DutyCycledMACModel):
         poll = self._poll_interval(params)
         radio = self.scenario.radio
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
 
         carrier_sense = times["poll"] * radio.power_rx / poll
         transmit = traffic.output * (
@@ -171,7 +171,7 @@ class SCPMACModel(DutyCycledMACModel):
         """Fraction of time the radio is awake."""
         poll = self._poll_interval(params)
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             times["poll"] / poll
             + traffic.output * (times["tone"] + times["exchange"])
@@ -188,7 +188,7 @@ class SCPMACModel(DutyCycledMACModel):
     def _duty_cycle_many(self, poll: np.ndarray, ring: int) -> np.ndarray:
         """Element-wise twin of :meth:`duty_cycle` for a poll-interval column."""
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             times["poll"] / poll
             + traffic.output * (times["tone"] + times["exchange"])
@@ -205,7 +205,7 @@ class SCPMACModel(DutyCycledMACModel):
         times = self._times
         best = None
         for ring in self.scenario.topology.rings():
-            traffic = self.traffic.ring_traffic(ring)
+            traffic = self.ring_traffic(ring)
             carrier_sense = times["poll"] * radio.power_rx / poll
             transmit = traffic.output * (
                 times["tone"] * radio.power_tx
@@ -246,7 +246,7 @@ class SCPMACModel(DutyCycledMACModel):
         poll = self.coerce_grid(grid)[:, 0]
         times = self._times
         bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.traffic.ring_traffic(bottleneck)
+        traffic = self.ring_traffic(bottleneck)
         per_second_airtime = (traffic.peak_output + traffic.peak_input) * (times["tone"] + times["exchange"])
         contention_stretch = 1.0 + traffic.background * poll * times["exchange"]
         return self.max_utilization - per_second_airtime * contention_stretch
@@ -262,7 +262,7 @@ class SCPMACModel(DutyCycledMACModel):
         poll = self._poll_interval(params)
         times = self._times
         bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.traffic.ring_traffic(bottleneck)
+        traffic = self.ring_traffic(bottleneck)
         per_second_airtime = (traffic.peak_output + traffic.peak_input) * (times["tone"] + times["exchange"])
         # The neighbourhood's packets all contend within the polling epochs.
         contention_stretch = 1.0 + traffic.background * poll * times["exchange"]

@@ -137,7 +137,7 @@ class XMACModel(DutyCycledMACModel):
         wakeup = self._wakeup_interval(params)
         times = self._times
         radio = self.scenario.radio
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
 
         carrier_sense = times["poll"] * radio.power_rx / wakeup
         transmit = traffic.output * (
@@ -178,7 +178,7 @@ class XMACModel(DutyCycledMACModel):
         """Fraction of time the radio is awake."""
         wakeup = self._wakeup_interval(params)
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             times["poll"] / wakeup
             + traffic.output * (0.5 * wakeup + times["exchange"])
@@ -194,7 +194,7 @@ class XMACModel(DutyCycledMACModel):
     def _duty_cycle_many(self, wakeup: np.ndarray, ring: int) -> np.ndarray:
         """Element-wise twin of :meth:`duty_cycle` for a wake-up column."""
         times = self._times
-        traffic = self.traffic.ring_traffic(ring)
+        traffic = self.ring_traffic(ring)
         awake = (
             times["poll"] / wakeup
             + traffic.output * (0.5 * wakeup + times["exchange"])
@@ -210,7 +210,7 @@ class XMACModel(DutyCycledMACModel):
         radio = self.scenario.radio
         best = None
         for ring in self.scenario.topology.rings():
-            traffic = self.traffic.ring_traffic(ring)
+            traffic = self.ring_traffic(ring)
             carrier_sense = times["poll"] * radio.power_rx / wakeup
             transmit = traffic.output * (
                 0.5 * wakeup * times["strobe_power"]
@@ -245,7 +245,7 @@ class XMACModel(DutyCycledMACModel):
         wakeup = self.coerce_grid(grid)[:, 0]
         times = self._times
         bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.traffic.ring_traffic(bottleneck)
+        traffic = self.ring_traffic(bottleneck)
         busy = traffic.peak_output * (0.5 * wakeup + times["strobe_period"] + times["exchange"]) + (
             traffic.peak_input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
         )
@@ -263,7 +263,7 @@ class XMACModel(DutyCycledMACModel):
         wakeup = self._wakeup_interval(params)
         times = self._times
         bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.traffic.ring_traffic(bottleneck)
+        traffic = self.ring_traffic(bottleneck)
         busy = traffic.peak_output * (0.5 * wakeup + times["strobe_period"] + times["exchange"]) + (
             traffic.peak_input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
         )

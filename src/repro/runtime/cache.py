@@ -29,6 +29,13 @@ from repro.protocols.base import DutyCycledMACModel
 #: A fully resolved, hashable cache key.
 CacheKey = Tuple[Any, ...]
 
+#: Revision of the game solver, folded into every :func:`solve_key`.  Bump
+#: it with any solver change that alters a solution, so results a store
+#: holds from an older solver are never replayed as if a cold run had
+#: produced them.  Keys without this component were written by revision 1,
+#: the hybrid whose every solve ran an 11-start SLSQP cross-check.
+SOLVER_REVISION = 2
+
 
 def freeze(value: Any) -> Any:
     """Convert a value into a deterministic, hashable representation.
@@ -119,10 +126,12 @@ def solve_key(
 
     Returns:
         A hashable key; two solves with equal keys are guaranteed to produce
-        bit-identical solutions (the game is deterministic).
+        bit-identical solutions (the game is deterministic, and the key
+        names the :data:`SOLVER_REVISION` that computes it).
     """
     return (
         "solve",
+        SOLVER_REVISION,
         model_fingerprint(model),
         freeze(requirements),
         freeze(dict(solver_options)),

@@ -11,8 +11,9 @@ platform, the Python version, ``repr`` details, or hash randomization.
 Two record families share the address space (the key's leading tag keeps
 them disjoint):
 
-* ``("solve", model_fingerprint, requirements, solver_options)`` — one
-  bargaining-game solve, exactly the :class:`SolveCache` key;
+* ``("solve", solver_revision, model_fingerprint, requirements,
+  solver_options)`` — one bargaining-game solve, exactly the
+  :class:`SolveCache` key;
 * ``("replication", model_fingerprint, parameters, horizon, seed)`` — one
   seeded simulation replication of a campaign cell
   (:func:`replication_record_key`).

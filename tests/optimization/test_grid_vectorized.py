@@ -1,10 +1,11 @@
 """The vectorized grid-search path: equivalence, detection, forcing.
 
 ``grid_search`` has two evaluation paths that must be interchangeable bit
-for bit; these tests pin the contract on the real solver problems (P1, P2,
-P4) and on synthetic objectives that exercise the corner cases the scalar
-loop defines: non-finite margins, non-finite objectives, infeasible-only
-grids, and exact ties (first optimum wins).
+for bit, down to the local minima they report; these tests pin the contract
+on the real solver problems (P1, P2, P4) and on synthetic objectives that
+exercise the corner cases the scalar loop defines: non-finite margins,
+non-finite objectives, infeasible-only grids, exact ties (first optimum
+wins), and several basins.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ def _assert_same_result(a, b):
     assert a.evaluations == b.evaluations
     assert a.constraint_violation == b.constraint_violation
     assert a.message == b.message
+    assert len(a.local_minima) == len(b.local_minima)
+    for left, right in zip(a.local_minima, b.local_minima):
+        assert np.array_equal(left, right)
+    if a.feasible:
+        assert np.array_equal(a.local_minima[0], a.x)
+    else:
+        assert a.local_minima == ()
 
 
 @pytest.mark.parametrize("protocol", PAPER_PROTOCOL_NAMES)
@@ -195,3 +203,85 @@ def test_exact_ties_keep_first_grid_point_identically():
     vectorized = grid_search(objective, _space(), points_per_dimension=13, vectorize=True)
     _assert_same_result(scalar, vectorized)
     assert scalar.x[0] == 0.0
+
+
+# ---------------------------------------------------------------------- #
+# Local minima
+# ---------------------------------------------------------------------- #
+
+
+def _both_paths(objective, space, constraints=(), **kwargs):
+    scalar = grid_search(objective, space, constraints, vectorize=False, **kwargs)
+    vectorized = grid_search(objective, space, constraints, vectorize=True, **kwargs)
+    _assert_same_result(scalar, vectorized)
+    return scalar.local_minima
+
+
+def test_local_minima_of_two_basins_best_first():
+    # Minima at x = 0.2 (value 0.1) and x = 0.8 (value 0): the deeper one leads.
+    objective = _with_many(
+        lambda x: min((x[0] - 0.2) ** 2 + 0.1, (x[0] - 0.8) ** 2),
+        lambda grid: np.minimum((grid[:, 0] - 0.2) ** 2 + 0.1, (grid[:, 0] - 0.8) ** 2),
+    )
+    minima = _both_paths(objective, _space(), points_per_dimension=11)
+    np.testing.assert_allclose(minima, [[0.8], [0.2]])
+
+
+def test_local_minima_when_maximizing():
+    objective = _with_many(
+        lambda x: -min((x[0] - 0.2) ** 2 + 0.1, (x[0] - 0.8) ** 2),
+        lambda grid: -np.minimum((grid[:, 0] - 0.2) ** 2 + 0.1, (grid[:, 0] - 0.8) ** 2),
+    )
+    minima = _both_paths(objective, _space(), points_per_dimension=11, maximize=True)
+    np.testing.assert_allclose(minima, [[0.8], [0.2]])
+
+
+def test_plateau_of_ties_yields_its_first_point():
+    # A flat-bottomed bowl over the integers 0..10: zero on 3..6.
+    space = ParameterSpace([Parameter(name="x", lower=0.0, upper=10.0)])
+    objective = _with_many(
+        lambda x: max(abs(float(x[0]) - 4.5) - 1.5, 0.0),
+        lambda grid: np.maximum(np.abs(grid[:, 0] - 4.5) - 1.5, 0.0),
+    )
+    np.testing.assert_allclose(_both_paths(objective, space, points_per_dimension=11), [[3.0]])
+
+
+def test_infeasible_neighbours_do_not_hide_a_boundary_minimum():
+    # Decreasing objective cut off by x <= 0.55: the last feasible point
+    # is a minimum although its (infeasible) neighbour is lower.
+    objective = _with_many(lambda x: -float(x[0]), lambda grid: -grid[:, 0])
+    constraint = _with_many(lambda x: 0.55 - float(x[0]), lambda grid: 0.55 - grid[:, 0])
+    minima = _both_paths(objective, _space(), [constraint], points_per_dimension=11)
+    np.testing.assert_allclose(minima, [[0.5]])
+
+
+def test_infeasible_grid_has_no_local_minima():
+    objective = _with_many(lambda x: float(x[0]), lambda grid: grid[:, 0])
+    constraint = _with_many(lambda x: -1.0, lambda grid: np.full(grid.shape[0], -1.0))
+    assert _both_paths(objective, _space(), [constraint], points_per_dimension=7) == ()
+
+
+def test_two_dimensional_minima_use_the_full_neighbourhood():
+    space = ParameterSpace(
+        [Parameter(name="x", lower=0.0, upper=1.0), Parameter(name="y", lower=0.0, upper=1.0)]
+    )
+
+    def wells(x, y):
+        return np.minimum((x - 0.2) ** 2 + (y - 0.2) ** 2, (x - 0.8) ** 2 + (y - 0.6) ** 2 - 0.01)
+
+    objective = _with_many(
+        lambda p: float(wells(p[0], p[1])), lambda grid: wells(grid[:, 0], grid[:, 1])
+    )
+    minima = _both_paths(objective, space, points_per_dimension=6)
+    np.testing.assert_allclose(minima, [[0.8, 0.6], [0.2, 0.2]])
+
+
+def test_degenerate_axis_keeps_the_grid_shape():
+    # A fixed parameter (lower == upper) contributes one grid point.
+    space = ParameterSpace(
+        [Parameter(name="x", lower=0.0, upper=1.0), Parameter(name="k", lower=2.0, upper=2.0)]
+    )
+    objective = _with_many(
+        lambda p: float((p[0] - 0.5) ** 2), lambda grid: (grid[:, 0] - 0.5) ** 2
+    )
+    np.testing.assert_allclose(_both_paths(objective, space, points_per_dimension=5), [[0.5, 2.0]])

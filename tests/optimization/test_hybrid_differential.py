@@ -1,0 +1,249 @@
+"""Differential gate: the hybrid solver against its multi-start predecessor.
+
+The reference is the hybrid as it was before it polished the grid's local
+minima, rebuilt from library parts: the grid scan, an SLSQP polish of the
+grid's best point, and a ``multistart_slsqp`` cross-check from 5 fixed + 6
+random starts on every solve, keeping the best candidate.  On every cell
+the hybrid must reach the same feasibility verdict, and its objective may
+trail the reference's by at most 1e-9 relative.  The one exception is a
+reference point with a negative constraint margin (inside the solvers'
+1e-7 feasibility tolerance): its edge over every truly feasible point may
+reach 1e-7.
+
+The matrix is 8 presets × 4 protocols × Lmax ×{1, 1.5, 2} × (P1, P2, P4) at
+60 grid points per axis.  P4 is built from the *reference's* P1/P2 optima,
+so both solvers face the same problem.  Tier-1 runs a slice plus the two
+``legacy-bitradio``/``scpmac``/P1 cells where polishing the grid point
+alone used to stop 1% short of the delay bound; the full matrix and a
+seeded fuzz over requirements are ``slow``-marked (``pytest -m slow``).
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Optional, Tuple
+
+import pytest
+
+from repro.core.problems import (
+    DelayMinimizationProblem,
+    EnergyMinimizationProblem,
+    NashBargainingProblem,
+)
+from repro.core.requirements import ApplicationRequirements
+from repro.exceptions import InfeasibleProblemError, SolverError
+from repro.optimization.constrained import multistart_slsqp, slsqp_solve
+from repro.optimization.grid import grid_search
+from repro.optimization.hybrid import hybrid_solve
+from repro.optimization.result import SolverResult
+from repro.protocols.registry import create_protocol
+from repro.scenarios import scenario_preset
+
+GRID_POINTS = 60
+PRESETS = (
+    "paper-default",
+    "dense-ring",
+    "sparse-ring",
+    "low-power",
+    "high-rate",
+    "sub-ghz",
+    "legacy-bitradio",
+    "bursty",
+)
+PROTOCOLS = ("xmac", "dmac", "lmac", "scpmac")
+DELAY_FACTORS = (1.0, 1.5, 2.0)
+#: Allowed relative objective gap behind the reference ...
+TOLERANCE = 1e-9
+#: ... and behind a reference point that violates a constraint slightly.
+VIOLATING_TOLERANCE = 1e-7
+
+MATRIX = [
+    (preset, protocol, factor)
+    for preset in PRESETS
+    for protocol in PROTOCOLS
+    for factor in DELAY_FACTORS
+]
+#: One cell per preset, cycling through protocols and delay factors.
+FAST_SLICE = [
+    (preset, PROTOCOLS[index % 4], DELAY_FACTORS[index % 3])
+    for index, preset in enumerate(PRESETS)
+]
+
+
+def _cell_id(cell: Tuple[str, str, float]) -> str:
+    preset, protocol, factor = cell
+    return f"{preset}-{protocol}-{factor:g}xLmax"
+
+
+def reference_solve(
+    objective,
+    space,
+    constraints=(),
+    maximize: bool = False,
+    grid_points_per_dimension: int = GRID_POINTS,
+) -> SolverResult:
+    """Grid, polish of the grid's best point, and an 11-start multistart."""
+    sign = -1.0 if maximize else 1.0
+    candidates: List[SolverResult] = []
+    try:
+        grid = grid_search(
+            objective,
+            space,
+            constraints,
+            points_per_dimension=grid_points_per_dimension,
+            maximize=maximize,
+        )
+        candidates.append(grid)
+        candidates.append(
+            slsqp_solve(objective, space, constraints, start=grid.x, maximize=maximize)
+        )
+    except SolverError:
+        pass
+    try:
+        candidates.append(
+            multistart_slsqp(
+                objective, space, constraints, maximize=maximize, random_starts=6, seed=0
+            )
+        )
+    except SolverError:
+        pass
+    best: Optional[SolverResult] = None
+    for candidate in candidates:
+        if best is None or _minimizing(candidate, sign).better_than(_minimizing(best, sign)):
+            best = candidate
+    assert best is not None
+    return best
+
+
+def _minimizing(result: SolverResult, sign: float) -> SolverResult:
+    return SolverResult(
+        x=result.x,
+        value=sign * result.value,
+        feasible=result.feasible,
+        method=result.method,
+        constraint_violation=result.constraint_violation,
+    )
+
+
+def _recording(solver, results: List[SolverResult]):
+    """``solver`` that also appends every raw result it returns."""
+
+    def run(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        results.append(result)
+        return result
+
+    return run
+
+
+def _solve(problem, solver) -> SolverResult:
+    """Solve a problem through its public ``solve`` and return the raw result."""
+    results: List[SolverResult] = []
+    try:
+        problem.solve(_recording(solver, results), grid_points_per_dimension=GRID_POINTS)
+    except InfeasibleProblemError:
+        pass
+    assert len(results) == 1
+    return results[0]
+
+
+def _assert_no_worse(label: str, reference: SolverResult, candidate: SolverResult, maximize: bool):
+    assert candidate.feasible == reference.feasible, f"{label}: feasibility verdict changed"
+    if not reference.feasible:
+        return
+    sign = -1.0 if maximize else 1.0
+    gap = sign * (candidate.value - reference.value) / abs(reference.value)
+    allowed = VIOLATING_TOLERANCE if reference.constraint_violation > 0 else TOLERANCE
+    assert gap <= allowed, (
+        f"{label}: hybrid objective {candidate.value!r} trails the multistart "
+        f"reference {reference.value!r} by {gap:.3g} relative (allowed {allowed:g}); "
+        f"x={candidate.x.tolist()} vs {reference.x.tolist()}"
+    )
+
+
+def _check_game(
+    preset_name: str, protocol: str, energy_budget: float, max_delay: float
+) -> None:
+    """P1, P2 and P4 of one game, each solved by both solvers."""
+    preset = scenario_preset(preset_name)
+    model = create_protocol(protocol, preset.scenario)
+    requirements = ApplicationRequirements(
+        energy_budget=energy_budget,
+        max_delay=max_delay,
+        sampling_rate=preset.scenario.sampling_rate,
+    )
+    label = f"{preset_name}/{protocol}/Ebudget={energy_budget!r}/Lmax={max_delay!r}"
+    references = {}
+    for name, problem in (
+        ("P1", EnergyMinimizationProblem(model, requirements)),
+        ("P2", DelayMinimizationProblem(model, requirements)),
+    ):
+        references[name] = _solve(problem, reference_solve)
+        _assert_no_worse(f"{label}/{name}", references[name], _solve(problem, hybrid_solve), False)
+    if not (references["P1"].feasible and references["P2"].feasible):
+        return
+    bargaining = NashBargainingProblem(
+        model,
+        requirements,
+        disagreement_energy=model.system_energy(references["P2"].x),
+        disagreement_delay=model.system_latency(references["P1"].x),
+    )
+    _assert_no_worse(
+        f"{label}/P4",
+        _solve(bargaining, reference_solve),
+        _solve(bargaining, hybrid_solve),
+        True,
+    )
+
+
+def _check_cell(cell: Tuple[str, str, float]) -> None:
+    preset_name, protocol, factor = cell
+    preset = scenario_preset(preset_name)
+    _check_game(preset_name, protocol, preset.energy_budget, preset.max_delay * factor)
+
+
+@pytest.mark.parametrize("cell", FAST_SLICE, ids=_cell_id)
+def test_hybrid_matches_multistart_reference(cell):
+    _check_cell(cell)
+
+
+@pytest.mark.parametrize("factor", [1.5, 2.0])
+def test_legacy_bitradio_scpmac_p1_reaches_the_delay_bound(factor):
+    """The cell blind multistart used to rescue: the energy optimum sits on
+    the delay bound between two grid points, and an unscaled polish of the
+    grid point stopped at once on the 1e-5 J/s objective."""
+    preset = scenario_preset("legacy-bitradio")
+    model = create_protocol("scpmac", preset.scenario)
+    requirements = ApplicationRequirements(
+        energy_budget=preset.energy_budget,
+        max_delay=preset.max_delay * factor,
+        sampling_rate=preset.scenario.sampling_rate,
+    )
+    problem = EnergyMinimizationProblem(model, requirements)
+    reference = _solve(problem, reference_solve)
+    hybrid = _solve(problem, hybrid_solve)
+    _assert_no_worse(f"legacy-bitradio/scpmac/{factor:g}xLmax/P1", reference, hybrid, False)
+    assert model.system_latency(hybrid.x) == pytest.approx(requirements.max_delay, rel=1e-6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cell", MATRIX, ids=_cell_id)
+def test_full_matrix_matches_multistart_reference(cell):
+    _check_cell(cell)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", range(48))
+def test_fuzzed_requirements_match_multistart_reference(case):
+    """Seeded requirements from well inside to well outside each preset's
+    feasible region, so infeasibility verdicts are exercised too."""
+    rng = random.Random(1000 + case)
+    preset_name = rng.choice(PRESETS)
+    protocol = rng.choice(PROTOCOLS)
+    preset = scenario_preset(preset_name)
+    _check_game(
+        preset_name,
+        protocol,
+        preset.energy_budget * rng.uniform(0.2, 2.0),
+        preset.max_delay * rng.uniform(0.1, 3.0),
+    )

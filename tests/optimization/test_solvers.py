@@ -74,6 +74,15 @@ class TestSLSQP:
         )
         assert result.x[0] <= 0.5 + 1e-6
 
+    def test_tiny_objective_is_not_converged_at_the_start(self):
+        # SLSQP's ftol is absolute: unscaled, a 1e-7-sized objective looks
+        # converged after the first step.
+        box = ParameterSpace([Parameter("x", 0.0, 10.0)])
+        result = slsqp_solve(
+            lambda p: 1e-7 * float((p[0] - 3.0) ** 2), box, start=np.array([0.0])
+        )
+        assert result.x[0] == pytest.approx(3.0, rel=1e-4)
+
     def test_multistart_escapes_bad_start(self, box_1d):
         result = multistart_slsqp(u_shaped, box_1d, random_starts=4, seed=1)
         assert result.feasible
@@ -107,6 +116,41 @@ class TestHybrid:
     def test_reports_infeasibility_instead_of_raising(self, box_1d):
         result = hybrid_solve(u_shaped, box_1d, constraints=[lambda p: -1.0])
         assert not result.feasible
+
+    def test_polishes_a_local_minimum_behind_the_grid_best(self):
+        # A narrow well at x = 0.83 falls between grid points: its grid
+        # point 0.8 is only the second-best local minimum of the grid.
+        box = ParameterSpace([Parameter("x", 0.0, 1.0)])
+
+        def well(p):
+            return float((p[0] - 0.3) ** 2 + 0.05 - 0.5 * np.exp(-(((p[0] - 0.83) / 0.03) ** 2)))
+
+        result = hybrid_solve(well, box, grid_points_per_dimension=11)
+        assert result.x[0] == pytest.approx(0.83, abs=0.01)
+        assert result.value < 0.0
+
+    def test_multistart_runs_only_without_a_feasible_grid_point(self, box_1d, monkeypatch):
+        calls = []
+
+        def recording_multistart(*args, **kwargs):
+            calls.append(kwargs)
+            return multistart_slsqp(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.optimization.hybrid.multistart_slsqp", recording_multistart
+        )
+        hybrid_solve(u_shaped, box_1d, grid_points_per_dimension=30)
+        assert calls == []
+        hybrid_solve(
+            u_shaped,
+            box_1d,
+            constraints=[lambda p: -1.0],
+            grid_points_per_dimension=30,
+            random_starts=2,
+            seed=5,
+        )
+        assert len(calls) == 1
+        assert (calls[0]["random_starts"], calls[0]["seed"]) == (2, 5)
 
 
 class TestWeightedSum:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ def midpoint(model):
 
 @pytest.mark.parametrize("cls", PROTOCOL_CLASSES)
 class TestCommonProtocolProperties:
+    def test_ring_traffic_table_matches_traffic_model(self, cls):
+        model = make_model(cls)
+        for ring in model.scenario.topology.rings():
+            assert model.ring_traffic(ring) == model.traffic.ring_traffic(ring)
+        assert model.ring_traffic(1) is model.ring_traffic(1)
+
+    @pytest.mark.parametrize("ring", [0, 5, 1.0, -1])
+    def test_bad_ring_index_raises_like_the_traffic_model(self, cls, ring):
+        model = make_model(cls)
+        with pytest.raises(ConfigurationError) as from_traffic:
+            model.traffic.ring_traffic(ring)
+        with pytest.raises(ConfigurationError, match=re.escape(str(from_traffic.value))):
+            model.ring_traffic(ring)
+
     def test_energy_is_positive_everywhere(self, cls):
         model = make_model(cls)
         for point in model.parameter_space.grid(7):

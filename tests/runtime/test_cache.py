@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
+from repro.protocols.registry import create_protocol
 from repro.protocols.xmac import XMACModel
 from repro.runtime.cache import (
+    SOLVER_REVISION,
     SolveCache,
     default_cache,
     freeze,
@@ -51,11 +53,15 @@ class TestModelFingerprint:
             XMACModel(paper_scenario)
         )
 
-    def test_solving_does_not_change_fingerprint(self, small_scenario):
-        model = XMACModel(small_scenario)
+    @pytest.mark.parametrize("protocol", ["xmac", "dmac", "lmac", "scpmac"])
+    def test_solving_does_not_change_fingerprint(self, small_scenario, protocol):
+        # Solving fills the model's lazy memos (e.g. the per-ring traffic
+        # table); none of them may enter the identity.
+        model = create_protocol(protocol, small_scenario)
         before = model_fingerprint(model)
         requirements = ApplicationRequirements(energy_budget=0.06, max_delay=3.0)
         EnergyDelayGame(model, requirements, **FAST).solve()
+        assert "traffic_by_ring" in vars(model)
         assert model_fingerprint(model) == before
 
 
@@ -74,6 +80,10 @@ class TestSolveKey:
         a = solve_key(xmac, requirements, {"x": 1, "y": 2})
         b = solve_key(xmac, requirements, {"y": 2, "x": 1})
         assert a == b
+
+    def test_key_names_the_solver_revision(self, xmac, requirements):
+        key = solve_key(xmac, requirements, {})
+        assert key[:3] == ("solve", SOLVER_REVISION, model_fingerprint(xmac))
 
 
 class TestSolveCache:

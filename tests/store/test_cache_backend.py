@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.tradeoff import EnergyDelayGame
-from repro.runtime.cache import SolveCache, solve_key
+from repro.runtime.cache import SolveCache, freeze, model_fingerprint, solve_key
 from repro.store import ResultStore, key_digest
 
 FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
@@ -54,6 +54,23 @@ class TestReadThroughWriteBehind:
         cache.get(key)
         cache.get(key)
         assert store.stats().puts == 1
+
+    def test_record_under_a_revisionless_key_is_a_miss(self, tmp_path, xmac, requirements):
+        # Solve records written before the solver revision joined the key
+        # hold the multi-start hybrid's numbers; they must not be replayed.
+        store = ResultStore(tmp_path / "store")
+        solution = EnergyDelayGame(xmac, requirements, **FAST).solve()
+        old_key = (
+            "solve",
+            model_fingerprint(xmac),
+            freeze(requirements),
+            freeze(dict(FAST)),
+        )
+        store.put_solution(old_key, solution)
+        assert solve_key(xmac, requirements, FAST)[2:] == old_key[1:]
+        cache = SolveCache(store=ResultStore(tmp_path / "store"))
+        assert cache.get(solve_key(xmac, requirements, FAST)) is None
+        assert cache.stats().misses == 1
 
     def test_miss_everywhere(self, tmp_path, xmac, requirements):
         cache = SolveCache(store=ResultStore(tmp_path / "store"))
