@@ -1,8 +1,9 @@
 """Figure 1 benchmark: E-L trade-off with Ebudget fixed at 0.06 J, Lmax swept.
 
-One benchmark per sub-figure (1a X-MAC, 1b DMAC, 1c LMAC).  Each prints the
-series the paper plots (corner points and Nash bargaining point per ``Lmax``)
-and asserts the paper's qualitative observations:
+One benchmark per sub-figure (1a X-MAC, 1b DMAC, 1c LMAC), each a
+``figure1`` spec run through ``repro.api``.  Each prints the series the
+paper plots (corner points and Nash bargaining point per ``Lmax``) and
+asserts the paper's qualitative observations:
 
 * relaxing the delay bound moves the agreement in favour of the energy
   player (``E*`` is non-increasing in ``Lmax``),
@@ -17,38 +18,42 @@ import time
 
 import pytest
 
-from benchmarks.conftest import assert_speedup_if_required, print_series
+from benchmarks.conftest import (
+    assert_speedup_if_required,
+    print_series,
+    solutions_by_protocol,
+)
+from repro.api import ExperimentSpec, ResultSet, run
 from repro.experiments.config import FIGURE_DELAY_BOUNDS, FIGURE_ENERGY_BUDGET_FIXED
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
 from repro.runtime import SolveCache, build_runner
 
 
-def _run_protocol(protocol: str, grid: int):
-    # use_cache=False: these benches time the actual solves; the cache-hit
-    # path has its own bench below.
-    results = reproduce_figure1(
-        protocols=(protocol,),
-        delay_bounds=FIGURE_DELAY_BOUNDS,
-        energy_budget=FIGURE_ENERGY_BUDGET_FIXED,
-        grid_points_per_dimension=grid,
-        use_cache=False,
-    )
-    return results[protocol]
+def _spec(grid: int, *protocols: str) -> ExperimentSpec:
+    """Figure 1 at the paper's defaults (every paper protocol unless named)."""
+    spec = ExperimentSpec.experiment("figure1").with_solver(grid_points=grid)
+    return spec.with_protocols(*protocols) if protocols else spec
 
 
-def _check_and_print(sweep, label: str) -> None:
-    assert not sweep.infeasible_values, f"{label}: some Lmax values were infeasible"
-    assert len(sweep.solutions) == len(FIGURE_DELAY_BOUNDS)
-    stars = [solution.energy_star for solution in sweep.solutions]
+def _uncached(spec: ExperimentSpec) -> ResultSet:
+    # No cache: these benches time the actual solves; the cache-hit path
+    # has its own bench below.
+    return run(spec, runner=build_runner(workers=1, use_cache=False))
+
+
+def _check_and_print(result: ResultSet, label: str) -> None:
+    assert not result.failed_records, f"{label}: some Lmax values were infeasible"
+    solutions = [record.value for record in result]
+    assert len(solutions) == len(FIGURE_DELAY_BOUNDS)
+    stars = [solution.energy_star for solution in solutions]
     assert all(
         later <= earlier + 1e-9 for earlier, later in zip(stars, stars[1:])
     ), f"{label}: relaxing Lmax must not increase the agreed energy"
-    for bound, solution in zip(FIGURE_DELAY_BOUNDS, sweep.solutions):
+    for bound, solution in zip(FIGURE_DELAY_BOUNDS, solutions):
         assert solution.delay_star <= bound * 1.001
         assert solution.energy_star <= FIGURE_ENERGY_BUDGET_FIXED * 1.001
         assert solution.energy_best <= solution.energy_star <= solution.energy_worst * 1.001
         assert abs(solution.bargaining.fairness_residual) < 0.1
-    print_series(label, sweep.series())
+    print_series(label, result.rows())
 
 
 @pytest.mark.parametrize(
@@ -56,24 +61,22 @@ def _check_and_print(sweep, label: str) -> None:
     [("xmac", "Figure 1a (X-MAC)"), ("dmac", "Figure 1b (DMAC)"), ("lmac", "Figure 1c (LMAC)")],
 )
 def test_figure1(benchmark, figure_grid, protocol, subfigure):
-    sweep = benchmark.pedantic(
-        _run_protocol, args=(protocol, figure_grid), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        _uncached, args=(_spec(figure_grid, protocol),), rounds=1, iterations=1
     )
-    _check_and_print(sweep, subfigure)
+    _check_and_print(result, subfigure)
 
 
 def test_figure1_saturation_structure(benchmark, figure_grid):
     """The paper's saturation pattern: X-MAC's trade-off points coincide for
     large ``Lmax`` (its energy optimum becomes interior), DMAC saturates only
     near the synchronization bound, LMAC keeps improving up to 6 s."""
-    results = benchmark.pedantic(
-        reproduce_figure1,
-        kwargs={"grid_points_per_dimension": figure_grid, "use_cache": False},
-        rounds=1,
-        iterations=1,
+    result = benchmark.pedantic(
+        _uncached, args=(_spec(figure_grid),), rounds=1, iterations=1
     )
-    xmac = [s.energy_star for s in results["xmac"].solutions]
-    lmac = [s.energy_star for s in results["lmac"].solutions]
+    solutions = solutions_by_protocol(result)
+    xmac = [s.energy_star for s in solutions["xmac"]]
+    lmac = [s.energy_star for s in solutions["lmac"]]
     # X-MAC: identical agreements once the delay bound stops binding (>= 3 s).
     assert xmac[2] == pytest.approx(xmac[5], rel=1e-3)
     # X-MAC: the bound still bites at 1 s and 2 s.
@@ -89,16 +92,17 @@ def test_figure1_parallel_speedup(benchmark, figure_grid, bench_workers):
     alongside to report the speedup.  Output equality is asserted exactly —
     parallelism must be invisible in the results.
     """
-    kwargs = {"grid_points_per_dimension": figure_grid}
+    spec = _spec(figure_grid)
 
     started = time.perf_counter()
-    serial = reproduce_figure1(runner=build_runner(workers=1, use_cache=False), **kwargs)
+    serial = run(spec, runner=build_runner(workers=1, use_cache=False))
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     parallel = benchmark.pedantic(
-        reproduce_figure1,
-        kwargs={"runner": build_runner(workers=bench_workers, use_cache=False), **kwargs},
+        run,
+        args=(spec,),
+        kwargs={"runner": build_runner(workers=bench_workers, use_cache=False)},
         rounds=1,
         iterations=1,
     )
@@ -116,24 +120,26 @@ def test_figure1_parallel_speedup(benchmark, figure_grid, bench_workers):
             },
         ],
     )
-    assert figure1_rows(serial) == figure1_rows(parallel), "parallel output must be bit-identical"
+    assert serial.rows() == parallel.rows(), "parallel output must be bit-identical"
     assert_speedup_if_required(speedup)
 
 
 def test_figure1_cache_hit_path(benchmark, figure_grid):
     """A warm solve cache answers the whole figure grid in near-zero time."""
+    spec = _spec(figure_grid)
     cache = SolveCache()
-    kwargs = {"grid_points_per_dimension": figure_grid}
-    cold_runner = build_runner(workers=1, cache=cache)
 
     started = time.perf_counter()
-    cold = reproduce_figure1(runner=cold_runner, **kwargs)
+    cold = run(spec, runner=build_runner(workers=1, cache=cache))
     cold_seconds = time.perf_counter() - started
 
-    warm_runner = build_runner(workers=1, cache=cache)
     started = time.perf_counter()
     warm = benchmark.pedantic(
-        reproduce_figure1, kwargs={"runner": warm_runner, **kwargs}, rounds=1, iterations=1
+        run,
+        args=(spec,),
+        kwargs={"runner": build_runner(workers=1, cache=cache)},
+        rounds=1,
+        iterations=1,
     )
     warm_seconds = time.perf_counter() - started
 
@@ -144,7 +150,8 @@ def test_figure1_cache_hit_path(benchmark, figure_grid):
             {"cache": "warm", "seconds": warm_seconds},
         ],
     )
-    stats = warm_runner.cache_stats()
-    assert stats.hits == sum(len(sweep.values) for sweep in warm.values())
-    assert figure1_rows(warm) == figure1_rows(cold)
+    # The counters are the shared cache's: the cold run hit nothing, so
+    # every hit is the warm run's, one per unit.
+    assert warm.metadata["cache_hits"] == len(warm)
+    assert warm.rows() == cold.rows()
     assert warm_seconds < cold_seconds / 10.0, "cache-hit path should be >10x faster"

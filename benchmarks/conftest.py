@@ -12,10 +12,13 @@ solver fails the harness instead of silently changing the story.
 from __future__ import annotations
 
 import os
+from typing import Dict, List
 
 import pytest
 
 from repro.analysis.reporting import format_table
+from repro.api import ResultSet
+from repro.core.results import GameSolution
 
 #: Solver grid used by the figure benches (coarser than the library default;
 #: the SLSQP polish makes the final optima identical to within tolerance).
@@ -44,6 +47,14 @@ def print_series(title: str, rows) -> None:
     """Print a labelled series table below the benchmark output."""
     print(f"\n=== {title} ===")
     print(format_table(rows))
+
+
+def solutions_by_protocol(result: ResultSet) -> Dict[str, List[GameSolution]]:
+    """A figure run's game solutions per protocol, in sweep order."""
+    series: Dict[str, List[GameSolution]] = {}
+    for record in result.ok_records:
+        series.setdefault(record.unit.protocol, []).append(record.value)
+    return series
 
 
 @pytest.fixture(scope="session")

@@ -4,21 +4,20 @@ Run with::
 
     python examples/scenario_suite.py
 
-The script runs every (scenario × protocol) pair of the scenario library
-through the process-pool batch runner, prints the resulting grid of Nash
+The script runs every (scenario × protocol) pair of the scenario library as
+one ``suite`` spec on a process pool, prints the resulting grid of Nash
 bargaining agreements, and then shows the extension point: registering a
-deployment-specific scenario preset and running the suite over it.
+deployment-specific scenario preset and running a suite over it.
 """
 
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
-from repro.runtime import build_runner
-from repro.scenario import Scenario
+from repro.api import ExperimentSpec, plan, run
 from repro.network.topology import RingTopology
+from repro.scenario import Scenario
 from repro.scenarios import (
     ScenarioPreset,
-    ScenarioSuite,
     register_scenario_preset,
     scenario_presets,
     unregister_scenario_preset,
@@ -27,22 +26,24 @@ from repro.scenarios import (
 
 def run_library_suite() -> None:
     """Every registered scenario × every protocol, on 4 worker processes."""
-    suite = ScenarioSuite(
-        runner=build_runner(workers=4),
-        grid_points_per_dimension=40,  # coarse grid: the SLSQP polish refines it
+    spec = (
+        ExperimentSpec.experiment("suite")
+        .with_solver(grid_points=40)  # coarse grid: the SLSQP polish refines it
+        .with_runtime(workers=4)
     )
+    suite_plan = plan(spec)
     print(
-        f"Running {len(suite.presets)} scenarios × {len(suite.protocols)} protocols "
-        f"= {suite.pair_count} games ..."
+        f"Running {len(suite_plan.scenario_names)} scenarios × "
+        f"{len(suite_plan.protocol_names)} protocols = {suite_plan.count} games ..."
     )
-    result = suite.run()
+    result = run(suite_plan)
     print(format_table(result.rows()))
-    print(f"runner: {result.runner_description}; "
-          f"{len(result.feasible_cells)}/{len(result.cells)} pairs feasible")
+    print(f"runner: {result.metadata['runner']}; "
+          f"{len(result.ok_records)}/{len(result)} pairs feasible")
 
 
 def run_custom_preset() -> None:
-    """Register a deployment-specific preset and run the suite over it."""
+    """Register a deployment-specific preset and run a suite over it."""
     preset = ScenarioPreset(
         name="greenhouse",
         title="Greenhouse monitoring (3 rings, damp sub-GHz channel)",
@@ -60,11 +61,13 @@ def run_custom_preset() -> None:
     )
     register_scenario_preset(preset)
     try:
-        result = ScenarioSuite(
-            scenarios=("greenhouse",),
-            protocols=("xmac", "dmac"),
-            grid_points_per_dimension=40,
-        ).run()
+        spec = (
+            ExperimentSpec.experiment("suite")
+            .with_scenarios("greenhouse")
+            .with_protocols("xmac", "dmac")
+            .with_solver(grid_points=40)
+        )
+        result = run(spec)
         print()
         print("Custom preset:")
         print(format_table(result.rows()))

@@ -30,13 +30,15 @@ Package layout:
 * :mod:`repro.gametheory` — generic bargaining solutions and axiom checks.
 * :mod:`repro.simulation` — packet-level discrete-event simulator.
 * :mod:`repro.runtime` — parallel executor policies, solve cache, batch runner.
-* :mod:`repro.scenarios` — named scenario presets and the (scenario ×
-  protocol) suite runner.
-* :mod:`repro.analysis` — sweeps, validation and reporting.
-* :mod:`repro.experiments` — figure-by-figure reproduction drivers.
+* :mod:`repro.scenarios` — named scenario presets.
+* :mod:`repro.analysis` — model-vs-simulator validation, scalability and
+  reporting.
+* :mod:`repro.experiments` — the paper's evaluation grids.
 * :mod:`repro.api` — the declarative experiment pipeline
-  (``ExperimentSpec`` → ``plan`` → ``run`` → ``ResultSet``) every workflow
-  above is also reachable through.
+  (``ExperimentSpec`` → ``plan`` → ``run`` → ``ResultSet``), the one front
+  door of every workload: solves, requirement sweeps, the paper's two
+  figures, the (scenario × protocol) suite, simulation checks and
+  Monte-Carlo campaigns.
 """
 
 from repro.core.requirements import ApplicationRequirements
@@ -67,13 +69,7 @@ from repro.runtime import (
     resolve_executor,
 )
 from repro.scenario import Scenario, default_scenario
-from repro.scenarios import (
-    ScenarioPreset,
-    ScenarioSuite,
-    SuiteCell,
-    SuiteResult,
-    run_scenario_suite,
-)
+from repro.scenarios import ScenarioPreset
 
 # Imported last: repro.api builds on every layer above.
 from repro.api import (
@@ -102,11 +98,7 @@ __all__ = [
     "TradeoffPoint",
     "Scenario",
     "ScenarioPreset",
-    "ScenarioSuite",
-    "SuiteCell",
-    "SuiteResult",
     "default_scenario",
-    "run_scenario_suite",
     "BatchRunner",
     "CacheStats",
     "ExecutorPolicy",

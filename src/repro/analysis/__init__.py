@@ -1,7 +1,5 @@
-"""Analysis utilities: sweeps, validation, scalability and reporting.
+"""Analysis utilities: validation, scalability and reporting.
 
-* :mod:`repro.analysis.sweep` — requirement sweeps over one or many
-  protocols (the machinery behind the figure reproductions).
 * :mod:`repro.analysis.validation` — analytical-model vs simulation
   comparison.
 * :mod:`repro.analysis.scalability` — solve-time and solution behaviour as
@@ -10,12 +8,6 @@
   by the examples, the CLI and the benches.
 """
 
-from repro.analysis.sweep import (
-    SweepResult,
-    sweep_delay_bound,
-    sweep_energy_budget,
-    sweep_grid,
-)
 from repro.analysis.validation import (
     ValidationReport,
     validate_protocol,
@@ -25,10 +17,6 @@ from repro.analysis.scalability import ScalabilityRecord, scalability_study
 from repro.analysis.reporting import format_table, solutions_to_rows, write_csv
 
 __all__ = [
-    "SweepResult",
-    "sweep_delay_bound",
-    "sweep_energy_budget",
-    "sweep_grid",
     "ValidationReport",
     "validate_protocol",
     "validate_protocols",

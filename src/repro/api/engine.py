@@ -8,11 +8,9 @@ cells into game solutions: it pushes every constructible cell through the
 shared :class:`~repro.runtime.batch.BatchRunner` (solve cache, in-batch
 dedup, process-pool fan-out with submission-order reassembly) and applies
 the library-wide error policy (model-construction failures and infeasible
-games are *data*; anything else re-raises).  The legacy entry points —
-:class:`~repro.scenarios.suite.ScenarioSuite`, the sweep drivers in
-:mod:`repro.analysis.sweep`, and :func:`repro.validation.campaign.run_campaign`
-— all route through it, which is what makes a spec-driven run bit-identical
-to the entry point it replaces.
+games are *data*; anything else re-raises).  The game-solving executors
+below and :func:`repro.validation.campaign.run_campaign` (the ``campaign``
+kind's engine) all route through it.
 
 The **executors** — one per workload kind — turn an
 :class:`~repro.api.plan.ExperimentPlan` into records: :func:`run` resolves
@@ -36,7 +34,6 @@ from typing import (
     Union,
 )
 
-from repro.analysis.sweep import SweepResult, collect_sweep
 from repro.analysis.validation import validate_protocols
 from repro.api.plan import (
     ExperimentPlan,
@@ -49,13 +46,12 @@ from repro.api.results import ResultRecord, ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
-from repro.exceptions import ConfigurationError, InfeasibleProblemError
+from repro.exceptions import ConfigurationError
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.registry import create_protocol
 from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset
-from repro.scenarios.suite import SuiteResult, suite_cells_from_outcomes
 from repro.simulation.runner import SimulationConfig
 from repro.validation.campaign import CampaignSpec, run_campaign
 
@@ -80,8 +76,8 @@ class GridCell:
             construction failed (see ``build_error``).
         requirements: The cell's application requirements.
         solver_options: Options forwarded to the game solver.
-        tag: Caller-defined payload carried into the outcome (sweeps put
-            the swept value here).
+        tag: Caller-defined payload carried into the outcome (the
+            executors put the cell's work unit here).
         build_error: Why the model could not be constructed, when it
             could not (the cell is then data, never dispatched).
     """
@@ -97,33 +93,16 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridOutcome:
-    """Result of one :class:`GridCell`, successful or not.
-
-    Duck-type compatible with :class:`~repro.runtime.batch.TaskOutcome`
-    (``ok`` / ``infeasible`` / ``solution`` / ``error`` / ``from_cache`` /
-    ``tag``), so sweep folding works on either.
-    """
+    """Result of one :class:`GridCell`, successful or not."""
 
     cell: GridCell
     solution: Optional[GameSolution] = None
     error: Optional[BaseException] = None
-    from_cache: bool = False
-    solve_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
         """Whether the cell's game produced a solution."""
         return self.solution is not None
-
-    @property
-    def infeasible(self) -> bool:
-        """Whether the game had no feasible point."""
-        return isinstance(self.error, InfeasibleProblemError)
-
-    @property
-    def build_failed(self) -> bool:
-        """Whether the cell's model could not even be constructed."""
-        return bool(self.cell.build_error)
 
     @property
     def tag(self) -> Any:
@@ -211,11 +190,7 @@ def solve_grid(cells: Sequence[GridCell], runner: BatchRunner) -> List[GridOutco
             # Only infeasibility is data; anything else is a real bug.
             raise outcome.error
         outcomes[position] = GridOutcome(
-            cell=cells[position],
-            solution=outcome.solution,
-            error=outcome.error,
-            from_cache=outcome.from_cache,
-            solve_seconds=outcome.solve_seconds,
+            cell=cells[position], solution=outcome.solution, error=outcome.error
         )
     return [outcome for outcome in outcomes if outcome is not None]
 
@@ -225,12 +200,15 @@ def solve_grid(cells: Sequence[GridCell], runner: BatchRunner) -> List[GridOutco
 # ---------------------------------------------------------------------- #
 
 
+def _tags(unit: WorkUnit) -> Dict[str, object]:
+    return {"scenario": unit.scenario, "protocol": unit.protocol}
+
+
 def _solution_row(
-    scenario: str, protocol: str, solution: GameSolution
+    tags: Mapping[str, object], solution: GameSolution
 ) -> Dict[str, object]:
     return {
-        "scenario": scenario,
-        "protocol": protocol,
+        **tags,
         "feasible": True,
         "E_best": solution.energy_best,
         "L_worst": solution.delay_worst,
@@ -242,12 +220,25 @@ def _solution_row(
     }
 
 
-def _infeasible_row(scenario: str, protocol: str, reason: str) -> Dict[str, object]:
+def _infeasible_row(tags: Mapping[str, object], reason: str) -> Dict[str, object]:
+    return {**tags, "feasible": False, "error": reason[:80]}
+
+
+def _suite_row(
+    tags: Mapping[str, object], solution: Optional[GameSolution], reason: str
+) -> Dict[str, object]:
+    """One suite cell; feasible and infeasible cells share every column, so
+    a mixed batch prints and exports as one table."""
+    feasible = solution is not None
     return {
-        "scenario": scenario,
-        "protocol": protocol,
-        "feasible": False,
-        "error": reason[:80],
+        **tags,
+        "feasible": feasible,
+        "E_star": solution.energy_star if feasible else "",
+        "L_star": solution.delay_star if feasible else "",
+        "E_best": solution.energy_best if feasible else "",
+        "L_best": solution.delay_best if feasible else "",
+        "fairness_residual": solution.bargaining.fairness_residual if feasible else "",
+        "error": "" if feasible else reason[:80],
     }
 
 
@@ -255,7 +246,9 @@ def _infeasible_row(scenario: str, protocol: str, reason: str) -> Dict[str, obje
 # Executors, one per workload kind
 # ---------------------------------------------------------------------- #
 
-#: An executor returns ``(records, raw)`` for one plan.
+#: An executor returns ``(records, raw)`` for one plan; ``raw`` is the
+#: campaign's :class:`~repro.validation.campaign.CampaignResult` and
+#: ``None`` for every other kind.
 _Executor = Callable[
     [ExperimentSpec, ExperimentPlan, BatchRunner],
     Tuple[List[ResultRecord], Any],
@@ -301,22 +294,18 @@ def _execute_solve(
             )
         )
     records: List[ResultRecord] = []
-    solutions: Dict[str, GameSolution] = {}
     for outcome in solve_grid(cells, runner):
         if not outcome.ok:
-            # A single requested solve with no feasible point is an error,
-            # exactly like the legacy `solve` entry point.
+            # A single requested solve with no feasible point is an error.
             raise outcome.error
-        unit = outcome.tag
-        solutions[unit.protocol] = outcome.solution
         records.append(
             ResultRecord(
-                unit=unit,
-                row=_solution_row(unit.scenario, unit.protocol, outcome.solution),
+                unit=outcome.tag,
+                row=_solution_row(_tags(outcome.tag), outcome.solution),
                 value=outcome.solution,
             )
         )
-    return records, solutions
+    return records, None
 
 
 def _execute_sweep_family(
@@ -335,57 +324,31 @@ def _execute_sweep_family(
                 model=models[unit.protocol],
                 requirements=_unit_requirements(unit, scenario),
                 solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
-                tag=float(unit.settings["value"]),
+                tag=unit,
             )
         )
-    outcomes = solve_grid(cells, runner)
-
     records: List[ResultRecord] = []
-    by_protocol: Dict[str, List[int]] = {}
-    for position, unit in enumerate(plan.units):
-        by_protocol.setdefault(unit.protocol, []).append(position)
-        outcome = outcomes[position]
-        parameter = str(unit.settings["parameter"])
-        value = float(unit.settings["value"])
+    for outcome in solve_grid(cells, runner):
+        unit = outcome.tag
+        # The swept requirement sits right after the scenario/protocol tags.
+        tags = {
+            **_tags(unit),
+            str(unit.settings["parameter"]): float(unit.settings["value"]),
+        }
         if outcome.ok:
-            row = _solution_row(unit.scenario, unit.protocol, outcome.solution)
-            # The swept requirement sits right after the tags, like the
-            # legacy sweep series.
-            row = {
-                "scenario": row.pop("scenario"),
-                "protocol": row.pop("protocol"),
-                parameter: value,
-                **row,
-            }
-            records.append(ResultRecord(unit=unit, row=row, value=outcome.solution))
+            row = _solution_row(tags, outcome.solution)
         else:
-            row = _infeasible_row(unit.scenario, unit.protocol, outcome.error_message)
-            row = {
-                "scenario": row.pop("scenario"),
-                "protocol": row.pop("protocol"),
-                parameter: value,
-                **row,
-            }
-            records.append(
-                ResultRecord(
-                    unit=unit, row=row, ok=False, error=outcome.error_message
-                )
+            row = _infeasible_row(tags, outcome.error_message)
+        records.append(
+            ResultRecord(
+                unit=unit,
+                row=row,
+                ok=outcome.ok,
+                error=outcome.error_message,
+                value=outcome.solution,
             )
-
-    parameter, _ = _axis_of(plan)
-    sweeps: Dict[str, SweepResult] = {}
-    for protocol, positions in by_protocol.items():
-        values = [float(plan.units[i].settings["value"]) for i in positions]
-        sweeps[protocol] = collect_sweep(
-            models[protocol], parameter, values, [outcomes[i] for i in positions]
         )
-    return records, sweeps
-
-
-def _axis_of(plan: ExperimentPlan) -> Tuple[str, List[float]]:
-    parameter = str(plan.units[0].settings["parameter"]) if plan.units else "max_delay"
-    values = [float(unit.settings["value"]) for unit in plan.units]
-    return parameter, values
+    return records, None
 
 
 def _execute_suite(
@@ -413,24 +376,17 @@ def _execute_suite(
                 tag=unit,
             )
         )
-    outcomes = solve_grid(cells, runner)
-    suite_result = SuiteResult(
-        cells=suite_cells_from_outcomes(outcomes),
-        runner_description=runner.describe(),
-    )
     records = [
         ResultRecord(
             unit=outcome.tag,
-            row=row,
-            ok=cell.feasible,
-            error="" if cell.feasible else (cell.error or ""),
-            value=cell,
+            row=_suite_row(_tags(outcome.tag), outcome.solution, outcome.error_message),
+            ok=outcome.ok,
+            error=outcome.error_message,
+            value=outcome.solution,
         )
-        for outcome, cell, row in zip(
-            outcomes, suite_result.cells, suite_result.rows()
-        )
+        for outcome in solve_grid(cells, runner)
     ]
-    return records, suite_result
+    return records, None
 
 
 def _execute_validate(
@@ -461,7 +417,7 @@ def _execute_validate(
             ),
         }
         records.append(ResultRecord(unit=unit, row=row, value=report))
-    return records, reports
+    return records, None
 
 
 def _execute_campaign(

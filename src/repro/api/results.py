@@ -4,10 +4,11 @@ Every workload kind — a single game solve, a requirement sweep, the
 scenario suite, a figure reproduction, a model-vs-simulator check, a
 Monte-Carlo campaign — returns the same :class:`ResultSet`: tagged flat
 rows (one per work unit), run metadata, and the SHA-256 provenance hash of
-the spec that produced it.  The kind-specific rich objects (``GameSolution``,
-``SweepResult``, ``SuiteResult``, ``CampaignResult``, ...) stay reachable
-through ``records[i].value`` and ``raw`` for callers that need more than
-rows.
+the spec that produced it.  The kind-specific rich objects stay reachable
+for callers that need more than rows: ``records[i].value`` holds a unit's
+``GameSolution`` (or ``None`` when the game had no solution),
+``ValidationReport`` or ``CampaignCell``, and ``raw`` holds the campaign's
+``CampaignResult``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ class ResultRecord:
             checks are *recorded*, not raised, for the multi-unit kinds).
         error: Human-readable reason when ``ok`` is false (or when a
             campaign cell failed a check).
-        value: The kind-specific rich result (``GameSolution``,
-            ``ValidationReport``, ``CampaignCell``, ...), or ``None``.
+        value: The kind-specific rich result: the ``GameSolution`` of a
+            game-solving unit (``None`` when it has none), the
+            ``ValidationReport`` of a ``validate`` unit, or the
+            ``CampaignCell`` of a ``campaign`` unit.
     """
 
     unit: WorkUnit
@@ -76,9 +79,8 @@ class ResultSet:
         metadata: Run metadata (runner description, cache counters, unit
             counts) — deliberately *excluded* from the provenance hash, so
             parallel and serial runs of the same spec share provenance.
-        raw: The kind-specific aggregate result (e.g. the ``SuiteResult``
-            or ``CampaignResult``), for callers porting from the legacy
-            entry points.
+        raw: The ``CampaignResult`` of a ``campaign`` run (the campaign
+            artifact's schema); ``None`` for every other kind.
     """
 
     spec: ExperimentSpec

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -61,20 +62,28 @@ _SWEEP_ALIASES = {
 def _require_number(owner: str, name: str, value: object, positive: bool = True) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigurationError(f"{owner}.{name} must be a number, got {value!r}")
-    if positive and value <= 0:
+    number = _convert(owner, name, value, float)
+    if positive and number <= 0:
         raise ConfigurationError(f"{owner}.{name} must be positive, got {value!r}")
-    return _convert(owner, name, value, float)
+    return number
 
 
 def _convert(owner: str, name: str, value: object, kind: type) -> object:
-    """``kind(value)`` for a numeric spec field, or an error naming the field."""
+    """``kind(value)`` for a numeric spec field, or an error naming the field.
+
+    A float must also be finite: Python's ``json`` reads ``NaN`` and
+    ``Infinity``, and no spec field has a meaning for them.
+    """
     try:
-        return kind(value)
+        converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"{owner}.{name} must be {'an integer' if kind is int else 'a number'}, "
             f"got {value!r}"
         ) from None
+    if kind is float and not math.isfinite(converted):
+        raise ConfigurationError(f"{owner}.{name} must be finite, got {value!r}")
+    return converted
 
 
 def _sequence(owner: str, value: object) -> tuple:
@@ -352,6 +361,12 @@ class CampaignSettings:
     energy_tolerance: float = 0.35
     delay_tolerance: float = 0.6
     min_delivery_ratio: float = 0.9
+
+    def __post_init__(self) -> None:
+        # Checks only: the fields keep the values given (their spelling is
+        # part of the spec hash).
+        for f in fields(self):
+            _convert("campaign", f.name, getattr(self, f.name), type(f.default))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSettings":

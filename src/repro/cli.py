@@ -264,9 +264,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = run_experiment(spec, runner=runner)
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
-    sweep = next(iter(result.raw.values()))
-    if sweep.infeasible_values:
-        print(f"# infeasible values: {sweep.infeasible_values}")
+    infeasible = [float(record.unit.settings["value"]) for record in result.failed_records]
+    if infeasible:
+        print(f"# infeasible values: {infeasible}")
     _print_store_summary(result)
     _print_runtime_summary(runner)
     return EXIT_OK
@@ -308,9 +308,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     result = run_experiment(plan, runner=runner)
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
-    infeasible = result.raw.infeasible_cells
+    infeasible = result.failed_records
     if infeasible:
-        pairs = ", ".join(f"{cell.scenario}/{cell.protocol}" for cell in infeasible)
+        pairs = ", ".join(
+            f"{record.unit.scenario}/{record.unit.protocol}" for record in infeasible
+        )
         print(f"# infeasible pairs: {pairs}")
     _print_store_summary(result)
     _print_runtime_summary(runner)

@@ -1,9 +1,10 @@
 """High-level public API: the energy-delay game.
 
-:class:`EnergyDelayGame` is the entry point most users (and all examples,
-experiments and benches) go through: bind a protocol model to application
-requirements, solve the game, sweep requirement values, and extract the
-energy-delay frontier behind the paper's figures.
+:class:`EnergyDelayGame` binds one protocol model to application
+requirements: solve the game and extract the energy-delay frontier behind
+the paper's figures.  Requirement sweeps, the figures and the scenario
+suite are spec kinds of :mod:`repro.api`: they solve one such game per
+cell through the shared batch runner.
 
 Example:
     >>> from repro import EnergyDelayGame, ApplicationRequirements
@@ -18,7 +19,7 @@ Example:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -85,22 +86,6 @@ class EnergyDelayGame:
     def solve(self) -> GameSolution:
         """Solve (P1), (P2) and (P4) and return the complete game solution."""
         return self._bargaining_solver.solve(self._model, self._requirements)
-
-    def sweep_max_delay(self, delays: Iterable[float]) -> List[GameSolution]:
-        """Re-solve the game for each delay bound (the paper's Figure 1 sweep)."""
-        solutions: List[GameSolution] = []
-        for delay in delays:
-            requirements = self._requirements.with_max_delay(float(delay))
-            solutions.append(self._bargaining_solver.solve(self._model, requirements))
-        return solutions
-
-    def sweep_energy_budget(self, budgets: Iterable[float]) -> List[GameSolution]:
-        """Re-solve the game for each energy budget (the paper's Figure 2 sweep)."""
-        solutions: List[GameSolution] = []
-        for budget in budgets:
-            requirements = self._requirements.with_energy_budget(float(budget))
-            solutions.append(self._bargaining_solver.solve(self._model, requirements))
-        return solutions
 
     # ------------------------------------------------------------------ #
     # Frontier extraction

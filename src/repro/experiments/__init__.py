@@ -1,11 +1,10 @@
-"""Figure-by-figure reproduction drivers.
+"""The paper's evaluation grids.
 
 * :mod:`repro.experiments.config` — the scenario and requirement grids of
   the paper's evaluation (Ebudget = 0.06 J, Lmax in 1..6 s, and vice versa).
-* :mod:`repro.experiments.figure1` — Figure 1 (a/b/c): energy-delay
-  trade-off when fixing the energy budget and sweeping the delay bound.
-* :mod:`repro.experiments.figure2` — Figure 2 (a/b/c): energy-delay
-  trade-off when fixing the delay bound and sweeping the energy budget.
+  The ``figure1``/``figure2`` spec kinds of :mod:`repro.api` read them:
+  Figure 1 fixes the energy budget and sweeps the delay bound, Figure 2
+  fixes the delay bound and sweeps the energy budget.
 """
 
 from repro.experiments.config import (
@@ -15,8 +14,6 @@ from repro.experiments.config import (
     FIGURE_MAX_DELAY_FIXED,
     figure_scenario,
 )
-from repro.experiments.figure1 import reproduce_figure1
-from repro.experiments.figure2 import reproduce_figure2
 
 __all__ = [
     "FIGURE_DELAY_BOUNDS",
@@ -24,6 +21,4 @@ __all__ = [
     "FIGURE_ENERGY_BUDGET_FIXED",
     "FIGURE_MAX_DELAY_FIXED",
     "figure_scenario",
-    "reproduce_figure1",
-    "reproduce_figure2",
 ]

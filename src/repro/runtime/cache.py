@@ -1,10 +1,11 @@
 """Memoization of game solutions.
 
 A requirement sweep re-solves the same :class:`~repro.core.tradeoff.EnergyDelayGame`
-for many nearby configurations, and higher layers (figure drivers, grid
-searches, the CLI) routinely repeat solves with identical inputs.  The game
-is deterministic — same protocol model, requirements and solver options give
-bit-identical solutions — so those repeats are pure waste.
+for many nearby configurations, and higher layers (the figure and suite
+spec kinds, grid searches, the CLI) routinely repeat solves with identical
+inputs.  The game is deterministic — same protocol model, requirements and
+solver options give bit-identical solutions — so those repeats are pure
+waste.
 
 :class:`SolveCache` memoizes solutions keyed by the full solve identity:
 protocol model fingerprint (class, scenario and tuning parameters),

@@ -1,4 +1,4 @@
-"""Scenario library: named evaluation environments and the suite runner.
+"""Scenario library: named evaluation environments.
 
 The paper's framework is formulated for one canonical environment, but it
 applies to any :class:`~repro.scenario.Scenario` that yields ``E(X)`` /
@@ -8,11 +8,11 @@ applies to any :class:`~repro.scenario.Scenario` that yields ``E(X)`` /
   :class:`ScenarioPreset` environments (dense/sparse rings, low-power vs.
   high-rate sampling, CC2420 / CC1100 / TR1001 radios, bursty vs. periodic
   traffic), each with suggested application requirements.
-* :mod:`repro.scenarios.suite` — :class:`ScenarioSuite`, which sweeps the
-  bargaining game over every (scenario × protocol) pair through the
-  :mod:`repro.runtime` batch layer (solve cache + optional process pool).
 * :mod:`repro.scenarios.docs` — renders the registry into
   ``docs/scenarios.md`` so the documentation can never drift from the code.
+
+The ``suite`` spec kind of :mod:`repro.api` solves the bargaining game over
+every (scenario × protocol) pair of this registry in one batch.
 """
 
 from repro.scenarios.presets import (
@@ -24,21 +24,11 @@ from repro.scenarios.presets import (
     scenario_presets,
     unregister_scenario_preset,
 )
-from repro.scenarios.suite import (
-    ScenarioSuite,
-    SuiteCell,
-    SuiteResult,
-    run_scenario_suite,
-)
 
 __all__ = [
     "ScenarioPreset",
-    "ScenarioSuite",
-    "SuiteCell",
-    "SuiteResult",
     "available_scenarios",
     "register_scenario_preset",
-    "run_scenario_suite",
     "scenario_by_name",
     "scenario_preset",
     "scenario_presets",

@@ -42,7 +42,7 @@ def render_scenarios_markdown() -> str:
         "Named evaluation environments for the energy-delay bargaining game.",
         "Each preset bundles a frozen `Scenario` (topology, workload, radio,",
         "burstiness) with suggested application requirements `(Ebudget, Lmax)`;",
-        "`ScenarioSuite` runs every (scenario × protocol) pair through the",
+        "a `suite` spec runs every (scenario × protocol) pair through the",
         "batch runner. List them with `repro-mac-game scenarios`, run them",
         "with `repro-mac-game suite`.",
         "",

@@ -18,6 +18,11 @@ GET       ``/v1/queue``               every job + per-state counts + store stats
 GET       ``/v1/healthz``             liveness probe
 ========  ==========================  =============================================
 
+A POST body longer than :data:`MAX_BODY_BYTES` is answered with 413 and a
+negative, malformed or unfulfilled ``Content-Length`` with 400, both without
+reading past the headers; a connection that stalls mid-request is closed
+after :data:`REQUEST_TIMEOUT_S`.
+
 The result endpoint serves the bytes the worker stored —
 :meth:`ResultSet.json_text() <repro.api.results.ResultSet.json_text>`
 verbatim — so a POSTed spec answers byte-identically to
@@ -46,12 +51,23 @@ API_PREFIX = "/v1"
 
 _JSON = "application/json"
 
+#: Largest request body the service reads, in bytes.  A spec document is
+#: well under 1 KB; a longer body is answered with 413 before any of it is
+#: read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stall mid-request (or idle between keep-alive
+#: requests) before the handler closes it, so a client that sends less body
+#: than its Content-Length promised cannot hold a handler thread.
+REQUEST_TIMEOUT_S = 10.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; the owning service hangs off ``self.server``."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/" + __version__
+    timeout = REQUEST_TIMEOUT_S
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -65,18 +81,55 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
-    def _send(self, status: int, body: bytes, content_type: str = _JSON) -> None:
+    def _send(
+        self, status: int, body: bytes, content_type: str = _JSON, close: bool = False
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, status: int, payload: Dict[str, object]) -> None:
-        self._send(status, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+    def _send_json(
+        self, status: int, payload: Dict[str, object], close: bool = False
+    ) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self._send(status, body, close=close)
 
-    def _error(self, status: int, message: str, kind: str = "") -> None:
-        self._send_json(status, {"error": message, "error_kind": kind})
+    def _error(self, status: int, message: str, kind: str = "", close: bool = False) -> None:
+        self._send_json(status, {"error": message, "error_kind": kind}, close=close)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a bad length has been answered.
+
+        A rejected request closes the connection: body bytes left unread
+        would otherwise be parsed as the next request.
+        """
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, f"invalid Content-Length: {header!r}", close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                close=True,
+            )
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self._error(
+                400, f"request body ended after {len(body)} of {length} bytes", close=True
+            )
+            return None
+        return body
 
     def _route(self) -> Tuple[str, str]:
         """``(route, job_id)`` of the request path, with the prefix stripped."""
@@ -114,9 +167,11 @@ class _Handler(BaseHTTPRequestHandler):
         if route != "jobs":
             self._error(404, f"no such route: {self.path}")
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
             spec = ExperimentSpec.from_dict(payload)
         except (ValueError, TypeError) as error:
             self._error(400, f"request body is not valid JSON: {error}")

@@ -1,4 +1,4 @@
-"""Tests for sweeps, reporting, validation and scalability analysis."""
+"""Tests for the sweep kind, reporting, validation and scalability analysis."""
 
 from __future__ import annotations
 
@@ -8,92 +8,67 @@ import pytest
 
 from repro.analysis.reporting import format_table, solutions_to_rows, write_csv
 from repro.analysis.scalability import scalability_study
-from repro.analysis.sweep import SweepResult, sweep_delay_bound, sweep_energy_budget, sweep_grid
 from repro.analysis.validation import validate_protocol, validate_protocols
+from repro.api import ExperimentSpec, ResultSet, run
 from repro.core.requirements import ApplicationRequirements
+from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError
 from repro.protocols import XMACModel
-from repro.runtime import ThreadExecutor
+from repro.runtime import ThreadExecutor, build_runner
 from repro.simulation import SimulationConfig
 
-FAST = {"grid_points_per_dimension": 40, "random_starts": 2}
+#: Small inline scenario (matches the ``small_scenario`` fixture).
+SMALL = {"depth": 4, "density": 6, "sampling_period": 600.0, "radio": "cc2420"}
+
+
+def _sweep(parameter: str, values, **requirements: float) -> ResultSet:
+    spec = (
+        ExperimentSpec.experiment("sweep")
+        .with_scenario(SMALL)
+        .with_protocols("xmac")
+        .with_sweep(parameter, values)
+        .with_requirements(**requirements)
+        .with_solver(grid_points=40, random_starts=2)
+    )
+    return run(spec, runner=build_runner(workers=1, use_cache=False))
 
 
 class TestSweeps:
-    def test_delay_sweep_produces_one_solution_per_feasible_value(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[1.0, 3.0], **FAST)
-        assert result.swept_parameter == "max_delay"
-        assert len(result.solutions) == 2
-        assert not result.infeasible_values
+    def test_delay_sweep_produces_one_solution_per_feasible_value(self):
+        result = _sweep("max_delay", [1.0, 3.0], energy_budget=0.06)
+        assert [record.row["max_delay"] for record in result] == [1.0, 3.0]
+        assert all(record.value is not None for record in result)
+        assert not result.failed_records
 
-    def test_delay_sweep_flags_infeasible_values(self, xmac):
-        result = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=[0.001, 3.0], **FAST
-        )
-        assert result.infeasible_values == [0.001]
-        assert len(result.solutions) == 1
-        assert result.feasible_values == [3.0]
+    def test_delay_sweep_flags_infeasible_values(self):
+        result = _sweep("max_delay", [0.001, 3.0], energy_budget=0.06)
+        infeasible, feasible = result.records
+        assert not infeasible.ok and infeasible.value is None
+        assert infeasible.row["max_delay"] == 0.001
+        assert infeasible.row["feasible"] is False
+        assert "delay" in infeasible.error
+        assert feasible.ok and feasible.row["max_delay"] == 3.0
 
-    def test_energy_sweep_produces_series_rows(self, xmac):
-        result = sweep_energy_budget(xmac, max_delay=6.0, energy_budgets=[0.01, 0.05], **FAST)
-        rows = result.series()
+    def test_energy_sweep_produces_series_rows(self):
+        result = _sweep("energy_budget", [0.01, 0.05], max_delay=6.0)
+        rows = result.rows()
         assert len(rows) == 2
-        assert rows[0]["protocol"] == "X-MAC"
+        assert rows[0]["protocol"] == "xmac"
+        assert result.records[0].value.protocol == "X-MAC"
         assert "E_star" in rows[0]
 
-    def test_relaxing_delay_bound_never_increases_best_energy(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[0.8, 2.0, 5.0], **FAST)
-        best = [s.energy_best for s in result.solutions]
+    def test_relaxing_delay_bound_never_increases_best_energy(self):
+        result = _sweep("max_delay", [0.8, 2.0, 5.0], energy_budget=0.06)
+        best = [record.value.energy_best for record in result]
         assert best[0] >= best[1] >= best[2]
 
-    def test_duplicate_swept_value_kept_per_index(self, xmac):
-        # A value swept twice must appear twice in the feasible list (and in
-        # the series), not be collapsed or dropped by a membership test.
-        result = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=[3.0, 0.001, 3.0], **FAST
-        )
-        assert result.feasibility == [True, False, True]
-        assert result.feasible_values == [3.0, 3.0]
-        assert len(result.series()) == 2
-
-    def test_legacy_feasible_values_drop_infeasible_once(self):
-        # Direct construction without per-index flags (legacy shape): an
-        # infeasible value listed once must only drop one occurrence.
-        result = SweepResult(
-            protocol="X-MAC",
-            swept_parameter="max_delay",
-            values=[2.0, 2.0, 3.0],
-            infeasible_values=[2.0],
-        )
-        assert result.feasible_values == [2.0, 3.0]
-
-
-class TestSweepGrid:
-    def test_grid_matches_individual_sweeps(self, xmac, dmac):
-        models = {"xmac": xmac, "dmac": dmac}
-        base = {
-            name: ApplicationRequirements(
-                energy_budget=0.06,
-                max_delay=6.0,
-                sampling_rate=model.scenario.sampling_rate,
-            )
-            for name, model in models.items()
-        }
-        grid = sweep_grid(models, "max_delay", [2.0, 5.0], base, **FAST)
-        assert set(grid) == {"xmac", "dmac"}
-        for name, model in models.items():
-            single = sweep_delay_bound(
-                model, energy_budget=0.06, delay_bounds=[2.0, 5.0], **FAST
-            )
-            assert grid[name].series() == single.series()
-
-    def test_grid_rejects_unknown_parameter(self, xmac):
-        with pytest.raises(ConfigurationError):
-            sweep_grid({"xmac": xmac}, "jitter", [1.0], {"xmac": None})
-
-    def test_grid_rejects_missing_requirements(self, xmac):
-        with pytest.raises(ConfigurationError):
-            sweep_grid({"xmac": xmac}, "max_delay", [1.0], {})
+    def test_duplicate_swept_value_kept_per_index(self):
+        # A value swept twice must come back twice, not be collapsed or
+        # dropped by a membership test.
+        result = _sweep("max_delay", [3.0, 0.001, 3.0], energy_budget=0.06)
+        assert [record.ok for record in result] == [True, False, True]
+        assert [record.row["max_delay"] for record in result.ok_records] == [3.0, 3.0]
+        assert result.records[0].row == result.records[2].row
 
 
 class TestReporting:
@@ -139,9 +114,11 @@ class TestReporting:
         with pytest.raises(ConfigurationError):
             write_csv([], tmp_path / "empty.csv")
 
-    def test_solutions_to_rows(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[2.0], **FAST)
-        rows = solutions_to_rows(result.solutions, "Lmax[s]", [2.0])
+    def test_solutions_to_rows(self, xmac, requirements):
+        solution = EnergyDelayGame(
+            xmac, requirements.with_max_delay(2.0), grid_points_per_dimension=40
+        ).solve()
+        rows = solutions_to_rows([solution], "Lmax[s]", [2.0])
         assert rows[0]["Lmax[s]"] == 2.0
         assert rows[0]["L_star[ms]"] > 0
 

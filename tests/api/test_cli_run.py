@@ -125,6 +125,15 @@ class TestRunErrorPaths:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_non_finite_number(self, capsys, tmp_path):
+        # Python's json reads Infinity; a validate spec with an infinite
+        # horizon would otherwise simulate forever.
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "validate", "simulation": {"horizon": Infinity}}')
+        self.assert_clean_error(
+            capsys, ["run", str(path)], "simulation.horizon must be finite"
+        )
+
     def test_bad_shard_argument(self, capsys, tmp_path):
         path = write_spec(tmp_path, GOOD_SOLVE)
         self.assert_clean_error(capsys, ["run", path, "--shard", "half"], "--shard")

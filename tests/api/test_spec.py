@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -45,6 +46,12 @@ class TestFromDict:
             {"kind": "sweep", "sweep": {"parameter": "max-delay", "values": [1.0]}}
         )
         assert spec.sweep.parameter == "max_delay"
+
+    def test_unknown_sweep_parameter_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="sweep.parameter must be one of"):
+            ExperimentSpec.from_dict(
+                {"kind": "sweep", "sweep": {"parameter": "jitter", "values": [1.0]}}
+            )
 
     def test_sweep_needs_parameter_and_values(self):
         with pytest.raises(ConfigurationError, match="parameter"):
@@ -168,3 +175,52 @@ class TestHash:
         base = ExperimentSpec.experiment("suite").with_protocols("xmac")
         parallel = base.with_runtime(workers=8, cache=False)
         assert base.spec_hash() == parallel.spec_hash()
+
+
+#: Every float field of a spec document, as a JSON fragment whose ``%s`` is
+#: the value under test, keyed by the field name the error must carry.
+FLOAT_FIELDS = {
+    "requirements.energy_budget": '"requirements": {"energy_budget": %s}',
+    "requirements.max_delay": '"requirements": {"max_delay": %s}',
+    "sweep.values[]": '"sweep": {"parameter": "max_delay", "values": [2.0, %s]}',
+    "simulation.horizon": '"simulation": {"horizon": %s}',
+    "simulation.parameters.wakeup_interval": (
+        '"simulation": {"parameters": {"wakeup_interval": %s}}'
+    ),
+    "scenario.depth": '"scenario": {"depth": %s}',
+    "scenario.density": '"scenario": {"density": %s}',
+    "scenario.sampling_period": '"scenario": {"sampling_period": %s}',
+    "scenario.burstiness": '"scenario": {"burstiness": %s}',
+    "solver.feasibility_tolerance": '"solver": {"feasibility_tolerance": %s}',
+    "campaign.horizon": '"campaign": {"horizon": %s}',
+    "campaign.confidence": '"campaign": {"confidence": %s}',
+    "campaign.energy_tolerance": '"campaign": {"energy_tolerance": %s}',
+    "campaign.delay_tolerance": '"campaign": {"delay_tolerance": %s}',
+    "campaign.min_delivery_ratio": '"campaign": {"min_delivery_ratio": %s}',
+}
+
+
+class TestNonFiniteNumbers:
+    # Python's json reads these non-standard literals into floats.
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+    def test_rejected_at_parse_time_naming_the_field(self, field, literal):
+        text = '{"kind": "sweep", %s}' % (FLOAT_FIELDS[field] % literal)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be finite")):
+            ExperimentSpec.from_json(text)
+
+    def test_fluent_builders_are_checked_too(self):
+        spec = ExperimentSpec.experiment("campaign")
+        with pytest.raises(ConfigurationError, match="campaign.energy_tolerance"):
+            spec.with_campaign(energy_tolerance=float("nan"))
+        with pytest.raises(ConfigurationError, match="simulation.horizon"):
+            spec.with_simulation(horizon=float("inf"))
+        with pytest.raises(ConfigurationError, match="requirements.max_delay"):
+            spec.with_requirements(max_delay=float("nan"))
+
+    def test_finite_values_keep_their_hash(self):
+        # The check converts nothing: a campaign horizon given as an int
+        # stays an int in the canonical form, so existing hashes hold.
+        spec = ExperimentSpec.experiment("campaign").with_campaign(horizon=600)
+        assert spec.to_dict()["campaign"]["horizon"] == 600
+        assert isinstance(spec.to_dict()["campaign"]["horizon"], int)

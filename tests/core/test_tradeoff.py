@@ -41,16 +41,22 @@ class TestEnergyDelayGame:
         assert solution.energy_star <= requirements.energy_budget * 1.001
         assert solution.delay_star <= requirements.max_delay * 1.001
 
-    def test_sweep_max_delay_moves_agreement_toward_energy_player(self, xmac, requirements):
-        game = EnergyDelayGame(xmac, requirements, **GAME_OPTIONS)
-        solutions = game.sweep_max_delay([0.8, 2.0, 4.0])
-        energies = [s.energy_star for s in solutions]
+    def test_relaxing_max_delay_moves_agreement_toward_energy_player(self, xmac, requirements):
+        energies = [
+            EnergyDelayGame(xmac, requirements.with_max_delay(delay), **GAME_OPTIONS)
+            .solve()
+            .energy_star
+            for delay in (0.8, 2.0, 4.0)
+        ]
         assert energies[0] >= energies[1] >= energies[2]
 
-    def test_sweep_energy_budget_moves_agreement_toward_delay_player(self, xmac, requirements):
-        game = EnergyDelayGame(xmac, requirements, **GAME_OPTIONS)
-        solutions = game.sweep_energy_budget([0.002, 0.01, 0.05])
-        delays = [s.delay_star for s in solutions]
+    def test_raising_energy_budget_moves_agreement_toward_delay_player(self, xmac, requirements):
+        delays = [
+            EnergyDelayGame(xmac, requirements.with_energy_budget(budget), **GAME_OPTIONS)
+            .solve()
+            .delay_star
+            for budget in (0.002, 0.01, 0.05)
+        ]
         assert delays[0] >= delays[1] >= delays[2]
 
     def test_frontier_is_monotone_tradeoff(self, xmac_game):

@@ -1,9 +1,15 @@
-"""Tests for the figure reproduction drivers (reduced grids for speed)."""
+"""The paper's figure claims, through the ``figure1``/``figure2`` spec kinds.
+
+Reduced grids and sweeps keep these fast; the benches run the full grids.
+"""
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import pytest
 
+from repro.api import ExperimentSpec, ResultRecord, ResultSet, run
 from repro.experiments.config import (
     FIGURE_DELAY_BOUNDS,
     FIGURE_ENERGY_BUDGETS,
@@ -11,25 +17,39 @@ from repro.experiments.config import (
     FIGURE_MAX_DELAY_FIXED,
     figure_scenario,
 )
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
-from repro.experiments.figure2 import figure2_rows, reproduce_figure2
+from repro.runtime import build_runner
 
-#: Reduced settings so the experiment tests stay fast; the benches run the
-#: full grids.
-FAST = {"grid_points_per_dimension": 30}
+GRID = 30
 PROTOCOLS = ("xmac", "dmac")
 DELAYS = (1.0, 3.0, 6.0)
 BUDGETS = (0.01, 0.03, 0.06)
 
 
-@pytest.fixture(scope="module")
-def figure1_results():
-    return reproduce_figure1(protocols=PROTOCOLS, delay_bounds=DELAYS, **FAST)
+def _run(kind: str, parameter: str, values) -> ResultSet:
+    spec = (
+        ExperimentSpec.experiment(kind)
+        .with_protocols(*PROTOCOLS)
+        .with_sweep(parameter, values)
+        .with_solver(grid_points=GRID)
+    )
+    return run(spec, runner=build_runner(workers=1, use_cache=False))
+
+
+def _by_protocol(result: ResultSet) -> Dict[str, List[ResultRecord]]:
+    grouped: Dict[str, List[ResultRecord]] = {}
+    for record in result.records:
+        grouped.setdefault(record.unit.protocol, []).append(record)
+    return grouped
 
 
 @pytest.fixture(scope="module")
-def figure2_results():
-    return reproduce_figure2(protocols=PROTOCOLS, energy_budgets=BUDGETS, **FAST)
+def figure1_result():
+    return _run("figure1", "max_delay", DELAYS)
+
+
+@pytest.fixture(scope="module")
+def figure2_result():
+    return _run("figure2", "energy_budget", BUDGETS)
 
 
 class TestFigureConfig:
@@ -47,45 +67,50 @@ class TestFigureConfig:
 
 
 class TestFigure1:
-    def test_one_sweep_per_protocol(self, figure1_results):
-        assert set(figure1_results) == set(PROTOCOLS)
-        for sweep in figure1_results.values():
-            assert len(sweep.solutions) == len(DELAYS)
-            assert not sweep.infeasible_values
+    def test_one_sweep_per_protocol(self, figure1_result):
+        by_protocol = _by_protocol(figure1_result)
+        assert list(by_protocol) == list(PROTOCOLS)
+        for records in by_protocol.values():
+            assert [record.row["max_delay"] for record in records] == list(DELAYS)
+        assert not figure1_result.failed_records
 
-    def test_relaxing_delay_bound_favours_energy_player(self, figure1_results):
-        for sweep in figure1_results.values():
-            stars = [solution.energy_star for solution in sweep.solutions]
+    def test_relaxing_delay_bound_favours_energy_player(self, figure1_result):
+        for records in _by_protocol(figure1_result).values():
+            stars = [record.value.energy_star for record in records]
             assert stars[0] >= stars[1] >= stars[2]
 
-    def test_agreed_delay_respects_each_bound(self, figure1_results):
-        for sweep in figure1_results.values():
-            for bound, solution in zip(DELAYS, sweep.solutions):
-                assert solution.delay_star <= bound * 1.001
+    def test_agreed_delay_respects_each_bound(self, figure1_result):
+        for records in _by_protocol(figure1_result).values():
+            for bound, record in zip(DELAYS, records):
+                assert record.value.delay_star <= bound * 1.001
+                assert record.value.energy_budget == FIGURE_ENERGY_BUDGET_FIXED
 
-    def test_rows_are_flat_and_complete(self, figure1_results):
-        rows = figure1_rows(figure1_results)
+    def test_rows_are_flat_and_complete(self, figure1_result):
+        rows = figure1_result.rows()
         assert len(rows) == len(PROTOCOLS) * len(DELAYS)
         assert {"E_best", "E_worst", "E_star", "L_star"} <= set(rows[0])
 
 
 class TestFigure2:
-    def test_one_sweep_per_protocol(self, figure2_results):
-        assert set(figure2_results) == set(PROTOCOLS)
-        for sweep in figure2_results.values():
-            assert len(sweep.solutions) == len(BUDGETS)
+    def test_one_sweep_per_protocol(self, figure2_result):
+        by_protocol = _by_protocol(figure2_result)
+        assert list(by_protocol) == list(PROTOCOLS)
+        for records in by_protocol.values():
+            assert [record.row["energy_budget"] for record in records] == list(BUDGETS)
+        assert not figure2_result.failed_records
 
-    def test_raising_budget_favours_delay_player(self, figure2_results):
-        for sweep in figure2_results.values():
-            stars = [solution.delay_star for solution in sweep.solutions]
+    def test_raising_budget_favours_delay_player(self, figure2_result):
+        for records in _by_protocol(figure2_result).values():
+            stars = [record.value.delay_star for record in records]
             assert stars[0] >= stars[1] >= stars[2]
 
-    def test_agreed_energy_respects_each_budget(self, figure2_results):
-        for sweep in figure2_results.values():
-            for budget, solution in zip(BUDGETS, sweep.solutions):
-                assert solution.energy_star <= budget * 1.001
+    def test_agreed_energy_respects_each_budget(self, figure2_result):
+        for records in _by_protocol(figure2_result).values():
+            for budget, record in zip(BUDGETS, records):
+                assert record.value.energy_star <= budget * 1.001
+                assert record.value.max_delay == FIGURE_MAX_DELAY_FIXED
 
-    def test_rows_are_flat_and_complete(self, figure2_results):
-        rows = figure2_rows(figure2_results)
+    def test_rows_are_flat_and_complete(self, figure2_result):
+        rows = figure2_result.rows()
         assert len(rows) == len(PROTOCOLS) * len(BUDGETS)
         assert "energy_budget" in rows[0]

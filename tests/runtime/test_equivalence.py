@@ -1,22 +1,33 @@
 """Parallel/serial equivalence: the runtime's core guarantee.
 
-A sweep run through the batch runner must produce bit-identical
-``SweepResult.series()`` rows whether it runs serially, on a thread pool or
-on a process pool — and whether the solutions come from fresh solves or
-from the cache.
+A ``sweep`` spec run through the batch runner must produce bit-identical
+rows whether it runs serially or on a process pool — and whether the
+solutions come from fresh solves or from the cache.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sweep import sweep_delay_bound, sweep_energy_budget
-from repro.protocols.registry import available_protocols, create_protocol
+from repro.api import ExperimentSpec, ResultSet, run
+from repro.protocols.registry import available_protocols
 from repro.runtime import BatchRunner, SolveCache, build_runner
 
-FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
+#: Small inline scenario (matches the ``small_scenario`` fixture).
+SMALL = {"depth": 4, "density": 6, "sampling_period": 600.0, "radio": "cc2420"}
 DELAYS = [2.0, 4.0, 6.0]
 BUDGETS = [0.02, 0.06]
+
+
+def _sweep(protocol: str, parameter: str, values) -> ExperimentSpec:
+    return (
+        ExperimentSpec.experiment("sweep")
+        .with_scenario(SMALL)
+        .with_protocols(protocol)
+        .with_sweep(parameter, values)
+        .with_requirements(energy_budget=0.06, max_delay=6.0)
+        .with_solver(grid_points=15, random_starts=1)
+    )
 
 
 def _serial() -> BatchRunner:
@@ -27,76 +38,65 @@ def _parallel(workers: int = 4) -> BatchRunner:
     return build_runner(workers=workers, use_cache=False)
 
 
+def _solutions(result: ResultSet):
+    return [record.value.as_dict() for record in result.ok_records]
+
+
 @pytest.mark.parametrize("protocol", available_protocols())
 class TestParallelSerialEquivalence:
-    def test_delay_sweep_rows_identical(self, protocol, small_scenario):
-        model = create_protocol(protocol, small_scenario)
-        serial = sweep_delay_bound(
-            model, energy_budget=0.06, delay_bounds=DELAYS, runner=_serial(), **FAST
-        )
-        parallel = sweep_delay_bound(
-            model, energy_budget=0.06, delay_bounds=DELAYS, runner=_parallel(), **FAST
-        )
+    def test_delay_sweep_rows_identical(self, protocol):
+        spec = _sweep(protocol, "max_delay", DELAYS)
+        serial = run(spec, runner=_serial())
+        parallel = run(spec, runner=_parallel())
         # Bit-identical: == on floats, no tolerance.
-        assert serial.series() == parallel.series()
-        assert serial.feasibility == parallel.feasibility
-        assert serial.infeasible_values == parallel.infeasible_values
+        assert serial.rows() == parallel.rows()
+        assert [r.ok for r in serial] == [r.ok for r in parallel]
+        assert _solutions(serial) == _solutions(parallel)
 
-    def test_energy_sweep_rows_identical(self, protocol, small_scenario):
-        model = create_protocol(protocol, small_scenario)
-        serial = sweep_energy_budget(
-            model, max_delay=6.0, energy_budgets=BUDGETS, runner=_serial(), **FAST
-        )
-        parallel = sweep_energy_budget(
-            model, max_delay=6.0, energy_budgets=BUDGETS, runner=_parallel(), **FAST
-        )
-        assert serial.series() == parallel.series()
+    def test_energy_sweep_rows_identical(self, protocol):
+        spec = _sweep(protocol, "energy_budget", BUDGETS)
+        serial = run(spec, runner=_serial())
+        parallel = run(spec, runner=_parallel())
+        assert serial.rows() == parallel.rows()
+        assert _solutions(serial) == _solutions(parallel)
 
 
 class TestInfeasibleEquivalence:
-    def test_partially_infeasible_sweep_identical(self, xmac):
-        delays = [1e-4, 3.0, 1e-5, 5.0]
-        serial = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=delays, runner=_serial(), **FAST
-        )
-        parallel = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=delays, runner=_parallel(2), **FAST
-        )
-        assert serial.series() == parallel.series()
-        assert serial.infeasible_values == parallel.infeasible_values == [1e-4, 1e-5]
-        assert serial.feasibility == [False, True, False, True]
+    def test_partially_infeasible_sweep_identical(self):
+        spec = _sweep("xmac", "max_delay", [1e-4, 3.0, 1e-5, 5.0])
+        serial = run(spec, runner=_serial())
+        parallel = run(spec, runner=_parallel(2))
+        assert serial.rows() == parallel.rows()
+        assert [r.ok for r in serial] == [False, True, False, True]
+        assert [r.ok for r in parallel] == [False, True, False, True]
+        assert [r.row["max_delay"] for r in serial.failed_records] == [1e-4, 1e-5]
 
 
 class TestCacheDeterminism:
-    def test_cache_hit_rows_identical_to_fresh_solve(self, xmac):
+    def test_cache_hit_rows_identical_to_fresh_solve(self):
+        spec = _sweep("xmac", "max_delay", DELAYS)
         cache = SolveCache()
         runner = BatchRunner(cache=cache)
-        fresh = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=DELAYS, runner=runner, **FAST
+        fresh = run(spec, runner=runner)
+        assert (fresh.metadata["cache_hits"], fresh.metadata["cache_misses"]) == (
+            0,
+            len(DELAYS),
         )
-        assert (fresh.cache_hits, fresh.cache_misses) == (0, len(DELAYS))
-        cached = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=DELAYS, runner=runner, **FAST
+        cached = run(spec, runner=runner)
+        # The counters are the shared cache's, so they accumulate: the
+        # second run adds one hit per value and no miss.
+        assert (cached.metadata["cache_hits"], cached.metadata["cache_misses"]) == (
+            len(DELAYS),
+            len(DELAYS),
         )
-        assert (cached.cache_hits, cached.cache_misses) == (len(DELAYS), 0)
-        assert cached.series() == fresh.series()
-        assert [s.as_dict() for s in cached.solutions] == [s.as_dict() for s in fresh.solutions]
+        assert cached.rows() == fresh.rows()
+        assert _solutions(cached) == _solutions(fresh)
 
-    def test_cache_warmed_by_parallel_run_serves_serial_run(self, xmac):
+    def test_cache_warmed_by_parallel_run_serves_serial_run(self):
+        spec = _sweep("xmac", "max_delay", DELAYS)
         cache = SolveCache()
-        warm = sweep_delay_bound(
-            xmac,
-            energy_budget=0.06,
-            delay_bounds=DELAYS,
-            runner=build_runner(workers=2, cache=cache),
-            **FAST,
-        )
-        served = sweep_delay_bound(
-            xmac,
-            energy_budget=0.06,
-            delay_bounds=DELAYS,
-            runner=BatchRunner(cache=cache),
-            **FAST,
-        )
-        assert served.cache_hits == len(DELAYS)
-        assert served.series() == warm.series()
+        warm = run(spec, runner=build_runner(workers=2, cache=cache))
+        served = run(spec, runner=BatchRunner(cache=cache))
+        assert served.metadata["cache_hits"] == len(DELAYS)
+        assert served.metadata["cache_misses"] == len(DELAYS)
+        assert served.rows() == warm.rows()

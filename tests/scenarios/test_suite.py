@@ -1,17 +1,19 @@
-"""ScenarioSuite: (scenario × protocol) batches through the runtime layer."""
+"""The ``suite`` spec kind: (scenario × protocol) batches through the runtime."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.reporting import format_table
+from repro.api import ExperimentSpec, ResultSet, plan, run
 from repro.exceptions import ConfigurationError
 from repro.runtime import SolveCache, build_runner
 from repro.scenario import Scenario
 from repro.scenarios import (
     ScenarioPreset,
-    ScenarioSuite,
-    run_scenario_suite,
-    scenario_preset,
+    available_scenarios,
+    register_scenario_preset,
+    unregister_scenario_preset,
 )
 
 #: Coarse solver grid: the suite tests exercise plumbing, not precision.
@@ -31,160 +33,140 @@ def _tiny_preset(name: str = "tiny", **overrides) -> ScenarioPreset:
     return ScenarioPreset(**defaults)
 
 
+@pytest.fixture
+def tiny_presets():
+    """Register the test presets for one test, then remove them again."""
+    presets = (
+        _tiny_preset(),
+        _tiny_preset(name="impossible", max_delay=1e-6),
+        # Density 1100 pushes LMAC's minimum slot count past the 10 s drift
+        # bound: the maximum slot falls below the minimum slot and the
+        # parameter space is empty, so the model cannot be used at all.
+        _tiny_preset(
+            name="lmac-hostile",
+            scenario=Scenario(sampling_rate=1.0 / 600.0).with_topology(density=1100),
+        ),
+    )
+    for preset in presets:
+        register_scenario_preset(preset)
+    yield
+    for preset in presets:
+        unregister_scenario_preset(preset.name)
+
+
+def _suite(scenarios, protocols, runner=None, **requirements) -> ResultSet:
+    spec = (
+        ExperimentSpec.experiment("suite")
+        .with_scenarios(*scenarios)
+        .with_protocols(*protocols)
+        .with_solver(grid_points=GRID)
+    )
+    if requirements:
+        spec = spec.with_requirements(**requirements)
+    if runner is None:
+        runner = build_runner(workers=1, use_cache=False)
+    return run(spec, runner=runner)
+
+
 class TestConstruction:
     def test_defaults_cover_all_pairs(self):
-        suite = ScenarioSuite()
-        assert suite.pair_count == len(suite.presets) * len(suite.protocols)
-        assert len(suite.presets) >= 6
-        assert "xmac" in suite.protocols
+        full = plan(ExperimentSpec.experiment("suite"))
+        assert len(full.scenario_names) >= 6
+        assert "xmac" in full.protocol_names
+        assert full.count == len(full.scenario_names) * len(full.protocol_names)
 
-    def test_accepts_names_and_instances(self):
-        suite = ScenarioSuite(
-            scenarios=["paper-default", _tiny_preset()], protocols=("xmac",)
-        )
-        assert [preset.name for preset in suite.presets] == ["paper-default", "tiny"]
+    def test_accepts_registered_presets(self, tiny_presets):
+        spec = ExperimentSpec.experiment("suite").with_scenarios("paper-default", "tiny")
+        assert plan(spec).scenario_names == ["paper-default", "tiny"]
 
     def test_protocol_aliases_canonicalized(self):
-        suite = ScenarioSuite(scenarios=("paper-default",), protocols=("X-MAC",))
-        assert suite.protocols == ["xmac"]
-
-    def test_rejects_empty_scenarios(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSuite(scenarios=())
+        spec = (
+            ExperimentSpec.experiment("suite")
+            .with_scenarios("paper-default")
+            .with_protocols("X-MAC")
+        )
+        assert plan(spec).protocol_names == ["xmac"]
 
     def test_rejects_duplicate_scenarios(self):
+        spec = ExperimentSpec.experiment("suite").with_scenarios(
+            "paper-default", "paper-default"
+        )
         with pytest.raises(ConfigurationError, match="duplicate"):
-            ScenarioSuite(scenarios=("paper-default", "paper-default"))
+            plan(spec)
 
     def test_rejects_unknown_scenario(self):
+        spec = ExperimentSpec.experiment("suite").with_scenarios("no-such-scenario")
         with pytest.raises(ConfigurationError, match="known presets"):
-            ScenarioSuite(scenarios=("no-such-scenario",))
+            plan(spec)
 
     def test_rejects_non_scenario_objects(self):
+        spec = ExperimentSpec.from_dict({"kind": "suite", "scenarios": [42]})
         with pytest.raises(ConfigurationError):
-            ScenarioSuite(scenarios=(42,))  # type: ignore[arg-type]
+            plan(spec)
 
 
 class TestRun:
-    def test_runs_all_pairs_and_reports_cells(self):
-        result = run_scenario_suite(
-            scenarios=(_tiny_preset(),),
-            protocols=("xmac", "dmac"),
-            grid_points_per_dimension=GRID,
-        )
-        assert [(cell.scenario, cell.protocol) for cell in result.cells] == [
+    def test_runs_all_pairs_and_reports_cells(self, tiny_presets):
+        result = _suite(("tiny",), ("xmac", "dmac"))
+        assert [(r.unit.scenario, r.unit.protocol) for r in result] == [
             ("tiny", "xmac"),
             ("tiny", "dmac"),
         ]
-        assert all(cell.feasible for cell in result.cells)
-        assert result.solution("tiny", "xmac").protocol == "X-MAC"
-        assert result.solution("tiny", "lmac") is None  # not part of this run
+        assert all(record.ok for record in result)
+        assert result.records[0].value.protocol == "X-MAC"
         rows = result.rows()
         assert len(rows) == 2 and rows[0]["feasible"] is True
 
-    def test_mixed_feasible_infeasible_rows_share_columns_and_render(self):
+    def test_mixed_feasible_infeasible_rows_share_columns_and_render(self, tiny_presets):
         """Feasible and infeasible cells must produce printable uniform rows."""
-        from repro.analysis.reporting import format_table
-
-        result = run_scenario_suite(
-            scenarios=(_tiny_preset(name="impossible", max_delay=1e-6), _tiny_preset()),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-        )
+        result = _suite(("impossible", "tiny"), ("xmac",))
         rows = result.rows()
-        assert len(result.feasible_cells) == 1 and len(result.infeasible_cells) == 1
+        assert len(result.ok_records) == 1 and len(result.failed_records) == 1
         columns = list(rows[0])
         assert all(list(row) == columns for row in rows)
         rendered = format_table(rows)  # must not raise on the mixed batch
         assert "impossible" in rendered and "tiny" in rendered
 
-    def test_infeasible_scenario_does_not_poison_the_batch(self):
+    def test_infeasible_scenario_does_not_poison_the_batch(self, tiny_presets):
         """An impossible delay bound in one scenario leaves the others intact."""
-        impossible = _tiny_preset(name="impossible", max_delay=1e-6)
-        feasible = _tiny_preset(name="feasible")
-        result = run_scenario_suite(
-            scenarios=(impossible, feasible),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-        )
-        by_scenario = result.by_scenario()
-        assert not by_scenario["impossible"][0].feasible
-        assert "delay" in by_scenario["impossible"][0].error
-        assert by_scenario["feasible"][0].feasible
-        assert len(result.infeasible_cells) == 1
-        assert len(result.feasible_cells) == 1
+        result = _suite(("impossible", "tiny"), ("xmac",))
+        impossible, feasible = result.records
+        assert not impossible.ok and impossible.value is None
+        assert "delay" in impossible.error
+        assert impossible.row["error"] == impossible.error[:80]
+        assert feasible.ok and feasible.value is not None
+        assert feasible.row["error"] == ""
 
-    def test_unconstructible_model_recorded_as_infeasible_cell(self):
+    def test_unconstructible_model_recorded_as_infeasible_cell(self, tiny_presets):
         """A scenario that empties a protocol's parameter space is data too."""
-        # Density 1100 pushes LMAC's minimum slot count past the 10 s drift
-        # bound: the maximum slot falls below the minimum slot and the
-        # parameter space is empty, so the model cannot be used at all.
-        broken = _tiny_preset(
-            name="lmac-hostile",
-            scenario=Scenario(sampling_rate=1.0 / 600.0).with_topology(density=1100),
-        )
-        result = run_scenario_suite(
-            scenarios=(broken,),
-            protocols=("xmac", "lmac"),
-            grid_points_per_dimension=GRID,
-        )
-        cells = {cell.protocol: cell for cell in result.cells}
-        assert cells["xmac"].feasible
-        assert not cells["lmac"].feasible
-        assert "model construction failed" in cells["lmac"].error
+        result = _suite(("lmac-hostile",), ("xmac", "lmac"))
+        records = {record.unit.protocol: record for record in result}
+        assert records["xmac"].ok
+        assert not records["lmac"].ok
+        assert records["lmac"].error.startswith("model construction failed")
+        assert records["lmac"].row["feasible"] is False
 
-    def test_requirement_overrides_apply_to_every_preset(self):
-        preset = _tiny_preset()
-        result = run_scenario_suite(
-            scenarios=(preset,),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-            max_delay=2.0,
-        )
-        solution = result.cells[0].solution
-        assert solution.max_delay == 2.0
-        assert solution.energy_budget == preset.energy_budget
-
-    def test_process_pool_run_is_bit_identical_to_serial(self):
-        scenarios = ("paper-default", "bursty")
-        protocols = ("xmac", "dmac")
-        serial = run_scenario_suite(
-            scenarios=scenarios,
-            protocols=protocols,
-            runner=build_runner(workers=1, use_cache=False),
-            grid_points_per_dimension=GRID,
-        )
-        parallel = run_scenario_suite(
-            scenarios=scenarios,
-            protocols=protocols,
-            runner=build_runner(workers=2, use_cache=False),
-            grid_points_per_dimension=GRID,
-        )
-        assert serial.rows() == parallel.rows()
+    def test_requirement_overrides_apply_to_every_preset(self, tiny_presets):
+        result = _suite(("tiny", "paper-default"), ("xmac",), max_delay=2.0)
+        for record in result:
+            assert record.value.max_delay == 2.0
+        assert result.records[0].value.energy_budget == _tiny_preset().energy_budget
 
     def test_suite_reuses_the_solve_cache(self):
         cache = SolveCache()
-        kwargs = {
-            "scenarios": ("paper-default",),
-            "protocols": ("xmac",),
-            "grid_points_per_dimension": GRID,
-        }
-        cold = run_scenario_suite(runner=build_runner(workers=1, cache=cache), **kwargs)
-        warm_runner = build_runner(workers=1, cache=cache)
-        warm = run_scenario_suite(runner=warm_runner, **kwargs)
-        assert warm.cells[0].from_cache
-        assert warm_runner.cache_stats().hits == 1
+        cold = _suite(("paper-default",), ("xmac",), runner=build_runner(workers=1, cache=cache))
+        warm = _suite(("paper-default",), ("xmac",), runner=build_runner(workers=1, cache=cache))
+        assert (warm.metadata["cache_hits"], warm.metadata["cache_misses"]) == (1, 1)
         assert cold.rows() == warm.rows()
 
     def test_suggested_requirements_feasible_for_paper_protocols(self):
         """Every built-in preset solves for the paper's three protocols."""
-        result = run_scenario_suite(
-            protocols=("xmac", "dmac", "lmac"),
-            grid_points_per_dimension=20,
-            runner=build_runner(workers=0, use_cache=False),
+        spec = (
+            ExperimentSpec.experiment("suite")
+            .with_protocols("xmac", "dmac", "lmac")
+            .with_solver(grid_points=20)
         )
-        infeasible = [
-            f"{cell.scenario}/{cell.protocol}" for cell in result.infeasible_cells
-        ]
+        result = run(spec, runner=build_runner(workers=0, use_cache=False))
+        infeasible = [f"{r.unit.scenario}/{r.unit.protocol}" for r in result.failed_records]
         assert not infeasible, f"infeasible pairs: {infeasible}"
-        assert len(result.cells) == len(ScenarioSuite().presets) * 3
+        assert len(result) == len(available_scenarios()) * 3

@@ -8,6 +8,7 @@ check uses.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import server as server_module
 from repro.store import ResultStore
 
 SOLVE = {
@@ -224,6 +226,14 @@ class TestErrorStatuses:
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
         assert f"unknown {section} key(s): {key}" in excinfo.value.payload["error"]
 
+    def test_submit_non_finite_number_is_400_naming_it(self, client):
+        # json.dumps writes NaN, and Python's json reads it back as a float.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"kind": "validate", "simulation": {"horizon": float("nan")}})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert "simulation.horizon must be finite" in excinfo.value.payload["error"]
+
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):
             with pytest.raises(ServiceError) as excinfo:
@@ -264,3 +274,53 @@ class TestErrorStatuses:
         with pytest.raises(JobFailedError):  # same spec, same verdict
             client.wait(str(job["job_id"]), timeout=120)
         assert client.status(str(job["job_id"]))["attempts"] == 2
+
+
+def raw_post(service, headers: bytes, body: bytes = b"", end_body: bool = False) -> bytes:
+    """POST /v1/jobs over a bare socket; everything read until the server closes."""
+    with socket.create_connection((service.host, service.port), timeout=5.0) as sock:
+        sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n" + headers + b"\r\n" + body)
+        if end_body:
+            sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestRequestBodyBounds:
+    """Malformed lengths are answered before the body is read, and the
+    service stays healthy afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def still_healthy(self, client):
+        yield
+        assert client.healthz()["status"] == "ok"
+
+    def test_negative_content_length_is_400(self, service):
+        reply = raw_post(service, b"Content-Length: -1\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"invalid Content-Length" in reply
+
+    def test_malformed_content_length_is_400(self, service):
+        reply = raw_post(service, b"Content-Length: lots\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_oversized_content_length_is_413(self, service):
+        length = server_module.MAX_BODY_BYTES + 1
+        reply = raw_post(service, b"Content-Length: %d\r\n" % length)
+        assert reply.startswith(b"HTTP/1.1 413 ")
+
+    def test_body_shorter_than_its_length_is_400(self, service):
+        reply = raw_post(service, b"Content-Length: 100\r\n", b'{"kind": ', end_body=True)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"ended after 9 of 100 bytes" in reply
+
+    def test_stalled_body_closes_the_connection(self, service, monkeypatch):
+        assert server_module._Handler.timeout == server_module.REQUEST_TIMEOUT_S > 0
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        # The client never sends the rest of the body nor closes its side:
+        # the server gives up on the connection without answering.
+        assert raw_post(service, b"Content-Length: 100\r\n", b'{"kind": ') == b""
