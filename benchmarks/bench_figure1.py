@@ -25,7 +25,7 @@ from benchmarks.conftest import (
 )
 from repro.api import ExperimentSpec, ResultSet, run
 from repro.experiments.config import FIGURE_DELAY_BOUNDS, FIGURE_ENERGY_BUDGET_FIXED
-from repro.runtime import SolveCache, build_runner
+from repro.runtime import BatchRunner, SolveCache, build_runner
 
 
 def _spec(grid: int, *protocols: str) -> ExperimentSpec:
@@ -130,14 +130,14 @@ def test_figure1_cache_hit_path(benchmark, figure_grid):
     cache = SolveCache()
 
     started = time.perf_counter()
-    cold = run(spec, runner=build_runner(workers=1, cache=cache))
+    cold = run(spec, runner=BatchRunner(cache=cache))
     cold_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     warm = benchmark.pedantic(
         run,
         args=(spec,),
-        kwargs={"runner": build_runner(workers=1, cache=cache)},
+        kwargs={"runner": BatchRunner(cache=cache)},
         rounds=1,
         iterations=1,
     )
@@ -152,6 +152,6 @@ def test_figure1_cache_hit_path(benchmark, figure_grid):
     )
     # The counters are the shared cache's: the cold run hit nothing, so
     # every hit is the warm run's, one per unit.
-    assert warm.metadata["cache_hits"] == len(warm)
+    assert warm.telemetry["cache_hits"] == len(warm)
     assert warm.rows() == cold.rows()
     assert warm_seconds < cold_seconds / 10.0, "cache-hit path should be >10x faster"

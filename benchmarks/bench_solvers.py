@@ -80,7 +80,6 @@ def _full_game_tasks() -> list:
                     model=model,
                     requirements=REQUIREMENTS.with_max_delay(max_delay),
                     solver_options={"grid_points_per_dimension": 60},
-                    label=name,
                     tag=max_delay,
                 )
             )

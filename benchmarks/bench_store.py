@@ -48,7 +48,7 @@ def test_store_replay_beats_cold_solve(benchmark, tmp_path):
     cold = run_experiment(spec, runner=runner_for(spec, store=ResultStore(store_root)))
     cold_seconds = time.perf_counter() - started
     assert len(cold.ok_records) == len(cold.records), "sweep range must stay feasible"
-    assert cold.metadata["store_puts"] == len(cold.records)
+    assert cold.telemetry["store_puts"] == len(cold.records)
 
     def warm_pass():
         # Fresh store handle *and* fresh cache: the replay must come from
@@ -59,9 +59,9 @@ def test_store_replay_beats_cold_solve(benchmark, tmp_path):
     warm = benchmark.pedantic(warm_pass, rounds=1, iterations=1)
     warm_seconds = benchmark.stats.stats.mean
 
-    assert warm.metadata["store_misses"] == 0
-    assert warm.metadata["store_puts"] == 0
-    assert warm.metadata["store_hits"] == len(warm.records)
+    assert warm.telemetry["store_misses"] == 0
+    assert warm.telemetry["store_puts"] == 0
+    assert warm.telemetry["store_hits"] == len(warm.records)
     assert warm.rows() == cold.rows()
 
     print_series(
@@ -114,4 +114,4 @@ def test_store_roundtrip_throughput(benchmark, tmp_path):
             }
         ],
     )
-    assert result.metadata["store_puts"] == len(records)
+    assert result.telemetry["store_puts"] == len(records)

@@ -6,7 +6,9 @@ Since the batched evaluation layer (``energy_many`` / ``latency_many`` /
 ``capacity_margin_many``) landed, that happens in a handful of NumPy calls
 instead of one Python call per point.
 
-These benches time *both* paths of ``grid_search`` on the paper's Figure-1
+These benches time ``grid_search`` (which takes the batched path, since the
+problem's objective and constraints carry ``.many`` twins) against the
+point-by-point reference ``grid_search_scalar`` on the paper's Figure-1
 problem (P1 with ``Ebudget = 0.06``, ``Lmax = 6``) at the figure's grid
 resolution, assert the results are **bit-identical** (same point, value,
 feasibility, violation and evaluation count), and enforce the ≥5× speedup
@@ -30,7 +32,7 @@ from repro.experiments.config import (
     FIGURE_GRID_POINTS,
     figure_scenario,
 )
-from repro.optimization.grid import grid_search
+from repro.optimization.grid import grid_search, grid_search_scalar
 from repro.protocols.registry import PAPER_PROTOCOL_NAMES, create_protocol
 
 #: The hard floor of the vectorization acceptance criterion.
@@ -56,11 +58,11 @@ def _time_both_paths(problem, grid_points: int):
     kwargs = {"points_per_dimension": grid_points}
 
     started = time.perf_counter()
-    scalar = grid_search(objective, problem.space, constraints, vectorize=False, **kwargs)
+    scalar = grid_search_scalar(objective, problem.space, constraints, **kwargs)
     scalar_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    vectorized = grid_search(objective, problem.space, constraints, vectorize=True, **kwargs)
+    vectorized = grid_search(objective, problem.space, constraints, **kwargs)
     vectorized_seconds = time.perf_counter() - started
     return scalar, vectorized, scalar_seconds, vectorized_seconds
 
@@ -90,7 +92,6 @@ def test_vectorized_grid_figure1(benchmark, figure_grid):
                 problem.space,
                 problem.constraints(),
                 points_per_dimension=figure_grid,
-                vectorize=True,
             )
             for name, problem in problems.items()
         }
@@ -147,7 +148,6 @@ def test_vectorized_grid_per_protocol(benchmark, figure_grid, protocol):
             problem.space,
             problem.constraints(),
             points_per_dimension=figure_grid,
-            vectorize=True,
         ),
         rounds=1,
         iterations=1,

@@ -38,7 +38,7 @@ def run_library_suite() -> None:
     )
     result = run(suite_plan)
     print(format_table(result.rows()))
-    print(f"runner: {result.metadata['runner']}; "
+    print(f"runner: {result.telemetry['runner']}; "
           f"{len(result.ok_records)}/{len(result)} pairs feasible")
 
 

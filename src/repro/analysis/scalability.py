@@ -82,8 +82,6 @@ def scalability_study(
                 model=protocol_class(scenario),
                 requirements=requirements,
                 solver_options=dict(solver_options),
-                label=protocol_class.name,
-                tag=(depth, density),
             )
         )
     records: List[ScalabilityRecord] = []

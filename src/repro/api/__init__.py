@@ -30,14 +30,7 @@ Example:
     2
 """
 
-from repro.api.engine import (
-    GridCell,
-    GridOutcome,
-    build_grid_cell,
-    run,
-    runner_for,
-    solve_grid,
-)
+from repro.api.engine import run, runner_for
 from repro.api.plan import ExperimentPlan, WorkUnit, plan
 from repro.api.results import ResultRecord, ResultSet
 from repro.api.spec import (
@@ -60,8 +53,6 @@ __all__ = [
     "CampaignSettings",
     "ExperimentPlan",
     "ExperimentSpec",
-    "GridCell",
-    "GridOutcome",
     "RequirementOverrides",
     "ResultRecord",
     "ResultSet",
@@ -70,11 +61,9 @@ __all__ = [
     "SolverSettings",
     "SweepAxis",
     "WorkUnit",
-    "build_grid_cell",
     "plan",
     "plan_experiment",
     "run",
     "run_experiment",
     "runner_for",
-    "solve_grid",
 ]

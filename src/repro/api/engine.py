@@ -1,38 +1,21 @@
 """Execution engine: plan → :class:`~repro.api.results.ResultSet`.
 
-Two layers live here.
-
-The **grid primitive** — :class:`GridCell` / :func:`solve_grid` — is the one
-way any part of the library turns "(scenario, protocol, requirements)"
-cells into game solutions: it pushes every constructible cell through the
-shared :class:`~repro.runtime.batch.BatchRunner` (solve cache, in-batch
-dedup, process-pool fan-out with submission-order reassembly) and applies
-the library-wide error policy (model-construction failures and infeasible
-games are *data*; anything else re-raises).  The game-solving executors
-below and :func:`repro.validation.campaign.run_campaign` (the ``campaign``
-kind's engine) all route through it.
-
-The **executors** — one per workload kind — turn an
-:class:`~repro.api.plan.ExperimentPlan` into records: :func:`run` resolves
-the plan, assembles a runner from the spec's runtime policy (unless one is
-passed in), dispatches to the kind's executor and wraps everything into a
-:class:`ResultSet` with provenance and runtime metadata.
+One executor per workload kind turns an
+:class:`~repro.api.plan.ExperimentPlan` into records.  The game-solving
+executors build one :class:`~repro.runtime.batch.SolveTask` per work unit
+(tagged with the unit) and push the whole batch through the shared
+:class:`~repro.runtime.batch.BatchRunner` (solve cache, in-batch dedup,
+process-pool fan-out with submission-order reassembly, and the library-wide
+error policy: unbuildable models and infeasible games are *data*).
+:func:`run` resolves the plan, assembles a runner from the spec's runtime
+policy (unless one is passed in), dispatches to the kind's executor and
+wraps everything into a :class:`ResultSet` with provenance, plus the
+runner, cache and store counters as telemetry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.validation import validate_protocols
 from repro.api.plan import (
@@ -57,142 +40,6 @@ from repro.validation.campaign import CampaignSpec, run_campaign
 
 #: What :func:`run` accepts: a spec (planned implicitly) or an explicit plan.
 Runnable = Union[ExperimentSpec, ExperimentPlan]
-
-
-# ---------------------------------------------------------------------- #
-# The grid primitive
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """One (scenario, protocol) game of a solve grid.
-
-    Attributes:
-        scenario: Scenario label (preset name, ``"custom"``, or ``""`` for
-            sweeps over caller-supplied models).
-        protocol: Canonical protocol name.
-        model: The constructed protocol model, or ``None`` when
-            construction failed (see ``build_error``).
-        requirements: The cell's application requirements.
-        solver_options: Options forwarded to the game solver.
-        tag: Caller-defined payload carried into the outcome (the
-            executors put the cell's work unit here).
-        build_error: Why the model could not be constructed, when it
-            could not (the cell is then data, never dispatched).
-    """
-
-    scenario: str
-    protocol: str
-    model: Optional[DutyCycledMACModel]
-    requirements: Optional[ApplicationRequirements]
-    solver_options: Mapping[str, object] = field(default_factory=dict)
-    tag: Any = None
-    build_error: str = ""
-
-
-@dataclass(frozen=True)
-class GridOutcome:
-    """Result of one :class:`GridCell`, successful or not."""
-
-    cell: GridCell
-    solution: Optional[GameSolution] = None
-    error: Optional[BaseException] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the cell's game produced a solution."""
-        return self.solution is not None
-
-    @property
-    def tag(self) -> Any:
-        """The cell's caller-defined payload."""
-        return self.cell.tag
-
-    @property
-    def error_message(self) -> str:
-        """Human-readable reason when the cell has no solution."""
-        if self.cell.build_error:
-            return self.cell.build_error
-        return str(self.error) if self.error is not None else ""
-
-
-def build_grid_cell(
-    scenario_label: str,
-    protocol: str,
-    scenario: Scenario,
-    requirements: ApplicationRequirements,
-    solver_options: Mapping[str, object],
-    tag: Any = None,
-) -> GridCell:
-    """Construct a cell's protocol model, capturing construction failures.
-
-    The scenario may render the protocol's parameter space empty (e.g. a
-    drift bound below the minimum slot): that is a property of the pair,
-    not a failure, so it becomes a ``build_error`` cell instead of raising.
-    Validation is forced *here*, not inside a pool worker where it would
-    poison the batch.
-    """
-    try:
-        model = create_protocol(protocol, scenario)
-        model.parameter_space  # noqa: B018 - force lazy validation eagerly
-    except (ConfigurationError, ValueError) as error:
-        return GridCell(
-            scenario=scenario_label,
-            protocol=protocol,
-            model=None,
-            requirements=None,
-            tag=tag,
-            build_error=f"model construction failed: {error}",
-        )
-    return GridCell(
-        scenario=scenario_label,
-        protocol=protocol,
-        model=model,
-        requirements=requirements,
-        solver_options=dict(solver_options),
-        tag=tag,
-    )
-
-
-def solve_grid(cells: Sequence[GridCell], runner: BatchRunner) -> List[GridOutcome]:
-    """Solve every constructible cell of a grid through one batch.
-
-    Args:
-        cells: The grid, in submission order.
-        runner: Batch runner the solves are pushed through.
-
-    Returns:
-        One :class:`GridOutcome` per cell, in cell order.  Build failures
-        and infeasible games are recorded in the outcome; any other solver
-        error is re-raised (only infeasibility is data).
-    """
-    outcomes: List[Optional[GridOutcome]] = [None] * len(cells)
-    tasks: List[SolveTask] = []
-    positions: List[int] = []
-    for position, cell in enumerate(cells):
-        if cell.model is None:
-            outcomes[position] = GridOutcome(cell=cell)
-            continue
-        positions.append(position)
-        label = f"{cell.scenario}/{cell.protocol}" if cell.scenario else cell.protocol
-        tasks.append(
-            SolveTask(
-                model=cell.model,
-                requirements=cell.requirements,
-                solver_options=dict(cell.solver_options),
-                label=label,
-                tag=cell.tag,
-            )
-        )
-    for position, outcome in zip(positions, runner.run(tasks)):
-        if not outcome.ok and not outcome.infeasible:
-            # Only infeasibility is data; anything else is a real bug.
-            raise outcome.error
-        outcomes[position] = GridOutcome(
-            cell=cells[position], solution=outcome.solution, error=outcome.error
-        )
-    return [outcome for outcome in outcomes if outcome is not None]
 
 
 # ---------------------------------------------------------------------- #
@@ -280,21 +127,17 @@ def _execute_solve(
     spec: ExperimentSpec, plan: ExperimentPlan, runner: BatchRunner
 ) -> Tuple[List[ResultRecord], Any]:
     _, scenario = resolve_scenario(spec.scenario)
-    cells = []
-    for unit in plan.units:
-        model = create_protocol(unit.protocol, scenario)  # errors propagate
-        cells.append(
-            GridCell(
-                scenario=unit.scenario,
-                protocol=unit.protocol,
-                model=model,
-                requirements=_unit_requirements(unit, scenario),
-                solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
-                tag=unit,
-            )
+    tasks = [
+        SolveTask(
+            model=create_protocol(unit.protocol, scenario),  # errors propagate
+            requirements=_unit_requirements(unit, scenario),
+            solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
+            tag=unit,
         )
+        for unit in plan.units
+    ]
     records: List[ResultRecord] = []
-    for outcome in solve_grid(cells, runner):
+    for outcome in runner.run(tasks):
         if not outcome.ok:
             # A single requested solve with no feasible point is an error.
             raise outcome.error
@@ -313,14 +156,12 @@ def _execute_sweep_family(
 ) -> Tuple[List[ResultRecord], Any]:
     _, scenario = resolve_scenario(spec.scenario)
     models: Dict[str, DutyCycledMACModel] = {}
-    cells = []
+    tasks = []
     for unit in plan.units:
         if unit.protocol not in models:
             models[unit.protocol] = create_protocol(unit.protocol, scenario)
-        cells.append(
-            GridCell(
-                scenario=unit.scenario,
-                protocol=unit.protocol,
+        tasks.append(
+            SolveTask(
                 model=models[unit.protocol],
                 requirements=_unit_requirements(unit, scenario),
                 solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
@@ -328,7 +169,7 @@ def _execute_sweep_family(
             )
         )
     records: List[ResultRecord] = []
-    for outcome in solve_grid(cells, runner):
+    for outcome in runner.run(tasks):
         unit = outcome.tag
         # The swept requirement sits right after the scenario/protocol tags.
         tags = {
@@ -354,7 +195,7 @@ def _execute_sweep_family(
 def _execute_suite(
     spec: ExperimentSpec, plan: ExperimentPlan, runner: BatchRunner
 ) -> Tuple[List[ResultRecord], Any]:
-    cells = []
+    tasks = []
     for unit in plan.units:
         preset = scenario_preset(unit.scenario)
         requirements = preset.requirements()
@@ -366,9 +207,8 @@ def _execute_suite(
             requirements = requirements.with_max_delay(
                 float(unit.settings["max_delay"])
             )
-        cells.append(
-            build_grid_cell(
-                scenario_label=unit.scenario,
+        tasks.append(
+            SolveTask.build(
                 protocol=unit.protocol,
                 scenario=preset.scenario,
                 requirements=requirements,
@@ -384,7 +224,7 @@ def _execute_suite(
             error=outcome.error_message,
             value=outcome.solution,
         )
-        for outcome in solve_grid(cells, runner)
+        for outcome in runner.run(tasks)
     ]
     return records, None
 
@@ -480,19 +320,14 @@ def runner_for(spec: ExperimentSpec, store: Optional[Any] = None) -> BatchRunner
     """Assemble the :class:`BatchRunner` a spec's runtime policy describes.
 
     Args:
-        spec: The spec whose runtime policy (workers, mode, cache) applies.
+        spec: The spec whose runtime policy (workers, cache) applies.
         store: Optional persistent result store
             (:class:`repro.store.ResultStore`) to back the solve cache —
             ignored when the policy disables caching (``--no-cache``
             bypasses *both* layers).
     """
-    runtime = spec.runtime
     return build_runner(
-        workers=runtime.workers,
-        mode=runtime.mode,
-        use_cache=runtime.cache,
-        chunk_size=runtime.chunk_size,
-        store=store,
+        workers=spec.runtime.workers, use_cache=spec.runtime.cache, store=store
     )
 
 
@@ -508,7 +343,8 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
 
     Returns:
         The uniform :class:`ResultSet`: one tagged record per work unit,
-        run metadata, and the spec's provenance hash.
+        the plan as metadata, the spec's provenance hash, and the runner,
+        cache and store counters as telemetry.
 
     Raises:
         ConfigurationError: on an incomplete or inconsistent spec/plan.
@@ -519,12 +355,11 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
     spec = plan_obj.spec
     if runner is None:
         runner = runner_for(spec)
-    store = getattr(runner.cache, "store", None)
-    store_before = store.stats() if store is not None else None
+    store = runner.cache.store if runner.cache is not None else None
+    store_before = store.traffic() if store is not None else None
     records, raw = _EXECUTORS[spec.kind](spec, plan_obj, runner)
     stats = runner.cache_stats()
-    metadata: Dict[str, object] = {
-        "plan": plan_obj.describe(),
+    telemetry: Dict[str, object] = {
         "runner": runner.describe(),
         "cache_hits": stats.hits,
         "cache_misses": stats.misses,
@@ -534,8 +369,14 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
         # solve reads through the cache *and* campaign replications), so
         # "zero fresh results" is checkable per invocation: a fully warm
         # run shows store_misses == store_puts == 0.
-        store_after = store.stats()
-        metadata["store_hits"] = store_after.hits - store_before.hits
-        metadata["store_misses"] = store_after.misses - store_before.misses
-        metadata["store_puts"] = store_after.puts - store_before.puts
-    return ResultSet(spec=spec, records=records, metadata=metadata, raw=raw)
+        for name, after, before in zip(
+            ("store_hits", "store_misses", "store_puts"), store.traffic(), store_before
+        ):
+            telemetry[name] = after - before
+    return ResultSet(
+        spec=spec,
+        records=records,
+        metadata={"plan": plan_obj.describe()},
+        raw=raw,
+        telemetry=telemetry,
+    )

@@ -3,12 +3,12 @@
 Every workload kind — a single game solve, a requirement sweep, the
 scenario suite, a figure reproduction, a model-vs-simulator check, a
 Monte-Carlo campaign — returns the same :class:`ResultSet`: tagged flat
-rows (one per work unit), run metadata, and the SHA-256 provenance hash of
-the spec that produced it.  The kind-specific rich objects stay reachable
-for callers that need more than rows: ``records[i].value`` holds a unit's
-``GameSolution`` (or ``None`` when the game had no solution),
-``ValidationReport`` or ``CampaignCell``, and ``raw`` holds the campaign's
-``CampaignResult``.
+rows (one per work unit), run metadata, the SHA-256 provenance hash of
+the spec that produced it, and telemetry on how the run went.  The
+kind-specific rich objects stay reachable for callers that need more than
+rows: ``records[i].value`` holds a unit's ``GameSolution`` (or ``None``
+when the game had no solution), ``ValidationReport`` or ``CampaignCell``,
+and ``raw`` holds the campaign's ``CampaignResult``.
 """
 
 from __future__ import annotations
@@ -24,21 +24,6 @@ from repro.api.spec import ExperimentSpec
 #: Version of the ``ResultSet.as_dict()`` payload.
 RESULTSET_SCHEMA = "repro.api.resultset"
 RESULTSET_SCHEMA_VERSION = 1
-
-#: Metadata keys describing *how this process ran* (executor shape, cache
-#: temperature, store traffic) rather than what was computed.  They stay in
-#: the in-memory :attr:`ResultSet.metadata` for stdout reporting but are
-#: excluded from the written artifact, so a warm, resumed, or
-#: sharded-then-merged run of a spec writes bytes identical to a cold
-#: serial run.
-VOLATILE_METADATA = (
-    "runner",
-    "cache_hits",
-    "cache_misses",
-    "store_hits",
-    "store_misses",
-    "store_puts",
-)
 
 
 @dataclass(frozen=True)
@@ -76,17 +61,22 @@ class ResultSet:
         spec: The spec that was run.
         records: One :class:`ResultRecord` per executed work unit, in plan
             order.
-        metadata: Run metadata (runner description, cache counters, unit
-            counts) — deliberately *excluded* from the provenance hash, so
-            parallel and serial runs of the same spec share provenance.
+        metadata: What was computed beyond the rows (the plan's
+            description) — written into the artifact but *excluded* from
+            the provenance hash.
         raw: The ``CampaignResult`` of a ``campaign`` run (the campaign
             artifact's schema); ``None`` for every other kind.
+        telemetry: How this process ran the spec (runner description,
+            cache and store counters).  Never serialized, so a warm,
+            resumed, or sharded-then-merged run of a spec writes bytes
+            identical to a cold serial run.
     """
 
     spec: ExperimentSpec
     records: List[ResultRecord] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
     raw: Any = None
+    telemetry: Dict[str, object] = field(default_factory=dict)
 
     @property
     def kind(self) -> str:
@@ -123,11 +113,7 @@ class ResultSet:
         return [dict(record.row) for record in self.records]
 
     def summary(self) -> Dict[str, object]:
-        """Compact run summary (counts, kind, provenance, runner).
-
-        Includes the volatile counters (:data:`VOLATILE_METADATA`) present
-        in the metadata: the runner, cache and store traffic.
-        """
+        """Compact run summary (counts, kind, provenance)."""
         return {
             "kind": self.kind,
             "name": self.spec.name,
@@ -135,37 +121,19 @@ class ResultSet:
             "ok": len(self.ok_records),
             "failed": len(self.failed_records),
             "spec_sha256": self.provenance,
-            **{
-                key: self.metadata[key]
-                for key in VOLATILE_METADATA
-                if key in self.metadata
-            },
         }
 
     def as_dict(self) -> Dict[str, object]:
-        """Versioned, JSON-ready payload of the whole result.
-
-        Execution-shape counters (:data:`VOLATILE_METADATA`) are omitted:
-        the artifact records what was computed, and must come out
-        byte-identical whether the run was cold, warm from a store, or
-        sharded and merged.
-        """
+        """Versioned, JSON-ready payload of the whole result (telemetry
+        excluded: the artifact records what was computed, not how)."""
         return {
             "schema": RESULTSET_SCHEMA,
             "schema_version": RESULTSET_SCHEMA_VERSION,
             "kind": self.kind,
             "spec": self.spec.to_dict(),
             "spec_sha256": self.provenance,
-            "summary": {
-                key: value
-                for key, value in self.summary().items()
-                if key not in VOLATILE_METADATA
-            },
-            "metadata": {
-                key: value
-                for key, value in self.metadata.items()
-                if key not in VOLATILE_METADATA
-            },
+            "summary": self.summary(),
+            "metadata": dict(self.metadata),
             "rows": self.rows(),
         }
 

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.executor import EXECUTOR_MODES
 
 #: Every workload kind a spec may declare, in documentation order.
 WORKLOAD_KINDS = (
@@ -69,19 +68,27 @@ def _require_number(owner: str, name: str, value: object, positive: bool = True)
 
 
 def _convert(owner: str, name: str, value: object, kind: type) -> object:
-    """``kind(value)`` for a numeric spec field, or an error naming the field.
+    """``value`` as a ``kind`` (``int`` or ``float``) spec field, or an error
+    naming the field.
 
-    A float must also be finite: Python's ``json`` reads ``NaN`` and
-    ``Infinity``, and no spec field has a meaning for them.
+    Only JSON numbers qualify — never a boolean or a string.  An integer
+    field takes integral values alone (``40.0`` reads as 40; ``30.9`` is
+    refused, never truncated), and a float must be finite: Python's
+    ``json`` reads ``NaN`` and ``Infinity``, and no spec field has a
+    meaning for them.
     """
+    label = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{owner}.{name} must be {label}, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"{owner}.{name} must be {label}, got {value!r}")
+        return int(value)
     try:
-        converted = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"{owner}.{name} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}"
-        ) from None
-    if kind is float and not math.isfinite(converted):
+        converted = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{owner}.{name} must be finite, got {value!r}") from None
+    if not math.isfinite(converted):
         raise ConfigurationError(f"{owner}.{name} must be finite, got {value!r}")
     return converted
 
@@ -111,71 +118,41 @@ class RuntimePolicy:
 
     Attributes:
         workers: Worker processes (``1`` = serial, ``0`` = one per CPU).
-        cache: Whether solves are memoized in the process-wide solve cache.
-        mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
-            ``"process"``).
-        chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
+        cache: Whether solves are memoized in the solve cache.
     """
 
     workers: int = 1
     cache: bool = True
-    mode: str = "auto"
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
+        workers = _convert("runtime", "workers", self.workers, int)
+        if workers < 0:
             raise ConfigurationError(f"runtime.workers must be >= 0, got {self.workers!r}")
-        if self.mode not in EXECUTOR_MODES:
+        object.__setattr__(self, "workers", workers)
+        if not isinstance(self.cache, bool):
             raise ConfigurationError(
-                f"runtime.mode must be one of {', '.join(EXECUTOR_MODES)}; "
-                f"got {self.mode!r}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"runtime.chunk_size must be >= 1, got {self.chunk_size!r}"
+                f"runtime.cache must be true or false, got {self.cache!r}"
             )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RuntimePolicy":
-        _check_keys("runtime", payload, ("workers", "cache", "mode", "chunk_size"))
-        chunk_size = payload.get("chunk_size")
+        _check_keys("runtime", payload, ("workers", "cache"))
         return cls(
-            workers=_convert("runtime", "workers", payload.get("workers", 1), int),
-            cache=bool(payload.get("cache", True)),
-            mode=str(payload.get("mode", "auto")),
-            chunk_size=(
-                None
-                if chunk_size is None
-                else _convert("runtime", "chunk_size", chunk_size, int)
-            ),
+            workers=payload.get("workers", 1),  # type: ignore[arg-type]
+            cache=payload.get("cache", True),  # type: ignore[arg-type]
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "cache": self.cache,
-            "mode": self.mode,
-            "chunk_size": self.chunk_size,
-        }
+        return {"workers": self.workers, "cache": self.cache}
 
 
 #: The ``hybrid_solve`` keywords a spec's ``solver`` section may forward,
-#: with the type each converts to (``None`` = a JSON boolean or null).
-SOLVER_OPTION_TYPES: Dict[str, Optional[type]] = {
+#: with the type each converts to.
+SOLVER_OPTION_TYPES: Dict[str, type] = {
     "random_starts": int,
     "seed": int,
     "feasibility_tolerance": float,
-    "vectorize": None,
 }
-
-
-def _solver_option(name: str, value: object) -> object:
-    kind = SOLVER_OPTION_TYPES[name]
-    if kind is not None:
-        return _convert("solver", name, value, kind)
-    if value is not None and not isinstance(value, bool):
-        raise ConfigurationError(f"solver.{name} must be true, false or null, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -200,7 +177,10 @@ class SolverSettings:
         object.__setattr__(
             self,
             "options",
-            {name: _solver_option(name, value) for name, value in self.options.items()},
+            {
+                name: _convert("solver", name, value, SOLVER_OPTION_TYPES[name])
+                for name, value in self.options.items()
+            },
         )
 
     @classmethod
@@ -413,6 +393,9 @@ def _normalize_scenario(ref: Optional[ScenarioRef]) -> Optional[ScenarioRef]:
         for name in ("depth", "density", "sampling_period", "burstiness"):
             if name in ref:
                 _require_number("scenario", name, ref[name])
+        for name in ("depth", "density"):
+            if name in ref:
+                _convert("scenario", name, ref[name], int)
         if not isinstance(ref.get("radio", ""), str):
             raise ConfigurationError(f"scenario.radio must be a name, got {ref['radio']!r}")
         return dict(ref)
@@ -465,6 +448,8 @@ class ExperimentSpec:
                 f"unknown workload kind {self.kind!r}; "
                 f"known kinds: {', '.join(WORKLOAD_KINDS)}"
             )
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name must be a string, got {self.name!r}")
         object.__setattr__(self, "scenario", _normalize_scenario(self.scenario))
         object.__setattr__(
             self, "scenarios", tuple(str(name).strip().lower() for name in self.scenarios)
@@ -543,7 +528,7 @@ class ExperimentSpec:
         )
 
     def with_runtime(self, **settings: object) -> "ExperimentSpec":
-        """Update the runtime policy (``workers``, ``cache``, ...)."""
+        """Update the runtime policy (``workers``, ``cache``)."""
         return replace(self, runtime=replace(self.runtime, **settings))
 
     # ------------------------------------------------------------------ #
@@ -570,7 +555,7 @@ class ExperimentSpec:
             )
         kwargs: Dict[str, object] = {
             "kind": str(payload["kind"]),
-            "name": str(payload.get("name", "")),
+            "name": payload.get("name", ""),
         }
         if payload.get("scenario") is not None:
             kwargs["scenario"] = payload["scenario"]

@@ -40,7 +40,6 @@ from repro.api import ExperimentSpec, ResultSet, plan as plan_experiment, run as
 from repro.api.engine import runner_for
 from repro.exceptions import ConfigurationError, ReproError
 from repro.protocols.registry import available_protocols
-from repro.runtime import BatchRunner
 from repro.scenarios import available_scenarios, scenario_presets
 from repro.simulation.mac.factory import available_mac_protocols
 from repro.store import ResultStore, merge_stores
@@ -55,11 +54,11 @@ EXIT_ERROR = 2  # a ReproError: bad spec/arguments, infeasible solve, ...
 EXIT_NOT_WARM = 3  # `run --require-warm` saw fresh solves
 
 
-def _print_runtime_summary(runner: BatchRunner) -> None:
-    stats = runner.cache_stats()
-    line = f"# runtime: {runner.describe()}"
-    if runner.cache is not None:
-        line += f" — cache: {stats.hits} hits / {stats.misses} misses"
+def _print_runtime_summary(result: ResultSet) -> None:
+    telemetry = result.telemetry
+    line = f"# runtime: {telemetry['runner']}"
+    if result.spec.runtime.cache:
+        line += f" — cache: {telemetry['cache_hits']} hits / {telemetry['cache_misses']} misses"
     print(line)
 
 
@@ -81,11 +80,11 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
 
 
 def _print_store_summary(result: ResultSet) -> None:
-    metadata = result.metadata
-    if "store_hits" in metadata:
+    telemetry = result.telemetry
+    if "store_hits" in telemetry:
         print(
-            f"# store: {metadata['store_hits']} hits / "
-            f"{metadata['store_misses']} misses / {metadata['store_puts']} puts"
+            f"# store: {telemetry['store_hits']} hits / "
+            f"{telemetry['store_misses']} misses / {telemetry['store_puts']} puts"
         )
 
 
@@ -199,12 +198,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_table(plan.rows()))
         return EXIT_OK
     store = _open_store(args)
-    if args.require_warm and store is None:
+    if args.require_warm and (store is None or not spec.runtime.cache):
+        # Without the cache the store is bypassed: nothing could be warm.
         raise ConfigurationError(
-            "--require-warm needs --store (and is incompatible with --no-cache)"
+            "--require-warm needs --store and the solve cache "
+            "(it is incompatible with --no-cache and a spec's \"cache\": false)"
         )
-    runner = runner_for(spec, store=store)
-    result = run_experiment(plan, runner=runner)
+    result = run_experiment(plan, runner=runner_for(spec, store=store))
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
     if args.out:
@@ -217,16 +217,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"# units without a passing result: {labels}")
     _print_store_summary(result)
-    _print_runtime_summary(runner)
+    _print_runtime_summary(result)
     if args.require_warm:
-        fresh = int(result.metadata.get("store_misses", 0)) + int(
-            result.metadata.get("store_puts", 0)
-        )
-        if fresh:
+        misses = result.telemetry["store_misses"]
+        puts = result.telemetry["store_puts"]
+        if misses or puts:
             print(
-                f"# --require-warm: store was not warm "
-                f"({result.metadata.get('store_misses', 0)} misses, "
-                f"{result.metadata.get('store_puts', 0)} puts)",
+                f"# --require-warm: store was not warm ({misses} misses, {puts} puts)",
                 file=sys.stderr,
             )
             return EXIT_NOT_WARM
@@ -260,15 +257,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         .with_solver(grid_points=args.grid_points)
         .with_runtime(**_runtime_kwargs(args))
     )
-    runner = runner_for(spec, store=_open_store(args))
-    result = run_experiment(spec, runner=runner)
+    result = run_experiment(spec, runner=runner_for(spec, store=_open_store(args)))
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
     infeasible = [float(record.unit.settings["value"]) for record in result.failed_records]
     if infeasible:
         print(f"# infeasible values: {infeasible}")
     _print_store_summary(result)
-    _print_runtime_summary(runner)
+    _print_runtime_summary(result)
     return EXIT_OK
 
 
@@ -278,12 +274,11 @@ def _cmd_figure(args: argparse.Namespace, which: int) -> int:
         .with_solver(grid_points=args.grid_points)
         .with_runtime(**_runtime_kwargs(args))
     )
-    runner = runner_for(spec, store=_open_store(args))
-    result = run_experiment(spec, runner=runner)
+    result = run_experiment(spec, runner=runner_for(spec, store=_open_store(args)))
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
     _print_store_summary(result)
-    _print_runtime_summary(runner)
+    _print_runtime_summary(result)
     return EXIT_OK
 
 
@@ -304,8 +299,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         f"# scenario suite: {len(plan.scenario_names)} scenarios × "
         f"{len(plan.protocol_names)} protocols = {plan.count} games"
     )
-    runner = runner_for(spec, store=_open_store(args))
-    result = run_experiment(plan, runner=runner)
+    result = run_experiment(plan, runner=runner_for(spec, store=_open_store(args)))
     print(format_table(result.rows()))
     _write_optional_csv(result, args.csv)
     infeasible = result.failed_records
@@ -315,7 +309,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         )
         print(f"# infeasible pairs: {pairs}")
     _print_store_summary(result)
-    _print_runtime_summary(runner)
+    _print_runtime_summary(result)
     return EXIT_OK
 
 
@@ -352,8 +346,7 @@ def _cmd_validate_campaign(args: argparse.Namespace) -> int:
         f"{len(plan.protocol_names)} protocols × {replications} replications "
         f"= {plan.count * replications} simulations"
     )
-    runner = runner_for(spec, store=_open_store(args))
-    result = run_experiment(plan, runner=runner)
+    result = run_experiment(plan, runner=runner_for(spec, store=_open_store(args)))
     print(format_table(result.rows()))
     if args.out:
         path = write_campaign(result.raw, args.out)
@@ -364,7 +357,7 @@ def _cmd_validate_campaign(args: argparse.Namespace) -> int:
         pairs = ", ".join(f"{cell.scenario}/{cell.protocol}" for cell in failed)
         print(f"# cells with failed checks: {pairs}")
     _print_store_summary(result)
-    _print_runtime_summary(runner)
+    _print_runtime_summary(result)
     return EXIT_OK
 
 

@@ -7,8 +7,9 @@ the core framework uses:
 * :mod:`repro.optimization.result` — the common :class:`SolverResult` record.
 * :mod:`repro.optimization.grid` — exhaustive grid search (robust, derivative
   free; reports the grid's distinct feasible local minima, which seed the
-  gradient-based solver), with a vectorized whole-grid path for objectives
-  carrying :func:`batched` twins.
+  gradient-based solver), evaluated whole-grid for objectives carrying
+  :func:`batched` twins; :func:`grid_search_scalar` is the point-by-point
+  reference.
 * :mod:`repro.optimization.constrained` — single- and multi-start SLSQP via
   :func:`scipy.optimize.minimize`.
 * :mod:`repro.optimization.hybrid` — SLSQP polish of the grid's best local
@@ -21,7 +22,7 @@ the core framework uses:
 """
 
 from repro.optimization.result import SolverResult
-from repro.optimization.grid import batched, grid_search
+from repro.optimization.grid import batched, grid_search, grid_search_scalar
 from repro.optimization.constrained import slsqp_solve, multistart_slsqp
 from repro.optimization.hybrid import hybrid_solve
 from repro.optimization.scalarization import weighted_sum_scan
@@ -35,6 +36,7 @@ __all__ = [
     "SolverResult",
     "batched",
     "grid_search",
+    "grid_search_scalar",
     "slsqp_solve",
     "multistart_slsqp",
     "hybrid_solve",

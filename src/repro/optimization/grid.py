@@ -7,13 +7,14 @@ the cross-check for the gradient-based solver.
 
 Two evaluation paths share one selection rule:
 
-* the **scalar** path loops over the grid calling the objective and the
-  constraint margins point by point — always available;
-* the **vectorized** path evaluates the whole grid in a handful of NumPy
-  calls when the objective and every constraint expose a batched twin (a
-  ``.many(points)`` attribute, attached with :func:`batched`).
+* :func:`grid_search` evaluates the whole grid in a handful of NumPy calls
+  whenever the objective and every constraint expose a batched twin (a
+  ``.many(points)`` attribute, attached with :func:`batched`), and falls
+  back to the scalar loop otherwise;
+* :func:`grid_search_scalar` loops over the grid calling the objective and
+  the constraint margins point by point — the named reference.
 
-The vectorized path replicates the scalar path's skip/tie-break/violation
+The batched path replicates the scalar path's skip/tie-break/violation
 semantics operation for operation, so the two return **bit-identical**
 results; ``tests/optimization/test_grid_vectorized.py`` enforces this and
 ``benchmarks/bench_vectorized_grid.py`` records the speedup.
@@ -58,7 +59,7 @@ def batched(scalar: Callable[[np.ndarray], float], many: BatchedFunction) -> Obj
     Returns:
         A wrapper that forwards per-point calls to ``scalar`` and carries
         ``many`` as a ``.many`` attribute, which :func:`grid_search`
-        auto-detects.  (A plain attribute cannot be set on a bound method,
+        detects.  (A plain attribute cannot be set on a bound method,
         hence the wrapper.)
     """
 
@@ -121,16 +122,29 @@ def _local_minima(
     return tuple(points[index] for index in indices)
 
 
-def _grid_search_scalar(
+def _grid(space: ParameterSpace, points_per_dimension: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """The ``(n, dim)`` grid and its per-axis point counts (row-major)."""
+    points = space.grid(points_per_dimension)
+    shape = tuple(parameter.sample_grid(points_per_dimension).size for parameter in space)
+    return points, shape
+
+
+def grid_search_scalar(
     objective: Objective,
-    points: np.ndarray,
-    shape: Tuple[int, ...],
-    constraints: Sequence[Constraint],
-    sign: float,
-    maximize: bool,
-    feasibility_tolerance: float,
+    space: ParameterSpace,
+    constraints: Sequence[Constraint] = (),
+    points_per_dimension: int = 200,
+    maximize: bool = False,
+    feasibility_tolerance: float = 1e-9,
 ) -> SolverResult:
-    """Point-by-point reference implementation of the grid scan."""
+    """Point-by-point reference implementation of :func:`grid_search`.
+
+    Takes the same arguments and returns the same result; it ignores any
+    batched ``.many`` twins, so the equivalence tests and the benchmarks
+    can hold the batched path against it.
+    """
+    sign = -1.0 if maximize else 1.0
+    points, shape = _grid(space, points_per_dimension)
     best: Optional[SolverResult] = None
     evaluations = 0
     feasible_signed = np.full(points.shape[0], np.inf)
@@ -168,23 +182,53 @@ def _grid_search_scalar(
     )
 
 
-def _grid_search_vectorized(
+def grid_search(
     objective: Objective,
-    points: np.ndarray,
-    shape: Tuple[int, ...],
-    constraints: Sequence[Constraint],
-    sign: float,
-    feasibility_tolerance: float,
+    space: ParameterSpace,
+    constraints: Sequence[Constraint] = (),
+    points_per_dimension: int = 200,
+    maximize: bool = False,
+    feasibility_tolerance: float = 1e-9,
 ) -> SolverResult:
-    """Whole-grid NumPy implementation, bit-identical to the scalar path.
+    """Minimize (or maximize) an objective over a full-factorial grid.
 
-    The scalar loop (a) skips points where any margin is non-finite, (b)
-    skips points with a non-finite objective, (c) prefers feasible points,
-    then smaller signed objective, then — among infeasible points — smaller
-    violation, keeping the *first* optimum on exact ties.  ``np.argmin``
-    returns the first minimizing index, which reproduces the strict-``<``
-    incumbent updates of :meth:`SolverResult.better_than` exactly.
+    Args:
+        objective: Scalar objective of a solver-ordered parameter array.
+            When it (and every constraint) carries a batched ``.many`` twin
+            — see :func:`batched` — the whole grid is evaluated in a few
+            NumPy calls; otherwise :func:`grid_search_scalar` loops over it.
+        space: The admissible box.
+        constraints: Margin functions; a point is feasible when every margin
+            is ``>= -feasibility_tolerance``.
+        points_per_dimension: Grid resolution along each axis.
+        maximize: Maximize instead of minimize.
+        feasibility_tolerance: Slack allowed on constraint margins.
+
+    Returns:
+        The best *feasible* grid point if one exists; otherwise the point of
+        least violation, flagged as infeasible.  ``local_minima`` holds the
+        grid's distinct feasible local minima, best first (empty when no
+        point is feasible).  Both evaluation paths return bit-identical
+        results.
+
+    Raises:
+        SolverError: if every grid point evaluates to a non-finite objective.
     """
+    if _batched_twin(objective) is None or any(
+        _batched_twin(constraint) is None for constraint in constraints
+    ):
+        return grid_search_scalar(
+            objective, space, constraints, points_per_dimension, maximize, feasibility_tolerance
+        )
+    # Batched path.  The scalar loop (a) skips points where any margin is
+    # non-finite, (b) skips points with a non-finite objective, (c) prefers
+    # feasible points, then smaller signed objective, then — among
+    # infeasible points — smaller violation, keeping the *first* optimum on
+    # exact ties.  ``np.argmin`` returns the first minimizing index, which
+    # reproduces the strict-``<`` incumbent updates of
+    # :meth:`SolverResult.better_than` exactly.
+    sign = -1.0 if maximize else 1.0
+    points, shape = _grid(space, points_per_dimension)
     total = points.shape[0]
     violation = np.zeros(total)
     margins_finite = np.ones(total, dtype=bool)
@@ -214,65 +258,4 @@ def _grid_search_vectorized(
         constraint_violation=float(violation[best_index]),
         message=f"{total} grid points evaluated",
         local_minima=_local_minima(points, feasible_signed, shape),
-    )
-
-
-def grid_search(
-    objective: Objective,
-    space: ParameterSpace,
-    constraints: Sequence[Constraint] = (),
-    points_per_dimension: int = 200,
-    maximize: bool = False,
-    feasibility_tolerance: float = 1e-9,
-    vectorize: Optional[bool] = None,
-) -> SolverResult:
-    """Minimize (or maximize) an objective over a full-factorial grid.
-
-    Args:
-        objective: Scalar objective of a solver-ordered parameter array.
-            When it (and every constraint) carries a batched ``.many`` twin
-            — see :func:`batched` — the whole grid is evaluated in a few
-            NumPy calls instead of a Python loop.
-        space: The admissible box.
-        constraints: Margin functions; a point is feasible when every margin
-            is ``>= -feasibility_tolerance``.
-        points_per_dimension: Grid resolution along each axis.
-        maximize: Maximize instead of minimize.
-        feasibility_tolerance: Slack allowed on constraint margins.
-        vectorize: ``None`` (default) auto-detects the batched path;
-            ``False`` forces the scalar loop (used by the equivalence tests
-            and the benchmarks); ``True`` requires batched twins and raises
-            if any are missing.
-
-    Returns:
-        The best *feasible* grid point if one exists; otherwise the point of
-        least violation, flagged as infeasible.  ``local_minima`` holds the
-        grid's distinct feasible local minima, best first (empty when no
-        point is feasible).  Both evaluation paths return bit-identical
-        results.
-
-    Raises:
-        SolverError: if every grid point evaluates to a non-finite objective,
-            or ``vectorize=True`` without batched twins everywhere.
-    """
-    sign = -1.0 if maximize else 1.0
-    points = space.grid(points_per_dimension)
-    shape = tuple(parameter.sample_grid(points_per_dimension).size for parameter in space)
-
-    batchable = _batched_twin(objective) is not None and all(
-        _batched_twin(constraint) is not None for constraint in constraints
-    )
-    if vectorize is None:
-        vectorize = batchable
-    elif vectorize and not batchable:
-        raise SolverError(
-            "grid search: vectorize=True requires the objective and every "
-            "constraint to carry a batched .many twin (see repro.optimization.batched)"
-        )
-    if vectorize:
-        return _grid_search_vectorized(
-            objective, points, shape, constraints, sign, feasibility_tolerance
-        )
-    return _grid_search_scalar(
-        objective, points, shape, constraints, sign, maximize, feasibility_tolerance
     )

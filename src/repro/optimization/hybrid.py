@@ -32,7 +32,6 @@ def hybrid_solve(
     random_starts: int = 6,
     seed: int = 0,
     feasibility_tolerance: float = 1e-7,
-    vectorize: Optional[bool] = None,
 ) -> SolverResult:
     """Grid scan, then polish the grid's best local minima with SLSQP.
 
@@ -46,11 +45,6 @@ def hybrid_solve(
     feasible point, the least-violating point is returned (flagged
     infeasible) so callers can distinguish "requirements cannot be met" from
     "solver crashed".
-
-    ``vectorize`` is forwarded to :func:`~repro.optimization.grid.grid_search`:
-    ``None`` auto-uses the batched evaluation path when the objective and
-    constraints carry ``.many`` twins, ``False`` forces the scalar loop.
-    Either way the result is bit-identical; only the wall clock changes.
     """
     comparison_sign = -1.0 if maximize else 1.0
     candidates = []
@@ -63,7 +57,6 @@ def hybrid_solve(
             constraints,
             points_per_dimension=grid_points_per_dimension,
             maximize=maximize,
-            vectorize=vectorize,
         )
         candidates.append(grid_result)
     except SolverError:

@@ -1,29 +1,25 @@
 """Parallel experiment runtime.
 
 Shared execution layer for everything that solves many games: requirement
-sweeps, figure reproductions, grid searches, scalability studies and the
-CLI.  Three pieces compose:
+sweeps, figure reproductions, the scenario suite, campaigns, scalability
+studies and the CLI.  Three pieces compose:
 
-* :mod:`repro.runtime.executor` — executor policies (serial / thread /
-  process pool) with deterministic, submission-ordered reassembly;
-* :mod:`repro.runtime.cache` — a thread-safe LRU memo of game solutions
-  keyed by (protocol model, requirements, solver options);
-* :mod:`repro.runtime.batch` — the :class:`BatchRunner` that chunks task
-  grids across workers with progress callbacks and per-task error capture.
+* :mod:`repro.runtime.executor` — the executor a worker count describes
+  (serial for one worker, a process pool otherwise) with deterministic,
+  submission-ordered reassembly;
+* :mod:`repro.runtime.cache` — a thread-safe memo of game solutions keyed
+  by (protocol model, requirements, solver options), optionally reading
+  through and writing behind to a persistent result store;
+* :mod:`repro.runtime.batch` — the :class:`BatchRunner` that chunks a batch
+  of :class:`SolveTask`\\ s across workers with per-task error capture.
 
 The invariant the whole package is built around: a parallel run is
 bit-identical to a serial run.  Tasks are keyed by submission index and the
-solves are deterministic, so the executor choice is purely a wall-clock
+solves are deterministic, so the worker count is purely a wall-clock
 decision.
 """
 
-from repro.runtime.batch import (
-    BatchRunner,
-    SolveTask,
-    TaskOutcome,
-    build_runner,
-    default_runner,
-)
+from repro.runtime.batch import BatchRunner, SolveTask, TaskOutcome, build_runner
 from repro.runtime.cache import (
     CacheStats,
     SolveCache,
@@ -33,11 +29,9 @@ from repro.runtime.cache import (
     solve_key,
 )
 from repro.runtime.executor import (
-    EXECUTOR_MODES,
     ExecutorPolicy,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 
@@ -46,17 +40,14 @@ __all__ = [
     "SolveTask",
     "TaskOutcome",
     "build_runner",
-    "default_runner",
     "CacheStats",
     "SolveCache",
     "default_cache",
     "freeze",
     "model_fingerprint",
     "solve_key",
-    "EXECUTOR_MODES",
     "ExecutorPolicy",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
 ]

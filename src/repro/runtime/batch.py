@@ -1,57 +1,92 @@
-"""Batched game solving: the engine behind every sweep and grid.
+"""Batched game solving: the engine behind every sweep, suite and campaign.
 
-A :class:`BatchRunner` takes a grid of independent solve tasks — typically
-(protocol × swept requirement value) — resolves what it can from a
-:class:`~repro.runtime.cache.SolveCache`, chunks the remaining solves across
-an :class:`~repro.runtime.executor.ExecutorPolicy`, and reassembles the
-outcomes in submission order so parallel runs are bit-identical to serial
-ones.
+A :class:`BatchRunner` takes a batch of independent :class:`SolveTask`\\ s —
+typically (protocol × swept requirement value) or (scenario × protocol) —
+resolves what it can from a :class:`~repro.runtime.cache.SolveCache`,
+chunks the remaining solves across an
+:class:`~repro.runtime.executor.ExecutorPolicy`, and reassembles one
+:class:`TaskOutcome` per task in submission order, so parallel runs are
+bit-identical to serial ones.
 
-Errors are captured *per task*: an infeasible requirement value (or any
-other per-solve failure) is recorded in its :class:`TaskOutcome` without
-poisoning the rest of its chunk.  Callers decide which errors to swallow
-(sweeps treat :class:`~repro.exceptions.InfeasibleProblemError` as data) and
-which to re-raise.
+Errors are captured *per task*, so one failing solve never poisons the
+rest of its chunk.  The runner then applies the library-wide policy: a
+model that could not be built and an infeasible game are *data*, recorded
+in their outcomes; any other solver error is a bug and re-raises once the
+batch has landed.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
 from repro.core.tradeoff import EnergyDelayGame
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import ConfigurationError, InfeasibleProblemError
 from repro.protocols.base import DutyCycledMACModel
+from repro.protocols.registry import create_protocol
 from repro.runtime.cache import CacheStats, SolveCache, default_cache, solve_key
 from repro.runtime.executor import ExecutorPolicy, SerialExecutor, resolve_executor
-
-#: Progress callback: ``progress(completed_tasks, total_tasks)``.
-ProgressCallback = Callable[[int, int], None]
+from repro.scenario import Scenario
 
 
 @dataclass(frozen=True)
 class SolveTask:
-    """One independent game solve of a task grid.
+    """One independent game solve of a batch.
 
     Attributes:
-        model: Protocol model to solve the game for.
+        model: Protocol model to solve the game for, or ``None`` when it
+            could not be built (``build_error`` says why; the task is then
+            data, never dispatched).
         requirements: Application requirements of this solve.
         solver_options: Options forwarded to the game's solver backend.
-        label: Grouping key for callers (usually the protocol name).
-        tag: Caller-defined payload carried into the outcome (usually the
-            swept requirement value).
+        tag: Caller-defined payload carried into the outcome (a work unit,
+            a swept value, a ``(scenario, protocol)`` pair, ...).
+        build_error: Why the model could not be built, when it could not.
     """
 
-    model: DutyCycledMACModel
+    model: Optional[DutyCycledMACModel]
     requirements: ApplicationRequirements
     solver_options: Mapping[str, object] = field(default_factory=dict)
-    label: str = ""
     tag: Any = None
+    build_error: str = ""
+
+    @classmethod
+    def build(
+        cls,
+        protocol: str,
+        scenario: Scenario,
+        requirements: ApplicationRequirements,
+        solver_options: Mapping[str, object],
+        tag: Any = None,
+    ) -> "SolveTask":
+        """Construct the task's protocol model, capturing construction failures.
+
+        The scenario may render the protocol's parameter space empty (e.g. a
+        drift bound below the minimum slot): that is a property of the pair,
+        not a failure, so it becomes a ``build_error`` task instead of
+        raising.  Validation is forced *here*, not inside a pool worker
+        where it would poison the batch.
+        """
+        try:
+            model = create_protocol(protocol, scenario)
+            model.parameter_space  # noqa: B018 - force lazy validation eagerly
+        except (ConfigurationError, ValueError) as error:
+            return cls(
+                model=None,
+                requirements=requirements,
+                tag=tag,
+                build_error=f"model construction failed: {error}",
+            )
+        return cls(
+            model=model,
+            requirements=requirements,
+            solver_options=dict(solver_options),
+            tag=tag,
+        )
 
 
 @dataclass(frozen=True)
@@ -59,21 +94,18 @@ class TaskOutcome:
     """Result of one :class:`SolveTask`, successful or not.
 
     Attributes:
-        index: Submission index of the task in the batch.
-        label: The task's grouping key.
-        tag: The task's caller-defined payload.
-        solution: The game solution, or ``None`` if the solve failed.
-        error: The captured exception, or ``None`` on success.
-        from_cache: Whether the solution was answered by the cache.
-        solve_seconds: Wall-clock time of the solve (0 for cache hits).
+        task: The task this outcome answers.
+        solution: The game solution, or ``None`` if there is none.
+        error: The captured solver exception (an
+            :class:`~repro.exceptions.InfeasibleProblemError`), or ``None``.
+        solve_seconds: Wall-clock time of the solve (0 when it was not
+            solved in this batch: cache hits, in-batch duplicates and
+            unbuildable models).
     """
 
-    index: int
-    label: str
-    tag: Any
-    solution: Optional[GameSolution]
+    task: SolveTask
+    solution: Optional[GameSolution] = None
     error: Optional[BaseException] = None
-    from_cache: bool = False
     solve_seconds: float = 0.0
 
     @property
@@ -85,6 +117,18 @@ class TaskOutcome:
     def infeasible(self) -> bool:
         """Whether the solve failed because the requirements are infeasible."""
         return isinstance(self.error, InfeasibleProblemError)
+
+    @property
+    def tag(self) -> Any:
+        """The task's caller-defined payload."""
+        return self.task.tag
+
+    @property
+    def error_message(self) -> str:
+        """Human-readable reason when the task has no solution."""
+        if self.task.build_error:
+            return self.task.build_error
+        return str(self.error) if self.error is not None else ""
 
 
 #: Wire format of one pending solve: (index, model, requirements, options).
@@ -106,45 +150,27 @@ def _solve_chunk(chunk: Sequence[_Payload]) -> List[_Result]:
         try:
             solution = EnergyDelayGame(model, requirements, **options).solve()
             results.append((index, solution, None, time.perf_counter() - started))
-        except Exception as error:  # noqa: BLE001 - captured per task, re-raised by callers
+        except Exception as error:  # noqa: BLE001 - captured per task, policy applied in run()
             results.append((index, None, error, time.perf_counter() - started))
     return results
 
 
 class BatchRunner:
-    """Run a grid of game solves through a cache and an executor policy.
+    """Run a batch of game solves through a cache and an executor policy.
 
     Args:
         executor: Where the solves run; defaults to the serial policy.
-        cache: Solve memo consulted before dispatch and updated after;
-            ``None`` disables caching.
-        chunk_size: Number of tasks per dispatched chunk.  ``None`` picks a
-            size that gives each worker a few chunks (for progress
-            granularity and tail-latency balance).
-        progress: Optional ``progress(done, total)`` callback, invoked after
-            the cache pass and after every finished chunk.
-
-    Raises:
-        ValueError: if ``chunk_size`` is given but smaller than 1.
+        cache: Solve memo consulted before dispatch and updated as each
+            chunk lands; ``None`` disables caching.
     """
 
     def __init__(
         self,
         executor: Optional[ExecutorPolicy] = None,
         cache: Optional[SolveCache] = None,
-        chunk_size: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
     ) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
         self._executor = executor if executor is not None else SerialExecutor()
         self._cache = cache
-        self._chunk_size = chunk_size
-        self._progress = progress
-
-    # ------------------------------------------------------------------ #
-    # Accessors
-    # ------------------------------------------------------------------ #
 
     @property
     def executor(self) -> ExecutorPolicy:
@@ -167,21 +193,13 @@ class BatchRunner:
         suffix = ""
         if self._cache is not None:
             suffix = "+cache"
-            if getattr(self._cache, "store", None) is not None:
+            if self._cache.store is not None:
                 suffix += "+store"
         return f"{self._executor.describe()}{suffix}"
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
     def _chunks(self, payloads: Sequence[_Payload]) -> List[List[_Payload]]:
-        if self._chunk_size is not None:
-            size = self._chunk_size
-        else:
-            # Aim for ~4 chunks per worker so stragglers can be rebalanced,
-            # while serial runs still report progress along the way.
-            size = max(1, math.ceil(len(payloads) / (self._executor.workers * 4)))
+        # Aim for ~4 chunks per worker so stragglers can be rebalanced.
+        size = max(1, math.ceil(len(payloads) / (self._executor.workers * 4)))
         return [list(payloads[i : i + size]) for i in range(0, len(payloads), size)]
 
     def run(self, tasks: Sequence[SolveTask]) -> List[TaskOutcome]:
@@ -192,14 +210,16 @@ class BatchRunner:
 
         Returns:
             One :class:`TaskOutcome` per task, ordered by submission index.
-            Per-task failures are *captured* in the outcome's ``error``
-            field, never raised — callers decide which errors to swallow
-            (sweeps treat infeasibility as data) and which to re-raise.
+            A task without a model and an infeasible game are recorded in
+            their outcome, never raised.
+
+        Raises:
+            Exception: the first non-infeasibility solver error, in task
+                order, once every chunk has landed (so the solves that did
+                finish are cached).
         """
         tasks = list(tasks)
-        total = len(tasks)
-        outcomes: List[Optional[TaskOutcome]] = [None] * total
-        completed = 0
+        outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
 
         # Cache pass: answer what we can before dispatching anything.  Keys
         # are computed once, here, and reused when storing results: solving
@@ -208,10 +228,13 @@ class BatchRunner:
         # appears earlier in the batch are not dispatched either — they are
         # fanned out from their primary's result when it lands.
         pending: List[_Payload] = []
-        keys: List[Optional[Any]] = [None] * total
+        keys: List[Optional[Any]] = [None] * len(tasks)
         primary_for_key: Dict[Any, int] = {}
         duplicates: Dict[int, List[int]] = {}
         for index, task in enumerate(tasks):
+            if task.model is None:
+                outcomes[index] = TaskOutcome(task=task)
+                continue
             if self._cache is not None:
                 keys[index] = solve_key(task.model, task.requirements, task.solver_options)
                 primary = primary_for_key.get(keys[index])
@@ -220,124 +243,61 @@ class BatchRunner:
                     continue
                 solution = self._cache.get(keys[index])
                 if solution is not None:
-                    outcomes[index] = TaskOutcome(
-                        index=index,
-                        label=task.label,
-                        tag=task.tag,
-                        solution=solution,
-                        from_cache=True,
-                    )
-                    completed += 1
+                    outcomes[index] = TaskOutcome(task=task, solution=solution)
                     continue
                 primary_for_key[keys[index]] = index
             pending.append((index, task.model, task.requirements, dict(task.solver_options)))
-        if self._progress is not None:
-            self._progress(completed, total)
+
+        def _absorb_chunk(_: int, chunk_results: List[_Result]) -> None:
+            for index, solution, error, seconds in chunk_results:
+                outcomes[index] = TaskOutcome(
+                    task=tasks[index], solution=solution, error=error, solve_seconds=seconds
+                )
+                if solution is not None and self._cache is not None:
+                    self._cache.put(keys[index], solution)
+                # Fan the result out to same-key tasks of this batch.
+                for dup_index in duplicates.get(index, ()):
+                    outcomes[dup_index] = TaskOutcome(
+                        task=tasks[dup_index], solution=solution, error=error
+                    )
 
         if pending:
-            progress_lock = threading.Lock()
-
-            def _absorb_chunk(_: int, chunk_results: List[_Result]) -> None:
-                nonlocal completed
-                landed = 0
-                for index, solution, error, seconds in chunk_results:
-                    task = tasks[index]
-                    outcomes[index] = TaskOutcome(
-                        index=index,
-                        label=task.label,
-                        tag=task.tag,
-                        solution=solution,
-                        error=error,
-                        solve_seconds=seconds,
-                    )
-                    if solution is not None and self._cache is not None:
-                        self._cache.put(keys[index], solution)
-                    landed += 1
-                    # Fan the result out to same-key tasks of this batch.
-                    for dup_index in duplicates.get(index, ()):
-                        dup_task = tasks[dup_index]
-                        outcomes[dup_index] = TaskOutcome(
-                            index=dup_index,
-                            label=dup_task.label,
-                            tag=dup_task.tag,
-                            solution=solution,
-                            error=error,
-                            from_cache=solution is not None,
-                        )
-                        landed += 1
-                with progress_lock:
-                    completed += landed
-                    done = completed
-                if self._progress is not None:
-                    self._progress(done, total)
-
             self._executor.map_ordered(_solve_chunk, self._chunks(pending), _absorb_chunk)
 
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    def run_one(self, task: SolveTask) -> TaskOutcome:
-        """Convenience wrapper: run a single task."""
-        return self.run([task])[0]
+        finished = [outcome for outcome in outcomes if outcome is not None]
+        for outcome in finished:
+            if outcome.error is not None and not outcome.infeasible:
+                # Only infeasibility is data; anything else is a real bug.
+                raise outcome.error
+        return finished
 
 
 def build_runner(
     workers: Optional[int] = 1,
-    mode: str = "auto",
     use_cache: bool = True,
-    cache: Optional[SolveCache] = None,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
     store: Optional[Any] = None,
 ) -> BatchRunner:
-    """Assemble a :class:`BatchRunner` from simple knobs.
-
-    This is the one-stop constructor the CLI and the experiment drivers use:
-    ``workers`` picks the executor (1, the default → serial, N → process
-    pool, ``None``/0 → one per CPU the process may run on), ``use_cache``
-    toggles the process-wide solve cache, and ``cache`` substitutes an
-    explicit cache instance.
+    """Assemble the :class:`BatchRunner` a worker count and cache switch describe.
 
     Args:
         workers: Worker count handed to
-            :func:`~repro.runtime.executor.resolve_executor`; serial unless
-            asked otherwise, like :func:`default_runner` and
-            ``RuntimePolicy.workers``.
-        mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
-            ``"process"``).
+            :func:`~repro.runtime.executor.resolve_executor`: 1 (the
+            default) → serial, N → process pool, ``None``/0 → one per CPU
+            the process may run on.
         use_cache: Whether solves are memoized; ``False`` forces every solve
             to be recomputed — and deliberately bypasses ``store`` too, so
             "no cache" means *no cache of any kind*, never a silent
             store-only half-measure.
-        cache: Explicit cache instance (defaults to the process-wide cache
-            when ``use_cache`` is true).
-        chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
-        progress: Optional ``progress(done, total)`` callback.
         store: Optional persistent result store
             (:class:`repro.store.ResultStore`).  When given (and caching is
-            on, with no explicit ``cache``), the runner gets a *fresh*
-            cache instance backed by the store instead of the process-wide
-            one, so the run's hit/miss counters are its own.
-
-    Returns:
-        The assembled :class:`BatchRunner`.
+            on), the runner gets a *fresh* cache instance backed by the
+            store instead of the process-wide one, so the run's hit/miss
+            counters are its own.
 
     Raises:
-        ConfigurationError: if the executor mode or worker count is invalid.
+        ConfigurationError: if the worker count is negative.
     """
-    if cache is None and use_cache and store is not None:
-        cache = SolveCache(store=store)
-    if cache is None and use_cache:
-        cache = default_cache()
-    if not use_cache:
-        cache = None
-    return BatchRunner(
-        executor=resolve_executor(workers, mode),
-        cache=cache,
-        chunk_size=chunk_size,
-        progress=progress,
-    )
-
-
-def default_runner() -> BatchRunner:
-    """Serial runner bound to the process-wide cache (the library default)."""
-    return BatchRunner(executor=SerialExecutor(), cache=default_cache())
+    cache: Optional[SolveCache] = None
+    if use_cache:
+        cache = SolveCache(store=store) if store is not None else default_cache()
+    return BatchRunner(executor=resolve_executor(workers), cache=cache)

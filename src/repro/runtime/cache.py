@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -146,45 +145,16 @@ class CacheStats:
     Attributes:
         hits: Number of lookups answered from the cache.
         misses: Number of lookups that required a fresh solve.
-        entries: Number of solutions currently stored.
-        evictions: Number of entries dropped by the LRU bound.
     """
 
     hits: int = 0
     misses: int = 0
-    entries: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total number of lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat summary used by reports."""
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_entries": self.entries,
-            "cache_evictions": self.evictions,
-            "cache_hit_rate": self.hit_rate,
-        }
 
 
 class SolveCache:
-    """Thread-safe LRU memo of :class:`~repro.core.results.GameSolution`.
+    """Thread-safe memo of :class:`~repro.core.results.GameSolution`.
 
     Args:
-        max_entries: Optional LRU bound; ``None`` means unbounded.  Sweeps
-            are small (tens of solves) but long-lived services may want a
-            cap.
         store: Optional persistent backend (duck-typed against
             :class:`repro.store.ResultStore`: ``get_solution(key)`` /
             ``put_solution(key, solution)``).  Reads fall through to the
@@ -194,42 +164,17 @@ class SolveCache:
             process.
     """
 
-    def __init__(
-        self, max_entries: Optional[int] = None, store: Optional[Any] = None
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self._max_entries = max_entries
+    def __init__(self, store: Optional[Any] = None) -> None:
         self._store = store
-        self._entries: "OrderedDict[CacheKey, GameSolution]" = OrderedDict()
+        self._entries: Dict[CacheKey, GameSolution] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
-
-    # ------------------------------------------------------------------ #
-    # Key construction (static so callers can pre-compute keys)
-    # ------------------------------------------------------------------ #
-
-    key = staticmethod(solve_key)
-
-    # ------------------------------------------------------------------ #
-    # Lookup / store
-    # ------------------------------------------------------------------ #
 
     @property
     def store(self) -> Optional[Any]:
         """The persistent backend, or ``None`` for a purely in-memory cache."""
         return self._store
-
-    def _insert(self, key: CacheKey, solution: GameSolution) -> None:
-        """Insert under the lock, evicting LRU entries if bounded."""
-        self._entries[key] = solution
-        self._entries.move_to_end(key)
-        if self._max_entries is not None:
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
 
     def get(self, key: CacheKey) -> Optional[GameSolution]:
         """Return the memoized solution for ``key``, counting hit or miss.
@@ -241,7 +186,6 @@ class SolveCache:
         with self._lock:
             solution = self._entries.get(key)
             if solution is not None:
-                self._entries.move_to_end(key)
                 self._hits += 1
                 return solution
         if self._store is not None:
@@ -249,7 +193,7 @@ class SolveCache:
             solution = self._store.get_solution(key)
             if solution is not None:
                 with self._lock:
-                    self._insert(key, solution)
+                    self._entries[key] = solution
                     self._hits += 1
                 return solution
         with self._lock:
@@ -257,14 +201,14 @@ class SolveCache:
         return None
 
     def put(self, key: CacheKey, solution: GameSolution) -> None:
-        """Store a solution under ``key``, evicting LRU entries if bounded.
+        """Store a solution under ``key``.
 
         With a persistent backend attached, the solution is also written
         behind to the store (idempotently — an existing record is left
         untouched).
         """
         with self._lock:
-            self._insert(key, solution)
+            self._entries[key] = solution
         if self._store is not None:
             self._store.put_solution(key, solution)
 
@@ -272,31 +216,10 @@ class SolveCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # ------------------------------------------------------------------ #
-    # Stats / maintenance
-    # ------------------------------------------------------------------ #
-
     def stats(self) -> CacheStats:
         """Snapshot of the hit/miss counters."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                entries=len(self._entries),
-                evictions=self._evictions,
-            )
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+            return CacheStats(hits=self._hits, misses=self._misses)
 
 
 #: Process-wide cache shared by the default runners (CLI, experiments).

@@ -1,4 +1,4 @@
-"""Executor policies: where and how batched work runs.
+"""Executor policies: where batched work runs.
 
 The sweeps behind the paper's figures are embarrassingly parallel — one
 independent game solve per (protocol, requirement value) pair — but the
@@ -7,14 +7,10 @@ bit-identical to a serial run.  The policies here guarantee that by keying
 every submitted item with its submission index and reassembling results in
 submission order, no matter in which order the workers finish.
 
-Three policies are provided:
-
-* :class:`SerialExecutor` — run in the calling thread (the default, and the
-  reference semantics every other policy must reproduce);
-* :class:`ThreadExecutor` — a thread pool, useful for workloads dominated by
-  the GIL-releasing numpy/scipy kernels;
-* :class:`ProcessExecutor` — a process pool for CPU-bound Python work (the
-  game solves), forked so workers share the parent's imports.
+The worker count is the only choice: :func:`resolve_executor` maps ``1`` to
+the :class:`SerialExecutor` (the reference semantics), ``N`` to a
+:class:`ProcessExecutor` of ``N`` workers, and ``0`` to one worker per CPU
+in the affinity mask.
 """
 
 from __future__ import annotations
@@ -23,13 +19,13 @@ import abc
 import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.exceptions import ConfigurationError
 
 #: Callback invoked as each item completes: ``on_result(index, result)``.
-#: Completion order is arbitrary under parallel policies; the *returned*
+#: Completion order is arbitrary under the process policy; the *returned*
 #: list is always in submission order.
 ResultCallback = Callable[[int, Any], None]
 
@@ -52,7 +48,7 @@ class ExecutorPolicy(abc.ABC):
     therefore cannot depend on) scheduling order.
     """
 
-    #: Policy identifier used in reports (``"serial"``, ``"thread"``, ...).
+    #: Policy identifier used in reports (``"serial"``, ``"process"``).
     name: str = "abstract"
 
     @property
@@ -73,9 +69,8 @@ class ExecutorPolicy(abc.ABC):
             fn: The function applied to each item; under the process policy
                 it must be picklable (module-level).
             items: The work items, consumed in submission order.
-            on_result: Optional ``on_result(index, result)`` callback invoked
-                as each item completes (completion order is arbitrary under
-                parallel policies).
+            on_result: Optional ``on_result(index, result)`` callback,
+                invoked in the calling thread as each item completes.
 
         Returns:
             One result per item, ordered by submission index regardless of
@@ -118,7 +113,16 @@ class SerialExecutor(ExecutorPolicy):
 
 
 class _PoolExecutor(ExecutorPolicy):
-    """Shared submit/reassemble logic of the thread and process policies."""
+    """Submit/reassemble mechanics of the process pool.
+
+    Kept apart from :class:`ProcessExecutor` because the end-to-end
+    benchmark's layer trace (``perfbench/tracing.py``) wraps
+    ``_PoolExecutor.map_ordered`` by that name.  On Linux the pool uses the ``fork`` start method so workers inherit the
+    parent's imports (numpy/scipy warm-up is paid once) and the submitted
+    callables only need to be picklable by reference.  Elsewhere the
+    platform default is kept: forking is unsafe on macOS (Objective-C
+    runtime aborts post-fork) and unavailable on Windows.
+    """
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self._workers = _effective_workers(workers)
@@ -126,10 +130,6 @@ class _PoolExecutor(ExecutorPolicy):
     @property
     def workers(self) -> int:
         return self._workers
-
-    @abc.abstractmethod
-    def _make_pool(self, max_workers: int):
-        """Create the underlying ``concurrent.futures`` pool."""
 
     def map_ordered(
         self,
@@ -140,9 +140,12 @@ class _PoolExecutor(ExecutorPolicy):
         items = list(items)
         if not items:
             return []
+        context = None
+        if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
         results: List[Any] = [None] * len(items)
         max_workers = min(self._workers, len(items))
-        with self._make_pool(max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
             pending = {pool.submit(fn, item): index for index, item in enumerate(items)}
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -154,69 +157,31 @@ class _PoolExecutor(ExecutorPolicy):
         return results
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool policy (no pickling; shares memory with the caller)."""
-
-    name = "thread"
-
-    def _make_pool(self, max_workers: int):
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-
 class ProcessExecutor(_PoolExecutor):
-    """Process-pool policy for CPU-bound Python work.
+    """Process-pool policy for CPU-bound Python work (the game solves).
 
-    On Linux the pool uses the ``fork`` start method so workers inherit the
-    parent's imports (numpy/scipy warm-up is paid once) and the submitted
-    callables only need to be picklable by reference.  Elsewhere the
-    platform default is kept: forking is unsafe on macOS (Objective-C
-    runtime aborts post-fork) and unavailable on Windows.
+    Args:
+        workers: Pool size; ``None`` or ``0`` means one worker per CPU in
+            the affinity mask.
     """
 
     name = "process"
 
-    def _make_pool(self, max_workers: int):
-        context = None
-        if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
 
-
-#: Accepted ``mode`` values of :func:`resolve_executor`.
-EXECUTOR_MODES = ("auto", "serial", "thread", "process")
-
-
-def resolve_executor(workers: Optional[int] = None, mode: str = "auto") -> ExecutorPolicy:
-    """Build an executor policy from a worker count and a mode name.
+def resolve_executor(workers: Optional[int] = None) -> ExecutorPolicy:
+    """The executor policy a worker count describes.
 
     Args:
-        workers: Desired concurrency.  ``None`` or ``0`` means "one worker
-            per CPU this process may run on" (its affinity mask where the
-            platform has one, so a run pinned to one CPU resolves to one
-            worker); ``1`` selects the serial policy under
-            ``mode="auto"``.
-        mode: ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
-            (serial for one worker, process pool otherwise).
-
-    Returns:
-        The resolved :class:`ExecutorPolicy` instance.
+        workers: ``1`` selects the serial policy, ``N > 1`` a process pool
+            of ``N`` workers, and ``None`` or ``0`` one worker per CPU this
+            process may run on (its affinity mask where the platform has
+            one, so a run pinned to one CPU resolves to serial).
 
     Raises:
-        ConfigurationError: if ``mode`` is not one of :data:`EXECUTOR_MODES`
-            or ``workers`` is negative.
+        ConfigurationError: if ``workers`` is negative.
     """
-    if mode not in EXECUTOR_MODES:
-        raise ConfigurationError(
-            f"unknown executor mode {mode!r}; expected one of {', '.join(EXECUTOR_MODES)}"
-        )
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    if mode == "serial":
-        return SerialExecutor()
-    if mode == "thread":
-        return ThreadExecutor(workers)
-    if mode == "process":
-        return ProcessExecutor(workers)
     if _effective_workers(workers) <= 1:
         return SerialExecutor()
     return ProcessExecutor(workers)

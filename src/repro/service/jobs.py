@@ -78,7 +78,7 @@ class Job:
         error_kind: Exception class name of the failure (what the HTTP
             layer maps to a status code).
         progress: Engine counters of the finished run (unit counts plus
-            the cache/store hit/miss/put deltas from the run metadata).
+            the cache/store hit/miss/put deltas from the run telemetry).
     """
 
     job_id: str

@@ -6,7 +6,7 @@ shared :class:`~repro.store.ResultStore`, so the whole service behaves like
 one long-lived warm cache: the first submission of a spec solves it, every
 later submission — same spec or one sharing work units — is answered from
 the store in O(read), and the status endpoint's ``store_hits``/``misses``/
-``puts`` counters come straight from the run metadata.
+``puts`` counters come straight from the run telemetry.
 
 A worker thread never dies to an exception: :class:`~repro.exceptions.ReproError`
 subclasses (infeasible solve, bad spec) *and* unexpected errors both mark
@@ -26,7 +26,7 @@ from repro.store import ResultStore
 
 __all__ = ["WorkerPool"]
 
-#: Run-metadata keys surfaced as job progress counters.
+#: Run-telemetry keys surfaced as job progress counters.
 _PROGRESS_KEYS = (
     "cache_hits",
     "cache_misses",
@@ -105,8 +105,8 @@ class WorkerPool:
                 "failed": len(result.failed_records),
             }
             for key in _PROGRESS_KEYS:
-                if key in result.metadata:
-                    progress[key] = result.metadata[key]
+                if key in result.telemetry:
+                    progress[key] = result.telemetry[key]
             self._queue.finish(job.job_id, result.json_text(), progress)
         except Exception as error:  # noqa: BLE001 - a job must never kill its worker
             self._queue.fail(job.job_id, str(error), type(error).__name__)

@@ -58,10 +58,9 @@ class StoreStats:
     per-instance — they start at zero when the store is opened, so a CLI
     invocation's stats describe exactly that run.  The content fields
     (``records``/``bytes``) describe the store *directory* at snapshot
-    time, shared by every process using it.  This is the single stats
-    surface: ``repro store stats``, the service's progress/health
-    endpoints, and the engine's per-run deltas all read it instead of
-    reaching into store internals.
+    time, shared by every process using it.  ``repro store stats`` and the
+    service's health endpoint read it; the engine's per-run deltas read the
+    cheaper :meth:`ResultStore.traffic` instead, which skips the disk walk.
 
     Attributes:
         hits: Lookups answered from disk.
@@ -344,6 +343,11 @@ class ResultStore:
             return self._record_path(digest).read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
+
+    def traffic(self) -> Tuple[int, int, int]:
+        """``(hits, misses, puts)`` of this instance, without walking the disk."""
+        with self._lock:
+            return self._hits, self._misses, self._puts
 
     def stats(self) -> StoreStats:
         """Snapshot of the instance counters plus the on-disk contents."""

@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, StoreError, ValidationError
 from repro.protocols.registry import canonical_name, protocol_class
-from repro.runtime import BatchRunner, default_runner
+from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
 from repro.simulation.runner import SimulationConfig, simulate_protocol
@@ -707,29 +707,26 @@ def run_campaign(
         and out-of-tolerance cells are recorded as data; any non-infeasibility
         solver error is re-raised.
     """
-    # Imported here, not at module top: the api engine imports this module
-    # for the declarative ``campaign`` executor.
-    from repro.api.engine import build_grid_cell, solve_grid
-
     spec = spec if spec is not None else CampaignSpec()
-    runner = runner if runner is not None else default_runner()
-    if store is None:
-        store = getattr(runner.cache, "store", None)
+    runner = runner if runner is not None else build_runner()
+    if store is None and runner.cache is not None:
+        store = runner.cache.store
 
-    # Stage 1: solve every cell's bargaining game through the shared grid
-    # primitive (cached, deduplicated, construction failures as data).
-    cells_grid = [
-        build_grid_cell(
-            scenario_label=scenario_name,
-            protocol=protocol,
-            scenario=scenario_preset(scenario_name).scenario,
-            requirements=scenario_preset(scenario_name).requirements(),
-            solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
-        )
-        for scenario_name in spec.scenarios
-        for protocol in spec.protocols
-    ]
-    outcomes = solve_grid(cells_grid, runner)
+    # Stage 1: solve every cell's bargaining game in one batch (cached,
+    # deduplicated, construction failures and infeasibility as data).
+    outcomes = runner.run(
+        [
+            SolveTask.build(
+                protocol=protocol,
+                scenario=scenario_preset(scenario_name).scenario,
+                requirements=scenario_preset(scenario_name).requirements(),
+                solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
+                tag=(scenario_name, protocol),
+            )
+            for scenario_name in spec.scenarios
+            for protocol in spec.protocols
+        ]
+    )
 
     # Stage 2: fan every feasible cell's replications out over the executor.
     # ``pending`` keeps (scenario, protocol, model, params, analytical E/L,
@@ -739,10 +736,9 @@ def run_campaign(
     pending: List[Tuple[str, str, object, Dict[str, float], float, float, Tuple[int, ...]]] = []
     placements: List[Tuple[str, object]] = []
     for outcome in outcomes:
-        scenario_name = outcome.cell.scenario
-        protocol = outcome.cell.protocol
+        scenario_name, protocol = outcome.tag
         if outcome.ok:
-            model = outcome.cell.model
+            model = outcome.task.model
             params = model.coerce(outcome.solution.bargaining.point.parameters)
             seeds = tuple(
                 replication_seed(spec.base_seed, scenario_name, protocol, replication)

@@ -14,7 +14,7 @@ from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError
 from repro.protocols import XMACModel
-from repro.runtime import ThreadExecutor, build_runner
+from repro.runtime import ProcessExecutor, build_runner
 from repro.simulation import SimulationConfig
 
 #: Small inline scenario (matches the ``small_scenario`` fixture).
@@ -151,8 +151,8 @@ class TestValidation:
         config = SimulationConfig(horizon=800.0, seed=3)
         jobs = [(model, {"wakeup_interval": 0.4}), (model, {"wakeup_interval": 0.6})]
         serial = validate_protocols(jobs, config)
-        threaded = validate_protocols(jobs, config, executor=ThreadExecutor(workers=2))
-        assert [r.as_dict() for r in serial] == [r.as_dict() for r in threaded]
+        pooled = validate_protocols(jobs, config, executor=ProcessExecutor(workers=2))
+        assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
         assert [r.parameters["wakeup_interval"] for r in serial] == [0.4, 0.6]
 
 

@@ -157,6 +157,9 @@ class TestRunErrorPaths:
             ("solver", "bogus", 1),
             ("runtime", "sim_engine", "batched"),
             ("runtime", "solver_method", "exhaustive"),
+            ("runtime", "mode", "thread"),
+            ("runtime", "chunk_size", 4),
+            ("solver", "vectorize", False),
         ],
     )
     def test_unknown_section_key(self, capsys, tmp_path, section, key, value):
@@ -179,8 +182,18 @@ class TestRunErrorPaths:
             ({"kind": "campaign", "campaign": {"replications": "x"}}, "campaign.replications"),
             ({"kind": "suite", "scenarios": 5}, "scenarios"),
             ({"scenario": {"depth": "deep"}}, "scenario.depth"),
-            ({"runtime": {"chunk_size": 0}}, "runtime.chunk_size"),
-            ({"runtime": {"mode": "gpu"}}, "runtime.mode"),
+            # Refused, never inverted or truncated.
+            ({"runtime": {"cache": "false"}}, "runtime.cache"),
+            ({"runtime": {"cache": 0}}, "runtime.cache"),
+            ({"solver": {"grid_points": 30.9}}, "solver.grid_points"),
+            ({"solver": {"grid_points": True}}, "solver.grid_points"),
+            ({"solver": {"grid_points": "40"}}, "solver.grid_points"),
+            ({"kind": "validate", "simulation": {"seed": 1.5}}, "simulation.seed"),
+            ({"kind": "campaign", "campaign": {"replications": 2.9}}, "campaign.replications"),
+            ({"kind": "campaign", "campaign": {"replications": True}}, "campaign.replications"),
+            ({"runtime": {"workers": 2.7}}, "runtime.workers"),
+            ({"scenario": {"depth": 4.5}}, "scenario.depth"),
+            ({"name": ["x"]}, "name"),
         ],
     )
     def test_malformed_value(self, capsys, tmp_path, patch, field):
@@ -227,6 +240,24 @@ class TestExitCodeContract:
                 [],
                 EXIT_ERROR,
                 id="runtime-solver-method",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"mode": "thread"}),
+                [],
+                EXIT_ERROR,
+                id="runtime-mode",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"chunk_size": 2}),
+                [],
+                EXIT_ERROR,
+                id="runtime-chunk-size",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, solver={"grid_points": 10, "vectorize": False}),
+                [],
+                EXIT_ERROR,
+                id="solver-vectorize",
             ),
             pytest.param(
                 dict(GOOD_SOLVE, solver={"grid_points": "abc"}),

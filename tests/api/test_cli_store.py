@@ -112,6 +112,11 @@ class TestRequireWarm:
         store = str(tmp_path / "store")
         code = cli_main(["run", spec, "--store", store, "--no-cache", "--require-warm"])
         assert code == 2
+        # A spec that turns the cache off bypasses the store the same way,
+        # so it cannot satisfy --require-warm either.
+        uncached = write_spec(tmp_path, dict(SWEEP, runtime={"cache": False}), "uncached.json")
+        assert cli_main(["run", uncached, "--store", store, "--require-warm"]) == 2
+        assert "--require-warm needs --store and the solve cache" in capsys.readouterr().err
 
 
 class TestWarmArtifactIdentity:

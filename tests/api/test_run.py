@@ -233,8 +233,10 @@ class TestResultSet:
         assert payload["spec_sha256"] == result.provenance
         assert len(payload["rows"]) == 2
 
-    def test_metadata_reports_the_runner(self, result):
-        assert result.metadata["runner"] == "serial[1]"
+    def test_telemetry_reports_the_runner_but_is_never_written(self, result):
+        assert result.telemetry == {"runner": "serial[1]", "cache_hits": 0, "cache_misses": 0}
+        assert result.metadata == {"plan": plan(result.spec).describe()}
+        assert "runner" not in result.json_text()
 
     def test_raw_is_only_the_campaign_artifact(self, result):
         assert result.raw is None

@@ -157,6 +157,18 @@ class TestFluent:
             ExperimentSpec.experiment("solve").with_solver(method="exhaustive")
         with pytest.raises(ConfigurationError, match="solver.feasibility_tolerance"):
             ExperimentSpec.experiment("solve").with_solver(feasibility_tolerance="tight")
+        with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): vectorize"):
+            ExperimentSpec.experiment("solve").with_solver(vectorize=False)
+
+    def test_runtime_policy_has_only_workers_and_cache(self):
+        spec = ExperimentSpec.experiment("solve").with_runtime(workers=2, cache=False)
+        assert spec.to_dict()["runtime"] == {"workers": 2, "cache": False}
+        with pytest.raises(TypeError):
+            spec.with_runtime(mode="thread")
+        with pytest.raises(ConfigurationError, match="runtime.cache"):
+            spec.with_runtime(cache="false")
+        with pytest.raises(ConfigurationError, match="runtime.workers"):
+            spec.with_runtime(workers=2.5)
 
 
 class TestHash:

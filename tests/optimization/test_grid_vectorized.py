@@ -1,7 +1,9 @@
-"""The vectorized grid-search path: equivalence, detection, forcing.
+"""The vectorized grid-search path: equivalence and detection.
 
-``grid_search`` has two evaluation paths that must be interchangeable bit
-for bit, down to the local minima they report; these tests pin the contract
+``grid_search`` evaluates a grid whole when every function carries a
+``.many`` twin, and must be interchangeable bit for bit with the scalar
+reference ``grid_search_scalar``, down to the local minima they report;
+these tests pin the contract
 on the real solver problems (P1, P2, P4) and on synthetic objectives that
 exercise the corner cases the scalar loop defines: non-finite margins,
 non-finite objectives, infeasible-only grids, exact ties (first optimum
@@ -22,7 +24,8 @@ from repro.core.problems import (
 from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import SolverError
-from repro.optimization.grid import batched, grid_search
+from repro.optimization import hybrid
+from repro.optimization.grid import batched, grid_search, grid_search_scalar
 from repro.protocols.registry import PAPER_PROTOCOL_NAMES, create_protocol
 from repro.scenario import default_scenario
 
@@ -64,12 +67,12 @@ def test_vectorized_path_bit_identical_on_solver_problems(protocol, maximize):
         problem = EnergyMinimizationProblem(model, requirements)
         objective = problem._energy_objective()  # noqa: SLF001 - testing the wiring
     constraints = problem.constraints()
+    # Every function carries a twin, so grid_search takes the batched path.
+    assert all(hasattr(function, "many") for function in (objective, *constraints))
     kwargs = {"points_per_dimension": 25, "maximize": maximize}
-    scalar = grid_search(objective, problem.space, constraints, vectorize=False, **kwargs)
-    vectorized = grid_search(objective, problem.space, constraints, vectorize=True, **kwargs)
-    auto = grid_search(objective, problem.space, constraints, **kwargs)
+    scalar = grid_search_scalar(objective, problem.space, constraints, **kwargs)
+    vectorized = grid_search(objective, problem.space, constraints, **kwargs)
     _assert_same_result(scalar, vectorized)
-    _assert_same_result(scalar, auto)
 
 
 @pytest.mark.parametrize("protocol", PAPER_PROTOCOL_NAMES)
@@ -79,26 +82,21 @@ def test_p2_problem_bit_identical(protocol):
     problem = DelayMinimizationProblem(model, _requirements(scenario))
     objective = problem._latency_objective()  # noqa: SLF001
     constraints = problem.constraints()
-    scalar = grid_search(
-        objective, problem.space, constraints, points_per_dimension=25, vectorize=False
-    )
-    vectorized = grid_search(
-        objective, problem.space, constraints, points_per_dimension=25, vectorize=True
-    )
+    scalar = grid_search_scalar(objective, problem.space, constraints, points_per_dimension=25)
+    vectorized = grid_search(objective, problem.space, constraints, points_per_dimension=25)
     _assert_same_result(scalar, vectorized)
 
 
 @pytest.mark.parametrize("protocol", PAPER_PROTOCOL_NAMES)
-def test_full_game_solution_bit_identical(protocol):
+def test_full_game_solution_bit_identical(protocol, monkeypatch):
     """End to end: a game solved with the vectorized grid stage equals the
-    scalar-stage solve on every reported float."""
+    solve whose grid stage is the scalar reference, on every reported float."""
     scenario = default_scenario()
     model = create_protocol(protocol, scenario)
     requirements = _requirements(scenario)
     fast = EnergyDelayGame(model, requirements, grid_points_per_dimension=30).solve()
-    slow = EnergyDelayGame(
-        model, requirements, grid_points_per_dimension=30, vectorize=False
-    ).solve()
+    monkeypatch.setattr(hybrid, "grid_search", grid_search_scalar)
+    slow = EnergyDelayGame(model, requirements, grid_points_per_dimension=30).solve()
     assert fast.energy_best == slow.energy_best
     assert fast.delay_best == slow.delay_best
     assert fast.energy_worst == slow.energy_worst
@@ -132,15 +130,8 @@ def test_auto_detection_falls_back_without_many():
     objective = _with_many(lambda x: float(x[0]), lambda grid: grid[:, 0])
     plain_constraint = lambda x: float(x[0]) - 0.25  # noqa: E731 - no .many twin
     result = grid_search(objective, _space(), [plain_constraint], points_per_dimension=17)
-    forced = grid_search(
-        objective, _space(), [plain_constraint], points_per_dimension=17, vectorize=False
-    )
-    _assert_same_result(result, forced)
-
-
-def test_vectorize_true_requires_batched_twins():
-    with pytest.raises(SolverError, match="batched .many twin"):
-        grid_search(lambda x: float(x[0]), _space(), vectorize=True)
+    reference = grid_search_scalar(objective, _space(), [plain_constraint], points_per_dimension=17)
+    _assert_same_result(result, reference)
 
 
 def test_non_finite_margins_skip_points_identically():
@@ -149,12 +140,8 @@ def test_non_finite_margins_skip_points_identically():
         lambda x: float("nan") if x[0] < 0.5 else 1.0,
         lambda grid: np.where(grid[:, 0] < 0.5, np.nan, 1.0),
     )
-    scalar = grid_search(
-        objective, _space(), [constraint], points_per_dimension=21, vectorize=False
-    )
-    vectorized = grid_search(
-        objective, _space(), [constraint], points_per_dimension=21, vectorize=True
-    )
+    scalar = grid_search_scalar(objective, _space(), [constraint], points_per_dimension=21)
+    vectorized = grid_search(objective, _space(), [constraint], points_per_dimension=21)
     _assert_same_result(scalar, vectorized)
     assert scalar.x[0] >= 0.5  # the nan half was skipped
 
@@ -164,8 +151,8 @@ def test_non_finite_objective_skips_points_identically():
         lambda x: float("inf") if x[0] < 0.5 else float(x[0]),
         lambda grid: np.where(grid[:, 0] < 0.5, np.inf, grid[:, 0]),
     )
-    scalar = grid_search(objective, _space(), points_per_dimension=21, vectorize=False)
-    vectorized = grid_search(objective, _space(), points_per_dimension=21, vectorize=True)
+    scalar = grid_search_scalar(objective, _space(), points_per_dimension=21)
+    vectorized = grid_search(objective, _space(), points_per_dimension=21)
     _assert_same_result(scalar, vectorized)
     assert scalar.x[0] >= 0.5
 
@@ -175,9 +162,9 @@ def test_all_points_non_finite_raises_identically():
         lambda x: float("nan"), lambda grid: np.full(grid.shape[0], np.nan)
     )
     with pytest.raises(SolverError):
-        grid_search(objective, _space(), points_per_dimension=5, vectorize=False)
+        grid_search_scalar(objective, _space(), points_per_dimension=5)
     with pytest.raises(SolverError):
-        grid_search(objective, _space(), points_per_dimension=5, vectorize=True)
+        grid_search(objective, _space(), points_per_dimension=5)
 
 
 def test_infeasible_grid_returns_least_violation_identically():
@@ -185,12 +172,8 @@ def test_infeasible_grid_returns_least_violation_identically():
     constraint = _with_many(
         lambda x: -1.0 - float(x[0]), lambda grid: -1.0 - grid[:, 0]
     )
-    scalar = grid_search(
-        objective, _space(), [constraint], points_per_dimension=11, vectorize=False
-    )
-    vectorized = grid_search(
-        objective, _space(), [constraint], points_per_dimension=11, vectorize=True
-    )
+    scalar = grid_search_scalar(objective, _space(), [constraint], points_per_dimension=11)
+    vectorized = grid_search(objective, _space(), [constraint], points_per_dimension=11)
     _assert_same_result(scalar, vectorized)
     assert not scalar.feasible
     assert scalar.x[0] == 0.0  # least violation at the lower edge
@@ -199,8 +182,8 @@ def test_infeasible_grid_returns_least_violation_identically():
 def test_exact_ties_keep_first_grid_point_identically():
     """A constant objective ties everywhere; both paths keep the first point."""
     objective = _with_many(lambda x: 1.0, lambda grid: np.ones(grid.shape[0]))
-    scalar = grid_search(objective, _space(), points_per_dimension=13, vectorize=False)
-    vectorized = grid_search(objective, _space(), points_per_dimension=13, vectorize=True)
+    scalar = grid_search_scalar(objective, _space(), points_per_dimension=13)
+    vectorized = grid_search(objective, _space(), points_per_dimension=13)
     _assert_same_result(scalar, vectorized)
     assert scalar.x[0] == 0.0
 
@@ -211,8 +194,8 @@ def test_exact_ties_keep_first_grid_point_identically():
 
 
 def _both_paths(objective, space, constraints=(), **kwargs):
-    scalar = grid_search(objective, space, constraints, vectorize=False, **kwargs)
-    vectorized = grid_search(objective, space, constraints, vectorize=True, **kwargs)
+    scalar = grid_search_scalar(objective, space, constraints, **kwargs)
+    vectorized = grid_search(objective, space, constraints, **kwargs)
     _assert_same_result(scalar, vectorized)
     return scalar.local_minima
 

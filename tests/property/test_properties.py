@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,9 @@ from repro.gametheory.nash import nash_bargaining_solution
 from repro.network.topology import RingTopology
 from repro.network.traffic import TrafficModel
 from repro.protocols import XMACModel
+from repro.protocols.registry import available_protocols, create_protocol
 from repro.scenario import Scenario
+from repro.scenarios import available_scenarios, scenario_preset
 from repro.simulation.mac.base import next_occurrence
 
 COMMON_SETTINGS = settings(
@@ -229,3 +233,41 @@ class TestProtocolModelProperties:
         assert np.isfinite(energy) and energy > 0
         assert np.isfinite(delay) and delay > 0
         assert energy <= scenario.radio.always_on_power * 1.05
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_model(scenario: str, protocol: str):
+    return create_protocol(protocol, scenario_preset(scenario).scenario)
+
+
+#: Rows inside the unit cube, mapped onto each model's parameter box.
+unit_rows = st.lists(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestBatchedModelProperties:
+    """The batched ``.many`` paths skip ``EnergyBreakdown`` validation, so
+    they are checked here directly: inside every built-in protocol's box,
+    under every scenario preset, energy and delay are finite and positive
+    and the capacity margin is finite."""
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    @pytest.mark.parametrize("scenario", available_scenarios())
+    @settings(max_examples=25, deadline=None)
+    @given(fractions=unit_rows)
+    def test_many_paths_finite_inside_the_box(self, scenario, protocol, fractions):
+        model = _preset_model(scenario, protocol)
+        space = model.parameter_space
+        lower, upper = space.lower_bounds, space.upper_bounds
+        dimension = lower.size
+        interior = np.array([row[:dimension] for row in fractions]) * (upper - lower) + lower
+        grid = np.clip(np.vstack([lower, upper, interior]), lower, upper)
+        energy = model.energy_many(grid)
+        latency = model.latency_many(grid)
+        margin = model.capacity_margin_many(grid)
+        assert np.all(np.isfinite(energy)) and np.all(energy > 0), grid[~(energy > 0)]
+        assert np.all(np.isfinite(latency)) and np.all(latency > 0), grid[~(latency > 0)]
+        assert np.all(np.isfinite(margin)), grid[~np.isfinite(margin)]

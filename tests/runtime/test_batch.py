@@ -1,4 +1,4 @@
-"""Tests for the batch runner: chunking, error capture, progress, caching."""
+"""Tests for the batch runner: error policy, in-batch dedup, caching."""
 
 from __future__ import annotations
 
@@ -8,17 +8,18 @@ from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import ConfigurationError
 from repro.runtime import (
     BatchRunner,
+    CacheStats,
+    ProcessExecutor,
     SolveCache,
     SolveTask,
-    ThreadExecutor,
     build_runner,
-    default_runner,
+    default_cache,
 )
 
 FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
 
 
-def _tasks(model, delays):
+def _tasks(model, delays, options=FAST):
     base = ApplicationRequirements(
         energy_budget=0.06, max_delay=6.0, sampling_rate=model.scenario.sampling_rate
     )
@@ -26,8 +27,7 @@ def _tasks(model, delays):
         SolveTask(
             model=model,
             requirements=base.with_max_delay(delay),
-            solver_options=dict(FAST),
-            label=model.name,
+            solver_options=dict(options),
             tag=delay,
         )
         for delay in delays
@@ -38,49 +38,48 @@ class TestRun:
     def test_outcomes_in_submission_order(self, xmac):
         outcomes = BatchRunner(cache=None).run(_tasks(xmac, [3.0, 2.0, 4.0]))
         assert [outcome.tag for outcome in outcomes] == [3.0, 2.0, 4.0]
-        assert [outcome.index for outcome in outcomes] == [0, 1, 2]
         assert all(outcome.ok for outcome in outcomes)
         assert all(outcome.solve_seconds > 0 for outcome in outcomes)
 
     def test_infeasible_value_does_not_poison_its_chunk(self, xmac):
-        # One chunk holds all three tasks; the infeasible middle value must
-        # be captured while its neighbours still solve.
-        runner = BatchRunner(cache=None, chunk_size=3)
-        outcomes = runner.run(_tasks(xmac, [3.0, 1e-4, 4.0]))
-        assert [outcome.ok for outcome in outcomes] == [True, False, True]
-        assert outcomes[1].infeasible
-        assert outcomes[1].solution is None
-        assert isinstance(outcomes[1].error, Exception)
+        # Five tasks on one worker dispatch in chunks of two, so the
+        # infeasible first value shares its chunk with 3.0, which must still
+        # be solved.
+        outcomes = BatchRunner(cache=None).run(_tasks(xmac, [1e-4, 3.0, 4.0, 5.0, 6.0]))
+        assert [outcome.ok for outcome in outcomes] == [False, True, True, True, True]
+        assert outcomes[0].infeasible
+        assert outcomes[0].solution is None
+        assert outcomes[0].error_message
 
     def test_empty_batch(self):
         assert BatchRunner().run([]) == []
 
-    def test_run_one(self, xmac):
-        outcome = BatchRunner(cache=None).run_one(_tasks(xmac, [3.0])[0])
-        assert outcome.ok and outcome.label == "X-MAC"
+    def test_non_infeasibility_errors_reraise(self, xmac):
+        # Only infeasibility is data: a solver option the backend rejects is
+        # a bug and must surface, not hide in an outcome.
+        with pytest.raises(TypeError):
+            BatchRunner(cache=None).run(_tasks(xmac, [3.0], {"no_such_option": 1}))
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(chunk_size=0)
+    def test_unbuildable_model_is_data_and_not_dispatched(self, xmac):
+        unbuildable = SolveTask(
+            model=None,
+            requirements=_tasks(xmac, [3.0])[0].requirements,
+            tag="broken",
+            build_error="model construction failed: empty box",
+        )
+        outcomes = BatchRunner(cache=SolveCache()).run([unbuildable, *_tasks(xmac, [3.0])])
+        assert not outcomes[0].ok and not outcomes[0].infeasible
+        assert outcomes[0].error_message == "model construction failed: empty box"
+        assert outcomes[0].solve_seconds == 0.0
+        assert outcomes[1].ok
 
-
-class TestProgress:
-    def test_progress_reaches_total(self, xmac):
-        calls = []
-        runner = BatchRunner(cache=None, chunk_size=1, progress=lambda d, t: calls.append((d, t)))
-        runner.run(_tasks(xmac, [2.0, 3.0, 4.0]))
-        assert calls[0] == (0, 3)
-        assert calls[-1] == (3, 3)
-        done = [d for d, _ in calls]
-        assert done == sorted(done)
-
-    def test_cache_hits_count_as_progress(self, xmac):
-        cache = SolveCache()
-        tasks = _tasks(xmac, [2.0, 3.0])
-        BatchRunner(cache=cache).run(tasks)
-        calls = []
-        BatchRunner(cache=cache, progress=lambda d, t: calls.append((d, t))).run(tasks)
-        assert calls[0] == (2, 2)
+    def test_build_captures_construction_failures(self, small_scenario):
+        requirements = ApplicationRequirements(energy_budget=0.06, max_delay=6.0)
+        task = SolveTask.build("no-such-protocol", small_scenario, requirements, FAST, tag=1)
+        assert task.model is None
+        assert task.build_error.startswith("model construction failed:")
+        built = SolveTask.build("xmac", small_scenario, requirements, FAST, tag=2)
+        assert built.model is not None and built.tag == 2
 
 
 class TestCaching:
@@ -90,8 +89,8 @@ class TestCaching:
         tasks = _tasks(xmac, [2.0, 3.0])
         first = runner.run(tasks)
         second = runner.run(tasks)
-        assert not any(outcome.from_cache for outcome in first)
-        assert all(outcome.from_cache for outcome in second)
+        assert all(outcome.solve_seconds > 0 for outcome in first)
+        assert all(outcome.solve_seconds == 0 for outcome in second)
         assert [a.solution.as_dict() for a in first] == [b.solution.as_dict() for b in second]
         stats = runner.cache_stats()
         assert (stats.hits, stats.misses) == (2, 2)
@@ -108,8 +107,8 @@ class TestCaching:
         tasks = _tasks(xmac, [3.0])
         runner.run(tasks)
         second = runner.run(tasks)[0]
-        assert not second.from_cache
-        assert runner.cache_stats().lookups == 0
+        assert second.solve_seconds > 0
+        assert runner.cache_stats() == CacheStats()
 
     def test_in_batch_duplicates_solved_once(self, xmac):
         cache = SolveCache()
@@ -120,7 +119,7 @@ class TestCaching:
         # The duplicate rides on the first occurrence's solve: one solve per
         # unique key, no cache lookup wasted on the duplicate.
         assert outcomes[2].solution is outcomes[0].solution
-        assert outcomes[2].from_cache and not outcomes[0].from_cache
+        assert outcomes[2].solve_seconds == 0 and outcomes[0].solve_seconds > 0
         assert runner.cache_stats().misses == 2
 
     def test_in_batch_duplicate_of_infeasible_task_shares_the_error(self, xmac):
@@ -128,22 +127,22 @@ class TestCaching:
         outcomes = runner.run(_tasks(xmac, [1e-4, 1e-4]))
         assert all(outcome.infeasible for outcome in outcomes)
         assert outcomes[1].error is outcomes[0].error
-        assert not outcomes[1].from_cache
 
     def test_parallel_runner_shares_cache_with_serial(self, xmac):
         cache = SolveCache()
         tasks = _tasks(xmac, [2.0, 3.0, 4.0])
         BatchRunner(cache=cache).run(tasks)
-        parallel = BatchRunner(executor=ThreadExecutor(workers=2), cache=cache)
+        parallel = BatchRunner(executor=ProcessExecutor(workers=2), cache=cache)
         outcomes = parallel.run(tasks)
-        assert all(outcome.from_cache for outcome in outcomes)
+        assert all(outcome.solve_seconds == 0 for outcome in outcomes)
+        assert parallel.cache_stats().hits == 3
 
 
 class TestBuildRunner:
     def test_default_is_serial_and_cached(self):
         runner = build_runner()
         assert runner.executor.name == "serial"
-        assert runner.cache is not None
+        assert runner.cache is default_cache()
 
     def test_workers_select_process_pool(self):
         runner = build_runner(workers=3, use_cache=False)
@@ -152,18 +151,21 @@ class TestBuildRunner:
         assert runner.cache is None
         assert runner.describe() == "process[3]"
 
-    def test_explicit_cache_wins(self):
-        cache = SolveCache()
-        assert build_runner(cache=cache).cache is cache
+    def test_store_gets_a_fresh_cache_of_its_own(self, tmp_path):
+        from repro.store import ResultStore
 
-    def test_no_cache_beats_explicit_cache(self):
-        assert build_runner(use_cache=False, cache=SolveCache()).cache is None
+        store = ResultStore(tmp_path / "store")
+        runner = build_runner(store=store)
+        assert runner.cache is not default_cache()
+        assert runner.cache.store is store
+        assert runner.describe() == "serial[1]+cache+store"
 
-    def test_bad_mode_rejected(self):
+    def test_no_cache_bypasses_the_store_too(self, tmp_path):
+        from repro.store import ResultStore
+
+        runner = build_runner(use_cache=False, store=ResultStore(tmp_path / "store"))
+        assert runner.cache is None
+
+    def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_runner(workers=2, mode="quantum")
-
-    def test_default_runner_uses_global_cache(self):
-        from repro.runtime import default_cache
-
-        assert default_runner().cache is default_cache()
+            build_runner(workers=-1)

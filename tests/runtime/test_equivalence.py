@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import ExperimentSpec, ResultSet, run
 from repro.protocols.registry import available_protocols
-from repro.runtime import BatchRunner, SolveCache, build_runner
+from repro.runtime import BatchRunner, ProcessExecutor, SolveCache, build_runner
 
 #: Small inline scenario (matches the ``small_scenario`` fixture).
 SMALL = {"depth": 4, "density": 6, "sampling_period": 600.0, "radio": "cc2420"}
@@ -78,14 +78,14 @@ class TestCacheDeterminism:
         cache = SolveCache()
         runner = BatchRunner(cache=cache)
         fresh = run(spec, runner=runner)
-        assert (fresh.metadata["cache_hits"], fresh.metadata["cache_misses"]) == (
+        assert (fresh.telemetry["cache_hits"], fresh.telemetry["cache_misses"]) == (
             0,
             len(DELAYS),
         )
         cached = run(spec, runner=runner)
         # The counters are the shared cache's, so they accumulate: the
         # second run adds one hit per value and no miss.
-        assert (cached.metadata["cache_hits"], cached.metadata["cache_misses"]) == (
+        assert (cached.telemetry["cache_hits"], cached.telemetry["cache_misses"]) == (
             len(DELAYS),
             len(DELAYS),
         )
@@ -95,8 +95,8 @@ class TestCacheDeterminism:
     def test_cache_warmed_by_parallel_run_serves_serial_run(self):
         spec = _sweep("xmac", "max_delay", DELAYS)
         cache = SolveCache()
-        warm = run(spec, runner=build_runner(workers=2, cache=cache))
+        warm = run(spec, runner=BatchRunner(executor=ProcessExecutor(workers=2), cache=cache))
         served = run(spec, runner=BatchRunner(cache=cache))
-        assert served.metadata["cache_hits"] == len(DELAYS)
-        assert served.metadata["cache_misses"] == len(DELAYS)
+        assert served.telemetry["cache_hits"] == len(DELAYS)
+        assert served.telemetry["cache_misses"] == len(DELAYS)
         assert served.rows() == warm.rows()

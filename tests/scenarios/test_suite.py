@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.api import ExperimentSpec, ResultSet, plan, run
 from repro.exceptions import ConfigurationError
-from repro.runtime import SolveCache, build_runner
+from repro.runtime import BatchRunner, SolveCache, build_runner
 from repro.scenario import Scenario
 from repro.scenarios import (
     ScenarioPreset,
@@ -154,9 +154,9 @@ class TestRun:
 
     def test_suite_reuses_the_solve_cache(self):
         cache = SolveCache()
-        cold = _suite(("paper-default",), ("xmac",), runner=build_runner(workers=1, cache=cache))
-        warm = _suite(("paper-default",), ("xmac",), runner=build_runner(workers=1, cache=cache))
-        assert (warm.metadata["cache_hits"], warm.metadata["cache_misses"]) == (1, 1)
+        cold = _suite(("paper-default",), ("xmac",), runner=BatchRunner(cache=cache))
+        warm = _suite(("paper-default",), ("xmac",), runner=BatchRunner(cache=cache))
+        assert (warm.telemetry["cache_hits"], warm.telemetry["cache_misses"]) == (1, 1)
         assert cold.rows() == warm.rows()
 
     def test_suggested_requirements_feasible_for_paper_protocols(self):

@@ -195,16 +195,31 @@ class TestReplay:
         assert reopened.requeued == 1
         assert reopened.get(job.job_id).state == "queued"
 
-    def test_journal_naming_a_removed_key_is_a_named_error(self, tmp_path):
-        # A journal written before the solver-method and simulation-engine
-        # knobs were removed: replay refuses it by name, never silently.
+    @pytest.mark.parametrize(
+        "removed, named",
+        [
+            # Before the solver-method and simulation-engine knobs went.
+            (
+                {"solver": {"method": "exhaustive"}, "runtime": {"sim_engine": "scalar"}},
+                r"unknown solver key\(s\): method",
+            ),
+            # Before the executor-mode and chunk-size knobs went.
+            (
+                {"runtime": {"mode": "auto", "chunk_size": None}},
+                r"unknown runtime key\(s\): chunk_size, mode",
+            ),
+        ],
+        ids=["solver-method", "runtime-mode"],
+    )
+    def test_journal_naming_a_removed_key_is_a_named_error(self, tmp_path, removed, named):
+        # Replay refuses such a journal by name, never silently.
         queue = JobQueue(tmp_path)
-        job, _ = queue.submit(spec_of())
+        queue.submit(spec_of())
         queue.close()
         journal = tmp_path / "jobs.jsonl"
         event = json.loads(journal.read_text().splitlines()[0])
-        event["spec"]["solver"]["method"] = "exhaustive"
-        event["spec"]["runtime"]["sim_engine"] = "scalar"
+        for section, keys in removed.items():
+            event["spec"][section].update(keys)
         journal.write_text(json.dumps(event) + "\n")
-        with pytest.raises(JobError, match=r"line 1: unknown solver key\(s\): method"):
+        with pytest.raises(JobError, match="line 1: " + named):
             JobQueue(tmp_path)

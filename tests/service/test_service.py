@@ -172,19 +172,33 @@ class TestKillAndRestart:
 
 
 class TestParentFormatJournal:
-    def test_serve_refuses_a_journal_with_removed_keys(self, tmp_path, capsys):
-        # The journal a queue wrote before the solver-method and
-        # simulation-engine knobs were removed: every submit event carries
-        # them.  The service must refuse to start, naming the key — no
-        # traceback, and no job silently dropped.
+    @pytest.mark.parametrize(
+        "solver_keys, runtime_keys, named",
+        [
+            # Before the solver-method and simulation-engine knobs went.
+            (
+                {"method": "exhaustive", "coarse_points": 11, "refine_rounds": 3, "top_k": 3},
+                {"sim_engine": "scalar", "solver_method": None},
+                "unknown solver key(s): coarse_points, method, refine_rounds, top_k",
+            ),
+            # Before the executor-mode and chunk-size knobs went: every
+            # submit carries both, with their defaults.
+            ({}, {"mode": "auto", "chunk_size": None}, "unknown runtime key(s): chunk_size, mode"),
+        ],
+        ids=["solver-method", "runtime-mode"],
+    )
+    def test_serve_refuses_a_journal_with_removed_keys(
+        self, tmp_path, capsys, solver_keys, runtime_keys, named
+    ):
+        # Every submit event of such a journal carries the removed keys.
+        # The service must refuse to start, naming the key — no traceback,
+        # and no job silently dropped.
         from repro.cli import EXIT_ERROR, main as cli_main
 
         spec = ExperimentSpec.from_dict(SOLVE)
         payload = spec.to_dict()
-        payload["solver"].update(
-            method="exhaustive", coarse_points=11, refine_rounds=3, top_k=3
-        )
-        payload["runtime"].update(sim_engine="scalar", solver_method=None)
+        payload["solver"].update(solver_keys)
+        payload["runtime"].update(runtime_keys)
         queue_dir = tmp_path / "queue"
         queue_dir.mkdir()
         (queue_dir / "jobs.jsonl").write_text(
@@ -198,7 +212,7 @@ class TestParentFormatJournal:
         assert cli_main(argv) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: unreplayable submit on journal line 1: ")
-        assert "unknown solver key(s): coarse_points, method, refine_rounds, top_k" in err
+        assert named in err
         assert "Traceback" not in err
 
 
@@ -216,7 +230,14 @@ class TestErrorStatuses:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("solver", "method"), ("runtime", "sim_engine"), ("runtime", "solver_method")],
+        [
+            ("solver", "method"),
+            ("solver", "vectorize"),
+            ("runtime", "sim_engine"),
+            ("runtime", "solver_method"),
+            ("runtime", "mode"),
+            ("runtime", "chunk_size"),
+        ],
     )
     def test_submit_removed_key_is_400_naming_it(self, client, section, key):
         spec = {**SOLVE, section: {**SOLVE.get(section, {}), key: "x"}}
