@@ -10,7 +10,8 @@ in:
   and protocol overheads into on-air durations.
 * :mod:`repro.network.topology` — the ring ("concentric circles around the
   sink") abstraction used by the paper, plus a concrete unit-disk-graph
-  deployment and spanning-tree construction built on :mod:`networkx`.
+  deployment and its BFS gathering tree, kept as plain dicts (an adjacency
+  dict and a ``{child: parent}`` dict) so no graph library is needed.
 * :mod:`repro.network.traffic` — the periodic-traffic load equations
   (per-ring output, input, background traffic and input link counts).
 * :mod:`repro.network.deployment` — random uniform-density deployments used

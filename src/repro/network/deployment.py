@@ -13,11 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.topology import RingTopology, UnitDiskDeployment, build_gathering_tree
+from repro.network.topology import (
+    RingTopology,
+    UnitDiskDeployment,
+    build_gathering_tree,
+    hop_distances,
+)
 from repro.units import require_positive
 
 
@@ -75,19 +79,27 @@ def _sample_positions(config: DeploymentConfig, rng: np.random.Generator) -> Dic
     return positions
 
 
-def _unit_disk_graph(positions: Dict[int, Tuple[float, float]], radius: float) -> nx.Graph:
-    """Build the unit-disk connectivity graph for the given positions."""
-    graph = nx.Graph()
-    graph.add_nodes_from(positions)
+def _unit_disk_graph(
+    positions: Dict[int, Tuple[float, float]], radius: float
+) -> Dict[int, Tuple[int, ...]]:
+    """Unit-disk adjacency of the given positions, neighbours ascending."""
     ids = sorted(positions)
     coords = np.array([positions[node] for node in ids])
-    for i, node_i in enumerate(ids):
-        deltas = coords[i + 1 :] - coords[i]
-        distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        for offset, distance in enumerate(distances):
-            if distance <= radius:
-                graph.add_edge(node_i, ids[i + 1 + offset])
-    return graph
+    # One pairwise-distance array; entry (i, j) measures coords[j] - coords[i],
+    # and the upper triangle (i < j) decides each pair once.
+    dx = coords[None, :, 0] - coords[:, None, 0]
+    dy = coords[None, :, 1] - coords[:, None, 1]
+    linked = np.triu(np.hypot(dx, dy) <= radius, k=1)
+    linked |= linked.T
+    return {
+        node: tuple(ids[j] for j in np.flatnonzero(row).tolist())
+        for node, row in zip(ids, linked)
+    }
+
+
+def _connected(graph: Dict[int, Tuple[int, ...]]) -> bool:
+    """Whether every node of ``graph`` is reachable from the sink."""
+    return len(hop_distances(graph, 0)) == len(graph)
 
 
 def generate_deployment(
@@ -133,7 +145,7 @@ def generate_deployment(
         rng = np.random.default_rng(config.seed + attempt)
         positions = _sample_positions(config, rng)
         graph = _unit_disk_graph(positions, config.radius)
-        if not nx.is_connected(graph):
+        if not _connected(graph):
             last_error = ConfigurationError("sampled unit-disk graph is disconnected")
             continue
         tree = build_gathering_tree(graph, sink=0)
@@ -202,7 +214,7 @@ def ring_deployment(
             )
             node_id += 1
     graph = _unit_disk_graph(positions, radius)
-    if not nx.is_connected(graph):
+    if not _connected(graph):
         raise ConfigurationError(
             "ring deployment is disconnected; lower spacing_factor or raise density"
         )

@@ -12,19 +12,22 @@ Two levels of fidelity are provided:
 * :class:`RingTopology` — the purely analytical abstraction (only ``D`` and
   ``C`` matter).  This is what the closed-form energy/latency models consume.
 * :class:`UnitDiskDeployment` — a concrete random deployment with node
-  positions, a unit-disk connectivity graph (built with :mod:`networkx`) and
-  a BFS gathering tree.  This is what the discrete-event simulator consumes,
-  and it can be *summarized back* into a :class:`RingTopology` so the
-  analytical and simulated worlds stay comparable.
+  positions, a unit-disk connectivity graph (a plain adjacency dict) and a
+  BFS gathering tree (a ``{child: parent}`` dict).  This is what the
+  discrete-event simulator consumes, and it can be *summarized back* into a
+  :class:`RingTopology` so the analytical and simulated worlds stay
+  comparable.
+
+Graphs are plain mappings from a node id to its neighbours, so the
+standard library (a :class:`collections.deque` BFS) covers every graph
+operation the package needs.
 """
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.units import require_positive
@@ -147,17 +150,18 @@ class UnitDiskDeployment:
         positions: Mapping from node id to ``(x, y)`` coordinates.  Node ``0``
             is always the sink and sits at the origin.
         radius: Communication (unit-disk) radius.
-        graph: Undirected connectivity graph.
-        tree: Directed gathering tree; edges point from child to parent
-            (toward the sink).
+        graph: Undirected connectivity graph as an adjacency dict: every
+            node id maps to the tuple of its neighbours (stored sorted).
+        tree: Gathering tree as a ``{child: parent}`` dict, one entry per
+            non-sink node (edges point toward the sink).
         ring_of: Mapping from node id to its ring index (hop distance to the
             sink); the sink maps to ``0``.
     """
 
     positions: Dict[int, Tuple[float, float]]
     radius: float
-    graph: nx.Graph = field(repr=False)
-    tree: nx.DiGraph = field(repr=False)
+    graph: Dict[int, Tuple[int, ...]] = field(repr=False)
+    tree: Dict[int, int] = field(repr=False)
     ring_of: Dict[int, int] = field(default_factory=dict)
 
     SINK: int = field(default=0, init=False, repr=False)
@@ -166,8 +170,13 @@ class UnitDiskDeployment:
         require_positive("radius", self.radius)
         if self.SINK not in self.positions:
             raise ConfigurationError("deployment must contain the sink (node 0)")
+        self.graph = {node: tuple(sorted(nodes)) for node, nodes in self.graph.items()}
         if not self.ring_of:
-            self.ring_of = dict(nx.shortest_path_length(self.graph, source=self.SINK))
+            self.ring_of = hop_distances(self.graph, self.SINK)
+        children: Dict[int, List[int]] = {}
+        for child, parent in self.tree.items():
+            children.setdefault(parent, []).append(child)
+        self._children = {parent: tuple(sorted(nodes)) for parent, nodes in children.items()}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -196,18 +205,18 @@ class UnitDiskDeployment:
         """Return the tree parent of ``node`` (``None`` for the sink)."""
         if node == self.SINK:
             return None
-        successors = list(self.tree.successors(node))
-        if not successors:
+        parent = self.tree.get(node)
+        if parent is None:
             raise ConfigurationError(f"node {node} is not connected to the sink")
-        return successors[0]
+        return parent
 
     def children_of(self, node: int) -> List[int]:
-        """Return the tree children of ``node`` (may be empty)."""
-        return sorted(self.tree.predecessors(node))
+        """Return the tree children of ``node``, ascending (may be empty)."""
+        return list(self._children.get(node, ()))
 
     def neighbours_of(self, node: int) -> List[int]:
-        """Return the unit-disk neighbours of ``node``."""
-        return sorted(self.graph.neighbors(node))
+        """Return the unit-disk neighbours of ``node``, ascending."""
+        return list(self.graph[node])
 
     def path_to_sink(self, node: int) -> List[int]:
         """Return the tree path from ``node`` to the sink, inclusive."""
@@ -241,7 +250,7 @@ class UnitDiskDeployment:
         sensors = self.sensor_ids
         if not sensors:
             return 0.0
-        return sum(self.graph.degree(n) for n in sensors) / len(sensors)
+        return sum(len(self.graph[n]) for n in sensors) / len(sensors)
 
     def to_ring_topology(self) -> RingTopology:
         """Summarize this deployment into the analytical ring abstraction.
@@ -259,39 +268,56 @@ class UnitDiskDeployment:
 # ---------------------------------------------------------------------- #
 
 
-def build_gathering_tree(graph: nx.Graph, sink: int = 0) -> nx.DiGraph:
+def hop_distances(graph: Mapping[int, Sequence[int]], source: int) -> Dict[int, int]:
+    """Hop distance from ``source`` to every node it reaches, in BFS order.
+
+    ``graph`` maps each node to its neighbours; nodes ``source`` cannot
+    reach are absent from the result.
+    """
+    distances = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        hops = distances[node] + 1
+        for neighbour in graph[node]:
+            if neighbour not in distances:
+                distances[neighbour] = hops
+                frontier.append(neighbour)
+    return distances
+
+
+def build_gathering_tree(graph: Mapping[int, Sequence[int]], sink: int = 0) -> Dict[int, int]:
     """Build a shortest-path (BFS) gathering tree rooted at the sink.
 
-    Every node picks a parent among its neighbours that are strictly closer
-    to the sink.  To mirror the analytical assumption that relayed traffic is
-    split evenly over the nodes of a ring, the parent chosen is the candidate
-    that currently has the fewest children (ties broken by the smaller id).
-    The returned directed graph has one edge per non-sink node, pointing from
-    child to parent.
+    ``graph`` maps each node to its neighbours.  Every node picks a parent
+    among its neighbours that are strictly closer to the sink.  To mirror
+    the analytical assumption that relayed traffic is split evenly over the
+    nodes of a ring, the parent chosen is the candidate that currently has
+    the fewest children (ties broken by the smaller id).  The returned
+    ``{child: parent}`` dict has one entry per non-sink node.
 
     Raises:
         ConfigurationError: if some node has no path to the sink.
     """
     if sink not in graph:
         raise ConfigurationError(f"sink node {sink!r} is not in the graph")
-    distances = nx.shortest_path_length(graph, source=sink)
-    unreachable = set(graph.nodes) - set(distances)
+    distances = hop_distances(graph, sink)
+    unreachable = set(graph) - set(distances)
     if unreachable:
         raise ConfigurationError(
             f"{len(unreachable)} node(s) have no path to the sink: "
             f"{sorted(unreachable)[:5]}..."
         )
-    tree = nx.DiGraph()
-    tree.add_nodes_from(graph.nodes)
-    child_count: Dict[int, int] = {node: 0 for node in graph.nodes}
+    tree: Dict[int, int] = {}
+    child_count: Dict[int, int] = {node: 0 for node in graph}
     # Attach nodes ring by ring so parents' loads are known before deeper
     # rings choose; within a ring process in id order for determinism.
-    for node in sorted(graph.nodes, key=lambda n: (distances[n], n)):
+    for node in sorted(graph, key=lambda n: (distances[n], n)):
         if node == sink:
             continue
         closer = [
             neighbour
-            for neighbour in graph.neighbors(node)
+            for neighbour in graph[node]
             if distances[neighbour] == distances[node] - 1
         ]
         if not closer:
@@ -300,7 +326,7 @@ def build_gathering_tree(graph: nx.Graph, sink: int = 0) -> nx.DiGraph:
             )
         parent = min(closer, key=lambda candidate: (child_count[candidate], candidate))
         child_count[parent] += 1
-        tree.add_edge(node, parent)
+        tree[node] = parent
     return tree
 
 

@@ -5,6 +5,9 @@ and (P4) directly.  Because SLSQP is a local method and the energy models can
 have steep ``1/x`` terms near the lower bounds, the public entry point runs
 it from several starting points (box midpoint, corners biased toward each
 bound, and random interior points) and keeps the best feasible outcome.
+
+SciPy is imported by the first descent, not with this module, so a run that
+never polishes (planning, validation, warm replays) never loads it.
 """
 
 from __future__ import annotations
@@ -12,12 +15,20 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.parameters import ParameterSpace
 from repro.exceptions import SolverError
 from repro.optimization.grid import Constraint, Objective, _violation
 from repro.optimization.result import SolverResult
+
+
+def load_solver_backend() -> None:
+    """Import SciPy's optimizer now rather than at the first descent.
+
+    A process about to fork pool workers for pending solves calls this, so
+    every worker inherits the loaded module instead of importing it again.
+    """
+    import scipy.optimize  # noqa: F401
 
 
 def slsqp_solve(
@@ -38,6 +49,8 @@ def slsqp_solve(
     non-finite): SLSQP's ``ftol`` is absolute, so an objective of order
     1e-5 J/s would otherwise count as converged at the start.
     """
+    from scipy import optimize
+
     sign = -1.0 if maximize else 1.0
     start_point = space.midpoint() if start is None else space.clip(start)
 

@@ -117,11 +117,13 @@ class _PoolExecutor(ExecutorPolicy):
 
     Kept apart from :class:`ProcessExecutor` because the end-to-end
     benchmark's layer trace (``perfbench/tracing.py``) wraps
-    ``_PoolExecutor.map_ordered`` by that name.  On Linux the pool uses the ``fork`` start method so workers inherit the
-    parent's imports (numpy/scipy warm-up is paid once) and the submitted
-    callables only need to be picklable by reference.  Elsewhere the
-    platform default is kept: forking is unsafe on macOS (Objective-C
-    runtime aborts post-fork) and unavailable on Windows.
+    ``_PoolExecutor.map_ordered`` by that name.  On Linux the pool uses
+    the ``fork`` start method so workers inherit the parent's imports
+    (NumPy, and SciPy once the batch runner has loaded it for pending
+    solves) and the submitted callables only need to be picklable by
+    reference.  Elsewhere the platform default is kept: forking is unsafe
+    on macOS (Objective-C runtime aborts post-fork) and unavailable on
+    Windows.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:

@@ -302,20 +302,25 @@ class JobQueue:
     # Worker side
     # ------------------------------------------------------------------ #
 
-    def claim(self, timeout: Optional[float] = None) -> Optional[Job]:
+    def claim(
+        self, timeout: Optional[float] = None, stop: Optional[threading.Event] = None
+    ) -> Optional[Job]:
         """Move the oldest queued job to ``running`` and return it.
 
         Args:
             timeout: Seconds to block waiting for work; ``None`` waits
                 forever.
+            stop: Give up once this event is set.  It is checked under the
+                queue lock, so setting it and then calling :meth:`wake`
+                releases a blocked claim at once.
 
         Returns:
             The claimed job, or ``None`` when the timeout expired with the
-            queue empty.
+            queue empty or ``stop`` was set.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._has_work:
-            while True:
+            while stop is None or not stop.is_set():
                 for job_id in self._order:
                     job = self._jobs[job_id]
                     if job.state == "queued":
@@ -328,6 +333,12 @@ class JobQueue:
                     if remaining <= 0:
                         return None
                     self._has_work.wait(remaining)
+            return None
+
+    def wake(self) -> None:
+        """Wake every blocked :meth:`claim` to re-check its ``stop`` event."""
+        with self._has_work:
+            self._has_work.notify_all()
 
     def finish(self, job_id: str, result_text: str,
                progress: Optional[Mapping[str, object]] = None) -> Job:

@@ -32,6 +32,8 @@ verbatim — so a POSTed spec answers byte-identically to
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -227,6 +229,45 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, text.encode("utf-8"))
 
 
+class _Server(ThreadingHTTPServer):
+    """The HTTP server, serving until :meth:`stop_serving` without polling.
+
+    ``serve_forever`` re-checks its shutdown flag only every 0.5 s, so a
+    stop would wait out that poll.  :meth:`serve_until_stopped` also
+    watches a wake-up socket, so :meth:`stop_serving` ends it at once.
+    """
+
+    daemon_threads = True
+    #: ``handle_request`` must not block: it only runs once the selector
+    #: has seen a connection waiting.
+    timeout = 0
+
+    def __init__(self, address: Tuple[str, int], service: "ExperimentService") -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self._wake_reader, self._wake_writer = socket.socketpair()
+
+    def serve_until_stopped(self) -> None:
+        """Accept and dispatch connections until :meth:`stop_serving`."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_reader in ready:
+                    return
+                self.handle_request()
+
+    def stop_serving(self) -> None:
+        """Make :meth:`serve_until_stopped` return now."""
+        self._wake_writer.send(b"\0")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
+
+
 class ExperimentService:
     """The assembled service: store + queue + worker pool + HTTP server.
 
@@ -258,7 +299,7 @@ class ExperimentService:
         self.pool = WorkerPool(self.queue, store=self.store, workers=workers)
         self._host = host
         self._port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -301,14 +342,12 @@ class ExperimentService:
         """Bind the socket and start the worker pool + serving thread."""
         if self._httpd is not None:
             return
-        httpd = ThreadingHTTPServer((self._host, self._port), _Handler)
-        httpd.daemon_threads = True
-        httpd.service = self  # type: ignore[attr-defined]
+        httpd = _Server((self._host, self._port), self)
         self._httpd = httpd
         self._host, self._port = httpd.server_address[0], httpd.server_address[1]
         self.pool.start()
         self._thread = threading.Thread(
-            target=httpd.serve_forever, name="repro-service-http", daemon=True
+            target=httpd.serve_until_stopped, name="repro-service-http", daemon=True
         )
         self._thread.start()
 
@@ -319,14 +358,18 @@ class ExperimentService:
                 self._thread.join(0.5)
 
     def stop(self) -> None:
-        """Stop serving, drain the workers, close the journal."""
+        """Stop serving, drain the workers, close the journal.
+
+        Neither the serving thread nor an idle worker is polled: both are
+        woken, so this returns as soon as any job still running finishes.
+        """
         if self._httpd is not None:
-            self._httpd.shutdown()
+            self._httpd.stop_serving()
+            if self._thread is not None:
+                self._thread.join(5.0)
+                self._thread = None
             self._httpd.server_close()
             self._httpd = None
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
         self.pool.stop()
         self.queue.close()
 

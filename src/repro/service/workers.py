@@ -35,9 +35,6 @@ _PROGRESS_KEYS = (
     "store_puts",
 )
 
-#: How often an idle worker re-checks for shutdown, in seconds.
-_CLAIM_TIMEOUT = 0.2
-
 
 class WorkerPool:
     """Daemon threads executing queued jobs on a shared result store.
@@ -82,17 +79,21 @@ class WorkerPool:
             self._threads.append(thread)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Ask the workers to finish their current job and join them."""
+        """Ask the workers to finish their current job and join them.
+
+        Idle workers blocked in :meth:`JobQueue.claim` are woken at once.
+        """
         self._stop.set()
+        self._queue.wake()
         for thread in self._threads:
             thread.join(timeout)
         self._threads = []
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            job = self._queue.claim(timeout=_CLAIM_TIMEOUT)
+        while True:
+            job = self._queue.claim(stop=self._stop)
             if job is None:
-                continue
+                return
             self._execute(job)
 
     def _execute(self, job: Job) -> None:

@@ -43,9 +43,11 @@ def student_t_critical(confidence: float, dof: int) -> float:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence!r}")
     if dof < 1:
         raise ValidationError(f"degrees of freedom must be >= 1, got {dof!r}")
-    from scipy.stats import t as student_t
+    # The inverse Student-t CDF ``scipy.stats.t.ppf`` evaluates, without
+    # loading ``scipy.stats`` (a second import as costly as the optimizer's).
+    from scipy.special import stdtrit
 
-    return float(student_t.ppf((1.0 + confidence) / 2.0, dof))
+    return float(stdtrit(dof, (1.0 + confidence) / 2.0))
 
 
 class StreamingMoments:

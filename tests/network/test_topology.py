@@ -6,7 +6,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.network.deployment import chain_deployment, generate_deployment, ring_deployment
-from repro.network.topology import RingTopology, build_gathering_tree, ring_histogram
+from repro.network.topology import (
+    RingTopology,
+    build_gathering_tree,
+    hop_distances,
+    ring_histogram,
+)
 
 
 class TestRingTopology:
@@ -108,20 +113,48 @@ class TestDeployments:
         assert summary.density >= 1
 
     def test_build_gathering_tree_rejects_disconnected_graph(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1, 2])
-        graph.add_edge(0, 1)
-        with pytest.raises(ConfigurationError):
+        graph = {0: (1,), 1: (0,), 2: ()}
+        with pytest.raises(ConfigurationError, match=r"1 node\(s\) have no path"):
             build_gathering_tree(graph, sink=0)
 
     def test_build_gathering_tree_requires_known_sink(self):
-        import networkx as nx
-
-        graph = nx.path_graph(3)
-        with pytest.raises(ConfigurationError):
+        graph = {0: (1,), 1: (0, 2), 2: (1,)}
+        with pytest.raises(ConfigurationError, match="sink node 99"):
             build_gathering_tree(graph, sink=99)
+
+    def test_build_gathering_tree_balances_parents_on_a_plain_dict(self):
+        # Two relays at one hop; the four outer nodes alternate between them
+        # (fewest children first, then the smaller id).
+        graph = {
+            0: (1, 2),
+            1: (0, 3, 4, 5, 6),
+            2: (0, 3, 4, 5, 6),
+            3: (1, 2),
+            4: (1, 2),
+            5: (1, 2),
+            6: (1, 2),
+        }
+        assert build_gathering_tree(graph, sink=0) == {1: 0, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2}
+
+    def test_hop_distances_skip_unreachable_nodes(self):
+        graph = {0: (1,), 1: (0, 2), 2: (1,), 3: ()}
+        assert hop_distances(graph, 0) == {0: 0, 1: 1, 2: 2}
+
+    def test_deployment_graph_and_tree_are_plain_dicts(self):
+        deployment = chain_deployment(depth=3)
+        assert deployment.graph == {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}
+        assert deployment.tree == {1: 0, 2: 1, 3: 2}
+        assert deployment.children_of(1) == [2]
+        assert deployment.children_of(3) == []
+
+    def test_neighbours_of_returns_a_fresh_ascending_list(self):
+        deployment = ring_deployment(depth=2, density=4, seed=0)
+        for node in deployment.node_ids:
+            neighbours = deployment.neighbours_of(node)
+            assert isinstance(neighbours, list)
+            assert neighbours == sorted(neighbours)
+            neighbours.append(-1)  # the caller's copy, not the graph
+            assert -1 not in deployment.neighbours_of(node)
 
     def test_ring_deployment_invalid_spacing_rejected(self):
         with pytest.raises(ConfigurationError):

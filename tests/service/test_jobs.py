@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -111,6 +112,31 @@ class TestStateMachine:
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(spec_of())
         assert queue.result_text(job.job_id) is None
+
+
+class TestWake:
+    def test_wake_releases_a_claim_blocked_without_timeout(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        stop = threading.Event()
+        claimed = []
+        waiter = threading.Thread(target=lambda: claimed.append(queue.claim(stop=stop)))
+        waiter.start()
+        stop.set()
+        queue.wake()
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+        assert claimed == [None]
+        queue.close()
+
+    def test_claim_with_stop_set_leaves_work_queued(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        stop = threading.Event()
+        stop.set()
+        assert queue.claim(stop=stop) is None
+        assert queue.get(job.job_id).state == "queued"
+        assert queue.claim(timeout=0, stop=threading.Event()).job_id == job.job_id
+        queue.close()
 
 
 class TestReplay:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -169,6 +170,54 @@ class TestKillAndRestart:
             assert client.wait(str(running.job_id), timeout=120) == direct_bytes(
                 SWEEP, tmp_path / "direct-sweep"
             )
+
+
+class TestStop:
+    def test_stop_wakes_idle_threads_at_once(self, tmp_path):
+        service = ExperimentService(store_dir=tmp_path / "store", workers=2)
+        service.start()
+        threads = [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith(("repro-worker-", "repro-service-http"))
+        ]
+        assert len(threads) == 3
+        started = time.perf_counter()
+        service.stop()
+        elapsed = time.perf_counter() - started
+        assert not any(thread.is_alive() for thread in threads)
+        # Nothing is polled: neither serve_forever's 0.5 s shutdown poll nor
+        # a claim timeout is waited out.
+        assert elapsed < 0.4
+
+    def test_job_running_at_stop_still_finishes(self, tmp_path, monkeypatch):
+        # The job is held until stop() wakes the queue, so it is still
+        # running when the workers are told to stop.
+        service = ExperimentService(store_dir=tmp_path / "store", workers=1)
+        running = threading.Event()
+        release = threading.Event()
+        execute, wake = service.pool._execute, service.queue.wake
+
+        def held_execute(job):
+            running.set()
+            release.wait(30.0)
+            execute(job)
+
+        def wake_and_release():
+            wake()
+            release.set()
+
+        monkeypatch.setattr(service.pool, "_execute", held_execute)
+        monkeypatch.setattr(service.queue, "wake", wake_and_release)
+        service.start()
+        job, _ = service.queue.submit(ExperimentSpec.from_dict(SOLVE))
+        assert running.wait(30.0)
+        service.stop()
+        assert release.is_set()
+        assert service.queue.get(job.job_id).state == "done"
+        assert service.queue.result_text(job.job_id) == direct_bytes(
+            SOLVE, tmp_path / "direct"
+        ).decode("utf-8")
 
 
 class TestParentFormatJournal:

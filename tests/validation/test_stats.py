@@ -56,6 +56,25 @@ class TestStudentT:
         assert student_t_critical(0.95, 4) == pytest.approx(2.776, abs=1e-3)
         assert student_t_critical(0.95, 10) == pytest.approx(2.228, abs=1e-3)
 
+    def test_bit_identical_to_scipy_stats_t_ppf(self):
+        # The quantile comes from scipy.special (no scipy.stats import); it
+        # must be the exact bits scipy.stats.t.ppf returns.
+        from scipy.stats import t as student_t
+
+        levels = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+        dofs = [*range(1, 400), 1_000, 5_000, 1_000_000]
+        grid = [(confidence, dof) for confidence in levels for dof in dofs]
+        expected = student_t.ppf(
+            [(1.0 + confidence) / 2.0 for confidence, _ in grid], [dof for _, dof in grid]
+        )
+        mismatches = [
+            (confidence, dof)
+            for (confidence, dof), reference in zip(grid, expected.tolist())
+            if student_t_critical(confidence, dof) != reference
+        ]
+        assert len(grid) == 2814
+        assert mismatches == []
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
             student_t_critical(1.0, 4)
