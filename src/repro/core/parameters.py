@@ -95,7 +95,8 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate parameter names: {names}")
         self._parameters: List[Parameter] = parameters
-        self._index: Dict[str, int] = {p.name: i for i, p in enumerate(parameters)}
+        self._names: Tuple[str, ...] = tuple(names)
+        self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -121,7 +122,7 @@ class ParameterSpace:
     @property
     def names(self) -> List[str]:
         """Parameter names in solver order."""
-        return [p.name for p in self._parameters]
+        return list(self._names)
 
     @property
     def dimension(self) -> int:
@@ -147,6 +148,25 @@ class ParameterSpace:
     # Conversions
     # ------------------------------------------------------------------ #
 
+    def checked_dict(self, values: Mapping[str, float]) -> Dict[str, float]:
+        """Check a ``{name: value}`` mapping and return its values as floats.
+
+        The result holds ``float(values[name])`` for every parameter, in
+        solver order, whatever the order or type of the input.
+
+        Raises:
+            ConfigurationError: if a parameter is missing or unknown names
+                are present.
+        """
+        if values.keys() != self._index.keys():
+            unknown = set(values) - set(self._index)
+            if unknown:
+                raise ConfigurationError(f"unknown parameter(s): {sorted(unknown)}")
+            missing = set(self._index) - set(values)
+            if missing:
+                raise ConfigurationError(f"missing parameter(s): {sorted(missing)}")
+        return {name: float(values[name]) for name in self._names}
+
     def to_array(self, values: Mapping[str, float]) -> np.ndarray:
         """Convert a ``{name: value}`` mapping into a solver-ordered array.
 
@@ -154,13 +174,7 @@ class ParameterSpace:
             ConfigurationError: if a parameter is missing or unknown names
                 are present.
         """
-        unknown = set(values) - set(self._index)
-        if unknown:
-            raise ConfigurationError(f"unknown parameter(s): {sorted(unknown)}")
-        missing = set(self._index) - set(values)
-        if missing:
-            raise ConfigurationError(f"missing parameter(s): {sorted(missing)}")
-        return np.array([float(values[name]) for name in self.names], dtype=float)
+        return np.array(list(self.checked_dict(values).values()), dtype=float)
 
     def to_dict(self, array: Sequence[float]) -> Dict[str, float]:
         """Convert a solver-ordered array into a ``{name: value}`` mapping."""
@@ -169,7 +183,7 @@ class ParameterSpace:
             raise ConfigurationError(
                 f"expected {self.dimension} values, got {array.shape[0]}"
             )
-        return {name: float(array[i]) for i, name in enumerate(self.names)}
+        return dict(zip(self._names, array.tolist()))
 
     # ------------------------------------------------------------------ #
     # Geometry

@@ -12,7 +12,7 @@ smooth box-constrained program that the solvers in
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -29,33 +29,17 @@ from repro.protocols.base import DutyCycledMACModel
 _BINDING_TOLERANCE = 1e-3
 
 
-def _binding_constraint(
-    model: DutyCycledMACModel,
-    requirements: ApplicationRequirements,
-    x: np.ndarray,
-) -> str:
-    """Classify which constraint is active at the point ``x``."""
-    energy = model.system_energy(x)
-    delay = model.system_latency(x)
-    space = model.parameter_space
-    if delay >= requirements.max_delay * (1.0 - _BINDING_TOLERANCE):
-        return "delay-bound"
-    if energy >= requirements.energy_budget * (1.0 - _BINDING_TOLERANCE):
-        return "energy-budget"
-    if model.capacity_margin(x) <= _BINDING_TOLERANCE * model.max_utilization:
-        return "capacity"
-    lower = space.lower_bounds
-    upper = space.upper_bounds
-    span = np.where(upper > lower, upper - lower, 1.0)
-    if np.any((x - lower) / span <= _BINDING_TOLERANCE) or np.any(
-        (upper - x) / span <= _BINDING_TOLERANCE
-    ):
-        return "parameter-bound"
-    return "interior"
-
-
 class _ProblemBase:
-    """Shared plumbing of the three optimization problems."""
+    """Shared plumbing of the three optimization problems.
+
+    ``E(X)``, ``L(X)`` and the capacity margin are evaluated at most once
+    per point over the problem's lifetime: every scalar objective and margin
+    reads them through a memo keyed on the point's float64 bytes.  SLSQP
+    asks for the same point many times (the start point twice, each
+    Jacobian's base point, and (P4)'s objective and margins share ``E`` and
+    ``L``), and the solver builds one problem per solve, so the memo stays
+    small.
+    """
 
     def __init__(
         self,
@@ -72,6 +56,9 @@ class _ProblemBase:
             )
         self._model = model
         self._requirements = requirements
+        self._energies: Dict[bytes, float] = {}
+        self._latencies: Dict[bytes, float] = {}
+        self._capacities: Dict[bytes, float] = {}
 
     @property
     def model(self) -> DutyCycledMACModel:
@@ -88,32 +75,71 @@ class _ProblemBase:
         """The decision-variable box."""
         return self._model.parameter_space
 
+    # ------------------------------------------------------------------ #
+    # Memoized scalar evaluations
+    # ------------------------------------------------------------------ #
+
+    def _memoized(
+        self, memo: Dict[bytes, float], evaluate: Callable[[np.ndarray], float], x: np.ndarray
+    ) -> float:
+        key = self._model.coerce_array(x).tobytes()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = evaluate(x)
+        return value
+
+    def _system_energy(self, x: np.ndarray) -> float:
+        return self._memoized(self._energies, self._model.system_energy, x)
+
+    def _system_latency(self, x: np.ndarray) -> float:
+        return self._memoized(self._latencies, self._model.system_latency, x)
+
+    def _capacity_margin(self, x: np.ndarray) -> float:
+        return self._memoized(self._capacities, self._model.capacity_margin, x)
+
     def _point(self, x: np.ndarray) -> TradeoffPoint:
         return TradeoffPoint(
             parameters=self._model.coerce(x),
-            energy=self._model.system_energy(x),
-            delay=self._model.system_latency(x),
+            energy=self._system_energy(x),
+            delay=self._system_latency(x),
         )
+
+    def _binding_constraint(self, x: np.ndarray) -> str:
+        """Classify which constraint is active at the point ``x``."""
+        model = self._model
+        requirements = self._requirements
+        energy = self._system_energy(x)
+        delay = self._system_latency(x)
+        space = model.parameter_space
+        if delay >= requirements.max_delay * (1.0 - _BINDING_TOLERANCE):
+            return "delay-bound"
+        if energy >= requirements.energy_budget * (1.0 - _BINDING_TOLERANCE):
+            return "energy-budget"
+        if self._capacity_margin(x) <= _BINDING_TOLERANCE * model.max_utilization:
+            return "capacity"
+        lower = space.lower_bounds
+        upper = space.upper_bounds
+        span = np.where(upper > lower, upper - lower, 1.0)
+        if np.any((x - lower) / span <= _BINDING_TOLERANCE) or np.any(
+            (upper - x) / span <= _BINDING_TOLERANCE
+        ):
+            return "parameter-bound"
+        return "interior"
 
     # The objectives and constraints handed to the solvers carry batched
     # ``.many`` twins (see :func:`repro.optimization.batched`) so the grid
     # stage evaluates whole parameter grids in a few NumPy calls instead of
-    # one Python call per point; SLSQP keeps using the scalar side.
+    # one Python call per point.  The twins bypass the memo; the scalar
+    # side, which SLSQP calls point by point, reads through it.
 
     def _energy_objective(self) -> Callable[[np.ndarray], float]:
-        model = self._model
-        return batched(model.system_energy, model.energy_many)
+        return batched(self._system_energy, self._model.energy_many)
 
     def _latency_objective(self) -> Callable[[np.ndarray], float]:
-        model = self._model
-        return batched(model.system_latency, model.latency_many)
+        return batched(self._system_latency, self._model.latency_many)
 
     def _capacity_constraint(self) -> Callable[[np.ndarray], float]:
-        model = self._model
-        return batched(
-            lambda x: model.capacity_margin(x),
-            lambda grid: model.capacity_margin_many(grid),
-        )
+        return batched(self._capacity_margin, self._model.capacity_margin_many)
 
 
 class EnergyMinimizationProblem(_ProblemBase):
@@ -132,7 +158,7 @@ class EnergyMinimizationProblem(_ProblemBase):
         max_delay = self._requirements.max_delay
         return [
             batched(
-                lambda x: max_delay - model.system_latency(x),
+                lambda x: max_delay - self._system_latency(x),
                 lambda grid: max_delay - model.latency_many(grid),
             ),
             self._capacity_constraint(),
@@ -168,7 +194,7 @@ class EnergyMinimizationProblem(_ProblemBase):
             feasible=True,
             solver=result.method,
             evaluations=result.evaluations,
-            binding_constraint=_binding_constraint(self._model, self._requirements, result.x),
+            binding_constraint=self._binding_constraint(result.x),
         )
 
 
@@ -188,7 +214,7 @@ class DelayMinimizationProblem(_ProblemBase):
         budget = self._requirements.energy_budget
         return [
             batched(
-                lambda x: budget - model.system_energy(x),
+                lambda x: budget - self._system_energy(x),
                 lambda grid: budget - model.energy_many(grid),
             ),
             self._capacity_constraint(),
@@ -224,7 +250,7 @@ class DelayMinimizationProblem(_ProblemBase):
             feasible=True,
             solver=result.method,
             evaluations=result.evaluations,
-            binding_constraint=_binding_constraint(self._model, self._requirements, result.x),
+            binding_constraint=self._binding_constraint(result.x),
         )
 
 
@@ -276,8 +302,8 @@ class NashBargainingProblem(_ProblemBase):
 
     def objective(self, x: np.ndarray) -> float:
         """``log(Eworst - E(X)) + log(Lworst - L(X))`` with a numerical floor."""
-        energy_gain = self._disagreement_energy - self._model.system_energy(x)
-        delay_gain = self._disagreement_delay - self._model.system_latency(x)
+        energy_gain = self._disagreement_energy - self._system_energy(x)
+        delay_gain = self._disagreement_delay - self._system_latency(x)
         floor_energy = self._LOG_FLOOR * self._disagreement_energy
         floor_delay = self._LOG_FLOOR * self._disagreement_delay
         return math.log(max(energy_gain, floor_energy)) + math.log(
@@ -309,8 +335,8 @@ class NashBargainingProblem(_ProblemBase):
 
     def nash_product(self, x: np.ndarray) -> float:
         """The raw Nash product ``(Eworst - E(X)) (Lworst - L(X))`` (clipped at 0)."""
-        energy_gain = max(0.0, self._disagreement_energy - self._model.system_energy(x))
-        delay_gain = max(0.0, self._disagreement_delay - self._model.system_latency(x))
+        energy_gain = max(0.0, self._disagreement_energy - self._system_energy(x))
+        delay_gain = max(0.0, self._disagreement_delay - self._system_latency(x))
         return energy_gain * delay_gain
 
     def constraints(self) -> List[Callable[[np.ndarray], float]]:
@@ -320,11 +346,11 @@ class NashBargainingProblem(_ProblemBase):
         delay_cap = min(self._requirements.max_delay, self._disagreement_delay)
         return [
             batched(
-                lambda x: budget - model.system_energy(x),
+                lambda x: budget - self._system_energy(x),
                 lambda grid: budget - model.energy_many(grid),
             ),
             batched(
-                lambda x: delay_cap - model.system_latency(x),
+                lambda x: delay_cap - self._system_latency(x),
                 lambda grid: delay_cap - model.latency_many(grid),
             ),
             self._capacity_constraint(),

@@ -12,7 +12,8 @@ never polishes (planning, validation, warm replays) never loads it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,12 +43,18 @@ def slsqp_solve(
 ) -> SolverResult:
     """Run a single SLSQP descent from ``start`` (default: box midpoint).
 
-    The objective and constraints are wrapped so that non-finite values are
-    replaced by large penalties, which keeps SLSQP from aborting when it
-    probes the boundary of the admissible region.  The objective SciPy sees
-    is divided by its magnitude at the start point (1 when that is zero or
-    non-finite): SLSQP's ``ftol`` is absolute, so an objective of order
-    1e-5 J/s would otherwise count as converged at the start.
+    The objective is wrapped so that a non-finite value becomes a large
+    penalty, which keeps SLSQP from aborting when it probes the boundary of
+    the admissible region; the constraint margins reach SciPy unchanged.
+    The objective SciPy sees is divided by its magnitude at the start point
+    (1 when that is zero or non-finite): SLSQP's ``ftol`` is absolute, so an
+    objective of order 1e-5 J/s would otherwise count as converged at the
+    start.
+
+    All margins go to SciPy as one vector-valued inequality constraint, so
+    each iteration builds their Jacobian in one finite-difference pass
+    rather than one per margin.  The steps and the per-column arithmetic are
+    the same either way, so the Jacobian rows are bit-identical.
     """
     from scipy import optimize
 
@@ -55,21 +62,22 @@ def slsqp_solve(
     start_point = space.midpoint() if start is None else space.clip(start)
 
     scale = abs(float(objective(start_point)))
-    if not np.isfinite(scale) or scale == 0.0:
+    if not math.isfinite(scale) or scale == 0.0:
         scale = 1.0
     evaluation_counter = {"count": 1}
 
     def safe_objective(point: np.ndarray) -> float:
         evaluation_counter["count"] += 1
         value = float(objective(np.asarray(point, dtype=float)))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             return 1e30
         return sign * value / scale
 
-    scipy_constraints = [
-        {"type": "ineq", "fun": (lambda point, c=c: float(c(np.asarray(point, dtype=float))))}
-        for c in constraints
-    ]
+    def margins(point: np.ndarray) -> np.ndarray:
+        point = np.asarray(point, dtype=float)
+        return np.array([float(constraint(point)) for constraint in constraints])
+
+    scipy_constraints = [{"type": "ineq", "fun": margins}] if constraints else []
 
     try:
         outcome = optimize.minimize(
@@ -86,7 +94,7 @@ def slsqp_solve(
     point = space.clip(np.asarray(outcome.x, dtype=float))
     violation = _violation(constraints, point)
     value = float(objective(point))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SolverError("SLSQP converged to a point with a non-finite objective")
     return SolverResult(
         x=point,

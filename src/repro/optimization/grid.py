@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +83,7 @@ def _violation(constraints: Sequence[Constraint], point: np.ndarray) -> float:
     worst = 0.0
     for constraint in constraints:
         margin = float(constraint(point))
-        if not np.isfinite(margin):
+        if not math.isfinite(margin):
             return float("inf")
         worst = max(worst, -margin)
     return worst

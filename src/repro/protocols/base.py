@@ -20,9 +20,11 @@ coercion and feasibility helpers shared by all of them.
 from __future__ import annotations
 
 import abc
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +64,7 @@ class EnergyBreakdown:
             "sleep",
         ):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(
                     f"EnergyBreakdown.{name} must be a finite non-negative number, got {value!r}"
                 )
@@ -283,9 +285,8 @@ class DutyCycledMACModel(abc.ABC):
         """Normalize any accepted parameter representation to a dictionary."""
         space = self.parameter_space
         if isinstance(params, Mapping):
-            # Validate names and ordering through the space round-trip.
-            return space.to_dict(space.to_array(params))
-        return space.to_dict(np.asarray(params, dtype=float))
+            return space.checked_dict(params)
+        return space.to_dict(params)
 
     def coerce_array(self, params: ParameterVector) -> np.ndarray:
         """Normalize any accepted parameter representation to a solver array."""
