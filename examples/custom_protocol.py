@@ -9,6 +9,11 @@ beacons, senders wait for the next beacon of their parent), registers it with
 and solves the game for it alongside X-MAC through the declarative
 experiment pipeline — the registry is what makes a user-defined name valid
 in an :class:`~repro.api.spec.ExperimentSpec`'s ``protocols`` field.
+It takes the scalar-only route (a :class:`DutyCycledMACModel` evaluates a
+grid row by row through its scalar methods), while the built-in protocols
+take the closed-form one: they derive from
+:class:`~repro.protocols.base.ClosedFormMACModel` and state each quantity
+once, as an expression that the point and grid paths both run.
 
 Run with::
 

@@ -99,6 +99,14 @@ def _sequence(owner: str, value: object) -> tuple:
     return tuple(value)
 
 
+def _names(owner: str, values: Sequence[object]) -> Tuple[str, ...]:
+    """The stripped entries of a name list, each of which must be a string."""
+    for index, value in enumerate(values):
+        if not isinstance(value, str):
+            raise ConfigurationError(f"{owner}[{index}] must be a string, got {value!r}")
+    return tuple(value.strip() for value in values)
+
+
 def _check_keys(owner: str, payload: object, known: Sequence[str]) -> None:
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
@@ -452,11 +460,9 @@ class ExperimentSpec:
             raise ConfigurationError(f"name must be a string, got {self.name!r}")
         object.__setattr__(self, "scenario", _normalize_scenario(self.scenario))
         object.__setattr__(
-            self, "scenarios", tuple(str(name).strip().lower() for name in self.scenarios)
+            self, "scenarios", tuple(name.lower() for name in _names("scenarios", self.scenarios))
         )
-        object.__setattr__(
-            self, "protocols", tuple(str(name).strip() for name in self.protocols)
-        )
+        object.__setattr__(self, "protocols", _names("protocols", self.protocols))
 
     # ------------------------------------------------------------------ #
     # Fluent construction

@@ -17,7 +17,7 @@ shared :class:`~repro.scenario.Scenario`:
 and the experiment drivers.
 """
 
-from repro.protocols.base import DutyCycledMACModel, EnergyBreakdown
+from repro.protocols.base import ClosedFormMACModel, DutyCycledMACModel, EnergyBreakdown
 from repro.protocols.xmac import XMACModel
 from repro.protocols.dmac import DMACModel
 from repro.protocols.lmac import LMACModel
@@ -30,6 +30,7 @@ from repro.protocols.registry import (
 )
 
 __all__ = [
+    "ClosedFormMACModel",
     "DutyCycledMACModel",
     "EnergyBreakdown",
     "XMACModel",

@@ -1,4 +1,4 @@
-"""Abstract base class for duty-cycled MAC analytical models.
+"""Abstract base classes for duty-cycled MAC analytical models.
 
 The paper requires, for every protocol, two system-wide cost functions of the
 tunable parameter vector ``X``:
@@ -9,12 +9,14 @@ tunable parameter vector ``X``:
 * ``L(X)`` — the end-to-end delay of the node farthest from the sink
   (ring ``D``), i.e. the sum of per-hop latencies along its path.
 
-Concrete subclasses (:class:`~repro.protocols.xmac.XMACModel`,
-:class:`~repro.protocols.dmac.DMACModel`,
-:class:`~repro.protocols.lmac.LMACModel`, …) provide the per-ring energy
-breakdown, the per-hop latency and the protocol-specific capacity
-constraints; this base class provides the aggregation logic, parameter
-coercion and feasibility helpers shared by all of them.
+A model takes one of two contracts, chosen by the class it derives from.
+A :class:`DutyCycledMACModel` subclass writes the scalar methods (per-ring
+energy breakdown, per-hop latency, duty cycle, capacity margin), and the
+batched ``.many`` methods evaluate a grid row by row through them.  A
+:class:`ClosedFormMACModel` subclass — every built-in protocol — states each
+quantity once, as an expression that both the point and the grid path run.
+Both share the aggregation logic, parameter coercion and feasibility helpers
+of :class:`DutyCycledMACModel`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 import abc
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Sequence, Union
+from types import SimpleNamespace
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +38,40 @@ from repro.scenario import Scenario
 
 #: A parameter vector may be given as a mapping, a sequence or a numpy array.
 ParameterVector = Union[Mapping[str, float], Sequence[float], np.ndarray]
+
+#: What a closed-form expression evaluates to: a Python float on the point
+#: path, a float64 column (one entry per grid row) on the grid path.
+Value = Union[float, np.ndarray]
+
+#: The argument ``x`` of a closed-form expression: the parameter values in
+#: parameter-space order, each a :data:`Value`.
+Values = Tuple[Value, ...]
+
+
+def minimum(a: Value, b: Value) -> Value:
+    """The bound ``a`` clipping the expression ``b``: ``min`` on floats, or
+    ``np.minimum`` when ``b`` is a column."""
+    return np.minimum(a, b) if isinstance(b, np.ndarray) else min(a, b)
+
+
+def maximum(a: Value, b: Value) -> Value:
+    """Like :func:`minimum`, with ``max`` and ``np.maximum``."""
+    return np.maximum(a, b) if isinstance(b, np.ndarray) else max(a, b)
+
+
+def _left_sum(values: Sequence[Value]) -> Value:
+    """Add ``values`` one at a time, left to right.
+
+    Every end-to-end delay folds its hops through here, and the grid path
+    adds the energy terms with it.  ``sum()`` is not this fold on every
+    Python: from CPython 3.12 on it compensates the rounding of floats
+    (Neumaier), so its last bits could differ from a grid path that adds
+    whole columns one at a time.
+    """
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
 
 
 @dataclass(frozen=True)
@@ -227,17 +264,23 @@ class DutyCycledMACModel(abc.ABC):
         """End-to-end delay (seconds) of a packet generated at ``source_ring``.
 
         Defaults to the farthest ring ``D``.  The delay is the sum of the
-        per-hop latencies along the shortest path ``d, d-1, …, 1``.
+        per-hop latencies along the shortest path ``d, d-1, …, 1``, added
+        left to right from ring 1.
         """
         params = self.coerce(params)
+        hops = self._hop_count(source_ring)
+        return _left_sum([self.hop_latency(params, ring) for ring in range(1, hops + 1)])
+
+    def _hop_count(self, source_ring: int | None) -> int:
+        """Hops from ``source_ring`` (default: the farthest ring) to the sink."""
         depth = self._scenario.depth
         if source_ring is None:
-            source_ring = depth
+            return depth
         if not (1 <= source_ring <= depth):
             raise ConfigurationError(
                 f"source_ring must be in [1, {depth}], got {source_ring!r}"
             )
-        return sum(self.hop_latency(params, ring) for ring in range(1, source_ring + 1))
+        return source_ring
 
     def system_latency(self, params: ParameterVector) -> float:
         """System-wide delay ``L(X) = max_n L_n`` (seconds): the ring-``D`` delay."""
@@ -334,9 +377,9 @@ class DutyCycledMACModel(abc.ABC):
     # The batched methods evaluate whole parameter grids at once and are the
     # hot path of the grid solver and the frontier extraction.  The base
     # implementations fall back to the scalar methods row by row, so any
-    # user-defined protocol is automatically correct; the built-in protocols
-    # override them with NumPy element-wise formulas that are *bit-identical*
-    # to the scalar path (same operations in the same order on float64).
+    # user-defined protocol is automatically correct; ClosedFormMACModel
+    # runs its expressions on whole columns instead, which is *bit-identical*
+    # to the scalar path (the same operations in the same order on float64).
     # Unlike the scalar path, the batched path does not validate each
     # point's energy breakdown — callers are expected to stay inside the
     # parameter box, where the breakdowns are well-formed by construction.
@@ -437,3 +480,128 @@ class DutyCycledMACModel(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(scenario={self._scenario.describe()})"
+
+
+class ClosedFormMACModel(DutyCycledMACModel):
+    """A model that states each quantity once, as a closed-form expression.
+
+    Every expression takes ``x``, the parameter values in parameter-space
+    order: Python floats when a scalar method is called with one point,
+    float64 columns when a ``.many`` method is called with a grid.  Written
+    with arithmetic and :func:`minimum`/:func:`maximum` only, an expression
+    computes the same bits on both paths, so this class derives every scalar
+    method and its ``.many`` twin from five of them: :meth:`energy_terms`,
+    :meth:`awake_fraction`, :meth:`hop_time`, :meth:`initial_wait` and
+    :meth:`bottleneck_load`.
+
+    It clips ``duty = min(1, awake)``, charges ``sleep = P_sleep ·
+    max(0, 1 − duty)``, sums the terms in :attr:`EnergyBreakdown.total`'s
+    order, takes the max over rings, adds the hops left to right after
+    :meth:`initial_wait`, and takes the capacity margin as
+    ``max_utilization − load``.  The scalar path stays on Python floats and
+    coerces its parameters once per call.  An expression's ``traffic`` is
+    one ring's :class:`RingTraffic` on the point path; on the grid path it
+    holds every ring at once, each rate a ``(rings, 1)`` column, so one
+    evaluation broadcasts over rings × grid rows.
+    """
+
+    # ------------------------------------------------------------------ #
+    # The expressions a subclass states
+    # ------------------------------------------------------------------ #
+
+    @abc.abstractmethod
+    def energy_terms(self, x: Values, traffic: RingTraffic) -> Values:
+        """The six :class:`EnergyBreakdown` terms before sleep, in field order (J/s)."""
+
+    @abc.abstractmethod
+    def awake_fraction(self, x: Values, traffic: RingTraffic) -> Value:
+        """Fraction of time the radio is awake, before it is clipped to 1."""
+
+    @abc.abstractmethod
+    def hop_time(self, x: Values) -> Value:
+        """Expected one-hop forwarding latency (seconds), the same at every ring."""
+
+    def initial_wait(self, x: Values) -> Value:
+        """Wait (seconds) charged once per packet before its first hop."""
+        del x
+        return 0.0
+
+    @abc.abstractmethod
+    def bottleneck_load(self, x: Values, traffic: RingTraffic) -> Value:
+        """Channel load of the bottleneck ring; the margin is
+        :attr:`max_utilization` minus this load."""
+
+    # Both paths, derived from the expressions.
+
+    def _point(self, params: ParameterVector) -> Tuple[float, ...]:
+        return tuple(self.coerce(params).values())
+
+    def _columns(self, grid: np.ndarray) -> Values:
+        return tuple(self.coerce_grid(grid).T)
+
+    def _duty(self, x: Values, traffic: RingTraffic) -> Value:
+        return minimum(1.0, self.awake_fraction(x, traffic))
+
+    def _sleep(self, x: Values, traffic: RingTraffic) -> Value:
+        return self._scenario.radio.power_sleep * maximum(0.0, 1.0 - self._duty(x, traffic))
+
+    def _breakdown(self, x: Values, ring: int) -> EnergyBreakdown:
+        traffic = self.ring_traffic(ring)
+        return EnergyBreakdown(*self.energy_terms(x, traffic), sleep=self._sleep(x, traffic))
+
+    def _latency(self, x: Values, hops: int) -> Value:
+        return self.initial_wait(x) + _left_sum([self.hop_time(x)] * hops)
+
+    def _margin(self, x: Values) -> Value:
+        traffic = self.ring_traffic(self._scenario.topology.bottleneck_ring)
+        return self.max_utilization - self.bottleneck_load(x, traffic)
+
+    def energy_breakdown(self, params: ParameterVector, ring: int) -> EnergyBreakdown:
+        return self._breakdown(self._point(params), ring)
+
+    def system_energy(self, params: ParameterVector) -> float:
+        x = self._point(params)
+        return max(self._breakdown(x, ring).total for ring in self._scenario.topology.rings())
+
+    def duty_cycle(self, params: ParameterVector, ring: int) -> float:
+        return self._duty(self._point(params), self.ring_traffic(ring))
+
+    def hop_latency(self, params: ParameterVector, ring: int) -> float:
+        del ring
+        return self.hop_time(self._point(params))
+
+    def e2e_latency(self, params: ParameterVector, source_ring: int | None = None) -> float:
+        return self._latency(self._point(params), self._hop_count(source_ring))
+
+    def capacity_margin(self, params: ParameterVector) -> float:
+        return self._margin(self._point(params))
+
+    @cached_property
+    def _ring_columns(self) -> SimpleNamespace:
+        """Every ring's traffic, each :class:`RingTraffic` field a ``(rings, 1)``
+        column (a memo outside the store identity, like :attr:`traffic_by_ring`)."""
+        rings = self.traffic_by_ring.values()
+        return SimpleNamespace(
+            **{
+                field.name: np.array([[getattr(traffic, field.name)] for traffic in rings])
+                for field in fields(RingTraffic)
+            }
+        )
+
+    def energy_many(self, grid: np.ndarray) -> np.ndarray:
+        x = self._columns(grid)
+        traffic = self._ring_columns
+        # The six terms and then sleep, added as EnergyBreakdown.total adds them.
+        total = _left_sum((*self.energy_terms(x, traffic), self._sleep(x, traffic)))
+        return np.broadcast_to(total, (len(self.traffic_by_ring), len(x[0]))).max(axis=0)
+
+    # A grid result is always one fresh value per row, even where an
+    # expression does not depend on ``x``.
+
+    def latency_many(self, grid: np.ndarray) -> np.ndarray:
+        x = self._columns(grid)
+        return np.full(len(x[0]), self._latency(x, self._scenario.depth))
+
+    def capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
+        x = self._columns(grid)
+        return np.full(len(x[0]), self._margin(x))

@@ -28,14 +28,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict
 
-import numpy as np
-
 from repro.core.parameters import Parameter, ParameterSpace
-from repro.protocols.base import DutyCycledMACModel, EnergyBreakdown, ParameterVector
+from repro.exceptions import ConfigurationError
+from repro.network.traffic import RingTraffic
+from repro.protocols.base import ClosedFormMACModel, Value, Values, minimum
 from repro.scenario import Scenario
 
 
-class DMACModel(DutyCycledMACModel):
+class DMACModel(ClosedFormMACModel):
     """Analytical energy/latency model of DMAC.
 
     Args:
@@ -64,14 +64,14 @@ class DMACModel(DutyCycledMACModel):
     ) -> None:
         super().__init__(scenario)
         if contention_window <= 0:
-            raise ValueError(f"contention_window must be positive, got {contention_window!r}")
+            raise ConfigurationError(f"contention_window must be positive, got {contention_window!r}")
         if sync_period <= 0:
-            raise ValueError(f"sync_period must be positive, got {sync_period!r}")
+            raise ConfigurationError(f"sync_period must be positive, got {sync_period!r}")
         self._contention_window = float(contention_window)
         self._sync_period = float(sync_period)
         self._max_frame = min(float(max_frame), scenario.sampling_period)
         if self._max_frame <= self.min_frame:
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_frame ({self._max_frame}) must exceed the minimum frame "
                 f"({self.min_frame})"
             )
@@ -119,9 +119,6 @@ class DMACModel(DutyCycledMACModel):
             ]
         )
 
-    def _frame_length(self, params: ParameterVector) -> float:
-        return self.coerce(params)[self.FRAME_LENGTH]
-
     @cached_property
     def _times(self) -> Dict[str, float]:
         radio = self.scenario.radio
@@ -137,8 +134,8 @@ class DMACModel(DutyCycledMACModel):
     # Energy
     # ------------------------------------------------------------------ #
 
-    def energy_breakdown(self, params: ParameterVector, ring: int) -> EnergyBreakdown:
-        """Per-node energy (J/s) of a ring-``d`` node running DMAC.
+    def energy_terms(self, x: Values, traffic: RingTraffic) -> Values:
+        """Per-node energy terms (J/s) of a ring-``d`` node running DMAC.
 
         Components:
 
@@ -150,14 +147,12 @@ class DMACModel(DutyCycledMACModel):
           reception itself happens inside the receive slot already counted as
           idle listening, so only the ack is extra),
         * overhear — background transmissions that fall inside the node's
-          awake window,
+          two scheduled slots,
         * sync — periodic SYNC exchange with the parent and the children.
         """
-        frame = self._frame_length(params)
+        (frame,) = x
         radio = self.scenario.radio
         times = self._times
-        traffic = self.ring_traffic(ring)
-
         carrier_sense = 2.0 * self.slot_time * radio.power_rx / frame
         transmit = traffic.output * (
             0.5 * self._contention_window * radio.power_rx
@@ -165,117 +160,45 @@ class DMACModel(DutyCycledMACModel):
             + times["ack"] * radio.power_rx
         )
         receive = traffic.input * times["ack"] * radio.power_tx
-        awake_fraction = min(1.0, 2.0 * self.slot_time / frame)
-        overhear = traffic.background * awake_fraction * times["data"] * radio.power_rx
+        scheduled_fraction = minimum(1.0, 2.0 * self.slot_time / frame)
+        overhear = traffic.background * scheduled_fraction * times["data"] * radio.power_rx
         sync_transmit = times["sync"] * radio.power_tx / self._sync_period
         sync_receive = (
             (1.0 + traffic.input_links) * times["sync"] * radio.power_rx / self._sync_period
         )
-        sleep = radio.power_sleep * max(0.0, 1.0 - self.duty_cycle(params, ring))
-        return EnergyBreakdown(
-            carrier_sense=carrier_sense,
-            transmit=transmit,
-            receive=receive,
-            overhear=overhear,
-            sync_transmit=sync_transmit,
-            sync_receive=sync_receive,
-            sleep=sleep,
-        )
+        return carrier_sense, transmit, receive, overhear, sync_transmit, sync_receive
 
     # ------------------------------------------------------------------ #
     # Latency, duty cycle, capacity
     # ------------------------------------------------------------------ #
 
-    def hop_latency(self, params: ParameterVector, ring: int) -> float:
+    def hop_time(self, x: Values) -> Value:
         """Forwarding latency of one hop once the packet is inside the wave.
 
         Under the staggered schedule the parent's transmit slot immediately
         follows its receive slot, so every relay hop costs one slot time.
-        The initial wait for the departure wave (``Tf / 2`` on average) is
-        accounted once per packet in :meth:`e2e_latency`.
+        The wait for the departure wave is :meth:`initial_wait`.
         """
-        del params, ring
+        del x
         return self.slot_time
 
-    def e2e_latency(self, params: ParameterVector, source_ring: int | None = None) -> float:
-        """End-to-end delay: initial ``Tf / 2`` wave wait plus one slot per hop."""
-        frame = self._frame_length(params)
-        return 0.5 * frame + super().e2e_latency(params, source_ring)
+    def initial_wait(self, x: Values) -> Value:
+        """A fresh packet waits ``Tf / 2`` on average for the departure wave."""
+        (frame,) = x
+        return 0.5 * frame
 
-    def duty_cycle(self, params: ParameterVector, ring: int) -> float:
-        """Fraction of time the radio is awake."""
-        frame = self._frame_length(params)
-        traffic = self.ring_traffic(ring)
-        awake = (
+    def awake_fraction(self, x: Values, traffic: RingTraffic) -> Value:
+        """Fraction of time the radio is awake: the two scheduled slots plus
+        contention and exchanges of the node's own traffic."""
+        (frame,) = x
+        return (
             2.0 * self.slot_time / frame
             + traffic.output * (0.5 * self._contention_window + self._times["exchange"])
             + traffic.input * self._times["ack"]
         )
-        return min(1.0, awake)
 
-    # ------------------------------------------------------------------ #
-    # Batched evaluation (bit-identical to the scalar formulas above)
-    # ------------------------------------------------------------------ #
-
-    def _duty_cycle_many(self, frame: np.ndarray, ring: int) -> np.ndarray:
-        """Element-wise twin of :meth:`duty_cycle` for a frame-length column."""
-        traffic = self.ring_traffic(ring)
-        awake = (
-            2.0 * self.slot_time / frame
-            + traffic.output * (0.5 * self._contention_window + self._times["exchange"])
-            + traffic.input * self._times["ack"]
-        )
-        return np.minimum(1.0, awake)
-
-    def energy_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``E(X)``: max over rings of the per-node energy."""
-        frame = self.coerce_grid(grid)[:, 0]
-        radio = self.scenario.radio
-        times = self._times
-        best = None
-        for ring in self.scenario.topology.rings():
-            traffic = self.ring_traffic(ring)
-            carrier_sense = 2.0 * self.slot_time * radio.power_rx / frame
-            transmit = traffic.output * (
-                0.5 * self._contention_window * radio.power_rx
-                + times["data"] * radio.power_tx
-                + times["ack"] * radio.power_rx
-            )
-            receive = traffic.input * times["ack"] * radio.power_tx
-            awake_fraction = np.minimum(1.0, 2.0 * self.slot_time / frame)
-            overhear = traffic.background * awake_fraction * times["data"] * radio.power_rx
-            sync_transmit = times["sync"] * radio.power_tx / self._sync_period
-            sync_receive = (
-                (1.0 + traffic.input_links) * times["sync"] * radio.power_rx / self._sync_period
-            )
-            sleep = radio.power_sleep * np.maximum(
-                0.0, 1.0 - self._duty_cycle_many(frame, ring)
-            )
-            total = (
-                carrier_sense + transmit + receive + overhear + sync_transmit + sync_receive + sleep
-            )
-            best = total if best is None else np.maximum(best, total)
-        return best
-
-    def latency_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``L(X)``: initial wave wait plus one slot per hop."""
-        frame = self.coerce_grid(grid)[:, 0]
-        hops = 0
-        for _ in range(1, self.scenario.depth + 1):
-            hops = hops + self.slot_time
-        return 0.5 * frame + hops
-
-    def capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized bottleneck capacity slack."""
-        frame = self.coerce_grid(grid)[:, 0]
-        bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = (
-            self.scenario.density * self.ring_traffic(bottleneck).peak_output * frame
-        )
-        return self.max_utilization - offered_per_frame
-
-    def capacity_margin(self, params: ParameterVector) -> float:
-        """Bottleneck capacity slack.
+    def bottleneck_load(self, x: Values, traffic: RingTraffic) -> Value:
+        """Bottleneck load in packets per frame.
 
         The transmit slot of ring 1 is shared by the ``C`` ring-1 nodes,
         which all sit in one collision domain around the sink, and the slot
@@ -285,9 +208,5 @@ class DMACModel(DutyCycledMACModel):
         :attr:`max_utilization` packets per frame.  The peak (bursty) rate
         is what must fit.
         """
-        frame = self._frame_length(params)
-        bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = (
-            self.scenario.density * self.ring_traffic(bottleneck).peak_output * frame
-        )
-        return self.max_utilization - offered_per_frame
+        (frame,) = x
+        return self.scenario.density * traffic.peak_output * frame

@@ -31,15 +31,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict
 
-import numpy as np
-
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import DutyCycledMACModel, EnergyBreakdown, ParameterVector
+from repro.network.traffic import RingTraffic
+from repro.protocols.base import ClosedFormMACModel, ParameterVector, Value, Values
 from repro.scenario import Scenario
 
 
-class LMACModel(DutyCycledMACModel):
+class LMACModel(ClosedFormMACModel):
     """Analytical energy/latency model of LMAC.
 
     Args:
@@ -145,23 +144,21 @@ class LMACModel(DutyCycledMACModel):
             ]
         )
 
-    def _slot_length(self, params: ParameterVector) -> float:
-        return self.coerce(params)[self.SLOT_LENGTH]
-
-    def _slot_count(self, params: ParameterVector) -> float:
-        return self.coerce(params)[self.SLOT_COUNT]
-
     def frame_length(self, params: ParameterVector) -> float:
         """Frame length ``Tf = N * slot_length`` in seconds."""
-        values = self.coerce(params)
-        return values[self.SLOT_LENGTH] * values[self.SLOT_COUNT]
+        return self._frame(self._point(params))
+
+    @staticmethod
+    def _frame(x: Values) -> Value:
+        slot, count = x
+        return slot * count
 
     # ------------------------------------------------------------------ #
     # Energy
     # ------------------------------------------------------------------ #
 
-    def energy_breakdown(self, params: ParameterVector, ring: int) -> EnergyBreakdown:
-        """Per-node energy (J/s) of a ring-``d`` node running LMAC.
+    def energy_terms(self, x: Values, traffic: RingTraffic) -> Values:
+        """Per-node energy terms (J/s) of a ring-``d`` node running LMAC.
 
         Components:
 
@@ -175,122 +172,46 @@ class LMACModel(DutyCycledMACModel):
         * sync transmit — the node's own control message, sent every frame
           regardless of traffic (this is LMAC's signature fixed cost).
         """
-        values = self.coerce(params)
-        slot = values[self.SLOT_LENGTH]
-        count = values[self.SLOT_COUNT]
-        frame = slot * count
+        count = x[1]
+        frame = self._frame(x)
         radio = self.scenario.radio
         times = self._times
-        traffic = self.ring_traffic(ring)
-
         # The node listens to every slot's guard + control except its own.
         carrier_sense = (count - 1.0) * times["listen_per_slot"] * radio.power_rx / frame
         transmit = traffic.output * times["data"] * radio.power_tx
         receive = traffic.input * times["data"] * radio.power_rx
         sync_transmit = (times["control"] + times["wakeup"]) * radio.power_tx / frame
-        sleep = radio.power_sleep * max(0.0, 1.0 - self.duty_cycle(params, ring))
-        return EnergyBreakdown(
-            carrier_sense=carrier_sense,
-            transmit=transmit,
-            receive=receive,
-            overhear=0.0,
-            sync_transmit=sync_transmit,
-            sync_receive=0.0,
-            sleep=sleep,
-        )
+        return carrier_sense, transmit, receive, 0.0, sync_transmit, 0.0
 
     # ------------------------------------------------------------------ #
     # Latency, duty cycle, capacity
     # ------------------------------------------------------------------ #
 
-    def hop_latency(self, params: ParameterVector, ring: int) -> float:
+    def hop_time(self, x: Values) -> Value:
         """Expected per-hop latency: wait for the forwarder's own slot.
 
         Slot assignments are not ordered along the routing path, so the
         expected wait at each hop is half a frame, plus the data section of
         the transmitting slot.
         """
-        del ring
-        return 0.5 * self.frame_length(params) + self._times["data"]
+        return 0.5 * self._frame(x) + self._times["data"]
 
-    def duty_cycle(self, params: ParameterVector, ring: int) -> float:
-        """Fraction of time the radio is awake."""
-        values = self.coerce(params)
-        slot = values[self.SLOT_LENGTH]
-        count = values[self.SLOT_COUNT]
-        frame = slot * count
+    def awake_fraction(self, x: Values, traffic: RingTraffic) -> Value:
+        """Fraction of time the radio is awake: every other slot's guard and
+        control section, the node's own control message, and its data."""
+        count = x[1]
+        frame = self._frame(x)
         times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
+        return (
             (count - 1.0) * times["listen_per_slot"] / frame
             + (times["control"] + times["wakeup"]) / frame
             + traffic.output * times["data"]
             + traffic.input * times["data"]
         )
-        return min(1.0, awake)
 
-    # ------------------------------------------------------------------ #
-    # Batched evaluation (bit-identical to the scalar formulas above)
-    # ------------------------------------------------------------------ #
-
-    def _duty_cycle_many(self, slot: np.ndarray, count: np.ndarray, ring: int) -> np.ndarray:
-        """Element-wise twin of :meth:`duty_cycle` for slot/count columns."""
-        frame = slot * count
-        times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
-            (count - 1.0) * times["listen_per_slot"] / frame
-            + (times["control"] + times["wakeup"]) / frame
-            + traffic.output * times["data"]
-            + traffic.input * times["data"]
-        )
-        return np.minimum(1.0, awake)
-
-    def energy_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``E(X)``: max over rings of the per-node energy."""
-        grid = self.coerce_grid(grid)
-        slot, count = grid[:, 0], grid[:, 1]
-        frame = slot * count
-        radio = self.scenario.radio
-        times = self._times
-        best = None
-        for ring in self.scenario.topology.rings():
-            traffic = self.ring_traffic(ring)
-            carrier_sense = (count - 1.0) * times["listen_per_slot"] * radio.power_rx / frame
-            transmit = traffic.output * times["data"] * radio.power_tx
-            receive = traffic.input * times["data"] * radio.power_rx
-            sync_transmit = (times["control"] + times["wakeup"]) * radio.power_tx / frame
-            sleep = radio.power_sleep * np.maximum(
-                0.0, 1.0 - self._duty_cycle_many(slot, count, ring)
-            )
-            total = carrier_sense + transmit + receive + 0.0 + sync_transmit + 0.0 + sleep
-            best = total if best is None else np.maximum(best, total)
-        return best
-
-    def latency_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``L(X)``: half a frame of slot wait per hop."""
-        grid = self.coerce_grid(grid)
-        frame = grid[:, 0] * grid[:, 1]
-        hop = 0.5 * frame + self._times["data"]
-        total = 0.0
-        for _ in range(1, self.scenario.depth + 1):
-            total = total + hop
-        return total
-
-    def capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized bottleneck capacity slack."""
-        grid = self.coerce_grid(grid)
-        frame = grid[:, 0] * grid[:, 1]
-        bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = self.ring_traffic(bottleneck).peak_output * frame
-        return self.max_utilization - offered_per_frame
-
-    def capacity_margin(self, params: ParameterVector) -> float:
-        """Bottleneck capacity slack: one data unit per owned slot per frame.
+    def bottleneck_load(self, x: Values, traffic: RingTraffic) -> Value:
+        """Bottleneck load: data units per owned slot per frame.
 
         The peak (bursty) output rate is what must fit into the owned slot.
         """
-        frame = self.frame_length(params)
-        bottleneck = self.scenario.topology.bottleneck_ring
-        offered_per_frame = self.ring_traffic(bottleneck).peak_output * frame
-        return self.max_utilization - offered_per_frame
+        return traffic.peak_output * self._frame(x)

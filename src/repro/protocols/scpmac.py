@@ -19,14 +19,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict
 
-import numpy as np
-
 from repro.core.parameters import Parameter, ParameterSpace
-from repro.protocols.base import DutyCycledMACModel, EnergyBreakdown, ParameterVector
+from repro.exceptions import ConfigurationError
+from repro.network.traffic import RingTraffic
+from repro.protocols.base import ClosedFormMACModel, Value, Values
 from repro.scenario import Scenario
 
 
-class SCPMACModel(DutyCycledMACModel):
+class SCPMACModel(ClosedFormMACModel):
     """Analytical energy/latency model of SCP-MAC.
 
     Args:
@@ -54,13 +54,13 @@ class SCPMACModel(DutyCycledMACModel):
     ) -> None:
         super().__init__(scenario)
         if sync_error <= 0 or sync_period <= 0:
-            raise ValueError("sync_error and sync_period must be positive")
+            raise ConfigurationError("sync_error and sync_period must be positive")
         self._sync_error = float(sync_error)
         self._sync_period = float(sync_period)
         self._min_poll = float(min_poll_interval)
         self._max_poll = min(float(max_poll_interval), scenario.sampling_period)
         if self._min_poll <= 0 or self._min_poll >= self._max_poll:
-            raise ValueError(
+            raise ConfigurationError(
                 f"SCP-MAC poll interval bounds are inconsistent: [{self._min_poll}, {self._max_poll}]"
             )
 
@@ -115,20 +115,21 @@ class SCPMACModel(DutyCycledMACModel):
             "exchange": packets.data_airtime(radio) + radio.turnaround_time + packets.ack_airtime(radio),
         }
 
-    def _poll_interval(self, params: ParameterVector) -> float:
-        return self.coerce(params)[self.POLL_INTERVAL]
-
     # ------------------------------------------------------------------ #
     # Energy
     # ------------------------------------------------------------------ #
 
-    def energy_breakdown(self, params: ParameterVector, ring: int) -> EnergyBreakdown:
-        """Per-node energy (J/s) of a ring-``d`` node running SCP-MAC."""
-        poll = self._poll_interval(params)
+    def energy_terms(self, x: Values, traffic: RingTraffic) -> Values:
+        """Per-node energy terms (J/s) of a ring-``d`` node running SCP-MAC.
+
+        One poll per interval, a short wake-up tone ahead of each data
+        exchange instead of a strobe train, half a tone per received or
+        overheard transmission, and the periodic SYNC exchange with the
+        node's neighbours.
+        """
+        (poll,) = x
         radio = self.scenario.radio
         times = self._times
-        traffic = self.ring_traffic(ring)
-
         carrier_sense = times["poll"] * radio.power_rx / poll
         transmit = traffic.output * (
             times["tone"] * radio.power_tx
@@ -145,125 +146,42 @@ class SCPMACModel(DutyCycledMACModel):
         sync_receive = (
             self.scenario.density * times["sync"] * radio.power_rx / self._sync_period
         )
-        sleep = radio.power_sleep * max(0.0, 1.0 - self.duty_cycle(params, ring))
-        return EnergyBreakdown(
-            carrier_sense=carrier_sense,
-            transmit=transmit,
-            receive=receive,
-            overhear=overhear,
-            sync_transmit=sync_transmit,
-            sync_receive=sync_receive,
-            sleep=sleep,
-        )
+        return carrier_sense, transmit, receive, overhear, sync_transmit, sync_receive
 
     # ------------------------------------------------------------------ #
     # Latency, duty cycle, capacity
     # ------------------------------------------------------------------ #
 
-    def hop_latency(self, params: ParameterVector, ring: int) -> float:
+    def hop_time(self, x: Values) -> Value:
         """Expected per-hop latency: wait for the next synchronized poll."""
-        del ring
-        poll = self._poll_interval(params)
+        (poll,) = x
         times = self._times
         return 0.5 * poll + times["tone"] + times["exchange"]
 
-    def duty_cycle(self, params: ParameterVector, ring: int) -> float:
-        """Fraction of time the radio is awake."""
-        poll = self._poll_interval(params)
+    def awake_fraction(self, x: Values, traffic: RingTraffic) -> Value:
+        """Fraction of time the radio is awake: polls, tones, exchanges and
+        the SYNC exchange."""
+        (poll,) = x
         times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
+        return (
             times["poll"] / poll
             + traffic.output * (times["tone"] + times["exchange"])
             + traffic.input * (0.5 * times["tone"] + times["exchange"])
             + traffic.background * 0.5 * times["tone"]
             + (1.0 + self.scenario.density) * times["sync"] / self._sync_period
         )
-        return min(1.0, awake)
 
-    # ------------------------------------------------------------------ #
-    # Batched evaluation (bit-identical to the scalar formulas above)
-    # ------------------------------------------------------------------ #
-
-    def _duty_cycle_many(self, poll: np.ndarray, ring: int) -> np.ndarray:
-        """Element-wise twin of :meth:`duty_cycle` for a poll-interval column."""
-        times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
-            times["poll"] / poll
-            + traffic.output * (times["tone"] + times["exchange"])
-            + traffic.input * (0.5 * times["tone"] + times["exchange"])
-            + traffic.background * 0.5 * times["tone"]
-            + (1.0 + self.scenario.density) * times["sync"] / self._sync_period
-        )
-        return np.minimum(1.0, awake)
-
-    def energy_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``E(X)``: max over rings of the per-node energy."""
-        poll = self.coerce_grid(grid)[:, 0]
-        radio = self.scenario.radio
-        times = self._times
-        best = None
-        for ring in self.scenario.topology.rings():
-            traffic = self.ring_traffic(ring)
-            carrier_sense = times["poll"] * radio.power_rx / poll
-            transmit = traffic.output * (
-                times["tone"] * radio.power_tx
-                + times["data"] * radio.power_tx
-                + times["ack"] * radio.power_rx
-            )
-            receive = traffic.input * (
-                0.5 * times["tone"] * radio.power_rx
-                + times["data"] * radio.power_rx
-                + times["ack"] * radio.power_tx
-            )
-            overhear = traffic.background * 0.5 * times["tone"] * radio.power_rx
-            sync_transmit = times["sync"] * radio.power_tx / self._sync_period
-            sync_receive = (
-                self.scenario.density * times["sync"] * radio.power_rx / self._sync_period
-            )
-            sleep = radio.power_sleep * np.maximum(
-                0.0, 1.0 - self._duty_cycle_many(poll, ring)
-            )
-            total = (
-                carrier_sense + transmit + receive + overhear + sync_transmit + sync_receive + sleep
-            )
-            best = total if best is None else np.maximum(best, total)
-        return best
-
-    def latency_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``L(X)``: one synchronized-poll wait per hop."""
-        poll = self.coerce_grid(grid)[:, 0]
-        times = self._times
-        hop = 0.5 * poll + times["tone"] + times["exchange"]
-        total = 0.0
-        for _ in range(1, self.scenario.depth + 1):
-            total = total + hop
-        return total
-
-    def capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized bottleneck channel-utilization slack."""
-        poll = self.coerce_grid(grid)[:, 0]
-        times = self._times
-        bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.ring_traffic(bottleneck)
-        per_second_airtime = (traffic.peak_output + traffic.peak_input) * (times["tone"] + times["exchange"])
-        contention_stretch = 1.0 + traffic.background * poll * times["exchange"]
-        return self.max_utilization - per_second_airtime * contention_stretch
-
-    def capacity_margin(self, params: ParameterVector) -> float:
-        """Bottleneck channel-utilization slack.
+    def bottleneck_load(self, x: Values, traffic: RingTraffic) -> Value:
+        """Bottleneck channel utilization.
 
         All transmissions in a neighbourhood are squeezed into the instants
         right after the synchronized polls, so contention is fiercer than in
         X-MAC; the per-poll traffic of the bottleneck neighbourhood — at its
         peak (bursty) rate — must fit into the admissible utilization.
         """
-        poll = self._poll_interval(params)
+        (poll,) = x
         times = self._times
-        bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.ring_traffic(bottleneck)
         per_second_airtime = (traffic.peak_output + traffic.peak_input) * (times["tone"] + times["exchange"])
         # The neighbourhood's packets all contend within the polling epochs.
         contention_stretch = 1.0 + traffic.background * poll * times["exchange"]
-        return self.max_utilization - per_second_airtime * contention_stretch
+        return per_second_airtime * contention_stretch

@@ -25,14 +25,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict
 
-import numpy as np
-
 from repro.core.parameters import Parameter, ParameterSpace
-from repro.protocols.base import DutyCycledMACModel, EnergyBreakdown, ParameterVector
+from repro.exceptions import ConfigurationError
+from repro.network.traffic import RingTraffic
+from repro.protocols.base import ClosedFormMACModel, Value, Values
 from repro.scenario import Scenario
 
 
-class XMACModel(DutyCycledMACModel):
+class XMACModel(ClosedFormMACModel):
     """Analytical energy/latency model of X-MAC.
 
     Args:
@@ -61,7 +61,7 @@ class XMACModel(DutyCycledMACModel):
         self._min_wakeup = float(min_wakeup_interval)
         self._max_wakeup = min(float(max_wakeup_interval), scenario.sampling_period)
         if self._min_wakeup <= 0 or self._min_wakeup >= self._max_wakeup:
-            raise ValueError(
+            raise ConfigurationError(
                 "X-MAC wake-up interval bounds are inconsistent: "
                 f"[{self._min_wakeup}, {self._max_wakeup}]"
             )
@@ -113,15 +113,12 @@ class XMACModel(DutyCycledMACModel):
             "exchange": data + radio.turnaround_time + ack,
         }
 
-    def _wakeup_interval(self, params: ParameterVector) -> float:
-        return self.coerce(params)[self.WAKEUP_INTERVAL]
-
     # ------------------------------------------------------------------ #
     # Energy
     # ------------------------------------------------------------------ #
 
-    def energy_breakdown(self, params: ParameterVector, ring: int) -> EnergyBreakdown:
-        """Per-node energy (J/s) of a ring-``d`` node running X-MAC.
+    def energy_terms(self, x: Values, traffic: RingTraffic) -> Values:
+        """Per-node energy terms (J/s) of a ring-``d`` node running X-MAC.
 
         Components:
 
@@ -132,13 +129,11 @@ class XMACModel(DutyCycledMACModel):
           packet,
         * overhear — one strobe period per background transmission (X-MAC's
           addressed strobes let non-targets abort early),
-        * sleep — residual sleep-mode draw.
+        * no synchronization: the protocol is asynchronous.
         """
-        wakeup = self._wakeup_interval(params)
+        (wakeup,) = x
         times = self._times
         radio = self.scenario.radio
-        traffic = self.ring_traffic(ring)
-
         carrier_sense = times["poll"] * radio.power_rx / wakeup
         transmit = traffic.output * (
             0.5 * wakeup * times["strobe_power"]
@@ -151,108 +146,34 @@ class XMACModel(DutyCycledMACModel):
             + times["data"] * radio.power_rx
         )
         overhear = traffic.background * 1.5 * times["strobe_period"] * radio.power_rx
-        sleep = radio.power_sleep * max(0.0, 1.0 - self.duty_cycle(params, ring))
-        return EnergyBreakdown(
-            carrier_sense=carrier_sense,
-            transmit=transmit,
-            receive=receive,
-            overhear=overhear,
-            sync_transmit=0.0,
-            sync_receive=0.0,
-            sleep=sleep,
-        )
+        return carrier_sense, transmit, receive, overhear, 0.0, 0.0
 
     # ------------------------------------------------------------------ #
     # Latency, duty cycle, capacity
     # ------------------------------------------------------------------ #
 
-    def hop_latency(self, params: ParameterVector, ring: int) -> float:
+    def hop_time(self, x: Values) -> Value:
         """Expected per-hop latency: half a wake-up interval of strobing plus
-        the strobe/ack handshake and the data exchange."""
-        del ring  # X-MAC's per-hop latency is ring-independent under low load
-        wakeup = self._wakeup_interval(params)
+        the strobe/ack handshake and the data exchange (ring-independent
+        under low load)."""
+        (wakeup,) = x
         times = self._times
         return 0.5 * wakeup + times["strobe_period"] + times["exchange"]
 
-    def duty_cycle(self, params: ParameterVector, ring: int) -> float:
-        """Fraction of time the radio is awake."""
-        wakeup = self._wakeup_interval(params)
+    def awake_fraction(self, x: Values, traffic: RingTraffic) -> Value:
+        """Fraction of time the radio is awake: polls, strobe trains,
+        exchanges and overheard strobes."""
+        (wakeup,) = x
         times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
+        return (
             times["poll"] / wakeup
             + traffic.output * (0.5 * wakeup + times["exchange"])
             + traffic.input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
             + traffic.background * 1.5 * times["strobe_period"]
         )
-        return min(1.0, awake)
 
-    # ------------------------------------------------------------------ #
-    # Batched evaluation (bit-identical to the scalar formulas above)
-    # ------------------------------------------------------------------ #
-
-    def _duty_cycle_many(self, wakeup: np.ndarray, ring: int) -> np.ndarray:
-        """Element-wise twin of :meth:`duty_cycle` for a wake-up column."""
-        times = self._times
-        traffic = self.ring_traffic(ring)
-        awake = (
-            times["poll"] / wakeup
-            + traffic.output * (0.5 * wakeup + times["exchange"])
-            + traffic.input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
-            + traffic.background * 1.5 * times["strobe_period"]
-        )
-        return np.minimum(1.0, awake)
-
-    def energy_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``E(X)``: max over rings of the per-node energy."""
-        wakeup = self.coerce_grid(grid)[:, 0]
-        times = self._times
-        radio = self.scenario.radio
-        best = None
-        for ring in self.scenario.topology.rings():
-            traffic = self.ring_traffic(ring)
-            carrier_sense = times["poll"] * radio.power_rx / wakeup
-            transmit = traffic.output * (
-                0.5 * wakeup * times["strobe_power"]
-                + times["data"] * radio.power_tx
-                + times["ack"] * radio.power_rx
-            )
-            receive = traffic.input * (
-                (0.5 * times["strobe_period"] + times["strobe"]) * radio.power_rx
-                + times["ack"] * radio.power_tx
-                + times["data"] * radio.power_rx
-            )
-            overhear = traffic.background * 1.5 * times["strobe_period"] * radio.power_rx
-            sleep = radio.power_sleep * np.maximum(
-                0.0, 1.0 - self._duty_cycle_many(wakeup, ring)
-            )
-            total = carrier_sense + transmit + receive + overhear + 0.0 + 0.0 + sleep
-            best = total if best is None else np.maximum(best, total)
-        return best
-
-    def latency_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized ``L(X)``: the ring-``D`` end-to-end delay."""
-        wakeup = self.coerce_grid(grid)[:, 0]
-        times = self._times
-        hop = 0.5 * wakeup + times["strobe_period"] + times["exchange"]
-        total = 0.0
-        for _ in range(1, self.scenario.depth + 1):
-            total = total + hop
-        return total
-
-    def capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
-        """Vectorized bottleneck channel-utilization slack."""
-        wakeup = self.coerce_grid(grid)[:, 0]
-        times = self._times
-        bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.ring_traffic(bottleneck)
-        busy = traffic.peak_output * (0.5 * wakeup + times["strobe_period"] + times["exchange"]) + (
-            traffic.peak_input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
-        )
-        return self.max_utilization - busy
-
-    def capacity_margin(self, params: ParameterVector) -> float:
-        """Bottleneck (ring-1) channel-utilization slack.
+    def bottleneck_load(self, x: Values, traffic: RingTraffic) -> Value:
+        """Bottleneck (ring-1) channel utilization.
 
         Each outgoing packet occupies the channel for the strobe train plus
         the data exchange; each incoming packet for the residual strobe plus
@@ -260,11 +181,8 @@ class XMACModel(DutyCycledMACModel):
         :attr:`max_utilization`.  Capacity is provisioned for the *peak*
         rates, so bursty traffic tightens this constraint.
         """
-        wakeup = self._wakeup_interval(params)
+        (wakeup,) = x
         times = self._times
-        bottleneck = self.scenario.topology.bottleneck_ring
-        traffic = self.ring_traffic(bottleneck)
-        busy = traffic.peak_output * (0.5 * wakeup + times["strobe_period"] + times["exchange"]) + (
+        return traffic.peak_output * (0.5 * wakeup + times["strobe_period"] + times["exchange"]) + (
             traffic.peak_input * (0.5 * times["strobe_period"] + times["strobe"] + times["exchange"])
         )
-        return self.max_utilization - busy

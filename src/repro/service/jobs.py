@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import threading
@@ -56,6 +57,14 @@ _RESULTS_DIR = "results"
 
 class JobError(ReproError):
     """A queue operation referenced an unknown job or an invalid transition."""
+
+
+def _finite_number(value: object) -> bool:
+    """Whether a JSON value is a finite number; a boolean is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)  # type: ignore[arg-type]
+    except (TypeError, OverflowError):  # not a number, or an integer beyond a float
+        return False
 
 
 @dataclasses.dataclass
@@ -119,7 +128,9 @@ class JobQueue:
 
     Raises:
         JobError: when the journal contains a structurally broken non-final
-            line (a torn *final* line is tolerated as a crash artifact).
+            line (a torn *final* line is tolerated as a crash artifact), or
+            an event that is not an object or has a field of the wrong type;
+            the message names the line and the field.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -183,10 +194,25 @@ class JobQueue:
                 requeued += 1
         return requeued
 
-    def _apply(self, event: Mapping[str, object], line: int) -> None:
-        """Apply one replayed journal event to the in-memory table."""
+    def _apply(self, event: object, line: int) -> None:
+        """Apply one replayed journal event to the in-memory table.
+
+        Raises:
+            JobError: naming the line (and the field) when the event is not
+                an object or a field has the wrong type.
+        """
+        if not isinstance(event, dict):
+            raise JobError(
+                f"journal line {line} is not an event object: {type(event).__name__}"
+            )
         kind = event.get("event")
-        job_id = str(event.get("job_id", ""))
+        job_id = event.get("job_id")
+        at = event.get("at", 0.0)
+        if not isinstance(job_id, str):
+            raise JobError(f"journal line {line}: job_id must be a string, got {job_id!r}")
+        if not _finite_number(at):
+            raise JobError(f"journal line {line}: at must be a finite number, got {at!r}")
+        at = float(at)
         if kind == "submit":
             try:
                 spec = ExperimentSpec.from_dict(event["spec"])
@@ -196,25 +222,33 @@ class JobQueue:
                 ) from None
             if job_id not in self._jobs:
                 self._order.append(job_id)
-            self._jobs[job_id] = Job(
-                job_id=job_id,
-                spec=spec,
-                submitted_at=float(event.get("at", 0.0)),
-            )
+            self._jobs[job_id] = Job(job_id=job_id, spec=spec, submitted_at=at)
         elif kind == "state":
             job = self._jobs.get(job_id)
             if job is None:
                 raise JobError(
                     f"journal line {line} transitions unknown job {job_id[:12]}…"
                 )
-            job.state = str(event.get("state", job.state))
+            state = event.get("state", job.state)
+            if state not in JOB_STATES:
+                raise JobError(
+                    f"journal line {line}: state must be one of "
+                    f"{', '.join(JOB_STATES)}, got {state!r}"
+                )
+            for name in ("error", "error_kind"):
+                if not isinstance(event.get(name, ""), str):
+                    raise JobError(
+                        f"journal line {line}: {name} must be a string, "
+                        f"got {event[name]!r}"
+                    )
+            job.state = state
             if job.state == "running":
                 job.attempts += 1
-                job.started_at = float(event.get("at", 0.0))
+                job.started_at = at
             elif job.state in TERMINAL_STATES:
-                job.finished_at = float(event.get("at", 0.0))
-            job.error = str(event.get("error", ""))
-            job.error_kind = str(event.get("error_kind", ""))
+                job.finished_at = at
+            job.error = event.get("error", "")
+            job.error_kind = event.get("error_kind", "")
             progress = event.get("progress")
             if isinstance(progress, dict):
                 job.progress = dict(progress)

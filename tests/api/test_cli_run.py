@@ -26,6 +26,10 @@ GOOD_SOLVE = {
     "solver": {"grid_points": 20},
 }
 
+#: A scenario whose sampling period (5 ms) is below X-MAC's smallest
+#: wake-up interval (10 ms): the model's parameter box is empty.
+TINY_PERIOD = {"depth": 3, "density": 4, "sampling_period": 0.005}
+
 
 class TestRunHappyPath:
     def test_solve_spec_runs(self, capsys, tmp_path):
@@ -143,6 +147,14 @@ class TestRunErrorPaths:
         path.write_text("kind: solve")
         self.assert_clean_error(capsys, ["run", str(path)], "unsupported spec file type")
 
+    def test_empty_protocol_parameter_box(self, capsys, tmp_path):
+        # A sampling period below X-MAC's smallest wake-up interval leaves
+        # the model no admissible parameter: a named error, not a traceback.
+        path = write_spec(tmp_path, dict(GOOD_SOLVE, scenario=TINY_PERIOD))
+        self.assert_clean_error(
+            capsys, ["run", path], "X-MAC wake-up interval bounds are inconsistent"
+        )
+
     def test_bad_workers_override(self, capsys, tmp_path):
         path = write_spec(tmp_path, GOOD_SOLVE)
         self.assert_clean_error(
@@ -194,6 +206,10 @@ class TestRunErrorPaths:
             ({"runtime": {"workers": 2.7}}, "runtime.workers"),
             ({"scenario": {"depth": 4.5}}, "scenario.depth"),
             ({"name": ["x"]}, "name"),
+            # Name lists take strings only, never str() of another value.
+            ({"protocols": [1e-300]}, "protocols[0] must be a string"),
+            ({"protocols": ["xmac", True]}, "protocols[1] must be a string"),
+            ({"kind": "suite", "scenarios": [["paper-default"]]}, "scenarios[0] must be a string"),
         ],
     )
     def test_malformed_value(self, capsys, tmp_path, patch, field):
@@ -264,6 +280,18 @@ class TestExitCodeContract:
                 [],
                 EXIT_ERROR,
                 id="wrongly-typed-value",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, protocols=[1e-300]),
+                [],
+                EXIT_ERROR,
+                id="non-string-protocol",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, scenario=TINY_PERIOD),
+                [],
+                EXIT_ERROR,
+                id="empty-protocol-box",
             ),
             pytest.param(
                 GOOD_SOLVE,

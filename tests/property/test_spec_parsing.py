@@ -7,7 +7,7 @@ the CLI maps to exit 2 and the service to a 400), never a ``TypeError`` or
 ``ValueError`` from deep inside a section.  Nor may it coerce what it
 should refuse: an integer field takes only integral numbers (never a
 boolean, never a truncated fraction), ``runtime.cache`` only a JSON boolean,
-and ``name`` only a string.
+and ``name`` and every ``protocols``/``scenarios`` entry only a string.
 """
 
 from __future__ import annotations
@@ -155,3 +155,31 @@ def test_name_takes_only_a_string(value):
     with pytest.raises(ConfigurationError, match="name must be a string"):
         ExperimentSpec.from_dict({"kind": "solve", "name": value})
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("protocols", "scenarios")),
+    JSON.filter(lambda value: not isinstance(value, str)),
+)
+def test_name_list_entries_take_only_strings(key, value):
+    with pytest.raises(ConfigurationError, match=re.escape(f"{key}[1] must be a string")):
+        ExperimentSpec.from_dict({"kind": "suite", key: ["paper-default", value]})
+
+
+@pytest.mark.parametrize(
+    "key, entry",
+    [("protocols", 1e-300), ("protocols", True), ("protocols", ["xmac"]), ("scenarios", 7)],
+)
+def test_name_list_entries_are_never_coerced(key, entry):
+    # str() would turn these into names that only fail at plan time.
+    with pytest.raises(ConfigurationError, match=re.escape(f"{key}[0] must be a string")):
+        ExperimentSpec.from_dict({"kind": "suite", key: [entry]})
+
+
+def test_string_name_entries_keep_their_normalization():
+    spec = ExperimentSpec.from_dict(
+        {"kind": "suite", "protocols": [" xmac "], "scenarios": [" Paper-Default "]}
+    )
+    assert spec.protocols == ("xmac",)
+    assert spec.scenarios == ("paper-default",)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.network.topology import RingTopology
 from repro.protocols.dmac import DMACModel
 from repro.scenario import Scenario
@@ -62,9 +63,9 @@ class TestDMACModel:
         assert model.parameter_space[DMACModel.FRAME_LENGTH].upper == pytest.approx(5.0)
 
     def test_invalid_contention_window_rejected(self, small_scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DMACModel(small_scenario, contention_window=0.0)
 
     def test_invalid_max_frame_rejected(self, small_scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DMACModel(small_scenario, max_frame=0.01)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.network.topology import RingTopology
 from repro.protocols.xmac import XMACModel
 from repro.scenario import Scenario
@@ -20,7 +21,7 @@ class TestXMACModel:
         assert model.parameter_space[XMACModel.WAKEUP_INTERVAL].upper == pytest.approx(2.0)
 
     def test_inconsistent_bounds_rejected(self, small_scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             XMACModel(small_scenario, min_wakeup_interval=2.0, max_wakeup_interval=1.0)
 
     def test_energy_is_u_shaped_in_wakeup_interval(self, xmac: XMACModel):

@@ -100,9 +100,9 @@ class TestConstruction:
             plan(spec)
 
     def test_rejects_non_scenario_objects(self):
-        spec = ExperimentSpec.from_dict({"kind": "suite", "scenarios": [42]})
-        with pytest.raises(ConfigurationError):
-            plan(spec)
+        # Refused while parsing, by name, before the planner sees it.
+        with pytest.raises(ConfigurationError, match=r"scenarios\[0\] must be a string"):
+            ExperimentSpec.from_dict({"kind": "suite", "scenarios": [42]})
 
 
 class TestRun:

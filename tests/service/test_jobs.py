@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -220,6 +221,53 @@ class TestReplay:
         reopened = JobQueue(tmp_path)
         assert reopened.requeued == 1
         assert reopened.get(job.job_id).state == "queued"
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda event: [1, 2], "journal line 1 is not an event object: list"),
+            (lambda event: "submit", "journal line 1 is not an event object: str"),
+            (lambda event: {**event, "job_id": 7}, "line 1: job_id must be a string, got 7"),
+            (lambda event: {**event, "at": "soon"}, "line 1: at must be a finite number, got 'soon'"),
+            (lambda event: {**event, "at": True}, "line 1: at must be a finite number, got True"),
+            (lambda event: {**event, "at": float("inf")}, "line 1: at must be a finite number"),
+            (lambda event: {**event, "at": 10**400}, "line 1: at must be a finite number"),
+        ],
+        ids=["list", "string", "job-id", "at", "boolean-at", "infinite-at", "huge-at"],
+    )
+    def test_malformed_submit_event_is_a_named_error(self, tmp_path, mutate, named):
+        queue = JobQueue(tmp_path)
+        queue.submit(spec_of())
+        queue.close()
+        journal = tmp_path / "jobs.jsonl"
+        event = json.loads(journal.read_text().splitlines()[0])
+        journal.write_text(json.dumps(mutate(event)) + "\n")
+        with pytest.raises(JobError, match=re.escape(named)):
+            JobQueue(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("state", "exploded", "line 2: state must be one of queued, running, done"),
+            ("state", None, "line 2: state must be one of"),
+            ("at", [1.0], "line 2: at must be a finite number, got [1.0]"),
+            ("error", 3, "line 2: error must be a string, got 3"),
+            ("error_kind", {"kind": "x"}, "line 2: error_kind must be a string"),
+        ],
+    )
+    def test_malformed_state_event_is_a_named_error(self, tmp_path, field, value, named):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        queue.claim(timeout=0)
+        queue.fail(job.job_id, "boom", "RuntimeError")
+        queue.close()
+        journal = tmp_path / "jobs.jsonl"
+        lines = journal.read_text().splitlines()
+        state = json.loads(lines[1])
+        state[field] = value
+        journal.write_text("\n".join([lines[0], json.dumps(state), *lines[2:]]) + "\n")
+        with pytest.raises(JobError, match=re.escape(named)):
+            JobQueue(tmp_path)
 
     @pytest.mark.parametrize(
         "removed, named",

@@ -265,6 +265,31 @@ class TestParentFormatJournal:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "event, named",
+        [
+            ([1, 2], "journal line 1 is not an event object: list"),
+            ({"event": "submit", "job_id": 5, "spec": {}, "at": 1.0},
+             "journal line 1: job_id must be a string, got 5"),
+            ({"event": "submit", "job_id": "x", "spec": {}, "at": "soon"},
+             "journal line 1: at must be a finite number, got 'soon'"),
+        ],
+        ids=["not-an-object", "job-id", "at"],
+    )
+    def test_serve_refuses_a_malformed_journal_event(self, tmp_path, capsys, event, named):
+        from repro.cli import EXIT_ERROR, main as cli_main
+
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        (queue_dir / "jobs.jsonl").write_text(json.dumps(event) + "\n")
+        argv = ["serve", "--store", str(tmp_path / "store"), "--queue", str(queue_dir),
+                "--port", "0"]
+        assert cli_main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+
+
 class TestErrorStatuses:
     def test_submit_broken_json_is_400(self, service):
         client = ServiceClient(service.url)
@@ -295,6 +320,18 @@ class TestErrorStatuses:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
         assert f"unknown {section} key(s): {key}" in excinfo.value.payload["error"]
+
+    @pytest.mark.parametrize(
+        "key, entries",
+        [("protocols", [1e-300]), ("protocols", ["xmac", True]), ("scenarios", [["bursty"]])],
+    )
+    def test_submit_non_string_name_entry_is_400_naming_it(self, client, key, entries):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({**SOLVE, "kind": "suite", key: entries})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        index = len(entries) - 1
+        assert f"{key}[{index}] must be a string" in excinfo.value.payload["error"]
 
     def test_submit_non_finite_number_is_400_naming_it(self, client):
         # json.dumps writes NaN, and Python's json reads it back as a float.
