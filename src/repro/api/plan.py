@@ -45,6 +45,7 @@ from repro.protocols.registry import (
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset
 from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
+from repro.simulation.runner import check_horizon
 from repro.validation.campaign import CampaignSpec
 
 #: Default application requirements of the ``solve``/``sweep`` kinds (the
@@ -387,7 +388,7 @@ def _plan_suite(spec: ExperimentSpec) -> List[WorkUnit]:
 
 
 def _plan_validate(spec: ExperimentSpec) -> List[WorkUnit]:
-    label, _ = resolve_scenario(spec.scenario)
+    label, scenario = resolve_scenario(spec.scenario)
     protocols = _resolved_protocols(spec)
     for protocol in protocols:
         if not has_behaviour_for(protocol_class(protocol)):
@@ -397,6 +398,7 @@ def _plan_validate(spec: ExperimentSpec) -> List[WorkUnit]:
                 f"{', '.join(available_mac_protocols())}"
             )
     simulation = spec.simulation
+    check_horizon(scenario, simulation.horizon, "simulation.horizon", label)
     return [
         WorkUnit(
             kind="simulation",

@@ -91,15 +91,32 @@ def _unit_disk_graph(
     dy = coords[None, :, 1] - coords[:, None, 1]
     linked = np.triu(np.hypot(dx, dy) <= radius, k=1)
     linked |= linked.T
+    # One row-major nonzero lists every row's neighbours in ascending
+    # order; the row sums split it into rows.
+    _, columns = np.nonzero(linked)
+    neighbours = [ids[j] for j in columns.tolist()]
+    ends = np.cumsum(linked.sum(axis=1)).tolist()
     return {
-        node: tuple(ids[j] for j in np.flatnonzero(row).tolist())
-        for node, row in zip(ids, linked)
+        node: tuple(neighbours[start:end])
+        for node, start, end in zip(ids, [0] + ends, ends)
     }
 
 
-def _connected(graph: Dict[int, Tuple[int, ...]]) -> bool:
-    """Whether every node of ``graph`` is reachable from the sink."""
-    return len(hop_distances(graph, 0)) == len(graph)
+def _connected_deployment(
+    positions: Dict[int, Tuple[float, float]], radius: float, graph: Dict[int, Tuple[int, ...]]
+) -> Optional[UnitDiskDeployment]:
+    """The deployment on ``graph``, or ``None`` if the sink does not reach every node.
+
+    One breadth-first search from the sink gives the connectivity verdict,
+    the gathering tree's rings and the deployment's ``ring_of``.
+    """
+    ring_of = hop_distances(graph, 0)
+    if len(ring_of) != len(graph):
+        return None
+    tree = build_gathering_tree(graph, sink=0, distances=ring_of)
+    return UnitDiskDeployment(
+        positions=positions, radius=radius, graph=graph, tree=tree, ring_of=ring_of
+    )
 
 
 def generate_deployment(
@@ -145,16 +162,10 @@ def generate_deployment(
         rng = np.random.default_rng(config.seed + attempt)
         positions = _sample_positions(config, rng)
         graph = _unit_disk_graph(positions, config.radius)
-        if not _connected(graph):
+        deployment = _connected_deployment(positions, config.radius, graph)
+        if deployment is None:
             last_error = ConfigurationError("sampled unit-disk graph is disconnected")
             continue
-        tree = build_gathering_tree(graph, sink=0)
-        deployment = UnitDiskDeployment(
-            positions=positions,
-            radius=config.radius,
-            graph=graph,
-            tree=tree,
-        )
         return deployment
     raise ConfigurationError(
         f"could not generate a connected deployment after {config.max_attempts} "
@@ -213,15 +224,11 @@ def ring_deployment(
                 float(ring_radius * math.sin(angle)),
             )
             node_id += 1
-    graph = _unit_disk_graph(positions, radius)
-    if not _connected(graph):
+    deployment = _connected_deployment(positions, radius, _unit_disk_graph(positions, radius))
+    if deployment is None:
         raise ConfigurationError(
             "ring deployment is disconnected; lower spacing_factor or raise density"
         )
-    tree = build_gathering_tree(graph, sink=0)
-    deployment = UnitDiskDeployment(
-        positions=positions, radius=radius, graph=graph, tree=tree
-    )
     if deployment.depth != depth:
         raise ConfigurationError(
             f"ring deployment produced depth {deployment.depth}, expected {depth}; "

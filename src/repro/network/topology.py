@@ -286,7 +286,11 @@ def hop_distances(graph: Mapping[int, Sequence[int]], source: int) -> Dict[int, 
     return distances
 
 
-def build_gathering_tree(graph: Mapping[int, Sequence[int]], sink: int = 0) -> Dict[int, int]:
+def build_gathering_tree(
+    graph: Mapping[int, Sequence[int]],
+    sink: int = 0,
+    distances: Optional[Mapping[int, int]] = None,
+) -> Dict[int, int]:
     """Build a shortest-path (BFS) gathering tree rooted at the sink.
 
     ``graph`` maps each node to its neighbours.  Every node picks a parent
@@ -294,14 +298,17 @@ def build_gathering_tree(graph: Mapping[int, Sequence[int]], sink: int = 0) -> D
     the analytical assumption that relayed traffic is split evenly over the
     nodes of a ring, the parent chosen is the candidate that currently has
     the fewest children (ties broken by the smaller id).  The returned
-    ``{child: parent}`` dict has one entry per non-sink node.
+    ``{child: parent}`` dict has one entry per non-sink node.  A caller
+    that already holds ``hop_distances(graph, sink)`` passes it as
+    ``distances`` and the graph is not searched again.
 
     Raises:
         ConfigurationError: if some node has no path to the sink.
     """
     if sink not in graph:
         raise ConfigurationError(f"sink node {sink!r} is not in the graph")
-    distances = hop_distances(graph, sink)
+    if distances is None:
+        distances = hop_distances(graph, sink)
     unreachable = set(graph) - set(distances)
     if unreachable:
         raise ConfigurationError(

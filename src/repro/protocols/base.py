@@ -567,8 +567,9 @@ class ClosedFormMACModel(DutyCycledMACModel):
         return self._duty(self._point(params), self.ring_traffic(ring))
 
     def hop_latency(self, params: ParameterVector, ring: int) -> float:
-        del ring
-        return self.hop_time(self._point(params))
+        x = self._point(params)
+        self.ring_traffic(ring)  # refuses a ring the topology lacks, as duty_cycle does
+        return self.hop_time(x)
 
     def e2e_latency(self, params: ParameterVector, source_ring: int | None = None) -> float:
         return self._latency(self._point(params), self._hop_count(source_ring))

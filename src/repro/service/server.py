@@ -21,7 +21,10 @@ GET       ``/v1/healthz``             liveness probe
 A POST body longer than :data:`MAX_BODY_BYTES` is answered with 413 and a
 negative, malformed or unfulfilled ``Content-Length`` with 400, both without
 reading past the headers; a connection that stalls mid-request is closed
-after :data:`REQUEST_TIMEOUT_S`.
+after :data:`REQUEST_TIMEOUT_S`.  A submitted spec is planned before it is
+queued, so a spec the planner refuses (an unknown name, a horizon whose
+packet generations alone exceed the simulator's event budget) is a 400
+too, never a job that fails.
 
 The result endpoint serves the bytes the worker stored —
 :meth:`ResultSet.json_text() <repro.api.results.ResultSet.json_text>`
@@ -40,6 +43,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro import __version__
+from repro.api.plan import plan
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ReproError
 from repro.service.jobs import JobQueue
@@ -175,6 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(body.decode("utf-8"))
             spec = ExperimentSpec.from_dict(payload)
+            plan(spec)  # what the planner refuses is refused at submit
         except (ValueError, TypeError) as error:
             self._error(400, f"request body is not valid JSON: {error}")
             return

@@ -37,7 +37,12 @@ from repro.network.deployment import ring_deployment
 from repro.network.radio import RadioMode
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
 from repro.simulation.batched.kernels import BatchKernel, batch_kernel_for
-from repro.simulation.runner import SimulationConfig, SimulationResult, simulate_scalar
+from repro.simulation.runner import (
+    SimulationConfig,
+    SimulationResult,
+    check_generation_budget,
+    simulate_scalar,
+)
 
 
 class ReplicationState:
@@ -149,6 +154,7 @@ def _run_replication(
     period = model.scenario.sampling_period
     cutoff = config.horizon * config.generation_cutoff
     sources = [index for index in range(count) if not is_sink[index]]
+    check_generation_budget(len(sources), period, config)
     offsets = rng.uniform(0.0, period, size=len(sources))
     heap: List[Tuple[float, int, int, int]] = []
     seq = 0

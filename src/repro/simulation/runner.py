@@ -19,10 +19,11 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.deployment import ring_deployment
 from repro.network.topology import UnitDiskDeployment
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
+from repro.scenario import Scenario
 from repro.simulation.channel import Channel
 from repro.simulation.energy import EnergyAccount
 from repro.simulation.engine import Simulator
@@ -61,6 +62,69 @@ class SimulationConfig:
             raise SimulationError("generation_cutoff must lie in (0, 1]")
         if self.queue_capacity < 1:
             raise SimulationError("queue_capacity must be >= 1")
+
+
+#: Generations per source up to which :func:`generation_lower_bound`'s
+#: rounding margin is proven; a larger count is bounded by this one.
+_GENERATIONS_PER_SOURCE_CAP = 10**9
+
+
+def generation_lower_bound(sources: int, period: float, cutoff: float) -> int:
+    """A lower bound on the packet generations a run schedules.
+
+    Each source generates its first packet at an offset in ``[0, period]``
+    and then one every ``period``, the times summed in floats, while the
+    time stays below ``cutoff``.  A float addition rounds up by a relative
+    2**-53 at most, so 10**9 of them stay within a relative 1e-6 of the
+    exact sum: every source schedules at least
+    ``cutoff / (period · (1 + 1e-6)) − 1`` generations.
+    """
+    per_source = min(cutoff / (period * (1.0 + 1e-6)), _GENERATIONS_PER_SOURCE_CAP)
+    return sources * max(int(per_source) - 1, 0)
+
+
+def check_generation_budget(sources: int, period: float, config: SimulationConfig) -> None:
+    """Refuse a run whose packet generations alone exceed its event budget.
+
+    Both drivers call this before they build a generation event: the event
+    loop processes every generation, so such a run would raise this error
+    anyway, but only after holding all of its generations in memory.
+
+    Raises:
+        SimulationError: the event-budget error, when
+            :func:`generation_lower_bound` exceeds ``config.max_events``.
+    """
+    cutoff = config.horizon * config.generation_cutoff
+    count = generation_lower_bound(sources, period, cutoff)
+    if count > config.max_events:
+        raise SimulationError(
+            f"event budget exceeded ({config.max_events}): {sources} sources "
+            f"generate at least {count} packets before t={cutoff:g} s"
+        )
+
+
+def check_horizon(scenario: Scenario, horizon: float, field_name: str, label: str) -> None:
+    """Refuse a horizon that a run on ``scenario``'s ring deployment cannot finish.
+
+    :func:`~repro.network.deployment.ring_deployment` places
+    ``density · depth²`` sources, each generating one packet per sampling
+    period, so this is :func:`check_generation_budget` at plan time, with
+    the default :class:`SimulationConfig` budget and cutoff the planned
+    runs use.
+
+    Raises:
+        ConfigurationError: naming ``field_name`` and the scenario ``label``.
+    """
+    try:
+        check_generation_budget(
+            scenario.density * scenario.depth**2,
+            scenario.sampling_period,
+            SimulationConfig(horizon=horizon),
+        )
+    except SimulationError as error:
+        raise ConfigurationError(
+            f"{field_name} {horizon!r} is too long for scenario {label!r}: {error}"
+        ) from None
 
 
 @dataclass
@@ -206,6 +270,8 @@ class _SimulationRun:
 
     def _schedule_traffic(self) -> None:
         period = self._model.scenario.sampling_period
+        sources = sum(not node.is_sink for node in self._nodes.values())
+        check_generation_budget(sources, period, self._config)
         cutoff = self._config.horizon * self._config.generation_cutoff
         for node in self._nodes.values():
             if node.is_sink:

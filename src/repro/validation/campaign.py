@@ -35,7 +35,7 @@ from repro.protocols.registry import canonical_name, protocol_class
 from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
-from repro.simulation.runner import SimulationConfig, simulate_protocol
+from repro.simulation.runner import SimulationConfig, check_horizon, simulate_protocol
 from repro.validation.stats import MetricAggregate, StreamingMoments
 
 #: Metrics every campaign cell aggregates, in artifact order.
@@ -126,6 +126,8 @@ class CampaignSpec:
             )
         if self.horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon!r}")
+        for name in scenarios:
+            check_horizon(scenario_preset(name).scenario, self.horizon, "campaign.horizon", name)
         if not (0.0 < self.confidence < 1.0):
             raise ConfigurationError(
                 f"confidence must lie in (0, 1), got {self.confidence!r}"
@@ -679,7 +681,9 @@ def run_campaign(
     solves go through the runner's :class:`~repro.runtime.batch.BatchRunner`
     machinery (solve cache, in-batch dedup), and the
     cells × replications simulation grid fans out over the *same* executor
-    policy, so ``--workers`` accelerates both stages.
+    policy, so ``--workers`` accelerates both stages.  Both run in one
+    executor session: a process pool is forked once per campaign and shut
+    down before this returns, on error too.
 
     Both stages are store-addressable: with a persistent result store
     attached, the solve stage reads through the runner's cache into the
@@ -712,75 +716,79 @@ def run_campaign(
     if store is None and runner.cache is not None:
         store = runner.cache.store
 
-    # Stage 1: solve every cell's bargaining game in one batch (cached,
-    # deduplicated, construction failures and infeasibility as data).
-    outcomes = runner.run(
-        [
-            SolveTask.build(
-                protocol=protocol,
-                scenario=scenario_preset(scenario_name).scenario,
-                requirements=scenario_preset(scenario_name).requirements(),
-                solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
-                tag=(scenario_name, protocol),
-            )
-            for scenario_name in spec.scenarios
-            for protocol in spec.protocols
-        ]
-    )
+    with runner.executor.session():
+        # Stage 1: solve every cell's bargaining game in one batch (cached,
+        # deduplicated, construction failures and infeasibility as data).
+        outcomes = runner.run(
+            [
+                SolveTask.build(
+                    protocol=protocol,
+                    scenario=scenario_preset(scenario_name).scenario,
+                    requirements=scenario_preset(scenario_name).requirements(),
+                    solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
+                    tag=(scenario_name, protocol),
+                )
+                for scenario_name in spec.scenarios
+                for protocol in spec.protocols
+            ]
+        )
 
-    # Stage 2: fan every feasible cell's replications out over the executor.
-    # ``pending`` keeps (scenario, protocol, model, params, analytical E/L,
-    # seeds) per feasible cell, in submission order; ``placements`` records,
-    # per grid cell, either the pending index or the finished infeasible
-    # cell, so stage 3 can reassemble in submission order.
-    pending: List[Tuple[str, str, object, Dict[str, float], float, float, Tuple[int, ...]]] = []
-    placements: List[Tuple[str, object]] = []
-    for outcome in outcomes:
-        scenario_name, protocol = outcome.tag
-        if outcome.ok:
-            model = outcome.task.model
-            params = model.coerce(outcome.solution.bargaining.point.parameters)
-            seeds = tuple(
-                replication_seed(spec.base_seed, scenario_name, protocol, replication)
-                for replication in range(spec.replications)
-            )
-            placements.append(("sim", len(pending)))
-            pending.append(
-                (
-                    scenario_name,
-                    protocol,
-                    model,
-                    params,
-                    model.node_energy(params, model.scenario.topology.bottleneck_ring),
-                    model.system_latency(params),
-                    seeds,
+        # Stage 2: fan every feasible cell's replications out over the
+        # executor.  ``pending`` keeps (scenario, protocol, model, params,
+        # analytical E/L, seeds) per feasible cell, in submission order;
+        # ``placements`` records, per grid cell, either the pending index or
+        # the finished infeasible cell, so stage 3 can reassemble in
+        # submission order.
+        pending: List[
+            Tuple[str, str, object, Dict[str, float], float, float, Tuple[int, ...]]
+        ] = []
+        placements: List[Tuple[str, object]] = []
+        for outcome in outcomes:
+            scenario_name, protocol = outcome.tag
+            if outcome.ok:
+                model = outcome.task.model
+                params = model.coerce(outcome.solution.bargaining.point.parameters)
+                seeds = tuple(
+                    replication_seed(spec.base_seed, scenario_name, protocol, replication)
+                    for replication in range(spec.replications)
                 )
-            )
-        else:
-            # Build failure or infeasible game: the cell is data.
-            placements.append(
-                (
-                    "cell",
-                    CampaignCell(
-                        scenario=scenario_name,
-                        protocol=protocol,
-                        feasible=False,
-                        solve_error=outcome.error_message,
-                    ),
+                placements.append(("sim", len(pending)))
+                pending.append(
+                    (
+                        scenario_name,
+                        protocol,
+                        model,
+                        params,
+                        model.node_energy(params, model.scenario.topology.bottleneck_ring),
+                        model.system_latency(params),
+                        seeds,
+                    )
                 )
-            )
+            else:
+                # Build failure or infeasible game: the cell is data.
+                placements.append(
+                    (
+                        "cell",
+                        CampaignCell(
+                            scenario=scenario_name,
+                            protocol=protocol,
+                            feasible=False,
+                            solve_error=outcome.error_message,
+                        ),
+                    )
+                )
 
-    payloads: List[_SimPayload] = []
-    for scenario_name, protocol, model, params, _, _, seeds in pending:
-        for seed in seeds:
-            payloads.append(
-                (
-                    model,
-                    params,
-                    SimulationConfig(horizon=spec.horizon, seed=seed),
+        payloads: List[_SimPayload] = []
+        for scenario_name, protocol, model, params, _, _, seeds in pending:
+            for seed in seeds:
+                payloads.append(
+                    (
+                        model,
+                        params,
+                        SimulationConfig(horizon=spec.horizon, seed=seed),
+                    )
                 )
-            )
-    flat_measurements = _run_replications(payloads, runner, store)
+        flat_measurements = _run_replications(payloads, runner, store)
 
     # Stage 3: aggregate per cell, in replication order.
     aggregated: List[CampaignCell] = []

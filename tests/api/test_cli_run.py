@@ -294,6 +294,12 @@ class TestExitCodeContract:
                 id="empty-protocol-box",
             ),
             pytest.param(
+                {"kind": "validate", "protocols": ["xmac"], "simulation": {"horizon": 1e20}},
+                [],
+                EXIT_ERROR,
+                id="horizon-past-event-budget",
+            ),
+            pytest.param(
                 GOOD_SOLVE,
                 ["--store", "{tmp}/store", "--require-warm"],
                 EXIT_NOT_WARM,

@@ -127,6 +127,26 @@ class TestResolutionErrors:
         )
         assert plan(campaign).protocol_names == ["xmac", "scpmac"]
 
+    @pytest.mark.parametrize("kind, section", [("validate", "simulation"), ("campaign", "campaign")])
+    def test_horizon_past_the_event_budget_is_refused_by_name(self, kind, section):
+        # 200 sources at one packet per 300 s need ~3.3e6 s of horizon to
+        # generate the simulator's 2e6-event budget; 1e20 s would exhaust
+        # memory building the generation events before the budget bites.
+        payload = {
+            "kind": kind,
+            "scenarios": ["paper-default"],
+            "protocols": ["xmac"],
+            section: {"horizon": 1e20},
+        }
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"{section}\.horizon 1e\+20 is too long for scenario 'paper-default': "
+            r"event budget exceeded \(2000000\)",
+        ):
+            plan(ExperimentSpec.from_dict(payload))
+        payload[section] = {"horizon": 3.0e6}
+        assert len(plan(ExperimentSpec.from_dict(payload))) == 1
+
     def test_protocol_aliases_resolve(self):
         spec = ExperimentSpec.experiment("solve").with_protocols("x-mac")
         assert plan(spec).units[0].protocol == "xmac"

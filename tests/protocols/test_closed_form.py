@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.network.topology import RingTopology
 from repro.protocols.base import ClosedFormMACModel
 from repro.protocols.registry import create_protocol
@@ -43,6 +44,18 @@ def test_latency_is_a_left_to_right_fold_of_hop_latencies(protocol):
         expected.append(total + hops)
     assert [model.system_latency(row) for row in grid] == expected
     assert model.latency_many(grid).tolist() == expected
+
+
+@pytest.mark.parametrize("protocol", BUILT_INS)
+@pytest.mark.parametrize("ring", [0, 6, 99, -1, 2.0, "1"])
+def test_ring_methods_refuse_a_ring_outside_the_topology(protocol, ring):
+    # Hop times are ring-independent, but a ring the topology lacks is still
+    # refused, as every other ring-indexed method refuses it.
+    model = create_protocol(protocol, default_scenario())
+    mid = model.parameter_space.midpoint()
+    for method in (model.hop_latency, model.duty_cycle, model.energy_breakdown):
+        with pytest.raises(ConfigurationError, match=r"ring index must be an integer in \[1, 5\]"):
+            method(mid, ring)
 
 
 @pytest.mark.parametrize("protocol", BUILT_INS)

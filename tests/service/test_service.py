@@ -341,6 +341,20 @@ class TestErrorStatuses:
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
         assert "simulation.horizon must be finite" in excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize("kind, section", [("validate", "simulation"), ("campaign", "campaign")])
+    def test_submit_horizon_past_event_budget_is_400_naming_it(self, client, kind, section):
+        # Planned at submit: refused before a worker could build 1e20 s of
+        # packet generations in memory.
+        spec = {"kind": kind, "protocols": ["xmac"], section: {"horizon": 1e20}}
+        jobs = len(client.queue()["jobs"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert f"{section}.horizon 1e+20 is too long" in excinfo.value.payload["error"]
+        assert len(client.queue()["jobs"]) == jobs
+        assert client.healthz()["status"] == "ok"
+
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):
             with pytest.raises(ServiceError) as excinfo:

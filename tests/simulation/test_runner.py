@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -10,6 +12,9 @@ from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, XMACModel
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig, simulate_protocol
+from repro.simulation.batched import engine as batched_engine
+from repro.simulation.engine import Simulator
+from repro.simulation.runner import generation_lower_bound, simulate_scalar
 
 
 @pytest.fixture
@@ -99,3 +104,60 @@ class TestSimulationRunner:
             _ = empty.system_energy
         with pytest.raises(SimulationError):
             empty.max_ring_delay()
+
+
+def _built(*_args, **_kwargs):
+    raise AssertionError("a packet-generation event was built")
+
+
+class TestGenerationBudget:
+    """A run whose packet generations alone exceed the event budget is refused
+    with the event-budget error before either driver builds one of them."""
+
+    def test_lower_bound_never_exceeds_the_scheduled_count(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            period = 10.0 ** rng.uniform(-3.0, 3.0)
+            cutoff = period * rng.uniform(0.0, 500.0)
+            bound = generation_lower_bound(1, period, cutoff)
+            for offset in (0.0, rng.uniform(0.0, period), period):
+                # The drivers' own loop: start at the offset, add the period.
+                time, count = offset, 0
+                while time < cutoff:
+                    count += 1
+                    time += period
+                assert count - 2 <= bound <= count
+        assert generation_lower_bound(7, 300.0, 9e19) == 7 * (10**9 - 1)
+
+    def test_batched_driver_refuses_before_building(self, scenario, monkeypatch):
+        monkeypatch.setattr(batched_engine, "heapify", _built)
+        # 36 sources, one packet per 120 s, 2700 s of generation: > 500.
+        config = SimulationConfig(horizon=3000.0, max_events=500)
+        with pytest.raises(SimulationError, match=r"event budget exceeded \(500\)"):
+            simulate_protocol(XMACModel(scenario), {"wakeup_interval": 0.3}, config)
+
+    def test_scalar_driver_refuses_before_building(self, scenario, monkeypatch):
+        monkeypatch.setattr(Simulator, "schedule_at", _built)
+        config = SimulationConfig(horizon=3000.0, max_events=500)
+        with pytest.raises(SimulationError, match=r"event budget exceeded \(500\)"):
+            simulate_scalar(XMACModel(scenario), {"wakeup_interval": 0.3}, config)
+
+    def test_hostile_horizon_is_refused_at_once(self, scenario):
+        model = XMACModel(scenario)
+        config = SimulationConfig(horizon=1e20)
+        for simulate in (simulate_protocol, simulate_scalar):
+            with pytest.raises(SimulationError, match=r"event budget exceeded \(2000000\)"):
+                simulate(model, {"wakeup_interval": 0.3}, config)
+
+    def test_a_run_within_the_budget_is_untouched(self, scenario):
+        model = XMACModel(scenario)
+        params = {"wakeup_interval": 0.3}
+        reference = simulate_protocol(model, params, SimulationConfig(horizon=3000.0))
+        assert (reference.generated_packets, reference.processed_events) == (806, 2777)
+        # Exactly enough budget: the same run, to the last bit.
+        exact = SimulationConfig(horizon=3000.0, max_events=2777)
+        assert simulate_protocol(model, params, exact).as_dict() == reference.as_dict()
+        # 756 generations are certain, 806 happen: a budget of 800 passes the
+        # up-front check and is exceeded in the event loop, as before.
+        with pytest.raises(SimulationError, match="likely runaway"):
+            simulate_protocol(model, params, SimulationConfig(horizon=3000.0, max_events=800))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.protocols.registry import create_protocol
 from repro.runtime import build_runner
+from repro.runtime import executor as executor_module
 from repro.scenarios import scenario_preset
 from repro.scenarios.presets import (
     ScenarioPreset,
@@ -65,6 +69,10 @@ class TestCampaignSpec:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
             CampaignSpec(scenarios=("no-such-preset",))
+
+    def test_horizon_past_the_event_budget_rejected_up_front(self):
+        with pytest.raises(ConfigurationError, match="campaign.horizon 1e\\+20 .*'high-rate'"):
+            CampaignSpec(scenarios=("high-rate",), horizon=1e20)
 
     def test_analytical_only_protocol_rejected_up_front(self, analytical_only_protocol):
         # A behaviour-less protocol cannot be validated by simulation;
@@ -240,6 +248,23 @@ class TestRunCampaign:
         serial = run_campaign(spec, build_runner(workers=1, use_cache=False))
         pooled = run_campaign(spec, build_runner(workers=3, use_cache=False))
         assert campaign_to_json(serial) == campaign_to_json(pooled)
+
+    def test_pooled_campaign_forks_one_pool_and_leaves_no_worker(self, monkeypatch):
+        sizes = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+        spec = CampaignSpec(**{**FAST_SPEC, "protocols": ("xmac", "lmac")})
+        pooled = run_campaign(spec, build_runner(workers=2, use_cache=False))
+        # The solve and the replication stage share one two-worker pool.
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+        serial = run_campaign(spec, build_runner(workers=1, use_cache=False))
+        assert campaign_to_json(pooled) == campaign_to_json(serial)
 
     def test_artifact_excludes_runner_identity(self):
         spec = CampaignSpec(**FAST_SPEC)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import build_runner
+from repro.runtime import SerialExecutor, build_runner
 from repro.store import ResultStore, merge_stores
 from repro.validation import CampaignSpec, campaign_to_json, run_campaign
 from repro.validation.campaign import _simulate_payload
@@ -26,7 +26,7 @@ class DiesMidCampaign(Exception):
     """Stand-in for a SIGKILL'd worker/process."""
 
 
-class _KillingExecutor:
+class _KillingExecutor(SerialExecutor):
     """Serial executor that dies after simulating ``survive`` payloads.
 
     Mimics an interrupted campaign: everything simulated before the "kill"
@@ -53,7 +53,7 @@ class _KillingExecutor:
         return results
 
 
-class _CountingExecutor:
+class _CountingExecutor(SerialExecutor):
     """Serial executor that counts how many payloads it actually ran."""
 
     workers = 1
