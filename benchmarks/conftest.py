@@ -12,6 +12,8 @@ solver fails the harness instead of silently changing the story.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -19,6 +21,13 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.api import ResultSet
 from repro.core.results import GameSolution
+
+#: ``tests/`` holds the scalar reference simulator (``scalar_reference``)
+#: that ``bench_simulator.py`` times the production engine against; pytest
+#: puts it on the path only for the test suite.
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 #: Solver grid used by the figure benches (coarser than the library default;
 #: the SLSQP polish makes the final optima identical to within tolerance).

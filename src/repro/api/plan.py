@@ -44,7 +44,7 @@ from repro.protocols.registry import (
 )
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset
-from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
+from repro.simulation.batched.kernels import available_mac_protocols, has_behaviour_for
 from repro.simulation.runner import check_horizon
 from repro.validation.campaign import CampaignSpec
 

@@ -41,7 +41,7 @@ from repro.api.engine import runner_for
 from repro.exceptions import ConfigurationError, ReproError
 from repro.protocols.registry import available_protocols
 from repro.scenarios import available_scenarios, scenario_presets
-from repro.simulation.mac.factory import available_mac_protocols
+from repro.simulation.batched.kernels import available_mac_protocols
 from repro.store import ResultStore, merge_stores
 from repro.validation import write_campaign
 

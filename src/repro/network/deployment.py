@@ -24,6 +24,25 @@ from repro.network.topology import (
 )
 from repro.units import require_positive
 
+#: Most sensor nodes a generated deployment may hold.  Building one holds
+#: three n×n float64 arrays (the pairwise offsets and distances of
+#: :func:`_unit_disk_graph`), measured at a 406 MB peak for 3,921 nodes and
+#: 1.57 GB for 8,001; every scenario preset has at most 400 nodes.
+MAX_DEPLOYMENT_NODES = 4000
+
+
+def check_node_count(nodes: int) -> None:
+    """Refuse a deployment of more than :data:`MAX_DEPLOYMENT_NODES` sensor nodes.
+
+    Raises:
+        ConfigurationError: naming the node count and the limit.
+    """
+    if nodes > MAX_DEPLOYMENT_NODES:
+        raise ConfigurationError(
+            f"{nodes} sensor nodes exceed the deployment limit of "
+            f"{MAX_DEPLOYMENT_NODES}"
+        )
+
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -136,8 +155,9 @@ def generate_deployment(
     path to the sink.
 
     Raises:
-        ConfigurationError: if no connected deployment is found within
-            ``config.max_attempts`` attempts.
+        ConfigurationError: if the deployment would exceed
+            :data:`MAX_DEPLOYMENT_NODES`, or no connected deployment is found
+            within ``config.max_attempts`` attempts.
     """
     if config is None:
         config = DeploymentConfig()
@@ -156,6 +176,7 @@ def generate_deployment(
             seed=overrides.get("seed", config.seed),
             max_attempts=config.max_attempts,
         )
+    check_node_count(config.target_node_count)
 
     last_error: Optional[Exception] = None
     for attempt in range(config.max_attempts):
@@ -200,6 +221,11 @@ def ring_deployment(
             below ~0.8 so that every node finds a parent one ring inward).
         seed: Seed for the angular jitter.
         angular_jitter: Jitter amplitude as a fraction of the angular spacing.
+
+    Raises:
+        ConfigurationError: on invalid arguments, a disconnected result, or
+            more than :data:`MAX_DEPLOYMENT_NODES` nodes (``density · depth²``),
+            refused before any position is sampled.
     """
     if depth < 1 or density < 1:
         raise ConfigurationError("depth and density must be >= 1")
@@ -208,6 +234,7 @@ def ring_deployment(
         raise ConfigurationError(
             f"spacing_factor must lie in [0.1, 0.8], got {spacing_factor!r}"
         )
+    check_node_count(density * depth**2)
     rng = np.random.default_rng(seed)
     positions: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
     node_id = 1

@@ -1,20 +1,13 @@
-"""Array-batched replication engine for the duty-cycle simulator.
+"""The simulator: array-batched replications of one protocol configuration.
 
-The scalar driver (:mod:`repro.simulation.runner`) pays Python object
-dispatch for every event of every replication: behaviour method calls,
-``EnergyAccount`` dict updates, ``DataPacket`` instances, per-draw RNG
-round-trips.  This package re-implements the same simulation as a lean
-per-replication event loop over flat arrays — list-indexed node state,
-tuple events, closure hop planners and block-vectorized RNG draws — and is
-proven **bit-identical** to the scalar engine by a differential test
-harness (``tests/simulation/test_batched_differential.py``).
-
-Entry point: :func:`simulate_protocol_batched` runs R independently seeded
-replications of one protocol configuration; ``simulate_protocol`` runs
-every simulation through it.  All four built-in behaviours (X-MAC, LMAC,
-DMAC, SCP-MAC) have registered batch kernels and run on the fast path;
-user-registered behaviours without a kernel fall back to the scalar driver
-per replication, and can opt in via :func:`register_batch_kernel`.
+:func:`simulate_protocol_batched` runs R independently seeded replications
+of one configuration, each as a lean event loop over flat arrays
+(:mod:`repro.simulation.batched.engine`), and ``simulate_protocol`` runs
+every simulation through it.  The per-protocol arithmetic lives in one
+kernel per built-in model — X-MAC, LMAC, DMAC and SCP-MAC
+(:mod:`repro.simulation.batched.kernels`) — and the kernel map there alone
+decides which protocols can be simulated; any other model gets a named
+:class:`~repro.exceptions.SimulationError`.
 """
 
 from repro.simulation.batched.engine import simulate_protocol_batched
@@ -25,7 +18,6 @@ from repro.simulation.batched.kernels import (
     SCPMACBatchKernel,
     XMACBatchKernel,
     batch_kernel_for,
-    register_batch_kernel,
 )
 
 __all__ = [
@@ -35,6 +27,5 @@ __all__ = [
     "SCPMACBatchKernel",
     "XMACBatchKernel",
     "batch_kernel_for",
-    "register_batch_kernel",
     "simulate_protocol_batched",
 ]

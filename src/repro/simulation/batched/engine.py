@@ -1,27 +1,25 @@
-"""The batched replication driver: flat arrays, tuple events, one tight loop.
+"""The replication driver: flat arrays, tuple events, one tight loop.
 
-One replication of the scalar driver is a web of Python objects —
-``SensorNode`` + ``EnergyAccount`` + ``DataPacket`` per hop, a closure per
-scheduled event, one RNG round-trip per draw.  This driver keeps the exact
-same discrete-event semantics but stores the whole replication as flat,
-integer-indexed state:
+Every simulation runs here.  A replication keeps the whole discrete-event
+state as flat, integer-indexed data:
 
 * node state as parallel lists (``rx``/``tx`` second accumulators, queue
   deques of ``(created_at, source)`` tuples, busy flags, per-node
-  ``busy_until`` standing in for the scalar ``Channel``),
+  ``busy_until`` medium reservations) — :class:`ReplicationState` holds the
+  part a kernel's hop planner reads and writes;
 * the event queue as a heap of ``(time, seq, sender, receiver)`` tuples,
-  with ``receiver == -1`` marking packet generation — sequence numbers are
-  allocated in the same order as the scalar ``Simulator`` so ties break
-  identically,
+  where ``receiver == -1`` marks a packet generation and any other value a
+  hop completion; sequence numbers break time ties in scheduling order;
 * RNG draws vectorized: phases and traffic offsets as one array draw each,
-  in-loop contention backoffs from a block-refilled buffer (identical
-  values, identical stream position).
+  in-loop contention backoffs from a block-refilled buffer (the same
+  values, and the same stream position, as one draw at a time).
 
-Metrics are reduced with the same float expressions (and the same
-association) as ``EnergyAccount``/``SimulationResult``, so a batched
-replication is bit-for-bit identical to the scalar replication at the same
-seed — the property ``tests/simulation/test_batched_differential.py``
-enforces.
+The protocol-specific pieces — phase assignment, the periodic cost table
+and the hop planner — come from the model's kernel
+(:mod:`repro.simulation.batched.kernels`).  The scalar reference simulator
+in ``tests/scalar_reference/`` implements the same semantics with Python
+objects, and the differential tests hold every replication bit-identical
+to it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.simulation.runner import (
     SimulationConfig,
     SimulationResult,
     check_generation_budget,
-    simulate_scalar,
 )
 
 
@@ -49,10 +46,11 @@ class ReplicationState:
     """Flat per-replication state the hop planners operate on.
 
     Attributes:
-        rng: The replication's generator (same seed as the scalar run).
+        rng: The replication's generator, seeded with the config's seed.
         phases: Per-node phase offsets, indexed by node position.
         rings: Per-node ring index (hop distance from the sink).
-        busy_until: Per-node medium reservation end (the scalar Channel).
+        busy_until: Per-node end of the latest medium reservation covering
+            the node.
         rx: Per-node accumulated RX seconds.
         tx: Per-node accumulated TX seconds.
         interference: Per-node tuple of node indices the medium reservation
@@ -103,9 +101,7 @@ def _run_replication(
     config: SimulationConfig,
     kernel_class: Type[BatchKernel],
 ) -> SimulationResult:
-    """Run one replication on the flat engine; mirrors ``_SimulationRun``."""
-    if config.max_events <= 0:
-        raise SimulationError("max_events must be positive")
+    """Run one replication of ``model`` at ``params`` on ``kernel_class``."""
     rng = np.random.default_rng(config.seed)
     deployment = config.deployment or ring_deployment(
         depth=model.scenario.depth,
@@ -122,9 +118,9 @@ def _run_replication(
     is_sink = [
         parent is None and ring == 0 for parent, ring in zip(raw_parents, rings)
     ]
-    # Scalar draw order: behaviour-construction draws first (SCP-MAC's
-    # network phase), then every node's phase (sink included), then one
-    # traffic offset per non-sink node — all as single vectorized draws.
+    # Draw order: the kernel's phase draws (SCP-MAC's one network phase, or
+    # one phase per node, sink included), then one traffic offset per
+    # non-sink node — each as a single vectorized draw.
     phases = kernel.assign_phases(rng, count, rings, is_sink)
 
     parent_ix: List[int] = []
@@ -204,7 +200,7 @@ def _run_replication(
                 queue.append((now, sender))
             continue
         # Hop completion: `sender` hands its head-of-queue packet to
-        # `receiver` (the scalar completion action, inlined).
+        # `receiver`, which queues it (or delivers it, at the sink).
         created_at, source = queues[sender].popleft()
         busy[sender] = False
         if is_sink[receiver]:
@@ -230,8 +226,9 @@ def _run_replication(
             heappush(heap, (completion, seq, sender, parent_ix[sender]))
             seq += 1
 
-    # Closed-form periodic costs, then the EnergyAccount reductions — same
-    # expressions, same association, commutative-safe term order.
+    # Closed-form periodic costs, then each node's average power (active
+    # energy plus the residual sleep, over the horizon) in the float
+    # association of the reference's EnergyAccount.
     periodic_rows = kernel.periodic_seconds(horizon)
     radio = model.scenario.radio
     power_rx = radio.power(RadioMode.RX)
@@ -282,7 +279,6 @@ def _run_replication(
         channel_transmissions=state.transmissions,
         channel_deferrals=state.deferrals,
         processed_events=processed,
-        engine="batched",
     )
 
 
@@ -293,24 +289,22 @@ def simulate_protocol_batched(
 ) -> List[SimulationResult]:
     """Simulate R independently seeded replications of one configuration.
 
-    Behaviours with a registered batch kernel run on the flat array engine;
-    everything else falls back to the scalar driver per replication.  Either
-    way each result is bit-identical to ``simulate_scalar(model, params,
-    config)`` at the same config.
+    Each result is fully determined by its config (typically the configs
+    differ only in ``seed``), and equals ``simulate_protocol(model, params,
+    config)``.
 
     Args:
         model: Analytical protocol model (defines scenario and timing).
         params: Parameter vector to simulate (mapping or array).
-        configs: One :class:`SimulationConfig` per replication (typically
-            differing only in ``seed``).
+        configs: One :class:`SimulationConfig` per replication.
 
     Returns:
         One :class:`SimulationResult` per config, in input order.
 
     Raises:
-        SimulationError: if ``configs`` is empty, or on the scalar driver's
-            error conditions (no registered behaviour, runaway event budget,
-            unroutable node).
+        SimulationError: if ``configs`` is empty, the model has no kernel
+            (an analytical-only protocol), the event budget runs out, or a
+            node has no route to the sink.
     """
     configs = list(configs)
     if not configs:
@@ -318,8 +312,6 @@ def simulate_protocol_batched(
             "simulate_protocol_batched needs at least one replication config"
         )
     kernel_class = batch_kernel_for(model)
-    if kernel_class is None:
-        return [simulate_scalar(model, params, config) for config in configs]
     return [
         _run_replication(model, params, config, kernel_class) for config in configs
     ]

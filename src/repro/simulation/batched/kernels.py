@@ -1,36 +1,34 @@
-"""Per-protocol batch kernels: the scalar behaviours' arithmetic, flattened.
+"""Per-protocol batch kernels, and the one map that decides what can be simulated.
 
-A batch kernel is the array-engine counterpart of one
-:class:`~repro.simulation.mac.base.DutyCycleKernel` subclass.  It exposes
+A batch kernel holds one protocol's simulated MAC arithmetic for the
+replication driver (:mod:`repro.simulation.batched.engine`).  It exposes
 
-* :meth:`BatchKernel.assign_phases` — the behaviour's per-node phase draws
-  as one vectorized RNG call (element ``i`` is bit-identical to the ``i``-th
-  scalar draw, and the generator ends in the same stream position);
-* :meth:`BatchKernel.periodic_seconds` — the closed-form periodic cost
-  table collapsed to ``(is_tx, seconds)`` rows, one value shared by every
-  node;
-* :meth:`BatchKernel.make_hop_planner` — a closure that replays the
-  behaviour's ``plan_hop`` (acquire → exchange → overhear) against the flat
-  :class:`~repro.simulation.batched.engine.ReplicationState` arrays.
+* :meth:`BatchKernel.assign_phases` — the per-node phase offsets of the
+  protocol's wake-up schedule, as one vectorized RNG call;
+* :meth:`BatchKernel.periodic_table` / :meth:`BatchKernel.periodic_seconds`
+  — the closed-form periodic (traffic-independent) cost table collapsed to
+  ``(is_tx, seconds)`` rows, one value shared by every node;
+* :meth:`BatchKernel.make_hop_planner` — a closure that plans one hop
+  (acquire the medium → exchange → charge the overhearers) against the
+  flat :class:`~repro.simulation.batched.engine.ReplicationState` arrays.
 
-Every float expression is copied from the scalar behaviour **verbatim**
-(same association, same constant folding, same ``max``/branch structure),
-because the differential harness asserts bit-for-bit equality of the
-resulting traces.  Constants that the scalar code recomputes per hop from
-other constants (e.g. X-MAC's strobe TX fraction) are hoisted out of the
-loop — folding is only legal when the folded value is bit-identical on
-every call.
+Every float expression keeps the association, constant folding and
+``max``/branch structure of the scalar reference simulator
+(``tests/scalar_reference/``), because the differential tests assert
+bit-for-bit equality of the two.  A per-run constant the reference
+recomputes per hop (e.g. X-MAC's strobe TX fraction) is hoisted out of the
+planner only where the folded value is bit-identical on every call.
 
-Kernels are registered per *exact* behaviour class: a user-registered
-subclass of :class:`XMACSimBehaviour` may override ``plan_hop``, so it
-falls back to the scalar driver instead of silently batching with the
-parent's arithmetic.
+:data:`_KERNELS` maps each built-in analytical model class to its kernel,
+matched with ``isinstance``, so a subclass of a built-in model simulates
+with its parent's kernel; :func:`batch_kernel_for`,
+:func:`has_behaviour_for` and :func:`available_mac_protocols` all read it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -38,33 +36,31 @@ from repro.exceptions import SimulationError
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
 from repro.protocols.dmac import DMACModel
 from repro.protocols.lmac import LMACModel
+from repro.protocols.registry import available_protocols, protocol_class
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
-from repro.simulation.mac.base import DutyCycleKernel
-from repro.simulation.mac.dmac import DMACSimBehaviour
-from repro.simulation.mac.factory import behaviour_class_for
-from repro.simulation.mac.lmac import LMACSimBehaviour
-from repro.simulation.mac.scpmac import CONTENTION_SLOTS, SCPMACSimBehaviour
-from repro.simulation.mac.xmac import XMACSimBehaviour
+
+#: SCP-MAC contention-window length, in carrier-sense times: the first
+#: window precedes the wakeup tone, the second separates tone and data.
+CONTENTION_SLOTS = 2.0
 
 #: Block size of buffered backoff draws.  Drawing ``uniform(0, s, size=k)``
-#: consumes the PCG64 stream exactly like ``k`` scalar draws, so refilling
-#: in blocks keeps values and stream position bit-identical; leftover buffer
-#: entries are simply never compared (the generator dies with the run).
+#: consumes the PCG64 stream exactly like ``k`` one-at-a-time draws, so
+#: refilling in blocks keeps values and stream position bit-identical;
+#: leftover buffer entries are never used (the generator dies with the run).
 BACKOFF_BLOCK = 64
 
 
 class BatchKernel:
-    """Base class of the batch kernels; mirrors the scalar constant setup.
+    """Base class of the batch kernels: the airtimes every protocol shares.
 
     Args:
-        model: The analytical protocol model (same object the scalar
-            behaviour is built from).
+        model: The analytical protocol model, so the simulation and the
+            closed-form model describe the same timing, radio and frames.
         params: Concrete parameter vector to simulate.
     """
 
-    #: Must equal the scalar behaviour's ``name`` so results are
-    #: indistinguishable across engines.
+    #: The protocol name every result carries.
     name: str = "abstract"
 
     def __init__(self, model: DutyCycledMACModel, params: ParameterVector) -> None:
@@ -75,7 +71,6 @@ class BatchKernel:
         self._packets = model.scenario.packets
         radio = self._radio
         packets = self._packets
-        # Same shared airtimes DutyCycleKernel.__init__ computes.
         self._data = packets.data_airtime(radio)
         self._ack = packets.ack_airtime(radio)
         self._exchange = self._data + radio.turnaround_time + self._ack
@@ -83,7 +78,7 @@ class BatchKernel:
 
     @property
     def params(self) -> Dict[str, float]:
-        """The simulated parameter vector (same as the scalar behaviour's)."""
+        """The simulated parameter vector."""
         return dict(self._params)
 
     # ------------------------------------------------------------------ #
@@ -97,14 +92,13 @@ class BatchKernel:
         rings: Sequence[int],
         is_sink: Sequence[bool],
     ) -> List[float]:
-        """Phase offsets for ``count`` nodes, consuming the scalar draws.
+        """Phase offsets for ``count`` nodes, drawn from ``rng`` in one call.
 
         ``rings`` and ``is_sink`` carry the deployment structure for
-        behaviours whose schedule is deterministic per ring (DMAC's
-        staggered ladder draws nothing); random-phase behaviours ignore
-        them and reproduce the scalar RNG consumption exactly (element
-        ``i`` bit-identical to the ``i``-th scalar draw, generator left in
-        the same stream position).
+        protocols whose schedule is deterministic per ring (DMAC's
+        staggered ladder draws nothing); random-phase protocols ignore
+        them.  Element ``i`` equals the ``i``-th of one-at-a-time draws,
+        and the generator is left in the same stream position.
         """
         raise NotImplementedError
 
@@ -115,10 +109,10 @@ class BatchKernel:
     def make_hop_planner(self, state):
         """Build ``plan(sender, receiver, now) -> completion`` over ``state``.
 
-        The planner mutates the replication's flat arrays exactly like the
-        scalar ``plan_hop`` mutates nodes/channel: reserves the medium
-        around the sender, accumulates RX/TX seconds on every charged node
-        and bumps the transmission/deferral counters.
+        The planner waits for the sender's medium access, reserves the
+        medium around the sender, accumulates RX/TX seconds on every
+        charged node and bumps the transmission/deferral counters, and
+        returns the time the receiver holds the packet.
         """
         raise NotImplementedError
 
@@ -130,8 +124,10 @@ class BatchKernel:
         """Per-node periodic RX/TX seconds over the horizon, row by row.
 
         Every non-sink node pays the same rows, in table order — the engine
-        adds them to each node's accumulated event seconds sequentially, so
-        the float association matches the scalar per-row ``charge`` calls.
+        adds them to each node's accumulated event seconds one row at a
+        time, so the float association is fixed.  The ``int(horizon /
+        interval)`` event count multiplies as an integer before the float
+        duration.
         """
         rows: List[Tuple[bool, float]] = []
         for is_tx, interval, duration, multiplier in self.periodic_table():
@@ -141,7 +137,12 @@ class BatchKernel:
 
 
 class XMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`XMACSimBehaviour`."""
+    """X-MAC: a strobed preamble toward the receiver's next poll.
+
+    Every node polls on its own random phase; a sender strobes from the
+    moment it has the medium until the receiver's poll, then exchanges data
+    and ack.  Neighbours whose poll falls inside the strobe train overhear.
+    """
 
     name = "X-MAC"
 
@@ -176,7 +177,7 @@ class XMACBatchKernel(BatchKernel):
         exchange = self._exchange
         data = self._data
         ack = self._ack
-        # Recomputed per hop in the scalar code but constant per run, so the
+        # Recomputed per hop by the reference but constant per run, so the
         # folded values are bit-identical on every call.
         fraction = self._strobe / self._strobe_period
         listen_fraction = 1.0 - fraction
@@ -255,7 +256,11 @@ class XMACBatchKernel(BatchKernel):
 
 
 class LMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`LMACSimBehaviour`."""
+    """LMAC: every node sends its data unit in its own TDMA slot.
+
+    Slots are owned uniformly at random; listening to every slot's control
+    section is the periodic cost, and there are no acknowledgements.
+    """
 
     name = "LMAC"
 
@@ -342,7 +347,12 @@ class LMACBatchKernel(BatchKernel):
 
 
 class DMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`DMACSimBehaviour`."""
+    """DMAC: a staggered wake-up ladder toward the sink.
+
+    Ring ``d`` transmits at offset ``(D - d) · μ`` into the frame (``μ`` is
+    the slot time) after a contention window; an exchange that would
+    overflow the slot retries in the next frame.
+    """
 
     name = "DMAC"
 
@@ -403,8 +413,8 @@ class DMACBatchKernel(BatchKernel):
                 slot_start = phase
             else:
                 slot_start = phase + ceil((now - phase) / frame - 1e-12) * frame
-            # The contention draw happens before the channel check, exactly
-            # like the scalar acquire_grant.
+            # The contention draw happens before the channel check, as in
+            # the reference's acquire_grant.
             if draw_backoff:
                 if cursor >= len(buffer):
                     buffer = rng.uniform(
@@ -462,7 +472,14 @@ class DMACBatchKernel(BatchKernel):
 
 
 class SCPMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`SCPMACSimBehaviour`."""
+    """SCP-MAC: synchronized polling on one network-wide phase.
+
+    A sender sends a wakeup tone of twice the sync error at the next common
+    poll, backs off within a second contention window, then exchanges data
+    and ack; a sender whose neighbourhood is busy at an epoch retries at the
+    next one.  Every overhearer samples half a tone, and periodic SYNC
+    exchanges keep the clocks aligned.
+    """
 
     name = "SCP-MAC"
 
@@ -487,9 +504,9 @@ class SCPMACBatchKernel(BatchKernel):
         is_sink: Sequence[bool],
     ) -> List[float]:
         del rings, is_sink
-        # One network-wide phase: a single scalar draw at the same stream
-        # position as the scalar behaviour's __init__ draw (nothing else
-        # touches the generator in between).
+        # One network-wide phase: a single draw, at the stream position
+        # where the reference behaviour draws it on construction (nothing
+        # else touches the generator in between).
         self._phase = float(rng.uniform(0.0, self._poll))
         return [self._phase] * count
 
@@ -584,49 +601,58 @@ class SCPMACBatchKernel(BatchKernel):
         return plan
 
 
-#: Exact behaviour class → batch kernel.  Intentionally not keyed by
-#: ``isinstance``: see the module docstring on subclass fallback.
-_KERNELS: Dict[Type[DutyCycleKernel], Type[BatchKernel]] = {
-    XMACSimBehaviour: XMACBatchKernel,
-    LMACSimBehaviour: LMACBatchKernel,
-    DMACSimBehaviour: DMACBatchKernel,
-    SCPMACSimBehaviour: SCPMACBatchKernel,
+#: Analytical model class → batch kernel, matched with ``isinstance``.
+_KERNELS: Dict[Type[DutyCycledMACModel], Type[BatchKernel]] = {
+    XMACModel: XMACBatchKernel,
+    DMACModel: DMACBatchKernel,
+    LMACModel: LMACBatchKernel,
+    SCPMACModel: SCPMACBatchKernel,
 }
 
 
-def batch_kernel_for(model: DutyCycledMACModel) -> Optional[Type[BatchKernel]]:
-    """Resolve the batch kernel class for a model, or None to fall back.
+def has_behaviour_for(model_class: Type[DutyCycledMACModel]) -> bool:
+    """Whether instances of ``model_class`` can be simulated.
 
-    Returns None (scalar fallback) when the model's behaviour has no
-    registered kernel for its *exact* class, or has no behaviour at all —
-    in the last case the scalar driver raises the canonical "no simulated
-    behaviour" error.
+    Args:
+        model_class: The analytical model class to look up (a subclass of a
+            built-in model counts, matching :func:`batch_kernel_for`).
+    """
+    return isinstance(model_class, type) and issubclass(model_class, tuple(_KERNELS))
+
+
+def available_mac_protocols() -> List[str]:
+    """Canonical names of the registered protocols that can be simulated.
+
+    Spec validation, campaign assembly and the CLI help use it to tell
+    simulatable protocols apart from analytical-only ones by name, before
+    any model is constructed.
+
+    Returns:
+        The registered protocol names whose model class has a kernel (the
+        four built-ins: ``dmac``, ``lmac``, ``scpmac``, ``xmac``), sorted.
+    """
+    return [
+        name
+        for name in available_protocols()
+        if has_behaviour_for(protocol_class(name))
+    ]
+
+
+def batch_kernel_for(model: DutyCycledMACModel) -> Type[BatchKernel]:
+    """The kernel class that simulates ``model``.
 
     Args:
         model: The analytical protocol model.
-    """
-    try:
-        behaviour_class = behaviour_class_for(model)
-    except SimulationError:
-        return None
-    return _KERNELS.get(behaviour_class)
-
-
-def register_batch_kernel(
-    behaviour_class: Type[DutyCycleKernel], kernel_class: Type[BatchKernel]
-) -> None:
-    """Register a batch kernel for a behaviour class.
-
-    Args:
-        behaviour_class: The scalar behaviour the kernel replicates
-            (matched by exact class in :func:`batch_kernel_for`).
-        kernel_class: The kernel implementation.
 
     Raises:
-        SimulationError: if either argument has the wrong base class.
+        SimulationError: if the model has no kernel (an analytical-only
+            protocol); the message lists the protocols with a simulator.
     """
-    if not (isinstance(behaviour_class, type) and issubclass(behaviour_class, DutyCycleKernel)):
-        raise SimulationError("behaviour_class must derive from DutyCycleKernel")
-    if not (isinstance(kernel_class, type) and issubclass(kernel_class, BatchKernel)):
-        raise SimulationError("kernel_class must derive from BatchKernel")
-    _KERNELS[behaviour_class] = kernel_class
+    for model_class, kernel_class in _KERNELS.items():
+        if isinstance(model, model_class):
+            return kernel_class
+    raise SimulationError(
+        f"no simulated behaviour is registered for {type(model).__name__} "
+        f"({model.name}); protocols with a simulator: "
+        f"{', '.join(available_mac_protocols())}"
+    )

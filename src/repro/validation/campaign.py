@@ -34,7 +34,7 @@ from repro.exceptions import ConfigurationError, StoreError, ValidationError
 from repro.protocols.registry import canonical_name, protocol_class
 from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
-from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
+from repro.simulation.batched.kernels import available_mac_protocols, has_behaviour_for
 from repro.simulation.runner import SimulationConfig, check_horizon, simulate_protocol
 from repro.validation.stats import MetricAggregate, StreamingMoments
 
@@ -163,9 +163,9 @@ class CampaignSpec:
 def _simulable_protocols() -> Tuple[str, ...]:
     """Registered protocols that have a simulated behaviour.
 
-    Delegates to :func:`repro.simulation.mac.factory.available_mac_protocols`,
-    so analytical-only models (user-registered protocols without a
-    registered behaviour) are excluded.
+    Delegates to :func:`repro.simulation.batched.kernels.available_mac_protocols`,
+    so analytical-only models (user-registered protocols without a batch
+    kernel) are excluded.
     """
     return tuple(available_mac_protocols())
 

@@ -300,6 +300,17 @@ class TestExitCodeContract:
                 id="horizon-past-event-budget",
             ),
             pytest.param(
+                {
+                    "kind": "validate",
+                    "scenario": {"depth": 300, "density": 300, "sampling_period": 600},
+                    "protocols": ["xmac"],
+                    "simulation": {"horizon": 600},
+                },
+                [],
+                EXIT_ERROR,
+                id="oversized-simulated-scenario",
+            ),
+            pytest.param(
                 GOOD_SOLVE,
                 ["--store", "{tmp}/store", "--require-warm"],
                 EXIT_NOT_WARM,

@@ -147,6 +147,29 @@ class TestResolutionErrors:
         payload[section] = {"horizon": 3.0e6}
         assert len(plan(ExperimentSpec.from_dict(payload))) == 1
 
+    def test_oversized_scenario_is_refused_by_name(self):
+        # 300 rings of density 300 are 27M nodes: the deployment's n×n
+        # distance arrays alone would need petabytes.  At one packet per
+        # 600 s, a 600 s horizon generates nothing, so the event budget
+        # cannot catch it.
+        payload = {
+            "kind": "validate",
+            "scenario": {"depth": 300, "density": 300, "sampling_period": 600},
+            "protocols": ["xmac"],
+            "simulation": {"horizon": 600},
+        }
+        with pytest.raises(ConfigurationError) as caught:
+            plan(ExperimentSpec.from_dict(payload))
+        assert str(caught.value) == (
+            "scenario 'custom' is too large to simulate: 27000000 sensor nodes "
+            "exceed the deployment limit of 4000"
+        )
+        payload["scenario"] = {"depth": 1, "density": 4001, "sampling_period": 600}
+        with pytest.raises(ConfigurationError, match="4001 sensor nodes exceed"):
+            plan(ExperimentSpec.from_dict(payload))
+        payload["scenario"] = {"depth": 1, "density": 4000, "sampling_period": 600}
+        assert len(plan(ExperimentSpec.from_dict(payload))) == 1
+
     def test_protocol_aliases_resolve(self):
         spec = ExperimentSpec.experiment("solve").with_protocols("x-mac")
         assert plan(spec).units[0].protocol == "xmac"

@@ -2,8 +2,12 @@
 
 SciPy is imported by the SLSQP polish on first use, and no graph library
 is imported at all, so importing the front doors, planning a spec and
-running a validation spot check load neither.  Each case runs in a fresh
-interpreter, since the test session itself has long imported both.
+running a validation spot check load neither.  Every simulation runs on the
+batched engine, so no front door or run loads any other simulation module,
+nor the scalar reference simulator of ``tests/scalar_reference/`` (which
+the fresh interpreter could import: ``tests/`` is on its path).  Each case
+runs in a fresh interpreter, since the test session itself has long
+imported all of these.
 """
 
 from __future__ import annotations
@@ -20,23 +24,32 @@ ROOT = Path(__file__).resolve().parents[2]
 SPECS = sorted((ROOT / "examples" / "specs").glob("*.json"))
 
 #: Appended to each case: prints, as its last line, the sorted names of the
-#: loaded scipy and networkx modules.
+#: loaded modules whose top-level package is in ``roots``.
 _REPORT = """
 import json, sys
 print(json.dumps(sorted(
-    name for name in sys.modules if name.split(".")[0] in ("scipy", "networkx")
+    name for name in sys.modules if name.split(".")[0] in {roots!r}
 )))
 """
 
+#: Every module of the simulator: the entry point and the batched engine.
+SIMULATION_MODULES = {
+    "repro.simulation",
+    "repro.simulation.runner",
+    "repro.simulation.batched",
+    "repro.simulation.batched.engine",
+    "repro.simulation.batched.kernels",
+}
 
-def _loaded_after(code: str) -> list:
-    """The scipy/networkx modules a fresh interpreter holds after ``code``."""
+
+def _loaded_after(code: str, roots=("scipy", "networkx")) -> list:
+    """The modules under ``roots`` a fresh interpreter holds after ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")])
     )
     completed = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
+        [sys.executable, "-c", code + _REPORT.format(roots=tuple(roots))],
         cwd=str(ROOT),
         env=env,
         capture_output=True,
@@ -69,6 +82,26 @@ def test_validate_spec_loads_no_scipy(spec):
         f"assert main(['run', 'examples/specs/{spec}', '--no-cache']) == 0\n"
     )
     assert _loaded_after(code) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.cli",
+        "import repro.api",
+        "import repro.service",
+        "from repro.cli import main\n"
+        "assert main(['run', 'examples/specs/validate.json', '--no-cache']) == 0\n",
+        "from repro.cli import main\n"
+        "assert main(['run', 'examples/specs/campaign.json', '--no-cache']) == 0\n",
+    ],
+    ids=["import-cli", "import-api", "import-service", "run-validate", "run-campaign"],
+)
+def test_only_the_batched_simulator_is_loaded(code):
+    loaded = _loaded_after(code, roots=("repro", "scalar_reference"))
+    simulation = {name for name in loaded if name.startswith("repro.simulation")}
+    assert simulation <= SIMULATION_MODULES
+    assert [name for name in loaded if name.startswith("scalar_reference")] == []
 
 
 def test_pooled_solve_batch_preloads_scipy_in_the_parent():

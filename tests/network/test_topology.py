@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.deployment import chain_deployment, generate_deployment, ring_deployment
+from repro.network.deployment import (
+    MAX_DEPLOYMENT_NODES,
+    chain_deployment,
+    check_node_count,
+    generate_deployment,
+    ring_deployment,
+)
 from repro.network.topology import (
     RingTopology,
     build_gathering_tree,
@@ -159,3 +166,36 @@ class TestDeployments:
     def test_ring_deployment_invalid_spacing_rejected(self):
         with pytest.raises(ConfigurationError):
             ring_deployment(depth=3, density=4, spacing_factor=0.95)
+
+
+class TestDeploymentSizeLimit:
+    """Past MAX_DEPLOYMENT_NODES sensor nodes, a deployment is refused before
+    any position is sampled (its n×n distance arrays would not fit)."""
+
+    OVERSIZED = [(300, 300), (1, 4001), (20, 11)]
+
+    @pytest.fixture(autouse=True)
+    def _no_sampling(self, monkeypatch):
+        def sampled(*_args, **_kwargs):
+            raise AssertionError("a position was sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", sampled)
+
+    @pytest.mark.parametrize("depth, density", OVERSIZED)
+    def test_ring_deployment_refuses(self, depth, density):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^{density * depth**2} sensor nodes exceed the deployment limit of 4000$",
+        ):
+            ring_deployment(depth=depth, density=density)
+
+    @pytest.mark.parametrize("depth, density", OVERSIZED)
+    def test_generate_deployment_refuses(self, depth, density):
+        with pytest.raises(ConfigurationError, match=f"^{density * depth**2} sensor nodes"):
+            generate_deployment(depth=depth, density=density)
+
+    def test_limit_is_inclusive(self):
+        assert MAX_DEPLOYMENT_NODES == 4000
+        check_node_count(MAX_DEPLOYMENT_NODES)
+        with pytest.raises(ConfigurationError):
+            check_node_count(MAX_DEPLOYMENT_NODES + 1)

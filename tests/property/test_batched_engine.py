@@ -6,7 +6,8 @@ Four families, per the batched-engine contract:
 * accounting — per-state energy accumulators (RX/TX seconds, periodic
   rows, channel counters) are non-negative under direct kernel driving;
 * determinism — campaign artifacts are byte-identical across worker
-  counts, and scalar/batched runs are bit-identical at fuzzed seeds;
+  counts, and runs are bit-identical to the scalar reference
+  (``tests/scalar_reference/``) at fuzzed seeds;
 * edges — R=0, R=1 and sub-duty-cycle horizons for the DMAC and SCP-MAC
   kernels added by the engine-completion PR.
 """
@@ -25,10 +26,11 @@ from repro.network.deployment import ring_deployment
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.scenario import Scenario
-from repro.simulation import SimulationConfig, simulate_protocol, simulate_scalar
+from repro.simulation import SimulationConfig, simulate_protocol
 from repro.simulation.batched import batch_kernel_for, simulate_protocol_batched
 from repro.simulation.batched.engine import ReplicationState
 from repro.validation.campaign import CampaignSpec, run_campaign
+from scalar_reference import simulate_scalar
 
 PROTOCOL_PARAMS = {
     "xmac": {"wakeup_interval": 0.3},
@@ -69,7 +71,6 @@ class TestPacketConservation:
         self, protocol, seed, horizon, period
     ):
         result = _batched(protocol, seed, horizon, period)
-        assert result.engine == "batched"
         assert 0 <= result.delivered_packets <= result.generated_packets
         assert 0 <= result.dropped_packets
         # In-flight packets may remain queued at the horizon, so the two
@@ -91,9 +92,7 @@ class TestEnergyAccounting:
         # Drive the kernel's hop planner directly against a hand-built
         # ReplicationState — the engine-independent accounting invariant.
         model = _model(protocol)
-        kernel_class = batch_kernel_for(model)
-        assert kernel_class is not None, f"{protocol} lost its batch kernel"
-        kernel = kernel_class(model, PROTOCOL_PARAMS[protocol])
+        kernel = batch_kernel_for(model)(model, PROTOCOL_PARAMS[protocol])
         rng = np.random.default_rng(seed)
         deployment = ring_deployment(depth=3, density=4, seed=seed)
         node_ids = list(deployment.node_ids)
@@ -163,8 +162,6 @@ class TestDeterminism:
         config = SimulationConfig(horizon=horizon, seed=seed)
         scalar = simulate_scalar(model, params, config)
         batched = simulate_protocol(model, params, config)
-        assert scalar.engine == "scalar"
-        assert batched.engine == "batched"
         assert scalar.node_power == batched.node_power
         assert scalar.ring_power == batched.ring_power
         assert scalar.delays_by_ring == batched.delays_by_ring
@@ -204,7 +201,6 @@ class TestNewKernelEdges:
         config = SimulationConfig(horizon=150.0, seed=5)
         (batched,) = simulate_protocol_batched(model, params, [config])
         scalar = simulate_scalar(model, params, config)
-        assert batched.engine == "batched"
         assert scalar.as_dict() == batched.as_dict()
 
     @pytest.mark.parametrize("protocol", NEW_KERNEL_PROTOCOLS)

@@ -20,7 +20,7 @@ from repro.protocols import XMACModel
 from repro.protocols.registry import available_protocols, create_protocol
 from repro.scenario import Scenario
 from repro.scenarios import available_scenarios, scenario_preset
-from repro.simulation.mac.base import next_occurrence
+from scalar_reference.mac.base import next_occurrence
 
 COMMON_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -7,13 +7,13 @@ energy charged to the sender, the receiver and the overhearing neighbours for
 that hop.
 
 All four built-in behaviours are subclasses of the shared
-:class:`~repro.simulation.mac.base.DutyCycleKernel` — the duty-cycle MAC
+:class:`~scalar_reference.mac.base.DutyCycleKernel` — the duty-cycle MAC
 state machine (kernel states, periodic-cost table, contention windows,
 data/ack exchange accounting); each subclass implements only its
 distinguishing transitions.
 """
 
-from repro.simulation.mac.base import (
+from scalar_reference.mac.base import (
     DutyCycleKernel,
     HopOutcome,
     KernelState,
@@ -22,14 +22,13 @@ from repro.simulation.mac.base import (
     PeriodicCharge,
     next_occurrence,
 )
-from repro.simulation.mac.xmac import XMACSimBehaviour
-from repro.simulation.mac.dmac import DMACSimBehaviour
-from repro.simulation.mac.lmac import LMACSimBehaviour
-from repro.simulation.mac.scpmac import SCPMACSimBehaviour
-from repro.simulation.mac.factory import (
+from scalar_reference.mac.xmac import XMACSimBehaviour
+from scalar_reference.mac.dmac import DMACSimBehaviour
+from scalar_reference.mac.lmac import LMACSimBehaviour
+from scalar_reference.mac.scpmac import SCPMACSimBehaviour
+from scalar_reference.mac.factory import (
     available_mac_protocols,
     behaviour_for_model,
-    register_behaviour,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "SCPMACSimBehaviour",
     "available_mac_protocols",
     "behaviour_for_model",
-    "register_behaviour",
 ]

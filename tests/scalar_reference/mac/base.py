@@ -39,8 +39,8 @@ from repro.exceptions import SimulationError
 from repro.network.packets import PacketModel
 from repro.network.radio import RadioMode, RadioModel
 from repro.protocols.base import DutyCycledMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.node import SensorNode
+from scalar_reference.channel import Channel
+from scalar_reference.node import SensorNode
 
 
 def next_occurrence(now: float, period: float, offset: float) -> float:

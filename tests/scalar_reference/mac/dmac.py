@@ -10,7 +10,7 @@ exchanges.
 
 Only the staggered-schedule logic lives here; the contention window, the
 data/ack accounting and the periodic-cost closed form come from the
-:class:`~repro.simulation.mac.base.DutyCycleKernel`.
+:class:`~scalar_reference.mac.base.DutyCycleKernel`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.dmac import DMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.mac.base import (
+from scalar_reference.channel import Channel
+from scalar_reference.mac.base import (
     DutyCycleKernel,
     HopOutcome,
     KernelState,
@@ -30,7 +30,7 @@ from repro.simulation.mac.base import (
     PeriodicCharge,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from scalar_reference.node import SensorNode
 
 
 class DMACSimBehaviour(DutyCycleKernel):

@@ -9,7 +9,7 @@ units ride in the owner's slot, addressed to the tree parent.
 
 Only the slot-ownership logic lives here; scheduling, the periodic-cost
 closed form and the data exchange accounting come from the
-:class:`~repro.simulation.mac.base.DutyCycleKernel`.  LMAC keeps the
+:class:`~scalar_reference.mac.base.DutyCycleKernel`.  LMAC keeps the
 kernel's no-op overhearing transition: neighbourhood listening is already
 part of the per-frame control-section cost.
 """
@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.lmac import LMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.mac.base import (
+from scalar_reference.channel import Channel
+from scalar_reference.mac.base import (
     DutyCycleKernel,
     HopOutcome,
     KernelState,
@@ -31,7 +31,7 @@ from repro.simulation.mac.base import (
     PeriodicCharge,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from scalar_reference.node import SensorNode
 
 
 class LMACSimBehaviour(DutyCycleKernel):

@@ -13,7 +13,7 @@ SYNC exchange that keeps the clocks aligned.
 
 Only the synchronized-polling logic lives here; contention draws, data/ack
 accounting and the periodic-cost closed form come from the
-:class:`~repro.simulation.mac.base.DutyCycleKernel`.
+:class:`~scalar_reference.mac.base.DutyCycleKernel`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.scpmac import SCPMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.mac.base import (
+from scalar_reference.channel import Channel
+from scalar_reference.mac.base import (
     DutyCycleKernel,
     HopOutcome,
     KernelState,
@@ -33,7 +33,7 @@ from repro.simulation.mac.base import (
     PeriodicCharge,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from scalar_reference.node import SensorNode
 
 #: Contention-window length in units of one clear-channel assessment.  Both
 #: contention phases use the same small window; it only has to spread the

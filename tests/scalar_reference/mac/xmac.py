@@ -8,7 +8,7 @@ strobe period each.
 
 Only the strobed-preamble logic lives here; scheduling, contention,
 data/ack accounting and periodic costs come from the
-:class:`~repro.simulation.mac.base.DutyCycleKernel`.
+:class:`~scalar_reference.mac.base.DutyCycleKernel`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.xmac import XMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.mac.base import (
+from scalar_reference.channel import Channel
+from scalar_reference.mac.base import (
     DutyCycleKernel,
     HopOutcome,
     KernelState,
@@ -28,7 +28,7 @@ from repro.simulation.mac.base import (
     PeriodicCharge,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from scalar_reference.node import SensorNode
 
 
 class XMACSimBehaviour(DutyCycleKernel):

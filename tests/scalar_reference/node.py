@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Optional
 
 from repro.exceptions import SimulationError
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.packets import DataPacket
+from scalar_reference.energy import EnergyAccount
+from scalar_reference.packets import DataPacket
 
 
 @dataclass

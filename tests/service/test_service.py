@@ -355,6 +355,27 @@ class TestErrorStatuses:
         assert len(client.queue()["jobs"]) == jobs
         assert client.healthz()["status"] == "ok"
 
+    def test_submit_oversized_simulated_scenario_is_400_naming_it(self, client):
+        # Planned at submit: refused before a worker could build a
+        # 27M-node deployment.
+        spec = {
+            "kind": "validate",
+            "scenario": {"depth": 300, "density": 300, "sampling_period": 600},
+            "protocols": ["xmac"],
+            "simulation": {"horizon": 600},
+        }
+        jobs = len(client.queue()["jobs"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert (
+            "scenario 'custom' is too large to simulate: 27000000 sensor nodes"
+            in excinfo.value.payload["error"]
+        )
+        assert len(client.queue()["jobs"]) == jobs
+        assert client.healthz()["status"] == "ok"
+
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):
             with pytest.raises(ServiceError) as excinfo:

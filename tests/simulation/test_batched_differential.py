@@ -1,23 +1,24 @@
 """Differential harness: the production path is bit-identical to the reference.
 
 Every simulation runs on the batched engine (:mod:`repro.simulation.batched`
-behind ``simulate_protocol``); the scalar per-event driver
-(``simulate_scalar``) stays as the reference it must reproduce: every
-metric of every replication — per-node power, per-ring delay lists, packet
-and channel counters — must match bit for bit at the same seed.  This
-module enforces that three ways:
+behind ``simulate_protocol``); the scalar per-event simulator of
+``tests/scalar_reference/`` (``simulate_scalar``) is the reference it must
+reproduce: every metric of every replication — per-node power, per-ring
+delay lists, packet and channel counters — must match bit for bit at the
+same seed.  This module enforces that three ways:
 
 * a seeded fuzzer sweeps the **full matrix** — every preset × every
   protocol (xmac, lmac, dmac, scpmac) × fuzzed (seed, horizon, sampling
   period) — as ~200 cases; the first :data:`FAST_CASES` run in tier-1
   (covering all four protocols), the full sweep is marked ``slow``;
 * a campaign identity test proves whole campaign artifacts (JSON bytes
-  included) do not move when the replications run on the reference;
-* edge cases both drivers must agree on: horizons shorter than one duty
-  cycle, single replications, R=0, kernel-less fallback.
+  included) do not move when the replications run on the reference, and
+  every replication a ``validate`` or ``campaign`` spec runs equals the
+  reference's run of it;
+* edge cases both simulators must agree on: horizons shorter than one duty
+  cycle, single replications, R=0 — and the named refusal of a protocol
+  without a simulator.
 
-Every production run asserts batched provenance, so a silent scalar
-fallback cannot masquerade as a passing differential case.
 Floats are compared with ``==`` (bit-equality for the NaN-free quantities
 the simulator produces); mismatches are reported in ``float.hex`` so a
 one-ulp drift is visible in the failure message, together with the exact
@@ -47,12 +48,10 @@ from repro.simulation import (
     SimulationConfig,
     simulate_protocol,
     simulate_protocol_batched,
-    simulate_scalar,
 )
-from repro.simulation.batched import kernels
-from repro.simulation.mac.xmac import XMACSimBehaviour
 from repro.validation import campaign
 from repro.validation.campaign import CampaignSpec, run_campaign
+from scalar_reference import simulate_scalar
 
 #: Mid-box parameter vectors, one per protocol (the bench's choices).
 PROTOCOL_PARAMS = {
@@ -190,10 +189,6 @@ def _check_case(preset, protocol, seed, horizon, period):
     context = f"case {case!r}\n  repro: {repro}"
     try:
         scalar, batched = _run_both(preset, protocol, seed, horizon, period)
-        # Provenance: the fast path, not a silent scalar fallback, produced
-        # the production result.
-        assert batched.engine == "batched", f"{context}: ran on {batched.engine!r}"
-        assert scalar.engine == "scalar", f"{context}: ran on {scalar.engine!r}"
         assert_bit_identical(scalar, batched, context=context)
     except AssertionError:
         with FAILURE_LOG.open("a", encoding="utf-8") as handle:
@@ -243,14 +238,14 @@ class TestCampaignIdentity:
 
 
 class TestProductionPath:
-    """Spec-driven runs simulate every built-in protocol on the batched engine."""
+    """Spec-driven runs simulate every built-in protocol as the reference does."""
 
     def test_validate_and_campaign_replications_run_batched(self, monkeypatch):
-        engines = []
+        runs = []
 
         def recording(model, params, config=None):
             result = simulate_protocol(model, params, config)
-            engines.append((result.protocol, result.engine))
+            runs.append((model, params, config or SimulationConfig(), result))
             return result
 
         monkeypatch.setattr(validation, "simulate_protocol", recording)
@@ -276,12 +271,19 @@ class TestProductionPath:
                 }
             )
         )
-        assert len(engines) == 3 * len(PROTOCOLS)
-        assert {engine for _, engine in engines} == {"batched"}
+        assert len(runs) == 3 * len(PROTOCOLS)
+        assert {result.protocol for *_, result in runs} == {
+            "X-MAC", "DMAC", "LMAC", "SCP-MAC"
+        }
+        for model, params, config, result in runs:
+            reference = simulate_scalar(model, params, config)
+            assert_bit_identical(
+                reference, result, context=f"{result.protocol} seed={config.seed}"
+            )
 
 
 class TestEdgeCases:
-    """Degenerate inputs both drivers must handle the same way."""
+    """Degenerate inputs both simulators must handle the same way."""
 
     @staticmethod
     def _model():
@@ -325,28 +327,28 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_no_protocol_falls_back(self, protocol):
-        # All four built-in protocols have batch kernels: the production
-        # path must carry batched provenance.
+        # All four built-in protocols have batch kernels.
         scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
         model = create_protocol(protocol, scenario)
         params = PROTOCOL_PARAMS[protocol]
         config = SimulationConfig(horizon=300.0, seed=9)
         scalar = simulate_scalar(model, params, config)
         batched = simulate_protocol(model, params, config)
-        assert batched.engine == "batched"
         assert_bit_identical(scalar, batched, context=f"batched-{protocol}")
 
-    def test_kernel_less_behaviour_falls_back_transparently(self, monkeypatch):
-        # Unregister X-MAC's kernel to simulate a user-registered behaviour
-        # without one: the kernel registry routes it to the scalar driver.
-        monkeypatch.delitem(kernels._KERNELS, XMACSimBehaviour)
-        model = self._model()
-        params = PROTOCOL_PARAMS["xmac"]
-        config = SimulationConfig(horizon=300.0, seed=9)
-        scalar = simulate_scalar(model, params, config)
-        fallback = simulate_protocol(model, params, config)
-        assert fallback.engine == "scalar"
-        assert_bit_identical(scalar, fallback, context="fallback-xmac")
+    def test_protocol_without_a_kernel_is_refused_by_name(
+        self, analytical_only_model_class
+    ):
+        scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
+        model = analytical_only_model_class(scenario)
+        message = (
+            "no simulated behaviour is registered for AnalyticalOnlyMAC "
+            "(Analytical-Only); protocols with a simulator: dmac, lmac, scpmac, xmac"
+        )
+        for simulate in (simulate_protocol, simulate_scalar):
+            with pytest.raises(SimulationError) as caught:
+                simulate(model, {"interval": 0.5}, SimulationConfig(horizon=60.0))
+            assert str(caught.value) == message
 
     def test_replications_vary_only_by_seed(self):
         # The batched entry point accepts heterogeneous configs; each one is

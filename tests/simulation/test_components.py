@@ -1,4 +1,4 @@
-"""Tests for channel, node and packet bookkeeping."""
+"""Tests for the scalar reference's channel, node and packet bookkeeping."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.network.deployment import chain_deployment
 from repro.network.radio import cc2420
-from repro.simulation.channel import Channel
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.node import SensorNode
-from repro.simulation.packets import DataPacket, DeliveryRecord, PacketLog
+from scalar_reference.channel import Channel
+from scalar_reference.energy import EnergyAccount
+from scalar_reference.node import SensorNode
+from scalar_reference.packets import DataPacket, DeliveryRecord, PacketLog
 
 
 def make_node(node_id=2, ring=2, parent=1, capacity=4) -> SensorNode:

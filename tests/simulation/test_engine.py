@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine and energy accounting."""
+"""Tests for the scalar reference's event engine and energy accounting."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.network.radio import RadioMode, cc2420
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.engine import EventQueue, Simulator
+from scalar_reference.energy import EnergyAccount
+from scalar_reference.engine import EventQueue, Simulator
 
 
 class TestEventQueue:

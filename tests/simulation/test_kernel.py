@@ -18,19 +18,14 @@ from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel
 from repro.scenario import Scenario
-from repro.simulation import (
-    EnergyAccount,
-    SimulationConfig,
-    simulate_protocol,
-    simulate_scalar,
-)
-from repro.simulation.mac import (
+from repro.simulation import SimulationConfig, simulate_protocol
+from scalar_reference import EnergyAccount, SensorNode, simulate_scalar
+from scalar_reference.mac import (
     DMACSimBehaviour,
     KernelState,
     MediumGrant,
     PeriodicCharge,
 )
-from repro.simulation.node import SensorNode
 
 
 @pytest.fixture
@@ -287,7 +282,7 @@ class TestEmptyWakeups:
             result.max_ring_delay()
         # Every node's power equals the closed-form periodic cost: the
         # kernel charged nothing but the PeriodicCharge table.
-        from repro.simulation.mac.factory import behaviour_for_model
+        from scalar_reference.mac.factory import behaviour_for_model
 
         behaviour = behaviour_for_model(model, params, np.random.default_rng(0))
         reference = make_node(1, 1, 0)
@@ -304,7 +299,7 @@ class TestContentionCollision:
         model = DMACModel(scenario)
         behaviour = DMACSimBehaviour(model, {"frame_length": 1.0}, np.random.default_rng(2))
         deployment = ring_deployment(depth=2, density=6, seed=3)
-        from repro.simulation.channel import Channel
+        from scalar_reference.channel import Channel
 
         channel = Channel(deployment)
         # Find two same-ring neighbours: they share the transmit slot and
@@ -345,7 +340,7 @@ class TestSlotOverflowRetry:
         model = DMACModel(scenario)
         behaviour = DMACSimBehaviour(model, {"frame_length": 1.0}, np.random.default_rng(2))
         deployment = chain_deployment(depth=3)
-        from repro.simulation.channel import Channel
+        from scalar_reference.channel import Channel
 
         channel = Channel(deployment)
         sender = make_node(3, 3, 2)
@@ -360,14 +355,14 @@ class TestSlotOverflowRetry:
 
     def test_scpmac_lost_epoch_retries_at_next_poll(self, scenario):
         model = SCPMACModel(scenario)
-        from repro.simulation.mac import SCPMACSimBehaviour
-        from repro.simulation.channel import Channel
+        from scalar_reference.mac import SCPMACSimBehaviour
+        from scalar_reference.channel import Channel
 
         behaviour = SCPMACSimBehaviour(model, {"poll_interval": 0.5}, np.random.default_rng(4))
         deployment = chain_deployment(depth=3)
         channel = Channel(deployment)
         phase = behaviour.assign_phase(make_node(2, 2, 1))
-        from repro.simulation.mac import next_occurrence
+        from scalar_reference.mac import next_occurrence
 
         epoch = next_occurrence(0.0, 0.5, phase)
         channel.reserve(sender=1, start=0.0, duration=epoch + 1e-3)
@@ -392,7 +387,7 @@ class TestKernelPrimitives:
 
     def test_charge_maps_states_onto_radio_modes(self, scenario):
         model = XMACModel(scenario)
-        from repro.simulation.mac import XMACSimBehaviour
+        from scalar_reference.mac import XMACSimBehaviour
 
         behaviour = XMACSimBehaviour(model, {"wakeup_interval": 0.5}, np.random.default_rng(0))
         node = make_node(1, 1, 0)

@@ -1,4 +1,4 @@
-"""Tests for the simulated MAC behaviours."""
+"""Tests for the scalar reference's MAC behaviours."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel
 from repro.scenario import Scenario
-from repro.simulation.channel import Channel
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.mac import (
+from repro.simulation.batched import kernels
+from scalar_reference.channel import Channel
+from scalar_reference.energy import EnergyAccount
+from scalar_reference.mac import (
     DMACSimBehaviour,
     LMACSimBehaviour,
     SCPMACSimBehaviour,
@@ -22,7 +23,7 @@ from repro.simulation.mac import (
     behaviour_for_model,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from scalar_reference.node import SensorNode
 
 
 @pytest.fixture
@@ -75,7 +76,9 @@ class TestBehaviourFactory:
         )
 
     def test_all_builtin_protocols_have_simulators(self):
+        # The reference's own map and the production kernel map agree.
         assert available_mac_protocols() == ["dmac", "lmac", "scpmac", "xmac"]
+        assert kernels.available_mac_protocols() == available_mac_protocols()
 
     def test_unsupported_model_rejected_with_simulable_names(
         self, scenario, analytical_only_model_class

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
@@ -13,8 +14,8 @@ from repro.protocols import DMACModel, XMACModel
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig, simulate_protocol
 from repro.simulation.batched import engine as batched_engine
-from repro.simulation.engine import Simulator
-from repro.simulation.runner import generation_lower_bound, simulate_scalar
+from repro.simulation.runner import generation_lower_bound
+from scalar_reference import Simulator, simulate_scalar
 
 
 @pytest.fixture
@@ -95,6 +96,21 @@ class TestSimulationRunner:
             SimulationConfig(generation_cutoff=0.0)
         with pytest.raises(SimulationError):
             SimulationConfig(queue_capacity=0)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_horizon_rejected_by_name(self, horizon):
+        with pytest.raises(SimulationError, match="horizon must be finite"):
+            SimulationConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("field", ["queue_capacity", "max_events"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 64.0, 0, -3, True, "64"])
+    def test_counts_must_be_integers_of_at_least_one(self, field, value):
+        with pytest.raises(SimulationError, match=f"{field} must be an integer >= 1"):
+            SimulationConfig(**{field: value})
+
+    def test_integer_counts_are_accepted(self):
+        config = SimulationConfig(queue_capacity=1, max_events=np.int64(5))
+        assert (config.queue_capacity, config.max_events) == (1, 5)
 
     def test_empty_result_guards(self, scenario):
         from repro.simulation.runner import SimulationResult

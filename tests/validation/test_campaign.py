@@ -8,9 +8,11 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
+from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.runtime import build_runner
 from repro.runtime import executor as executor_module
+from repro.scenario import Scenario
 from repro.scenarios import scenario_preset
 from repro.scenarios.presets import (
     ScenarioPreset,
@@ -73,6 +75,28 @@ class TestCampaignSpec:
     def test_horizon_past_the_event_budget_rejected_up_front(self):
         with pytest.raises(ConfigurationError, match="campaign.horizon 1e\\+20 .*'high-rate'"):
             CampaignSpec(scenarios=("high-rate",), horizon=1e20)
+
+    def test_oversized_scenario_rejected_up_front(self):
+        preset = ScenarioPreset(
+            name="oversized-ring",
+            title="More nodes than a deployment may hold",
+            description="Depth 300, density 300: 27M nodes.",
+            scenario=Scenario(
+                topology=RingTopology(depth=300, density=300), sampling_rate=1.0 / 600.0
+            ),
+            energy_budget=0.06,
+            max_delay=6.0,
+        )
+        register_scenario_preset(preset)
+        try:
+            with pytest.raises(
+                ConfigurationError,
+                match="^scenario 'oversized-ring' is too large to simulate: "
+                "27000000 sensor nodes exceed the deployment limit of 4000$",
+            ):
+                CampaignSpec(scenarios=("oversized-ring",), horizon=600.0)
+        finally:
+            unregister_scenario_preset("oversized-ring")
 
     def test_analytical_only_protocol_rejected_up_front(self, analytical_only_protocol):
         # A behaviour-less protocol cannot be validated by simulation;
