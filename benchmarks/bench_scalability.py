@@ -25,7 +25,6 @@ def _run_study():
         sizes=SIZES,
         requirements=REQUIREMENTS,
         grid_points_per_dimension=48,
-        random_starts=2,
     )
 
 

@@ -30,7 +30,7 @@ if _TESTS_DIR not in sys.path:
     sys.path.append(_TESTS_DIR)
 
 #: Solver grid used by the figure benches (coarser than the library default;
-#: the SLSQP polish makes the final optima identical to within tolerance).
+#: the polish makes the final optima identical to within tolerance).
 #: ``REPRO_BENCH_GRID`` overrides it, so CI can run a reduced-size smoke
 #: pass of the same benches.
 BENCH_GRID = int(os.environ.get("REPRO_BENCH_GRID", "48"))

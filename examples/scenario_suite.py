@@ -28,7 +28,7 @@ def run_library_suite() -> None:
     """Every registered scenario × every protocol, on 4 worker processes."""
     spec = (
         ExperimentSpec.experiment("suite")
-        .with_solver(grid_points=40)  # coarse grid: the SLSQP polish refines it
+        .with_solver(grid_points=40)  # coarse grid: the polish refines it
         .with_runtime(workers=4)
     )
     suite_plan = plan(spec)

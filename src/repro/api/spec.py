@@ -157,8 +157,6 @@ class RuntimePolicy:
 #: The ``hybrid_solve`` keywords a spec's ``solver`` section may forward,
 #: with the type each converts to.
 SOLVER_OPTION_TYPES: Dict[str, type] = {
-    "random_starts": int,
-    "seed": int,
     "feasibility_tolerance": float,
 }
 
@@ -170,7 +168,7 @@ class SolverSettings:
     Attributes:
         grid_points: Grid resolution per parameter dimension.
         options: Further ``hybrid_solve`` keywords, one of
-            :data:`SOLVER_OPTION_TYPES` each (e.g. ``random_starts``).
+            :data:`SOLVER_OPTION_TYPES` each (``feasibility_tolerance``).
     """
 
     grid_points: int = 60

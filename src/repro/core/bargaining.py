@@ -36,7 +36,7 @@ class NashBargainingSolver:
 
     Args:
         solver: Constrained-optimization backend used for (P1), (P2) and
-            (P4); defaults to the grid-seeded SLSQP hybrid.
+            (P4); defaults to the grid-seeded hybrid.
         solver_options: Extra keyword arguments forwarded to the backend
             (e.g. ``grid_points_per_dimension``).
     """

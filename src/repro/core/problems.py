@@ -34,11 +34,12 @@ class _ProblemBase:
 
     ``E(X)``, ``L(X)`` and the capacity margin are evaluated at most once
     per point over the problem's lifetime: every scalar objective and margin
-    reads them through a memo keyed on the point's float64 bytes.  SLSQP
-    asks for the same point many times (the start point twice, each
-    Jacobian's base point, and (P4)'s objective and margins share ``E`` and
-    ``L``), and the solver builds one problem per solve, so the memo stays
-    small.
+    reads them through a memo keyed on the point's float64 bytes, so (P4)'s
+    objective and margins share ``E`` and ``L`` at the point the solver
+    reports.  The batched twins share them the same way for the last batch
+    of points: a solver hands the objective and every margin the same batch
+    in turn (a whole grid, or one polish round).  A shared batch result is
+    read-only.
     """
 
     def __init__(
@@ -59,6 +60,8 @@ class _ProblemBase:
         self._energies: Dict[bytes, float] = {}
         self._latencies: Dict[bytes, float] = {}
         self._capacities: Dict[bytes, float] = {}
+        self._batch: bytes = b""
+        self._batch_values: Dict[str, np.ndarray] = {}
 
     @property
     def model(self) -> DutyCycledMACModel:
@@ -97,6 +100,24 @@ class _ProblemBase:
     def _capacity_margin(self, x: np.ndarray) -> float:
         return self._memoized(self._capacities, self._model.capacity_margin, x)
 
+    def _shared_batch(
+        self, name: str, evaluate: Callable[[np.ndarray], np.ndarray], grid: np.ndarray
+    ) -> np.ndarray:
+        key = np.ascontiguousarray(grid, dtype=float).tobytes()
+        if key != self._batch:
+            self._batch, self._batch_values = key, {}
+        values = self._batch_values.get(name)
+        if values is None:
+            values = self._batch_values[name] = np.asarray(evaluate(grid), dtype=float)
+            values.flags.writeable = False
+        return values
+
+    def _energy_many(self, grid: np.ndarray) -> np.ndarray:
+        return self._shared_batch("energy", self._model.energy_many, grid)
+
+    def _latency_many(self, grid: np.ndarray) -> np.ndarray:
+        return self._shared_batch("latency", self._model.latency_many, grid)
+
     def _point(self, x: np.ndarray) -> TradeoffPoint:
         return TradeoffPoint(
             parameters=self._model.coerce(x),
@@ -128,15 +149,14 @@ class _ProblemBase:
 
     # The objectives and constraints handed to the solvers carry batched
     # ``.many`` twins (see :func:`repro.optimization.batched`) so the grid
-    # stage evaluates whole parameter grids in a few NumPy calls instead of
-    # one Python call per point.  The twins bypass the memo; the scalar
-    # side, which SLSQP calls point by point, reads through it.
+    # and every polish round evaluate a whole batch of points in a few NumPy
+    # calls instead of one Python call per point.
 
     def _energy_objective(self) -> Callable[[np.ndarray], float]:
-        return batched(self._system_energy, self._model.energy_many)
+        return batched(self._system_energy, self._energy_many)
 
     def _latency_objective(self) -> Callable[[np.ndarray], float]:
-        return batched(self._system_latency, self._model.latency_many)
+        return batched(self._system_latency, self._latency_many)
 
     def _capacity_constraint(self) -> Callable[[np.ndarray], float]:
         return batched(self._capacity_margin, self._model.capacity_margin_many)
@@ -154,12 +174,11 @@ class EnergyMinimizationProblem(_ProblemBase):
 
     def constraints(self) -> List[Callable[[np.ndarray], float]]:
         """Inequality margins (``>= 0`` feasible): delay bound and capacity."""
-        model = self._model
         max_delay = self._requirements.max_delay
         return [
             batched(
                 lambda x: max_delay - self._system_latency(x),
-                lambda grid: max_delay - model.latency_many(grid),
+                lambda grid: max_delay - self._latency_many(grid),
             ),
             self._capacity_constraint(),
         ]
@@ -210,12 +229,11 @@ class DelayMinimizationProblem(_ProblemBase):
 
     def constraints(self) -> List[Callable[[np.ndarray], float]]:
         """Inequality margins (``>= 0`` feasible): energy budget and capacity."""
-        model = self._model
         budget = self._requirements.energy_budget
         return [
             batched(
                 lambda x: budget - self._system_energy(x),
-                lambda grid: budget - model.energy_many(grid),
+                lambda grid: budget - self._energy_many(grid),
             ),
             self._capacity_constraint(),
         ]
@@ -318,8 +336,8 @@ class NashBargainingProblem(_ProblemBase):
         because ``np.log`` is not guaranteed to round identically, and the
         grid stage must stay bit-identical to the scalar path.
         """
-        energy_gains = self._disagreement_energy - self._model.energy_many(grid)
-        delay_gains = self._disagreement_delay - self._model.latency_many(grid)
+        energy_gains = self._disagreement_energy - self._energy_many(grid)
+        delay_gains = self._disagreement_delay - self._latency_many(grid)
         floor_energy = self._LOG_FLOOR * self._disagreement_energy
         floor_delay = self._LOG_FLOOR * self._disagreement_delay
         return np.array(
@@ -341,17 +359,16 @@ class NashBargainingProblem(_ProblemBase):
 
     def constraints(self) -> List[Callable[[np.ndarray], float]]:
         """Inequality margins of (P4): requirements, disagreement bounds, capacity."""
-        model = self._model
         budget = min(self._requirements.energy_budget, self._disagreement_energy)
         delay_cap = min(self._requirements.max_delay, self._disagreement_delay)
         return [
             batched(
                 lambda x: budget - self._system_energy(x),
-                lambda grid: budget - model.energy_many(grid),
+                lambda grid: budget - self._energy_many(grid),
             ),
             batched(
                 lambda x: delay_cap - self._system_latency(x),
-                lambda grid: delay_cap - model.latency_many(grid),
+                lambda grid: delay_cap - self._latency_many(grid),
             ),
             self._capacity_constraint(),
         ]

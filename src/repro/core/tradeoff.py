@@ -39,7 +39,7 @@ class EnergyDelayGame:
         model: Analytical model of the protocol under study.
         requirements: Application requirements ``(Ebudget, Lmax, Fs)``.
         solver: Optional custom constrained-optimization backend; defaults to
-            the grid-seeded SLSQP hybrid in :mod:`repro.optimization.hybrid`.
+            the grid-seeded hybrid in :mod:`repro.optimization.hybrid`.
         solver_options: Extra options forwarded to the backend.
     """
 

@@ -30,7 +30,7 @@ FIGURE_MAX_DELAY_FIXED = 6.0
 
 #: Grid resolution used by the hybrid solver inside the figure experiments.
 #: Coarse enough to keep each of the 36 game solves fast, fine enough that the
-#: SLSQP polish converges to the same optimum as a much denser grid.
+#: polish converges to the same optimum as a much denser grid.
 FIGURE_GRID_POINTS = 60
 
 #: Application sampling period used by the figure experiments (seconds).

@@ -24,10 +24,11 @@ from repro.network.topology import (
 )
 from repro.units import require_positive
 
-#: Most sensor nodes a generated deployment may hold.  Building one holds
-#: three n×n float64 arrays (the pairwise offsets and distances of
-#: :func:`_unit_disk_graph`), measured at a 406 MB peak for 3,921 nodes and
-#: 1.57 GB for 8,001; every scenario preset has at most 400 nodes.
+#: Most sensor nodes a generated deployment may hold.  Building one holds an
+#: n×n boolean adjacency and, one band of rows at a time, the pair offsets
+#: and distances of :func:`_unit_disk_graph`: a 79 MB peak for 3,921 nodes
+#: (406 MB while every pair was measured twice); every scenario preset has
+#: at most 400 nodes.
 MAX_DEPLOYMENT_NODES = 4000
 
 
@@ -104,11 +105,17 @@ def _unit_disk_graph(
     """Unit-disk adjacency of the given positions, neighbours ascending."""
     ids = sorted(positions)
     coords = np.array([positions[node] for node in ids])
-    # One pairwise-distance array; entry (i, j) measures coords[j] - coords[i],
-    # and the upper triangle (i < j) decides each pair once.
-    dx = coords[None, :, 0] - coords[:, None, 0]
-    dy = coords[None, :, 1] - coords[:, None, 1]
-    linked = np.triu(np.hypot(dx, dy) <= radius, k=1)
+    # Pair (i, j), i < j, is measured once, as coords[j] - coords[i]: each
+    # band of rows meets only the columns from its first row on, so the
+    # lower triangle is mostly never computed.
+    size = len(ids)
+    linked = np.zeros((size, size), dtype=bool)
+    band = max(64, -(-size // 16))
+    for start in range(0, size, band):
+        rows = slice(start, start + band)
+        dx = coords[None, start:, 0] - coords[rows, None, 0]
+        dy = coords[None, start:, 1] - coords[rows, None, 1]
+        linked[rows, start:] = np.triu(np.hypot(dx, dy) <= radius, k=1)
     linked |= linked.T
     # One row-major nonzero lists every row's neighbours in ascending
     # order; the row sums split it into rows.

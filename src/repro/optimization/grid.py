@@ -3,7 +3,7 @@
 The MAC parameter spaces are one- or two-dimensional boxes, so a dense grid
 is both affordable and an excellent robustness baseline: it cannot be fooled
 by local minima or by a badly scaled constraint, which makes it the seed and
-the cross-check for the gradient-based solver.
+the cross-check for the polish.
 
 Two evaluation paths share one selection rule:
 
@@ -20,8 +20,9 @@ results; ``tests/optimization/test_grid_vectorized.py`` enforces this and
 ``benchmarks/bench_vectorized_grid.py`` records the speedup.
 
 Both paths also report the grid's distinct feasible *local minima* — the
-seeds the hybrid solver polishes — through one shared rule
-(:func:`_local_minima`) applied to the values they collected.
+seeds the hybrid solver polishes; those of the violation when no point is
+feasible — through one shared rule (:func:`_local_minima`) applied to the
+values they collected.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ def _violation(constraints: Sequence[Constraint], point: np.ndarray) -> float:
 def _local_minima(
     points: np.ndarray, signed: np.ndarray, shape: Tuple[int, ...]
 ) -> Tuple[np.ndarray, ...]:
-    """The grid's distinct feasible local minima, best first.
+    """The grid's distinct local minima of ``signed``, best first.
 
     Args:
         points: The ``(n, dim)`` grid in :meth:`ParameterSpace.grid` order.
-        signed: ``(n,)`` objective in minimization sense, ``inf`` wherever
-            the point is skipped or infeasible.
+        signed: ``(n,)`` objective in minimization sense (or violation),
+            ``inf`` wherever the point is skipped (or infeasible).
         shape: Points along each axis (row-major), ``prod(shape) == n``.
 
     A point is a local minimum when it beats every neighbour of its
@@ -149,6 +150,7 @@ def grid_search_scalar(
     best: Optional[SolverResult] = None
     evaluations = 0
     feasible_signed = np.full(points.shape[0], np.inf)
+    violations = np.full(points.shape[0], np.inf)
     for index, point in enumerate(points):
         evaluations += 1
         violation = _violation(constraints, point)
@@ -157,6 +159,7 @@ def grid_search_scalar(
         raw = float(objective(point))
         if not np.isfinite(raw):
             continue
+        violations[index] = violation
         if violation <= feasibility_tolerance:
             feasible_signed[index] = sign * raw
         candidate = SolverResult(
@@ -179,7 +182,7 @@ def grid_search_scalar(
         evaluations=evaluations,
         constraint_violation=best.constraint_violation,
         message=f"{points.shape[0]} grid points evaluated",
-        local_minima=_local_minima(points, feasible_signed, shape),
+        local_minima=_local_minima(points, feasible_signed if best.feasible else violations, shape),
     )
 
 
@@ -208,9 +211,9 @@ def grid_search(
     Returns:
         The best *feasible* grid point if one exists; otherwise the point of
         least violation, flagged as infeasible.  ``local_minima`` holds the
-        grid's distinct feasible local minima, best first (empty when no
-        point is feasible).  Both evaluation paths return bit-identical
-        results.
+        grid's distinct feasible local minima, best first — or, when no
+        point is feasible, the distinct local minima of the violation, least
+        first.  Both evaluation paths return bit-identical results.
 
     Raises:
         SolverError: if every grid point evaluates to a non-finite objective.
@@ -258,5 +261,7 @@ def grid_search(
         evaluations=total,
         constraint_violation=float(violation[best_index]),
         message=f"{total} grid points evaluated",
-        local_minima=_local_minima(points, feasible_signed, shape),
+        local_minima=_local_minima(
+            points, feasible_signed if feasible else np.where(valid, violation, np.inf), shape
+        ),
     )

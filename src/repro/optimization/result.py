@@ -26,7 +26,8 @@ class SolverResult:
             when feasible).
         local_minima: The distinct feasible local minima of a grid scan,
             best first (``x`` itself leads when the grid has a feasible
-            point); empty for every other solver.
+            point), or those of its violation when it has none; empty for
+            every other solver.
     """
 
     x: np.ndarray

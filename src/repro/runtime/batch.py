@@ -26,7 +26,6 @@ from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
-from repro.optimization.constrained import load_solver_backend
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.registry import create_protocol
 from repro.runtime.cache import CacheStats, SolveCache, default_cache, solve_key
@@ -263,9 +262,6 @@ class BatchRunner:
                     )
 
         if pending:
-            # Every solve polishes with SciPy, which loads lazily: load it
-            # here, once, so forked pool workers inherit it.
-            load_solver_backend()
             self._executor.map_ordered(_solve_chunk, self._chunks(pending), _absorb_chunk)
 
         finished = [outcome for outcome in outcomes if outcome is not None]

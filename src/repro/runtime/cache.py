@@ -33,8 +33,10 @@ CacheKey = Tuple[Any, ...]
 #: it with any solver change that alters a solution, so results a store
 #: holds from an older solver are never replayed as if a cold run had
 #: produced them.  Keys without this component were written by revision 1,
-#: the hybrid whose every solve ran an 11-start SLSQP cross-check.
-SOLVER_REVISION = 2
+#: the hybrid whose every solve ran an 11-start SLSQP cross-check; revision 2
+#: polished the grid's local minima with SLSQP; revision 3 polishes them with
+#: NumPy line searches.
+SOLVER_REVISION = 3
 
 
 def freeze(value: Any) -> Any:

@@ -19,8 +19,8 @@ too.  A call made outside a session is a session of its own, and a
 campaign holds one across its solve and replication stages.  On Linux,
 before a pool forks, every OpenBLAS mapped into the process is set to one
 thread and left there: a forked worker would otherwise start an OpenBLAS
-helper thread at its first SLSQP polish, which busy-waits on the CPU the
-other workers need.
+helper thread at its first BLAS call (a task's, or a caller's SciPy), which
+busy-waits on the CPU the other workers need.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class _PoolExecutor(ExecutorPolicy):
     benchmark's layer trace (``perfbench/tracing.py``) wraps
     ``_PoolExecutor.map_ordered`` by that name.  On Linux the pool uses
     the ``fork`` start method so workers inherit the parent's imports
-    (NumPy, and SciPy once the batch runner has loaded it for pending
-    solves) and the submitted callables only need to be picklable by
+    (NumPy and the whole library) and the submitted callables only need to
+    be picklable by
     reference.  Elsewhere the platform default is kept: forking is unsafe
     on macOS (Objective-C runtime aborts post-fork) and unavailable on
     Windows.

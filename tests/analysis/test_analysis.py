@@ -28,7 +28,7 @@ def _sweep(parameter: str, values, **requirements: float) -> ResultSet:
         .with_protocols("xmac")
         .with_sweep(parameter, values)
         .with_requirements(**requirements)
-        .with_solver(grid_points=40, random_starts=2)
+        .with_solver(grid_points=40)
     )
     return run(spec, runner=build_runner(workers=1, use_cache=False))
 
@@ -164,7 +164,6 @@ class TestScalability:
             sizes=[(3, 4), (6, 8), (9, 10)],
             requirements=requirements,
             grid_points_per_dimension=30,
-            random_starts=1,
         )
         assert len(records) == 3
         nodes = [record.node_count for record in records]
@@ -182,7 +181,6 @@ class TestScalability:
             sizes=[(3, 4)],
             requirements=requirements,
             grid_points_per_dimension=30,
-            random_starts=1,
         )
         assert records[0].energy_star > 0
         assert records[0].delay_star > 0

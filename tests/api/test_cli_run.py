@@ -172,6 +172,8 @@ class TestRunErrorPaths:
             ("runtime", "mode", "thread"),
             ("runtime", "chunk_size", 4),
             ("solver", "vectorize", False),
+            ("solver", "random_starts", 6),
+            ("solver", "seed", 0),
         ],
     )
     def test_unknown_section_key(self, capsys, tmp_path, section, key, value):
@@ -189,7 +191,7 @@ class TestRunErrorPaths:
         "patch, field",
         [
             ({"solver": {"grid_points": "abc"}}, "solver.grid_points"),
-            ({"solver": {"grid_points": 20, "random_starts": "x"}}, "solver.random_starts"),
+            ({"solver": {"grid_points": 20, "feasibility_tolerance": "x"}}, "solver.feasibility_tolerance"),
             ({"runtime": {"workers": [1]}}, "runtime.workers"),
             ({"kind": "campaign", "campaign": {"replications": "x"}}, "campaign.replications"),
             ({"kind": "suite", "scenarios": 5}, "scenarios"),
@@ -274,6 +276,18 @@ class TestExitCodeContract:
                 [],
                 EXIT_ERROR,
                 id="solver-vectorize",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, solver={"grid_points": 10, "random_starts": 6}),
+                [],
+                EXIT_ERROR,
+                id="solver-random-starts",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, solver={"grid_points": 10, "seed": 0}),
+                [],
+                EXIT_ERROR,
+                id="solver-seed",
             ),
             pytest.param(
                 dict(GOOD_SOLVE, solver={"grid_points": "abc"}),

@@ -145,11 +145,11 @@ class TestFluent:
     def test_with_solver_merges_extra_options(self):
         spec = (
             ExperimentSpec.experiment("solve")
-            .with_solver(grid_points=20, random_starts=2)
-            .with_solver(random_starts=3)
+            .with_solver(grid_points=20, feasibility_tolerance=1e-6)
+            .with_solver(feasibility_tolerance=1e-8)
         )
         assert spec.solver.grid_points == 20
-        assert spec.solver.options == {"random_starts": 3}
+        assert spec.solver.options == {"feasibility_tolerance": 1e-8}
 
     def test_with_solver_accepts_only_forwardable_keywords(self):
         # Anything else would reach hybrid_solve and fail at solve time.
@@ -159,6 +159,11 @@ class TestFluent:
             ExperimentSpec.experiment("solve").with_solver(feasibility_tolerance="tight")
         with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): vectorize"):
             ExperimentSpec.experiment("solve").with_solver(vectorize=False)
+        # The multistart these configured is gone; simulation.seed stays.
+        with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): random_starts"):
+            ExperimentSpec.experiment("solve").with_solver(random_starts=6)
+        with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): seed"):
+            ExperimentSpec.experiment("solve").with_solver(seed=0)
 
     def test_runtime_policy_has_only_workers_and_cache(self):
         spec = ExperimentSpec.experiment("solve").with_runtime(workers=2, cache=False)

@@ -12,7 +12,7 @@ from repro.core.problems import (
 from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
 
-SOLVER_OPTIONS = {"grid_points_per_dimension": 50, "random_starts": 2}
+SOLVER_OPTIONS = {"grid_points_per_dimension": 50}
 
 
 class TestEnergyMinimization:

@@ -9,7 +9,7 @@ from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError
 
-GAME_OPTIONS = {"grid_points_per_dimension": 50, "random_starts": 2}
+GAME_OPTIONS = {"grid_points_per_dimension": 50}
 
 
 @pytest.fixture

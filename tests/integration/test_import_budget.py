@@ -1,8 +1,8 @@
-"""What a fresh process imports: SciPy only when a game solve needs it.
+"""What a fresh process imports: neither SciPy nor a graph library.
 
-SciPy is imported by the SLSQP polish on first use, and no graph library
-is imported at all, so importing the front doors, planning a spec and
-running a validation spot check load neither.  Every simulation runs on the
+The game solver and the campaign's Student-t quantile run on NumPy alone,
+and the graphs are plain dicts, so importing the front doors, planning a
+spec and running any example spec load neither.  Every simulation runs on the
 batched engine, so no front door or run loads any other simulation module,
 nor the scalar reference simulator of ``tests/scalar_reference/`` (which
 the fresh interpreter could import: ``tests/`` is on its path).  Each case
@@ -104,24 +104,16 @@ def test_only_the_batched_simulator_is_loaded(code):
     assert [name for name in loaded if name.startswith("scalar_reference")] == []
 
 
-def test_pooled_solve_batch_preloads_scipy_in_the_parent():
-    # The pool forks fresh workers for every batch; SciPy is loaded in the
-    # parent before the fork so the workers inherit it instead of each
-    # importing it again.  Without that preload no solve runs in this
-    # process, and scipy.optimize would never appear here.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_example_spec_loads_scipy(workers):
+    # Cold, so every game is solved and every campaign quantile computed;
+    # two workers fork a pool, whose workers would inherit SciPy.
+    specs = [str(spec.relative_to(ROOT)) for spec in SPECS]
     code = (
-        "import sys\n"
-        "from repro.core.requirements import ApplicationRequirements\n"
-        "from repro.runtime import SolveTask, build_runner\n"
-        "from repro.scenario import default_scenario\n"
-        "assert not [n for n in sys.modules if n.split('.')[0] == 'scipy']\n"
-        "requirements = ApplicationRequirements(energy_budget=0.06, max_delay=6.0)\n"
-        "tasks = [\n"
-        "    SolveTask.build(protocol, default_scenario(), requirements,\n"
-        "                    {'grid_points_per_dimension': 12})\n"
-        "    for protocol in ('xmac', 'dmac')\n"
-        "]\n"
-        "outcomes = build_runner(workers=2, use_cache=False).run(tasks)\n"
-        "assert all(outcome.ok for outcome in outcomes)\n"
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        f"for spec in {specs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(['run', spec, '--no-cache', '--workers', '{workers}']) == 0\n"
     )
-    assert "scipy.optimize" in _loaded_after(code)
+    assert _loaded_after(code) == []

@@ -17,7 +17,7 @@ from repro.protocols.registry import paper_protocols
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig
 
-FAST = {"grid_points_per_dimension": 40, "random_starts": 2}
+FAST = {"grid_points_per_dimension": 40}
 
 
 class TestFullGamePipeline:

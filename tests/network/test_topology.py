@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.network.deployment import (
     MAX_DEPLOYMENT_NODES,
+    _unit_disk_graph,
     chain_deployment,
     check_node_count,
     generate_deployment,
@@ -166,6 +167,41 @@ class TestDeployments:
     def test_ring_deployment_invalid_spacing_rejected(self):
         with pytest.raises(ConfigurationError):
             ring_deployment(depth=3, density=4, spacing_factor=0.95)
+
+
+def dense_unit_disk_graph(positions, radius):
+    """The adjacency from every pair's offset, (i, j) as coords[j] - coords[i]."""
+    ids = sorted(positions)
+    coords = np.array([positions[node] for node in ids])
+    dx = coords[None, :, 0] - coords[:, None, 0]
+    dy = coords[None, :, 1] - coords[:, None, 1]
+    linked = np.triu(np.hypot(dx, dy) <= radius, k=1)
+    linked |= linked.T
+    return {
+        node: tuple(ids[j] for j in np.flatnonzero(row).tolist())
+        for node, row in zip(ids, linked)
+    }
+
+
+class TestUnitDiskGraph:
+    """Measuring each pair once must not move a single link."""
+
+    @pytest.mark.parametrize(
+        "deployment",
+        [
+            ring_deployment(depth=3, density=8, seed=0),
+            ring_deployment(depth=7, density=8, seed=4),
+            generate_deployment(depth=3, density=8, seed=7),
+            generate_deployment(depth=8, density=10, seed=2),
+            chain_deployment(depth=9),
+            chain_deployment(depth=70, spacing=50.0),  # every link exactly at the radius
+        ],
+        ids=["ring-72", "ring-392", "random-72", "random-640", "chain-10", "chain-71-on-radius"],
+    )
+    def test_matches_the_dense_formula(self, deployment):
+        expected = dense_unit_disk_graph(deployment.positions, deployment.radius)
+        assert _unit_disk_graph(deployment.positions, deployment.radius) == expected
+        assert deployment.graph == expected
 
 
 class TestDeploymentSizeLimit:

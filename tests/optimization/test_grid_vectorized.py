@@ -46,10 +46,8 @@ def _assert_same_result(a, b):
     assert len(a.local_minima) == len(b.local_minima)
     for left, right in zip(a.local_minima, b.local_minima):
         assert np.array_equal(left, right)
-    if a.feasible:
-        assert np.array_equal(a.local_minima[0], a.x)
-    else:
-        assert a.local_minima == ()
+    # The best point leads: by objective, or by violation when none is feasible.
+    assert np.array_equal(a.local_minima[0], a.x)
 
 
 @pytest.mark.parametrize("protocol", PAPER_PROTOCOL_NAMES)
@@ -238,10 +236,17 @@ def test_infeasible_neighbours_do_not_hide_a_boundary_minimum():
     np.testing.assert_allclose(minima, [[0.5]])
 
 
-def test_infeasible_grid_has_no_local_minima():
-    objective = _with_many(lambda x: float(x[0]), lambda grid: grid[:, 0])
-    constraint = _with_many(lambda x: -1.0, lambda grid: np.full(grid.shape[0], -1.0))
-    assert _both_paths(objective, _space(), [constraint], points_per_dimension=7) == ()
+def test_infeasible_grid_reports_the_local_minima_of_the_violation():
+    # The violation 1 + min(|x - 0.2|, |x - 0.8| + 0.05) never reaches zero;
+    # its grid minima are 0.2, then 0.8, whatever the objective prefers.
+    objective = _with_many(lambda x: -float(x[0]), lambda grid: -grid[:, 0])
+
+    def margin(x):
+        return -1.0 - np.minimum(np.abs(x - 0.2), np.abs(x - 0.8) + 0.05)
+
+    constraint = _with_many(lambda x: float(margin(x[0])), lambda grid: margin(grid[:, 0]))
+    minima = _both_paths(objective, _space(), [constraint], points_per_dimension=11)
+    np.testing.assert_allclose(minima, [[0.2], [0.8]])
 
 
 def test_two_dimensional_minima_use_the_full_neighbourhood():

@@ -1,14 +1,19 @@
-"""Differential gate: the hybrid solver against its multi-start predecessor.
+"""Differential gate: the hybrid solver against its multi-start SLSQP predecessor.
 
 The reference is the hybrid as it was before it polished the grid's local
-minima, rebuilt from library parts: the grid scan, an SLSQP polish of the
-grid's best point, and a ``multistart_slsqp`` cross-check from 5 fixed + 6
-random starts on every solve, keeping the best candidate.  On every cell
-the hybrid must reach the same feasibility verdict, and its objective may
-trail the reference's by at most 1e-9 relative.  The one exception is a
-reference point with a negative constraint margin (inside the solvers'
-1e-7 feasibility tolerance): its edge over every truly feasible point may
-reach 1e-7.
+minima, rebuilt here on ``scipy.optimize`` (a test-only dependency): the
+grid scan, an SLSQP polish of the grid's best point, and an SLSQP
+multistart from 5 fixed + 6 seeded random starts on every solve, keeping
+the best candidate.  Each SLSQP descent is wrapped as the library's polish
+was until it became NumPy line searches: the objective divided by its
+magnitude at the start, a non-finite value replaced by a 1e30 penalty, and
+every margin in one vector-valued inequality constraint.
+
+On every cell the hybrid must reach the same feasibility verdict, and its
+objective may trail the reference's by at most 1e-9 relative.  The one
+exception is a reference point with a negative constraint margin (inside
+the solvers' 1e-7 feasibility tolerance): its edge over every truly
+feasible point may reach 1e-7.
 
 The matrix is 8 presets × 4 protocols × Lmax ×{1, 1.5, 2} × (P1, P2, P4) at
 60 grid points per axis.  P4 is built from the *reference's* P1/P2 optima,
@@ -16,13 +21,16 @@ so both solvers face the same problem.  Tier-1 runs a slice plus the two
 ``legacy-bitradio``/``scpmac``/P1 cells where polishing the grid point
 alone used to stop 1% short of the delay bound; the full matrix and a
 seeded fuzz over requirements are ``slow``-marked (``pytest -m slow``).
+The whole module skips where SciPy is not installed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.problems import (
@@ -32,12 +40,13 @@ from repro.core.problems import (
 )
 from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import InfeasibleProblemError, SolverError
-from repro.optimization.constrained import multistart_slsqp, slsqp_solve
-from repro.optimization.grid import grid_search
+from repro.optimization.grid import _violation, grid_search
 from repro.optimization.hybrid import hybrid_solve
 from repro.optimization.result import SolverResult
 from repro.protocols.registry import create_protocol
 from repro.scenarios import scenario_preset
+
+optimize = pytest.importorskip("scipy.optimize")
 
 GRID_POINTS = 60
 PRESETS = (
@@ -75,6 +84,44 @@ def _cell_id(cell: Tuple[str, str, float]) -> str:
     return f"{preset}-{protocol}-{factor:g}xLmax"
 
 
+def slsqp(objective, space, constraints, start, maximize: bool) -> SolverResult:
+    """One SLSQP descent from ``start``, wrapped as the library's polish was."""
+    sign = -1.0 if maximize else 1.0
+    start = space.clip(start)
+    scale = abs(float(objective(start)))
+    if not math.isfinite(scale) or scale == 0.0:
+        scale = 1.0
+
+    def scaled(point: np.ndarray) -> float:
+        value = float(objective(np.asarray(point, dtype=float)))
+        return sign * value / scale if math.isfinite(value) else 1e30
+
+    def margins(point: np.ndarray) -> np.ndarray:
+        point = np.asarray(point, dtype=float)
+        return np.array([float(constraint(point)) for constraint in constraints])
+
+    outcome = optimize.minimize(
+        scaled,
+        x0=start,
+        method="SLSQP",
+        bounds=space.bounds,
+        constraints=[{"type": "ineq", "fun": margins}] if constraints else [],
+        options={"maxiter": 400, "ftol": 1e-12},
+    )
+    point = space.clip(np.asarray(outcome.x, dtype=float))
+    value = float(objective(point))
+    if not math.isfinite(value):
+        raise SolverError("SLSQP converged to a point with a non-finite objective")
+    violation = _violation(constraints, point)
+    return SolverResult(
+        x=point,
+        value=value,
+        feasible=violation <= 1e-7,
+        method="slsqp",
+        constraint_violation=violation,
+    )
+
+
 def reference_solve(
     objective,
     space,
@@ -82,8 +129,18 @@ def reference_solve(
     maximize: bool = False,
     grid_points_per_dimension: int = GRID_POINTS,
 ) -> SolverResult:
-    """Grid, polish of the grid's best point, and an 11-start multistart."""
+    """Grid, SLSQP from the grid's best point, and an 11-start SLSQP multistart."""
     sign = -1.0 if maximize else 1.0
+    lower, upper = space.lower_bounds, space.upper_bounds
+    span = upper - lower
+    starts = [
+        space.midpoint(),
+        lower + 0.05 * span,
+        upper - 0.05 * span,
+        lower + 0.25 * span,
+        upper - 0.25 * span,
+        *space.random_points(6, seed=0),
+    ]
     candidates: List[SolverResult] = []
     try:
         grid = grid_search(
@@ -94,19 +151,14 @@ def reference_solve(
             maximize=maximize,
         )
         candidates.append(grid)
-        candidates.append(
-            slsqp_solve(objective, space, constraints, start=grid.x, maximize=maximize)
-        )
+        starts.insert(0, grid.x)
     except SolverError:
         pass
-    try:
-        candidates.append(
-            multistart_slsqp(
-                objective, space, constraints, maximize=maximize, random_starts=6, seed=0
-            )
-        )
-    except SolverError:
-        pass
+    for start in starts:
+        try:
+            candidates.append(slsqp(objective, space, constraints, start, maximize))
+        except SolverError:
+            pass
     best: Optional[SolverResult] = None
     for candidate in candidates:
         if best is None or _minimizing(candidate, sign).better_than(_minimizing(best, sign)):
@@ -155,7 +207,7 @@ def _assert_no_worse(label: str, reference: SolverResult, candidate: SolverResul
     gap = sign * (candidate.value - reference.value) / abs(reference.value)
     allowed = VIOLATING_TOLERANCE if reference.constraint_violation > 0 else TOLERANCE
     assert gap <= allowed, (
-        f"{label}: hybrid objective {candidate.value!r} trails the multistart "
+        f"{label}: hybrid objective {candidate.value!r} trails the SLSQP "
         f"reference {reference.value!r} by {gap:.3g} relative (allowed {allowed:g}); "
         f"x={candidate.x.tolist()} vs {reference.x.tolist()}"
     )

@@ -1,4 +1,4 @@
-"""Unit tests for the optimization substrate (grid, SLSQP, hybrid)."""
+"""Unit tests for the optimization substrate (grid, polish, hybrid)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ import pytest
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.exceptions import SolverError
 from repro.optimization import (
+    batched,
     grid_search,
     hybrid_solve,
-    multistart_slsqp,
-    slsqp_solve,
+    polish,
     weighted_sum_scan,
 )
 
@@ -62,32 +62,65 @@ class TestGridSearch:
             grid_search(lambda p: float("nan"), box_1d, points_per_dimension=5)
 
 
-class TestSLSQP:
-    def test_polishes_to_high_precision(self, box_2d):
-        result = slsqp_solve(quadratic, box_2d, start=np.array([0.0, 0.0]))
+class TestPolish:
+    def test_quadratic_to_high_precision(self, box_2d):
+        result = polish(quadratic, box_2d, starts=[np.array([0.0, 0.0])])
         assert result.feasible
-        assert np.allclose(result.x, [1.0, -0.5], atol=1e-5)
+        assert np.allclose(result.x, [1.0, -0.5], atol=1e-6)
 
-    def test_respects_inequality_constraint(self, box_2d):
-        result = slsqp_solve(
-            quadratic, box_2d, constraints=[lambda p: 0.5 - p[0]], start=np.array([0.0, 0.0])
-        )
-        assert result.x[0] <= 0.5 + 1e-6
+    def test_stops_on_the_feasible_side_of_a_binding_margin(self, box_2d):
+        result = polish(quadratic, box_2d, constraints=[lambda p: 0.5 - p[0]])
+        assert 0.5 - 1e-12 <= result.x[0] <= 0.5
+        assert result.x[1] == pytest.approx(-0.5, abs=1e-6)
+        assert result.constraint_violation == 0.0
 
-    def test_tiny_objective_is_not_converged_at_the_start(self):
-        # SLSQP's ftol is absolute: unscaled, a 1e-7-sized objective looks
-        # converged after the first step.
+    def test_reaches_a_box_bound(self):
+        # The U-shape's minimum 0.5 lies left of the box: the bound wins.
+        box = ParameterSpace([Parameter("x", 2.0, 10.0)])
+        result = polish(u_shaped, box)
+        assert result.x[0] == 2.0
+        assert result.value == pytest.approx(u_shaped(np.array([2.0])))
+
+    def test_u_shape_from_the_midpoint(self, box_1d):
+        result = polish(u_shaped, box_1d)
+        assert result.x[0] == pytest.approx(0.5, rel=1e-6)
+        assert result.value == pytest.approx(2.0, rel=1e-12)
+
+    def test_tiny_objective_is_polished_like_a_large_one(self):
         box = ParameterSpace([Parameter("x", 0.0, 10.0)])
-        result = slsqp_solve(
-            lambda p: 1e-7 * float((p[0] - 3.0) ** 2), box, start=np.array([0.0])
-        )
-        assert result.x[0] == pytest.approx(3.0, rel=1e-4)
+        result = polish(lambda p: 1e-7 * float((p[0] - 3.0) ** 2), box, starts=[np.array([0.0])])
+        assert result.x[0] == pytest.approx(3.0, rel=1e-6)
 
-    def test_multistart_escapes_bad_start(self, box_1d):
-        result = multistart_slsqp(u_shaped, box_1d, random_starts=4, seed=1)
-        assert result.feasible
-        assert result.x[0] == pytest.approx(0.5, rel=1e-3)
-        assert result.value == pytest.approx(2.0, rel=1e-3)
+    def test_maximize(self, box_1d):
+        result = polish(lambda p: -u_shaped(p), box_1d, maximize=True)
+        assert result.x[0] == pytest.approx(0.5, rel=1e-6)
+        assert result.value == pytest.approx(-2.0, rel=1e-12)
+
+    def test_infeasible_problem_reports_the_least_violation(self, box_1d):
+        result = polish(u_shaped, box_1d, constraints=[lambda p: p[0] - 20.0])
+        assert not result.feasible
+        assert result.x[0] == 10.0
+        assert result.constraint_violation == pytest.approx(10.0)
+
+    def test_one_dimensional_line_stays_in_its_bracket(self, box_1d):
+        bracket = (np.array([2.0]), np.array([3.0]))
+        result = polish(u_shaped, box_1d, starts=[np.array([2.5])], brackets=[bracket])
+        assert result.x[0] == 2.0
+
+    def test_batched_twins_give_the_scalar_answer(self, box_2d):
+        constraint = lambda p: 0.5 - p[0] - 0.3 * p[1]  # noqa: E731
+        twin_objective = batched(
+            quadratic, lambda grid: (grid[:, 0] - 1.0) ** 2 + (grid[:, 1] + 0.5) ** 2
+        )
+        twin_constraint = batched(constraint, lambda grid: 0.5 - grid[:, 0] - 0.3 * grid[:, 1])
+        scalar = polish(quadratic, box_2d, [constraint])
+        twins = polish(twin_objective, box_2d, [twin_constraint])
+        assert twins.x.tobytes() == scalar.x.tobytes()
+        assert twins.value == scalar.value
+
+    def test_all_nan_objective_raises(self, box_1d):
+        with pytest.raises(SolverError):
+            polish(lambda p: float("nan"), box_1d)
 
 
 class TestHybrid:
@@ -129,28 +162,46 @@ class TestHybrid:
         assert result.x[0] == pytest.approx(0.83, abs=0.01)
         assert result.value < 0.0
 
-    def test_multistart_runs_only_without_a_feasible_grid_point(self, box_1d, monkeypatch):
+    def test_polish_is_called_through_the_module_name(self, box_1d, monkeypatch):
+        # The end-to-end benchmark times the polish by wrapping this name.
         calls = []
 
-        def recording_multistart(*args, **kwargs):
-            calls.append(kwargs)
-            return multistart_slsqp(*args, **kwargs)
+        def recording_polish(*args, **kwargs):
+            calls.append(args)
+            return polish(*args, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.optimization.hybrid.multistart_slsqp", recording_multistart
-        )
-        hybrid_solve(u_shaped, box_1d, grid_points_per_dimension=30)
-        assert calls == []
-        hybrid_solve(
-            u_shaped,
-            box_1d,
-            constraints=[lambda p: -1.0],
-            grid_points_per_dimension=30,
-            random_starts=2,
-            seed=5,
-        )
+        monkeypatch.setattr("repro.optimization.hybrid.slsqp_solve", recording_polish)
+        result = hybrid_solve(u_shaped, box_1d, grid_points_per_dimension=30)
         assert len(calls) == 1
-        assert (calls[0]["random_starts"], calls[0]["seed"]) == (2, 5)
+        assert result.method == "hybrid(polish)"
+
+    def test_infeasible_grid_polishes_every_local_minimum_of_the_violation(
+        self, box_1d, monkeypatch
+    ):
+        starts = []
+
+        def recording_polish(objective, space, constraints, these, *args):
+            starts.extend(these)
+            return polish(objective, space, constraints, these, *args)
+
+        monkeypatch.setattr("repro.optimization.hybrid.slsqp_solve", recording_polish)
+        # The violation 1 + max(0, 3 - |x - 5|) never reaches zero and is
+        # least below x = 2 and above x = 8: two plateaus, two grid minima.
+        def margin(p):
+            return -1.0 - max(0.0, 3.0 - abs(p[0] - 5.0))
+
+        result = hybrid_solve(u_shaped, box_1d, constraints=[margin], grid_points_per_dimension=30)
+        assert not result.feasible
+        assert len(starts) >= 2
+        assert result.constraint_violation == pytest.approx(1.0)
+
+    def test_violation_polish_finds_a_sliver_the_grid_misses(self, box_1d):
+        # Feasible only on [4.2, 4.25]: no point of an 11-point grid is.
+        margin = lambda p: 0.025 - abs(p[0] - 4.225)  # noqa: E731
+        assert not grid_search(u_shaped, box_1d, [margin], points_per_dimension=11).feasible
+        result = hybrid_solve(u_shaped, box_1d, [margin], grid_points_per_dimension=11)
+        assert result.feasible
+        assert 4.2 <= result.x[0] <= 4.25
 
 
 class TestWeightedSum:

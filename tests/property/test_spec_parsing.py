@@ -81,14 +81,6 @@ INTEGER_FIELDS = {
         lambda v: {"kind": "solve", "solver": {"grid_points": v}},
         lambda spec: spec.solver.grid_points,
     ),
-    "solver.random_starts": (
-        lambda v: {"kind": "solve", "solver": {"random_starts": v}},
-        lambda spec: spec.solver.options["random_starts"],
-    ),
-    "solver.seed": (
-        lambda v: {"kind": "solve", "solver": {"seed": v}},
-        lambda spec: spec.solver.options["seed"],
-    ),
     "simulation.seed": (
         lambda v: {"kind": "validate", "simulation": {"seed": v}},
         lambda spec: spec.simulation.seed,

@@ -16,7 +16,7 @@ from repro.runtime import (
     default_cache,
 )
 
-FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
+FAST = {"grid_points_per_dimension": 15}
 
 
 def _tasks(model, delays, options=FAST):

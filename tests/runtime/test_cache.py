@@ -18,7 +18,7 @@ from repro.runtime.cache import (
     solve_key,
 )
 
-FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
+FAST = {"grid_points_per_dimension": 15}
 
 
 class TestFreeze:

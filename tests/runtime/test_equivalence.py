@@ -26,7 +26,7 @@ def _sweep(protocol: str, parameter: str, values) -> ExperimentSpec:
         .with_protocols(protocol)
         .with_sweep(parameter, values)
         .with_requirements(energy_budget=0.06, max_delay=6.0)
-        .with_solver(grid_points=15, random_starts=1)
+        .with_solver(grid_points=15)
     )
 
 

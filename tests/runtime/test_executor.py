@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.optimization.constrained import load_solver_backend
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import ProcessExecutor, SerialExecutor, resolve_executor
 
@@ -199,7 +198,9 @@ class TestSession:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_forked_worker_starts_no_openblas_helper(self):
-        load_solver_backend()  # SciPy, and with it OpenBLAS, in the parent
+        # SciPy, and with it its OpenBLAS, in the parent; the library itself
+        # calls no BLAS, but a pooled task may.
+        pytest.importorskip("scipy.optimize")
         with open("/proc/self/maps", encoding="utf-8") as maps:
             if "openblas" not in maps.read().lower():
                 pytest.skip("no OpenBLAS mapped into this process")

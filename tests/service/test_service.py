@@ -307,6 +307,8 @@ class TestErrorStatuses:
         [
             ("solver", "method"),
             ("solver", "vectorize"),
+            ("solver", "random_starts"),
+            ("solver", "seed"),
             ("runtime", "sim_engine"),
             ("runtime", "solver_method"),
             ("runtime", "mode"),

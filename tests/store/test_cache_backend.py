@@ -6,7 +6,7 @@ from repro.core.tradeoff import EnergyDelayGame
 from repro.runtime.cache import SolveCache, freeze, model_fingerprint, solve_key
 from repro.store import ResultStore, key_digest
 
-FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
+FAST = {"grid_points_per_dimension": 15}
 
 
 class TestReadThroughWriteBehind:

@@ -14,7 +14,7 @@ from repro.protocols.xmac import XMACModel
 from repro.scenario import Scenario
 from repro.store import solution_from_payload, solution_to_payload
 
-FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
+FAST = {"grid_points_per_dimension": 15}
 
 
 @pytest.fixture(scope="module")

@@ -76,6 +76,19 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError, match="campaign.horizon 1e\\+20 .*'high-rate'"):
             CampaignSpec(scenarios=("high-rate",), horizon=1e20)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_horizon_refused_by_name(self, value):
+        # Before the event-budget check, which would call nan "too long".
+        with pytest.raises(ConfigurationError, match=f"^horizon must be finite, got {value!r}$"):
+            CampaignSpec(scenarios=("paper-default",), horizon=value)
+
+    @pytest.mark.parametrize("field", ["energy_tolerance", "delay_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_refused_by_name(self, field, value):
+        # A nan tolerance would make every cell's check fail silently.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value!r}$"):
+            CampaignSpec(scenarios=("paper-default",), **{field: value})
+
     def test_oversized_scenario_rejected_up_front(self):
         preset = ScenarioPreset(
             name="oversized-ring",

@@ -56,10 +56,9 @@ class TestStudentT:
         assert student_t_critical(0.95, 4) == pytest.approx(2.776, abs=1e-3)
         assert student_t_critical(0.95, 10) == pytest.approx(2.228, abs=1e-3)
 
-    def test_bit_identical_to_scipy_stats_t_ppf(self):
-        # The quantile comes from scipy.special (no scipy.stats import); it
-        # must be the exact bits scipy.stats.t.ppf returns.
-        from scipy.stats import t as student_t
+    def test_within_1e_12_of_scipy_stats_t_ppf(self):
+        # SciPy is a test-only oracle here: the library's quantile is its own.
+        student_t = pytest.importorskip("scipy.stats").t
 
         levels = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
         dofs = [*range(1, 400), 1_000, 5_000, 1_000_000]
@@ -70,7 +69,7 @@ class TestStudentT:
         mismatches = [
             (confidence, dof)
             for (confidence, dof), reference in zip(grid, expected.tolist())
-            if student_t_critical(confidence, dof) != reference
+            if abs(student_t_critical(confidence, dof) / reference - 1.0) > 1e-12
         ]
         assert len(grid) == 2814
         assert mismatches == []
