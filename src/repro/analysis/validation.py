@@ -139,4 +139,8 @@ def validate_protocols(
     """
     executor = executor if executor is not None else SerialExecutor()
     payloads = [(job, config) for job in jobs]
+    # Simulations draw from numpy.random: import it before a pool forks,
+    # once, instead of in every worker.
+    import numpy.random  # noqa: F401
+
     return executor.map_ordered(_validate_payload, payloads)

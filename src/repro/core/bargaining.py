@@ -21,6 +21,7 @@ from repro.core.fairness import proportional_fairness_residual
 from repro.core.problems import (
     DelayMinimizationProblem,
     EnergyMinimizationProblem,
+    GameEvaluations,
     NashBargainingProblem,
 )
 from repro.core.requirements import ApplicationRequirements
@@ -54,19 +55,30 @@ class NashBargainingSolver:
     # ------------------------------------------------------------------ #
     # Individual stages (exposed for tests and ablations)
     # ------------------------------------------------------------------ #
+    #
+    # Each stage takes the game's shared evaluation memo as ``evaluations``;
+    # a stage called on its own evaluates everything afresh.
 
     def solve_energy_problem(
-        self, model: DutyCycledMACModel, requirements: ApplicationRequirements
+        self,
+        model: DutyCycledMACModel,
+        requirements: ApplicationRequirements,
+        *,
+        evaluations: Optional[GameEvaluations] = None,
     ) -> OptimizationOutcome:
         """Solve (P1): minimize energy subject to the delay bound."""
-        problem = EnergyMinimizationProblem(model, requirements)
+        problem = EnergyMinimizationProblem(model, requirements, evaluations)
         return problem.solve(self._solver, **self._solver_options)
 
     def solve_delay_problem(
-        self, model: DutyCycledMACModel, requirements: ApplicationRequirements
+        self,
+        model: DutyCycledMACModel,
+        requirements: ApplicationRequirements,
+        *,
+        evaluations: Optional[GameEvaluations] = None,
     ) -> OptimizationOutcome:
         """Solve (P2): minimize delay subject to the energy budget."""
-        problem = DelayMinimizationProblem(model, requirements)
+        problem = DelayMinimizationProblem(model, requirements, evaluations)
         return problem.solve(self._solver, **self._solver_options)
 
     def solve_bargaining_problem(
@@ -75,6 +87,8 @@ class NashBargainingSolver:
         requirements: ApplicationRequirements,
         energy_optimum: OptimizationOutcome,
         delay_optimum: OptimizationOutcome,
+        *,
+        evaluations: Optional[GameEvaluations] = None,
     ) -> BargainingOutcome:
         """Solve (P4) given the two single-objective outcomes."""
         disagreement_energy = delay_optimum.point.energy  # Eworst
@@ -84,6 +98,7 @@ class NashBargainingSolver:
             requirements,
             disagreement_energy=disagreement_energy,
             disagreement_delay=disagreement_delay,
+            evaluations=evaluations,
         )
         point, solver_result = problem.solve(self._solver, **self._solver_options)
         residual = proportional_fairness_residual(
@@ -115,15 +130,19 @@ class NashBargainingSolver:
     ) -> GameSolution:
         """Run the complete (P1) → (P2) → (P4) pipeline for one protocol.
 
+        The three problems share one :class:`GameEvaluations`, so the grid
+        they all scan is evaluated once per game.
+
         Raises:
             InfeasibleProblemError: if either single-objective problem has no
                 feasible point (the application requirements cannot be met by
                 this protocol in this scenario).
         """
-        energy_optimum = self.solve_energy_problem(model, requirements)
-        delay_optimum = self.solve_delay_problem(model, requirements)
+        evaluations = GameEvaluations(model)
+        energy_optimum = self.solve_energy_problem(model, requirements, evaluations=evaluations)
+        delay_optimum = self.solve_delay_problem(model, requirements, evaluations=evaluations)
         bargaining = self.solve_bargaining_problem(
-            model, requirements, energy_optimum, delay_optimum
+            model, requirements, energy_optimum, delay_optimum, evaluations=evaluations
         )
         return GameSolution(
             protocol=model.name,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +97,13 @@ class ParameterSpace:
         self._parameters: List[Parameter] = parameters
         self._names: Tuple[str, ...] = tuple(names)
         self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        # Read-only memos of axes() per count and of the last grid() asked for.
+        self._axes: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._grid: Optional[Tuple[int, np.ndarray]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memos are derived; a copy (or a pool worker) rebuilds its own.
+        return {**self.__dict__, "_axes": {}, "_grid": None}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -212,10 +219,25 @@ class ParameterSpace:
         """Centre of the box, a robust solver starting point."""
         return np.array([p.midpoint for p in self._parameters], dtype=float)
 
+    def axes(self, count: int) -> Tuple[np.ndarray, ...]:
+        """Each parameter's :meth:`Parameter.sample_grid` of ``count`` values.
+
+        Memoized per count as read-only arrays: the grid scan, the hybrid's
+        brackets and the polish's scans of a game all read the same axes.
+        """
+        axes = self._axes.get(count)
+        if axes is None:
+            axes = tuple(p.sample_grid(count) for p in self._parameters)
+            for axis in axes:
+                axis.flags.writeable = False
+            self._axes[count] = axes
+        return axes
+
     def grid(self, points_per_dimension: int) -> np.ndarray:
         """Full-factorial grid over the box.
 
-        Returns an array of shape ``(points_per_dimension ** dim, dim)``.
+        Returns a read-only array of shape ``(points_per_dimension ** dim,
+        dim)``, memoized for the last ``points_per_dimension`` asked for.
         Only intended for the low-dimensional (1–3 parameters) spaces used by
         the MAC models; the size is validated to avoid surprises.
         """
@@ -226,9 +248,13 @@ class ParameterSpace:
             raise ConfigurationError(
                 f"grid of {total} points is too large; reduce points_per_dimension"
             )
-        axes = [p.sample_grid(points_per_dimension) for p in self._parameters]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        memo = self._grid
+        if memo is None or memo[0] != points_per_dimension:
+            mesh = np.meshgrid(*self.axes(points_per_dimension), indexing="ij")
+            grid = np.stack([m.ravel() for m in mesh], axis=-1)
+            grid.flags.writeable = False
+            self._grid = memo = (points_per_dimension, grid)
+        return memo[1]
 
     def random_points(self, count: int, seed: int = 0) -> np.ndarray:
         """Uniform random points inside the box (for multi-start solvers)."""

@@ -12,7 +12,7 @@ smooth box-constrained program that the solvers in
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -29,16 +29,43 @@ from repro.protocols.base import DutyCycledMACModel
 _BINDING_TOLERANCE = 1e-3
 
 
+class GameEvaluations:
+    """``E(X)``, ``L(X)`` and the capacity margin of one game's model, each
+    evaluated at most once per point for the whole game.
+
+    :class:`~repro.core.bargaining.NashBargainingSolver` makes one per game
+    and hands it to (P1), (P2) and (P4), which then share:
+
+    * the scalar values, memoized on each point's float64 bytes;
+    * the three arrays of the game's grid — the first batch of points any of
+      its problems evaluates, which in the hybrid is (P1)'s grid scan — so
+      (P2) and (P4) scan the same grid without evaluating it again.
+
+    Later batches (polish rounds) stay with the problem that evaluated them
+    (see :class:`_ProblemBase`).  The memo dies with its game: nothing is
+    reused across games.
+    """
+
+    def __init__(self, model: DutyCycledMACModel) -> None:
+        self.model = model
+        self.energies: Dict[bytes, float] = {}
+        self.latencies: Dict[bytes, float] = {}
+        self.capacities: Dict[bytes, float] = {}
+        self.grid_key: Optional[bytes] = None
+        self.grid_values: Dict[str, np.ndarray] = {}
+
+
 class _ProblemBase:
     """Shared plumbing of the three optimization problems.
 
     ``E(X)``, ``L(X)`` and the capacity margin are evaluated at most once
-    per point over the problem's lifetime: every scalar objective and margin
-    reads them through a memo keyed on the point's float64 bytes, so (P4)'s
-    objective and margins share ``E`` and ``L`` at the point the solver
-    reports.  The batched twins share them the same way for the last batch
-    of points: a solver hands the objective and every margin the same batch
-    in turn (a whole grid, or one polish round).  A shared batch result is
+    per point over the lifetime of the problem's :class:`GameEvaluations` —
+    its own, unless a game shares one.  Every scalar objective and margin
+    reads them through that memo, so (P4)'s objective and margins share
+    ``E`` and ``L`` at the point the solver reports.  The batched twins read
+    the game's grid from the memo too; any other batch (a polish round) is
+    shared by the problem's objective and margins, which a solver hands the
+    same batch in turn, until the next batch.  A shared batch result is
     read-only.
     """
 
@@ -46,6 +73,7 @@ class _ProblemBase:
         self,
         model: DutyCycledMACModel,
         requirements: ApplicationRequirements,
+        evaluations: Optional[GameEvaluations] = None,
     ) -> None:
         if not isinstance(model, DutyCycledMACModel):
             raise ConfigurationError(
@@ -55,11 +83,13 @@ class _ProblemBase:
             raise ConfigurationError(
                 f"requirements must be ApplicationRequirements, got {type(requirements).__name__}"
             )
+        if evaluations is None:
+            evaluations = GameEvaluations(model)
+        elif evaluations.model is not model:
+            raise ConfigurationError("evaluations must be a memo of the problem's own model")
         self._model = model
         self._requirements = requirements
-        self._energies: Dict[bytes, float] = {}
-        self._latencies: Dict[bytes, float] = {}
-        self._capacities: Dict[bytes, float] = {}
+        self._game = evaluations
         self._batch: bytes = b""
         self._batch_values: Dict[str, np.ndarray] = {}
 
@@ -92,23 +122,30 @@ class _ProblemBase:
         return value
 
     def _system_energy(self, x: np.ndarray) -> float:
-        return self._memoized(self._energies, self._model.system_energy, x)
+        return self._memoized(self._game.energies, self._model.system_energy, x)
 
     def _system_latency(self, x: np.ndarray) -> float:
-        return self._memoized(self._latencies, self._model.system_latency, x)
+        return self._memoized(self._game.latencies, self._model.system_latency, x)
 
     def _capacity_margin(self, x: np.ndarray) -> float:
-        return self._memoized(self._capacities, self._model.capacity_margin, x)
+        return self._memoized(self._game.capacities, self._model.capacity_margin, x)
 
     def _shared_batch(
         self, name: str, evaluate: Callable[[np.ndarray], np.ndarray], grid: np.ndarray
     ) -> np.ndarray:
         key = np.ascontiguousarray(grid, dtype=float).tobytes()
-        if key != self._batch:
-            self._batch, self._batch_values = key, {}
-        values = self._batch_values.get(name)
+        game = self._game
+        if game.grid_key is None:
+            game.grid_key = key
+        if key == game.grid_key:
+            memo = game.grid_values
+        else:
+            if key != self._batch:
+                self._batch, self._batch_values = key, {}
+            memo = self._batch_values
+        values = memo.get(name)
         if values is None:
-            values = self._batch_values[name] = np.asarray(evaluate(grid), dtype=float)
+            values = memo[name] = np.asarray(evaluate(grid), dtype=float)
             values.flags.writeable = False
         return values
 
@@ -117,6 +154,9 @@ class _ProblemBase:
 
     def _latency_many(self, grid: np.ndarray) -> np.ndarray:
         return self._shared_batch("latency", self._model.latency_many, grid)
+
+    def _capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
+        return self._shared_batch("capacity", self._model.capacity_margin_many, grid)
 
     def _point(self, x: np.ndarray) -> TradeoffPoint:
         return TradeoffPoint(
@@ -159,7 +199,7 @@ class _ProblemBase:
         return batched(self._system_latency, self._latency_many)
 
     def _capacity_constraint(self) -> Callable[[np.ndarray], float]:
-        return batched(self._capacity_margin, self._model.capacity_margin_many)
+        return batched(self._capacity_margin, self._capacity_margin_many)
 
 
 class EnergyMinimizationProblem(_ProblemBase):
@@ -285,6 +325,7 @@ class NashBargainingProblem(_ProblemBase):
         requirements: Application requirements ``(Ebudget, Lmax)``.
         disagreement_energy: ``Eworst`` (from (P2)).
         disagreement_delay: ``Lworst`` (from (P1)).
+        evaluations: The game's shared memo (default: the problem's own).
     """
 
     name = "P4-nash-bargaining"
@@ -299,8 +340,9 @@ class NashBargainingProblem(_ProblemBase):
         requirements: ApplicationRequirements,
         disagreement_energy: float,
         disagreement_delay: float,
+        evaluations: Optional[GameEvaluations] = None,
     ) -> None:
-        super().__init__(model, requirements)
+        super().__init__(model, requirements, evaluations)
         if disagreement_energy <= 0 or disagreement_delay <= 0:
             raise ConfigurationError(
                 "disagreement point must be strictly positive, got "
@@ -331,25 +373,21 @@ class NashBargainingProblem(_ProblemBase):
     def objective_many(self, grid: np.ndarray) -> np.ndarray:
         """Batched twin of :meth:`objective` for a parameter grid.
 
-        The expensive part — ``E(X)`` and ``L(X)`` over the whole grid — is
-        vectorized; the logarithms are applied per element with ``math.log``
-        because ``np.log`` is not guaranteed to round identically, and the
-        grid stage must stay bit-identical to the scalar path.
+        ``E(X)``, ``L(X)``, the gains and the floors are vectorized.  The
+        logarithms are libm's ``math.log``, mapped over each column in one
+        C-level pass, because ``np.log`` is not guaranteed to round
+        identically, and the grid stage must stay bit-identical to the
+        scalar path.
         """
         energy_gains = self._disagreement_energy - self._energy_many(grid)
         delay_gains = self._disagreement_delay - self._latency_many(grid)
-        floor_energy = self._LOG_FLOOR * self._disagreement_energy
-        floor_delay = self._LOG_FLOOR * self._disagreement_delay
-        return np.array(
-            [
-                math.log(max(energy_gain, floor_energy))
-                + math.log(max(delay_gain, floor_delay))
-                for energy_gain, delay_gain in zip(
-                    energy_gains.tolist(), delay_gains.tolist()
-                )
-            ],
-            dtype=float,
+        return self._floored_logs(energy_gains, self._disagreement_energy) + self._floored_logs(
+            delay_gains, self._disagreement_delay
         )
+
+    def _floored_logs(self, gains: np.ndarray, disagreement: float) -> np.ndarray:
+        floored = np.maximum(gains, self._LOG_FLOOR * disagreement)
+        return np.fromiter(map(math.log, floored.tolist()), float, gains.size)
 
     def nash_product(self, x: np.ndarray) -> float:
         """The raw Nash product ``(Eworst - E(X)) (Lworst - L(X))`` (clipped at 0)."""

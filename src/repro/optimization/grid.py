@@ -127,8 +127,7 @@ def _local_minima(
 def _grid(space: ParameterSpace, points_per_dimension: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """The ``(n, dim)`` grid and its per-axis point counts (row-major)."""
     points = space.grid(points_per_dimension)
-    shape = tuple(parameter.sample_grid(points_per_dimension).size for parameter in space)
-    return points, shape
+    return points, tuple(axis.size for axis in space.axes(points_per_dimension))
 
 
 def grid_search_scalar(

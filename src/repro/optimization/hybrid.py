@@ -45,7 +45,7 @@ def hybrid_solve(
     points = grid_points_per_dimension
     grid = grid_search(objective, space, constraints, points, maximize)
     starts = grid.local_minima[:POLISHED_MINIMA] if grid.feasible else grid.local_minima
-    axes = [parameter.sample_grid(points) for parameter in space]
+    axes = space.axes(points)
     brackets = []
     for start in starts:
         index = [int(np.searchsorted(axis, value)) for axis, value in zip(axes, start)]

@@ -36,12 +36,23 @@ MINIMUM_TOLERANCE, ROOT_TOLERANCE = 1e-5, 1e-12
 _SPREAD, _PACKED = np.linspace(0.0, 1.0, 10)[1:-1], np.linspace(-1.0, 1.0, 9)
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array, by its own sort-based path: sorted, and
+    each value kept where it differs from its predecessor.  (``np.unique``
+    itself imports ``numpy.ma``, which every pool worker would load anew.)"""
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 class _Line:
     """The samples of ``point`` with coordinate ``axis`` set to ``t``, sorted by
     ``t``; ``rows`` holds their values, violations and margins."""
 
     def __init__(self, point: np.ndarray, axis: int, scan: np.ndarray, constraints: int):
-        self.point, self.axis, self.scan = point, axis, np.unique(scan)
+        self.point, self.axis, self.scan = point, axis, _unique(scan)
         self.span = float(self.scan[-1] - self.scan[0])
         self.t, self.rows = np.empty(0), np.empty((constraints + 2, 0))
 
@@ -121,7 +132,7 @@ def _refinements(line: _Line, by_violation: bool, bound: float) -> np.ndarray:
     for lo, hi, estimate, half_width in proposals:
         packed = estimate + half_width * _PACKED
         samples += [lo + (hi - lo) * _SPREAD, packed[(packed > lo) & (packed < hi)]]
-    fresh = np.unique(np.concatenate(samples))
+    fresh = _unique(np.concatenate(samples))
     return fresh[t[np.minimum(np.searchsorted(t, fresh), size - 1)] != fresh]
 
 
@@ -220,7 +231,7 @@ def polish(
 def _sweep(space, evaluate, start, bracket, constraints, tolerance: float) -> List[_Line]:
     """The lines of a polish in two or more dimensions (see the module docstring)."""
     lines: dict = {}
-    scans = [parameter.sample_grid(SCAN_POINTS) for parameter in space]
+    scans = space.axes(SCAN_POINTS)
 
     def add(point: Sequence[float], axis: int, extra: Sequence[float]) -> None:
         key = (axis, *point[:axis], *point[axis + 1 :])

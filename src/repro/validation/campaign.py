@@ -719,6 +719,9 @@ def run_campaign(
     runner = runner if runner is not None else build_runner()
     if store is None and runner.cache is not None:
         store = runner.cache.store
+    # Replications draw from numpy.random: import it before a pool forks,
+    # once, instead of in every worker.
+    import numpy.random  # noqa: F401
 
     with runner.executor.session():
         # Stage 1: solve every cell's bargaining game in one batch (cached,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,27 @@ class TestParameterSpace:
         assert grid.shape == (16, 2)
         assert grid[:, 0].min() == 0.0 and grid[:, 0].max() == 1.0
         assert grid[:, 1].min() == 10.0 and grid[:, 1].max() == 20.0
+
+    def test_grid_and_axes_are_memoized_read_only(self, space: ParameterSpace):
+        grid, axes = space.grid(4), space.axes(4)
+        assert space.grid(4) is grid and space.axes(4) is axes
+        assert [axis.tolist() for axis in axes] == [p.sample_grid(4).tolist() for p in space]
+        for array in (grid, *axes):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        with pytest.raises(ValueError):
+            space.grid(4)[:, 1] *= 2.0
+
+    def test_grid_memo_follows_the_count(self, space: ParameterSpace):
+        assert space.grid(3).shape == (9, 2)
+        assert space.grid(4).shape == (16, 2)
+        assert space.grid(3).tolist() == space.grid(3).tolist()
+
+    def test_copies_rebuild_their_own_memos(self, space: ParameterSpace):
+        grid = space.grid(4)
+        copy = pickle.loads(pickle.dumps(space))
+        assert copy.grid(4) is not grid and not copy.grid(4).flags.writeable
+        assert copy.grid(4).tobytes() == grid.tobytes()
 
     def test_grid_size_guard(self):
         space = ParameterSpace([Parameter(f"p{i}", 0, 1) for i in range(4)])

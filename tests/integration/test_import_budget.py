@@ -5,7 +5,9 @@ and the graphs are plain dicts, so importing the front doors, planning a
 spec and running any example spec load neither.  Every simulation runs on the
 batched engine, so no front door or run loads any other simulation module,
 nor the scalar reference simulator of ``tests/scalar_reference/`` (which
-the fresh interpreter could import: ``tests/`` is on its path).  Each case
+the fresh interpreter could import: ``tests/`` is on its path).  And a
+pool task imports nothing at all: a pool lives for one run, so whatever a
+task imports lazily every worker of every pool imports again.  Each case
 runs in a fresh interpreter, since the test session itself has long
 imported all of these.
 """
@@ -117,3 +119,66 @@ def test_no_example_spec_loads_scipy(workers):
         f"        assert main(['run', spec, '--no-cache', '--workers', '{workers}']) == 0\n"
     )
     assert _loaded_after(code) == []
+
+
+#: Wraps each pool task function in place, by its module attribute (so a
+#: forked worker unpickles the wrapper), to log the pid and the modules each
+#: task imported; then runs the specs on two workers with SciPy shadowed.
+_POOL_TASKS = """
+import contextlib, functools, io, json, os, sys
+import repro.analysis.validation, repro.runtime.batch, repro.validation.campaign
+from repro.cli import main
+
+def record(module, name):
+    task = getattr(module, name)
+
+    @functools.wraps(task)
+    def wrapper(payload):
+        before = set(sys.modules)
+        try:
+            return task(payload)
+        finally:
+            with open({log!r}, "a") as log:
+                imported = sorted(set(sys.modules) - before)
+                log.write(json.dumps([name, os.getpid(), imported]) + "\\n")
+
+    setattr(module, name, wrapper)
+
+record(repro.runtime.batch, "_solve_chunk")
+record(repro.validation.campaign, "_simulate_payload")
+record(repro.analysis.validation, "_validate_payload")
+print(os.getpid())
+for spec in {specs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", spec, "--no-cache", "--workers", "2"]) == 0
+"""
+
+
+def test_pool_tasks_import_nothing(tmp_path):
+    shadow = tmp_path / "noscipy" / "scipy"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text("raise ImportError('SciPy is shadowed')\n")
+    log = tmp_path / "tasks.jsonl"
+    specs = [f"examples/specs/{name}.json" for name in ("campaign", "validate", "suite")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(shadow.parent), str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _POOL_TASKS.format(log=str(log), specs=specs)],
+        cwd=str(ROOT),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    parent = int(completed.stdout.split()[0])
+    tasks = [json.loads(line) for line in log.read_text().splitlines()]
+    assert {name for name, _, _ in tasks} == {
+        "_solve_chunk",
+        "_simulate_payload",
+        "_validate_payload",
+    }
+    assert all(pid != parent for _, pid, _ in tasks)
+    assert [(name, imported) for name, _, imported in tasks if imported] == []
