@@ -8,13 +8,13 @@ instead of one Python call per point.
 
 These benches time ``grid_search`` (which takes the batched path, since the
 problem's objective and constraints carry ``.many`` twins) against the
-point-by-point reference ``grid_search_scalar`` on the paper's Figure-1
-problem (P1 with ``Ebudget = 0.06``, ``Lmax = 6``) at the figure's grid
-resolution, assert the results are **bit-identical** (same point, value,
-feasibility, violation and evaluation count), and enforce the ≥5× speedup
-floor the vectorization exists for.  In practice the speedup is one to three
-orders of magnitude (largest for LMAC, whose 2-D grid has ``60² = 3600``
-points).
+point-by-point reference ``grid_search_scalar`` (``tests/grid_reference.py``)
+on the paper's Figure-1 problem (P1 with ``Ebudget = 0.06``, ``Lmax = 6``)
+at the figure's grid resolution, assert the results are **bit-identical**
+(same point, value, feasibility, violation and evaluation count), and
+enforce the ≥5× speedup floor the vectorization exists for.  In practice
+the speedup is one to three orders of magnitude (largest for LMAC, whose 2-D
+grid has ``60² = 3600`` points).
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_series
+from grid_reference import grid_search_scalar
 from repro.core.problems import EnergyMinimizationProblem, NashBargainingProblem
 from repro.core.requirements import ApplicationRequirements
-from repro.experiments.config import (
-    FIGURE_ENERGY_BUDGET_FIXED,
-    FIGURE_GRID_POINTS,
-    figure_scenario,
-)
-from repro.optimization.grid import grid_search, grid_search_scalar
+from repro.experiments.config import FIGURE_ENERGY_BUDGET_FIXED, figure_scenario
+from repro.optimization.grid import grid_search
 from repro.protocols.registry import PAPER_PROTOCOL_NAMES, create_protocol
 
 #: The hard floor of the vectorization acceptance criterion.

@@ -22,9 +22,11 @@ from repro.analysis.reporting import format_table
 from repro.api import ResultSet
 from repro.core.results import GameSolution
 
-#: ``tests/`` holds the scalar reference simulator (``scalar_reference``)
-#: that ``bench_simulator.py`` times the production engine against; pytest
-#: puts it on the path only for the test suite.
+#: ``tests/`` holds the references the benches time the production code
+#: against: the scalar simulator (``scalar_reference``) for
+#: ``bench_simulator.py`` and the point-by-point grid search
+#: (``grid_reference``) for ``bench_vectorized_grid.py``; pytest puts it on
+#: the path only for the test suite.
 _TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
 if _TESTS_DIR not in sys.path:
     sys.path.append(_TESTS_DIR)

@@ -26,13 +26,11 @@ Package layout:
 * :mod:`repro.core` — the game formulation (P1/P2/P4, NBS, fairness).
 * :mod:`repro.protocols` — X-MAC, DMAC, LMAC (and SCP-MAC) analytical models.
 * :mod:`repro.network` — topology, traffic, radio and packet substrates.
-* :mod:`repro.optimization` — constrained solvers and convexity probes.
-* :mod:`repro.gametheory` — generic bargaining solutions and axiom checks.
+* :mod:`repro.optimization` — the constrained solvers.
 * :mod:`repro.simulation` — packet-level discrete-event simulator.
 * :mod:`repro.runtime` — parallel executor policies, solve cache, batch runner.
 * :mod:`repro.scenarios` — named scenario presets.
-* :mod:`repro.analysis` — model-vs-simulator validation, scalability and
-  reporting.
+* :mod:`repro.analysis` — model-vs-simulator validation and reporting.
 * :mod:`repro.experiments` — the paper's evaluation grids.
 * :mod:`repro.api` — the declarative experiment pipeline
   (``ExperimentSpec`` → ``plan`` → ``run`` → ``ResultSet``), the one front
@@ -81,7 +79,7 @@ from repro.api import (
     run_experiment,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "ApplicationRequirements",

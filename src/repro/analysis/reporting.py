@@ -9,56 +9,11 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
-from repro.core.results import GameSolution
 from repro.exceptions import ConfigurationError
 
 Row = Mapping[str, object]
-
-
-def solutions_to_rows(
-    solutions: Iterable[Optional[GameSolution]],
-    swept_name: str,
-    swept_values: Iterable[float],
-) -> List[Dict[str, object]]:
-    """Convert game solutions of a sweep into flat, printable rows.
-
-    Tolerant of heterogeneous input: a ``None`` entry (an infeasible sweep
-    position) yields a row with the swept value and blank metrics instead
-    of raising, so mixed feasible/infeasible series stay printable.
-    """
-    rows: List[Dict[str, object]] = []
-    for value, solution in zip(swept_values, solutions):
-        if solution is None:
-            rows.append(
-                {
-                    "protocol": "",
-                    swept_name: value,
-                    "E_best[J/s]": "",
-                    "L_worst[ms]": "",
-                    "E_worst[J/s]": "",
-                    "L_best[ms]": "",
-                    "E_star[J/s]": "",
-                    "L_star[ms]": "",
-                    "fairness": "",
-                }
-            )
-            continue
-        rows.append(
-            {
-                "protocol": solution.protocol,
-                swept_name: value,
-                "E_best[J/s]": solution.energy_best,
-                "L_worst[ms]": solution.delay_worst * 1000.0,
-                "E_worst[J/s]": solution.energy_worst,
-                "L_best[ms]": solution.delay_best * 1000.0,
-                "E_star[J/s]": solution.energy_star,
-                "L_star[ms]": solution.delay_star * 1000.0,
-                "fairness": solution.bargaining.fairness_residual,
-            }
-        )
-    return rows
 
 
 def _format_value(value: object, precision: int) -> str:

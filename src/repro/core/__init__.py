@@ -13,7 +13,6 @@ This subpackage implements Section 2 of the paper:
   energy/delay game (players are the metrics, not the nodes).
 * :mod:`repro.core.fairness` — the proportional-fairness identity the paper
   proves for the chosen disagreement point.
-* :mod:`repro.core.pareto` — energy-delay Pareto frontier extraction.
 * :mod:`repro.core.tradeoff` — :class:`EnergyDelayGame`, the high-level
   orchestrator that ties everything together (the main public API).
 * :mod:`repro.core.results` — result dataclasses shared by all of the above.
@@ -34,7 +33,6 @@ from repro.core.problems import (
 )
 from repro.core.bargaining import NashBargainingSolver
 from repro.core.fairness import proportional_fairness_residual, is_proportionally_fair
-from repro.core.pareto import pareto_frontier, is_pareto_efficient
 from repro.core.tradeoff import EnergyDelayGame
 
 __all__ = [
@@ -51,7 +49,5 @@ __all__ = [
     "NashBargainingSolver",
     "proportional_fairness_residual",
     "is_proportionally_fair",
-    "pareto_frontier",
-    "is_pareto_efficient",
     "EnergyDelayGame",
 ]

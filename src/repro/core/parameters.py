@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,14 +255,6 @@ class ParameterSpace:
             grid.flags.writeable = False
             self._grid = memo = (points_per_dimension, grid)
         return memo[1]
-
-    def random_points(self, count: int, seed: int = 0) -> np.ndarray:
-        """Uniform random points inside the box (for multi-start solvers)."""
-        if count < 1:
-            raise ConfigurationError("count must be >= 1")
-        rng = np.random.default_rng(seed)
-        unit = rng.uniform(0.0, 1.0, size=(count, self.dimension))
-        return self.lower_bounds + unit * (self.upper_bounds - self.lower_bounds)
 
     def describe(self) -> List[Dict[str, object]]:
         """Structured description used in reports."""

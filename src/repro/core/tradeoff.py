@@ -1,10 +1,9 @@
 """High-level public API: the energy-delay game.
 
 :class:`EnergyDelayGame` binds one protocol model to application
-requirements: solve the game and extract the energy-delay frontier behind
-the paper's figures.  Requirement sweeps, the figures and the scenario
-suite are spec kinds of :mod:`repro.api`: they solve one such game per
-cell through the shared batch runner.
+requirements and solves the game.  Requirement sweeps, the figures and the
+scenario suite are spec kinds of :mod:`repro.api`: they solve one such game
+per cell through the shared batch runner.
 
 Example:
     >>> from repro import EnergyDelayGame, ApplicationRequirements
@@ -19,14 +18,11 @@ Example:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.core.bargaining import NashBargainingSolver
-from repro.core.pareto import pareto_frontier
 from repro.core.requirements import ApplicationRequirements
-from repro.core.results import GameSolution, TradeoffPoint
+from repro.core.results import GameSolution
 from repro.exceptions import ConfigurationError
 from repro.optimization.result import SolverResult
 from repro.protocols.base import DutyCycledMACModel
@@ -86,77 +82,3 @@ class EnergyDelayGame:
     def solve(self) -> GameSolution:
         """Solve (P1), (P2) and (P4) and return the complete game solution."""
         return self._bargaining_solver.solve(self._model, self._requirements)
-
-    # ------------------------------------------------------------------ #
-    # Frontier extraction
-    # ------------------------------------------------------------------ #
-
-    def frontier(
-        self,
-        samples_per_dimension: int = 120,
-        respect_requirements: bool = False,
-    ) -> List[TradeoffPoint]:
-        """Sample the protocol's energy-delay Pareto frontier.
-
-        The frontier is the curve on which the paper's figures place the
-        trade-off points.  Points are obtained by evaluating the model on a
-        dense parameter grid, discarding inadmissible configurations, and
-        keeping the Pareto-efficient subset.
-
-        Args:
-            samples_per_dimension: Grid resolution along each parameter axis.
-            respect_requirements: When True, configurations violating the
-                application requirements are discarded before the Pareto
-                filtering (the "feasible frontier" of the specific game).
-        """
-        space = self._model.parameter_space
-        grid = space.grid(samples_per_dimension)
-        admissible = self._model.is_admissible_many(grid)
-        candidates = grid[admissible]
-        if candidates.shape[0] == 0:
-            return []
-        energies = self._model.energy_many(candidates)
-        delays = self._model.latency_many(candidates)
-        if respect_requirements:
-            satisfied = np.array(
-                [
-                    self._requirements.satisfied_by(energy, delay)
-                    for energy, delay in zip(energies.tolist(), delays.tolist())
-                ],
-                dtype=bool,
-            )
-            candidates = candidates[satisfied]
-            energies = energies[satisfied]
-            delays = delays[satisfied]
-        if candidates.shape[0] == 0:
-            return []
-        admissible_points = list(candidates)
-        cost_array = np.stack([energies, delays], axis=-1)
-        frontier_costs = pareto_frontier(cost_array)
-        # Map each frontier point back to a parameter vector (first match).
-        frontier_points: List[TradeoffPoint] = []
-        for energy, delay in frontier_costs:
-            index = int(
-                np.argmin(
-                    np.abs(cost_array[:, 0] - energy) + np.abs(cost_array[:, 1] - delay)
-                )
-            )
-            frontier_points.append(
-                TradeoffPoint(
-                    parameters=self._model.coerce(admissible_points[index]),
-                    energy=float(energy),
-                    delay=float(delay),
-                )
-            )
-        return frontier_points
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-
-    def summary(self) -> Dict[str, object]:
-        """Solve the game and return a flat report dictionary."""
-        solution = self.solve()
-        report = solution.as_dict()
-        report["scenario"] = dict(self._model.scenario.describe())
-        return report

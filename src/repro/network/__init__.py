@@ -14,20 +14,15 @@ in:
   dict and a ``{child: parent}`` dict) so no graph library is needed.
 * :mod:`repro.network.traffic` — the periodic-traffic load equations
   (per-ring output, input, background traffic and input link counts).
-* :mod:`repro.network.deployment` — random uniform-density deployments used
-  by the simulator and by the scalability analysis.
+* :mod:`repro.network.deployment` — the ring deployment the simulator runs
+  on, with every node on its analytical ring.
 """
 
 from repro.network.radio import RadioMode, RadioModel, cc2420, cc1100, tr1001
 from repro.network.packets import PacketModel
 from repro.network.topology import RingTopology, UnitDiskDeployment, build_gathering_tree
 from repro.network.traffic import TrafficModel, RingTraffic
-from repro.network.deployment import (
-    DeploymentConfig,
-    chain_deployment,
-    generate_deployment,
-    ring_deployment,
-)
+from repro.network.deployment import ring_deployment
 
 __all__ = [
     "RadioMode",
@@ -41,8 +36,5 @@ __all__ = [
     "build_gathering_tree",
     "TrafficModel",
     "RingTraffic",
-    "DeploymentConfig",
-    "generate_deployment",
     "ring_deployment",
-    "chain_deployment",
 ]

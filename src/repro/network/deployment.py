@@ -1,27 +1,21 @@
-"""Random node deployments.
+"""Concrete node deployments for the simulator.
 
-The discrete-event simulator and the scalability analysis need concrete
-topologies.  This module generates uniform-density deployments on a disk
-around the sink whose *expected* ring structure matches a given
-:class:`~repro.network.topology.RingTopology`, so that analytical predictions
-and simulation results can be compared apples-to-apples.
+The packet-level simulator needs a concrete topology: node positions, the
+unit-disk graph and the gathering tree.  :func:`ring_deployment` places
+every node on the ring of a :class:`~repro.network.topology.RingTopology`
+that the analytical models assume, so analytical predictions and
+simulation results can be compared apples-to-apples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.topology import (
-    RingTopology,
-    UnitDiskDeployment,
-    build_gathering_tree,
-    hop_distances,
-)
+from repro.network.topology import UnitDiskDeployment, build_gathering_tree, hop_distances
 from repro.units import require_positive
 
 #: Most sensor nodes a generated deployment may hold.  Building one holds an
@@ -43,60 +37,6 @@ def check_node_count(nodes: int) -> None:
             f"{nodes} sensor nodes exceed the deployment limit of "
             f"{MAX_DEPLOYMENT_NODES}"
         )
-
-
-@dataclass(frozen=True)
-class DeploymentConfig:
-    """Parameters of a random uniform deployment.
-
-    Attributes:
-        depth: Target number of rings ``D``.
-        density: Target unit-disk neighbourhood size ``C``.
-        radius: Communication radius (metres); purely a scale factor.
-        seed: Seed for the pseudo-random generator, for reproducibility.
-        max_attempts: How many times to re-sample if the generated graph is
-            disconnected (sparse deployments occasionally are).
-    """
-
-    depth: int = 5
-    density: int = 8
-    radius: float = 50.0
-    seed: int = 1
-    max_attempts: int = 25
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {self.depth!r}")
-        if self.density < 1:
-            raise ConfigurationError(f"density must be >= 1, got {self.density!r}")
-        require_positive("radius", self.radius)
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-
-    @property
-    def target_node_count(self) -> int:
-        """Expected number of sensor nodes, ``C * D^2``."""
-        return int(self.density * self.depth**2)
-
-    @property
-    def field_radius(self) -> float:
-        """Radius of the deployment disk, ``D`` communication radii."""
-        return self.depth * self.radius
-
-
-def _sample_positions(config: DeploymentConfig, rng: np.random.Generator) -> Dict[int, Tuple[float, float]]:
-    """Sample sensor positions uniformly on the deployment disk."""
-    count = config.target_node_count
-    # Uniform sampling on a disk: radius ~ sqrt(U) * R, angle ~ U * 2*pi.
-    radii = config.field_radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    positions: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
-    for index in range(count):
-        positions[index + 1] = (
-            float(radii[index] * math.cos(angles[index])),
-            float(radii[index] * math.sin(angles[index])),
-        )
-    return positions
 
 
 def _unit_disk_graph(
@@ -142,63 +82,6 @@ def _connected_deployment(
     tree = build_gathering_tree(graph, sink=0, distances=ring_of)
     return UnitDiskDeployment(
         positions=positions, radius=radius, graph=graph, tree=tree, ring_of=ring_of
-    )
-
-
-def generate_deployment(
-    config: Optional[DeploymentConfig] = None,
-    *,
-    depth: Optional[int] = None,
-    density: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> UnitDiskDeployment:
-    """Generate a random connected deployment matching the ring model.
-
-    Either pass a full :class:`DeploymentConfig` or override ``depth``,
-    ``density`` and ``seed`` individually.
-
-    The generator re-samples (with incremented seeds) until the unit-disk
-    graph is connected, because the analytical model assumes every node has a
-    path to the sink.
-
-    Raises:
-        ConfigurationError: if the deployment would exceed
-            :data:`MAX_DEPLOYMENT_NODES`, or no connected deployment is found
-            within ``config.max_attempts`` attempts.
-    """
-    if config is None:
-        config = DeploymentConfig()
-    overrides = {}
-    if depth is not None:
-        overrides["depth"] = depth
-    if density is not None:
-        overrides["density"] = density
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        config = DeploymentConfig(
-            depth=overrides.get("depth", config.depth),
-            density=overrides.get("density", config.density),
-            radius=config.radius,
-            seed=overrides.get("seed", config.seed),
-            max_attempts=config.max_attempts,
-        )
-    check_node_count(config.target_node_count)
-
-    last_error: Optional[Exception] = None
-    for attempt in range(config.max_attempts):
-        rng = np.random.default_rng(config.seed + attempt)
-        positions = _sample_positions(config, rng)
-        graph = _unit_disk_graph(positions, config.radius)
-        deployment = _connected_deployment(positions, config.radius, graph)
-        if deployment is None:
-            last_error = ConfigurationError("sampled unit-disk graph is disconnected")
-            continue
-        return deployment
-    raise ConfigurationError(
-        f"could not generate a connected deployment after {config.max_attempts} "
-        f"attempts (depth={config.depth}, density={config.density}); "
-        f"last error: {last_error}"
     )
 
 
@@ -269,24 +152,3 @@ def ring_deployment(
             "lower spacing_factor"
         )
     return deployment
-
-
-def chain_deployment(depth: int, spacing: Optional[float] = None, radius: float = 50.0) -> UnitDiskDeployment:
-    """Deterministic single-chain deployment: sink — n1 — n2 — … — nD.
-
-    Useful in unit tests and for validating the per-hop latency models: the
-    topology has exactly one node per ring and no contention.
-    """
-    if depth < 1:
-        raise ConfigurationError(f"depth must be >= 1, got {depth!r}")
-    require_positive("radius", radius)
-    if spacing is None:
-        spacing = 0.9 * radius
-    if spacing > radius:
-        raise ConfigurationError("spacing larger than radius would disconnect the chain")
-    positions: Dict[int, Tuple[float, float]] = {
-        node: (node * spacing, 0.0) for node in range(depth + 1)
-    }
-    graph = _unit_disk_graph(positions, radius)
-    tree = build_gathering_tree(graph, sink=0)
-    return UnitDiskDeployment(positions=positions, radius=radius, graph=graph, tree=tree)

@@ -5,24 +5,18 @@ is both affordable and an excellent robustness baseline: it cannot be fooled
 by local minima or by a badly scaled constraint, which makes it the seed and
 the cross-check for the polish.
 
-Two evaluation paths share one selection rule:
-
-* :func:`grid_search` evaluates the whole grid in a handful of NumPy calls
-  whenever the objective and every constraint expose a batched twin (a
-  ``.many(points)`` attribute, attached with :func:`batched`), and falls
-  back to the scalar loop otherwise;
-* :func:`grid_search_scalar` loops over the grid calling the objective and
-  the constraint margins point by point — the named reference.
-
-The batched path replicates the scalar path's skip/tie-break/violation
-semantics operation for operation, so the two return **bit-identical**
-results; ``tests/optimization/test_grid_vectorized.py`` enforces this and
+:func:`grid_search` evaluates the whole grid in a handful of NumPy calls
+through each function's batched twin (a ``.many(points)`` attribute,
+attached with :func:`batched`), and calls a function without one point by
+point.  Its skip/tie-break/violation semantics are those of a point-by-point
+loop, replicated operation for operation, so it returns **bit-identical**
+results to the reference loop in ``tests/grid_reference.py``;
+``tests/optimization/test_grid_vectorized.py`` enforces this and
 ``benchmarks/bench_vectorized_grid.py`` records the speedup.
 
-Both paths also report the grid's distinct feasible *local minima* — the
-seeds the hybrid solver polishes; those of the violation when no point is
-feasible — through one shared rule (:func:`_local_minima`) applied to the
-values they collected.
+It also reports the grid's distinct feasible *local minima* — the seeds the
+hybrid solver polishes; those of the violation when no point is feasible —
+through one rule (:func:`_local_minima`), which the reference shares.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ Constraint = Callable[[np.ndarray], float]
 #: Signature of a batched twin: maps an ``(n, dim)`` grid to ``(n,)`` values.
 BatchedFunction = Callable[[np.ndarray], np.ndarray]
 
-#: Error message shared by both evaluation paths when nothing evaluates.
+#: Error message when no grid point evaluates to a finite objective.
 _NO_FINITE_POINT = "grid search found no grid point with a finite objective value"
 
 
@@ -77,6 +71,14 @@ def batched(scalar: Callable[[np.ndarray], float], many: BatchedFunction) -> Obj
 def _batched_twin(function: Callable) -> Optional[BatchedFunction]:
     """The ``.many`` twin of an objective/constraint, or ``None``."""
     return getattr(function, "many", None)
+
+
+def _grid_values(function: Callable, points: np.ndarray) -> np.ndarray:
+    """``function`` at every grid point: one call of its twin, or one call per point."""
+    many = _batched_twin(function)
+    if many is None:
+        return np.array([float(function(point)) for point in points])
+    return np.asarray(many(points), dtype=float).reshape(points.shape[0])
 
 
 def _violation(constraints: Sequence[Constraint], point: np.ndarray) -> float:
@@ -130,61 +132,6 @@ def _grid(space: ParameterSpace, points_per_dimension: int) -> Tuple[np.ndarray,
     return points, tuple(axis.size for axis in space.axes(points_per_dimension))
 
 
-def grid_search_scalar(
-    objective: Objective,
-    space: ParameterSpace,
-    constraints: Sequence[Constraint] = (),
-    points_per_dimension: int = 200,
-    maximize: bool = False,
-    feasibility_tolerance: float = 1e-9,
-) -> SolverResult:
-    """Point-by-point reference implementation of :func:`grid_search`.
-
-    Takes the same arguments and returns the same result; it ignores any
-    batched ``.many`` twins, so the equivalence tests and the benchmarks
-    can hold the batched path against it.
-    """
-    sign = -1.0 if maximize else 1.0
-    points, shape = _grid(space, points_per_dimension)
-    best: Optional[SolverResult] = None
-    evaluations = 0
-    feasible_signed = np.full(points.shape[0], np.inf)
-    violations = np.full(points.shape[0], np.inf)
-    for index, point in enumerate(points):
-        evaluations += 1
-        violation = _violation(constraints, point)
-        if not np.isfinite(violation):
-            continue
-        raw = float(objective(point))
-        if not np.isfinite(raw):
-            continue
-        violations[index] = violation
-        if violation <= feasibility_tolerance:
-            feasible_signed[index] = sign * raw
-        candidate = SolverResult(
-            x=point,
-            value=sign * raw,
-            feasible=violation <= feasibility_tolerance,
-            method="grid",
-            evaluations=evaluations,
-            constraint_violation=violation,
-        )
-        if candidate.better_than(best):
-            best = candidate
-    if best is None:
-        raise SolverError(_NO_FINITE_POINT)
-    return SolverResult(
-        x=best.x,
-        value=sign * best.value if maximize else best.value,
-        feasible=best.feasible,
-        method="grid",
-        evaluations=evaluations,
-        constraint_violation=best.constraint_violation,
-        message=f"{points.shape[0]} grid points evaluated",
-        local_minima=_local_minima(points, feasible_signed if best.feasible else violations, shape),
-    )
-
-
 def grid_search(
     objective: Objective,
     space: ParameterSpace,
@@ -197,9 +144,9 @@ def grid_search(
 
     Args:
         objective: Scalar objective of a solver-ordered parameter array.
-            When it (and every constraint) carries a batched ``.many`` twin
-            — see :func:`batched` — the whole grid is evaluated in a few
-            NumPy calls; otherwise :func:`grid_search_scalar` loops over it.
+            When it (or a constraint) carries a batched ``.many`` twin — see
+            :func:`batched` — the twin evaluates the whole grid in one call;
+            a function without one is called point by point.
         space: The admissible box.
         constraints: Margin functions; a point is feasible when every margin
             is ``>= -feasibility_tolerance``.
@@ -212,18 +159,12 @@ def grid_search(
         least violation, flagged as infeasible.  ``local_minima`` holds the
         grid's distinct feasible local minima, best first — or, when no
         point is feasible, the distinct local minima of the violation, least
-        first.  Both evaluation paths return bit-identical results.
+        first.
 
     Raises:
         SolverError: if every grid point evaluates to a non-finite objective.
     """
-    if _batched_twin(objective) is None or any(
-        _batched_twin(constraint) is None for constraint in constraints
-    ):
-        return grid_search_scalar(
-            objective, space, constraints, points_per_dimension, maximize, feasibility_tolerance
-        )
-    # Batched path.  The scalar loop (a) skips points where any margin is
+    # A point-by-point loop (a) skips points where any margin is
     # non-finite, (b) skips points with a non-finite objective, (c) prefers
     # feasible points, then smaller signed objective, then — among
     # infeasible points — smaller violation, keeping the *first* optimum on
@@ -236,10 +177,10 @@ def grid_search(
     violation = np.zeros(total)
     margins_finite = np.ones(total, dtype=bool)
     for constraint in constraints:
-        margins = np.asarray(_batched_twin(constraint)(points), dtype=float).reshape(total)
+        margins = _grid_values(constraint, points)
         margins_finite &= np.isfinite(margins)
         violation = np.maximum(violation, -margins)
-    raw = np.asarray(_batched_twin(objective)(points), dtype=float).reshape(total)
+    raw = _grid_values(objective, points)
     valid = margins_finite & np.isfinite(raw)
     if not bool(valid.any()):
         raise SolverError(_NO_FINITE_POINT)

@@ -375,9 +375,9 @@ class DutyCycledMACModel(abc.ABC):
     # ------------------------------------------------------------------ #
     #
     # The batched methods evaluate whole parameter grids at once and are the
-    # hot path of the grid solver and the frontier extraction.  The base
-    # implementations fall back to the scalar methods row by row, so any
-    # user-defined protocol is automatically correct; ClosedFormMACModel
+    # hot path of the grid solver.  The base implementations fall back to
+    # the scalar methods row by row, so any user-defined protocol is
+    # automatically correct; ClosedFormMACModel
     # runs its expressions on whole columns instead, which is *bit-identical*
     # to the scalar path (the same operations in the same order on float64).
     # Unlike the scalar path, the batched path does not validate each
@@ -421,62 +421,6 @@ class DutyCycledMACModel(abc.ABC):
         """
         grid = self.coerce_grid(grid)
         return np.array([self.capacity_margin(row) for row in grid], dtype=float)
-
-    def is_admissible_many(self, grid: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
-        """Batched twin of :meth:`is_admissible` for a parameter grid.
-
-        When the subclass keeps the base constraint structure (capacity
-        margin plus box bounds), the whole grid is checked with three NumPy
-        comparisons; a subclass that overrides :meth:`constraint_margins` or
-        :meth:`is_admissible` to add protocol-specific constraints is
-        checked row by row through its own :meth:`is_admissible`, so custom
-        constraints are never silently ignored.
-
-        Args:
-            grid: ``(n, dimension)`` array of solver-ordered parameter rows.
-            tolerance: Slack allowed on every constraint margin.
-
-        Returns:
-            ``(n,)`` boolean array, ``True`` where the row satisfies all
-            protocol constraints — identical to calling
-            :meth:`is_admissible` per row.
-        """
-        grid = self.coerce_grid(grid)
-        cls = type(self)
-        base_constraints = (
-            cls.constraint_margins is DutyCycledMACModel.constraint_margins
-            and cls.is_admissible is DutyCycledMACModel.is_admissible
-        )
-        if base_constraints:
-            space = self.parameter_space
-            return (
-                (self.capacity_margin_many(grid) >= -tolerance)
-                & ((grid - space.lower_bounds) >= -tolerance).all(axis=1)
-                & ((space.upper_bounds - grid) >= -tolerance).all(axis=1)
-            )
-        return np.array(
-            [self.is_admissible(row, tolerance) for row in grid], dtype=bool
-        )
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-
-    def evaluate(self, params: ParameterVector) -> Dict[str, object]:
-        """One-stop evaluation used by examples, the CLI and reports."""
-        params_dict = self.coerce(params)
-        bottleneck = self._scenario.topology.bottleneck_ring
-        return {
-            "protocol": self.name,
-            "family": self.family,
-            "parameters": params_dict,
-            "energy_j_per_s": self.system_energy(params_dict),
-            "delay_s": self.system_latency(params_dict),
-            "duty_cycle_bottleneck": self.duty_cycle(params_dict, bottleneck),
-            "energy_breakdown": self.energy_breakdown(params_dict, bottleneck).as_dict(),
-            "capacity_margin": self.capacity_margin(params_dict),
-            "admissible": self.is_admissible(params_dict),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(scenario={self._scenario.describe()})"

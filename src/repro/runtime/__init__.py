@@ -1,8 +1,8 @@
 """Parallel experiment runtime.
 
 Shared execution layer for everything that solves many games: requirement
-sweeps, figure reproductions, the scenario suite, campaigns, scalability
-studies and the CLI.  Three pieces compose:
+sweeps, figure reproductions, the scenario suite, campaigns and the CLI.
+Three pieces compose:
 
 * :mod:`repro.runtime.executor` — the executor a worker count describes
   (serial for one worker, a process pool otherwise) with deterministic,

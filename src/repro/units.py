@@ -14,21 +14,12 @@ input, report output).
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 #: Number of bits in a byte; frame sizes are specified in bytes by users.
 BITS_PER_BYTE = 8
 
 #: Milliseconds per second, used when formatting delays the way the paper does.
 MS_PER_S = 1000.0
-
-#: Microjoule per joule, occasionally useful when reporting per-packet costs.
-UJ_PER_J = 1.0e6
-
-
-def ms_to_s(milliseconds: float) -> float:
-    """Convert a duration in milliseconds to seconds."""
-    return float(milliseconds) / MS_PER_S
 
 
 def s_to_ms(seconds: float) -> float:
@@ -45,21 +36,6 @@ def bytes_to_bits(n_bytes: float) -> float:
     return float(n_bytes) * BITS_PER_BYTE
 
 
-def bits_to_bytes(n_bits: float) -> float:
-    """Convert a frame size in bits to bytes."""
-    return float(n_bits) / BITS_PER_BYTE
-
-
-def mw_to_w(milliwatts: float) -> float:
-    """Convert a power draw in milliwatts to watts."""
-    return float(milliwatts) / 1000.0
-
-
-def w_to_mw(watts: float) -> float:
-    """Convert a power draw in watts to milliwatts."""
-    return float(watts) * 1000.0
-
-
 def ma_to_w(milliamps: float, voltage: float = 3.0) -> float:
     """Convert a current draw (mA) at the given supply voltage to watts.
 
@@ -69,22 +45,6 @@ def ma_to_w(milliamps: float, voltage: float = 3.0) -> float:
     if voltage <= 0:
         raise ValueError(f"voltage must be positive, got {voltage!r}")
     return float(milliamps) / 1000.0 * float(voltage)
-
-
-def is_close(a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Robust float comparison used across tests and invariant checks."""
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-def clamp(value: float, lower: float, upper: float) -> float:
-    """Clamp ``value`` to the closed interval ``[lower, upper]``.
-
-    Raises:
-        ValueError: if ``lower > upper``.
-    """
-    if lower > upper:
-        raise ValueError(f"empty interval: lower={lower!r} > upper={upper!r}")
-    return max(lower, min(upper, value))
 
 
 def require_positive(name: str, value: float) -> float:
@@ -97,29 +57,3 @@ def require_positive(name: str, value: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
-
-
-def require_non_negative(name: str, value: float) -> float:
-    """Validate that ``value`` is a finite number greater than or equal to zero."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
-    return value
-
-
-def require_in_range(name: str, value: float, lower: float, upper: float) -> float:
-    """Validate that ``value`` lies in the closed interval ``[lower, upper]``."""
-    value = float(value)
-    if not (lower <= value <= upper):
-        raise ValueError(
-            f"{name} must lie in [{lower!r}, {upper!r}], got {value!r}"
-        )
-    return value
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean of a non-empty iterable of floats."""
-    values = list(values)
-    if not values:
-        raise ValueError("mean() of an empty iterable")
-    return sum(values) / len(values)

@@ -21,7 +21,7 @@ Determinism: replication seeds are derived by hashing
 ``(base_seed, scenario, protocol, replication)``, each simulation is fully
 determined by its seed, and aggregation always folds samples in replication
 order — so a campaign run with ``--workers N`` is byte-identical to a serial
-run (``tests/validation`` and ``benchmarks/bench_campaign.py`` assert it).
+run (``tests/validation/test_campaign.py`` and CI's ``specs`` job assert it).
 """
 
 from __future__ import annotations

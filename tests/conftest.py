@@ -133,9 +133,3 @@ def analytical_only_protocol():
     register_protocol("analyticalonly", AnalyticalOnlyMAC, overwrite=True)
     yield "analyticalonly"
     unregister_protocol("analyticalonly")
-
-
-def midpoint_params(model):
-    """Convenience: the midpoint of a model's parameter box as a dict."""
-    space = model.parameter_space
-    return space.to_dict(space.midpoint())

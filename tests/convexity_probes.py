@@ -2,9 +2,8 @@
 
 The paper's uniqueness argument for the Nash bargaining solution rests on the
 feasible set being convex and the Nash product being quasi-concave.  The MAC
-models are closed-form but messy, so instead of symbolic proofs the library
-offers cheap numerical probes that the tests (and users instantiating the
-framework on their own protocols) can run:
+models are closed-form but messy, so instead of symbolic proofs the tests
+run cheap numerical probes:
 
 * :func:`is_convex_on_grid` — midpoint-convexity check of a scalar function
   on random segment samples inside a box,
@@ -14,13 +13,15 @@ framework on their own protocols) can run:
   sampling.
 
 All probes are necessary-condition checks: they can refute convexity but can
-only build confidence in it, which is stated in their docstrings and in
-DESIGN.md.
+only build confidence in it, which is stated in their docstrings.
+
+pytest puts ``tests/`` on ``sys.path`` (``tests/conftest.py``), so this
+module is imported as ``convexity_probes``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 

@@ -125,15 +125,6 @@ class TestParameterSpace:
         with pytest.raises(ConfigurationError):
             space.grid(100)
 
-    def test_random_points_inside_box(self, space: ParameterSpace):
-        points = space.random_points(50, seed=3)
-        assert points.shape == (50, 2)
-        assert space.contains(points[0])
-        assert np.all(points[:, 1] >= 10.0) and np.all(points[:, 1] <= 20.0)
-
-    def test_random_points_reproducible(self, space: ParameterSpace):
-        assert np.allclose(space.random_points(5, seed=1), space.random_points(5, seed=1))
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError):
             ParameterSpace([Parameter("x", 0, 1), Parameter("x", 0, 2)])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fairness import is_proportionally_fair
-from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError
 
@@ -58,29 +57,6 @@ class TestEnergyDelayGame:
             for budget in (0.002, 0.01, 0.05)
         ]
         assert delays[0] >= delays[1] >= delays[2]
-
-    def test_frontier_is_monotone_tradeoff(self, xmac_game):
-        frontier = xmac_game.frontier(samples_per_dimension=60)
-        assert len(frontier) >= 5
-        energies = [p.energy for p in frontier]
-        delays = [p.delay for p in frontier]
-        assert energies == sorted(energies)
-        assert delays == sorted(delays, reverse=True)
-
-    def test_frontier_respecting_requirements_is_subset(self, xmac, requirements):
-        tight = ApplicationRequirements(
-            energy_budget=0.005, max_delay=1.5, sampling_rate=requirements.sampling_rate
-        )
-        game = EnergyDelayGame(xmac, tight, **GAME_OPTIONS)
-        restricted = game.frontier(samples_per_dimension=60, respect_requirements=True)
-        for point in restricted:
-            assert point.energy <= tight.energy_budget * 1.001
-            assert point.delay <= tight.max_delay * 1.001
-
-    def test_summary_is_flat_and_complete(self, xmac_game):
-        summary = xmac_game.summary()
-        assert summary["protocol"] == "X-MAC"
-        assert "E_star" in summary and "scenario" in summary
 
     def test_invalid_inputs_rejected(self, xmac, requirements):
         with pytest.raises(ConfigurationError):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from finite_bargaining import BargainingGame
 from repro.exceptions import BargainingError
-from repro.gametheory.game import BargainingGame
 
 
 @pytest.fixture
@@ -39,16 +39,6 @@ class TestBargainingGame:
     def test_no_rational_alternative(self):
         game = BargainingGame([(0.0, 0.0)], disagreement=(1.0, 1.0))
         assert not game.has_rational_alternative()
-        with pytest.raises(BargainingError):
-            game.ideal_point()
-
-    def test_ideal_point(self, triangle_game):
-        assert np.allclose(triangle_game.ideal_point(), [10.0, 10.0])
-
-    def test_pareto_indices_lie_on_the_hypotenuse(self, triangle_game):
-        payoffs = triangle_game.payoffs
-        for index in triangle_game.pareto_indices():
-            assert payoffs[index][0] + payoffs[index][1] == 10
 
     def test_is_pareto_efficient(self, triangle_game):
         payoffs = triangle_game.payoffs

@@ -1,16 +1,12 @@
-"""Unit tests for the bargaining solution concepts."""
+"""Unit tests for the finite-game Nash bargaining solution."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from finite_bargaining import BargainingGame, nash_bargaining_solution, nash_product
 from repro.exceptions import BargainingError
-from repro.gametheory.egalitarian import egalitarian_solution
-from repro.gametheory.game import BargainingGame
-from repro.gametheory.kalai_smorodinsky import kalai_smorodinsky_solution
-from repro.gametheory.nash import nash_bargaining_solution, nash_product
-from repro.gametheory.utilitarian import utilitarian_solution
 
 
 def dense_triangle(limit: float = 10.0, step: float = 0.25) -> BargainingGame:
@@ -62,41 +58,3 @@ class TestNashSolution:
         biased = nash_bargaining_solution(game_biased)
         # A better threat for player 1 moves the agreement in its favour.
         assert biased.payoff[0] > neutral.payoff[0]
-
-
-class TestOtherSolutions:
-    def test_kalai_smorodinsky_equalises_relative_gains(self):
-        point = kalai_smorodinsky_solution(asymmetric_triangle())
-        relative = (point.payoff[0] / 8.0, point.payoff[1] / 2.0)
-        assert relative[0] == pytest.approx(relative[1], abs=0.05)
-
-    def test_egalitarian_equalises_absolute_gains(self):
-        point = egalitarian_solution(asymmetric_triangle())
-        assert point.payoff[0] == pytest.approx(point.payoff[1], abs=0.2)
-
-    def test_utilitarian_maximises_total_gain(self):
-        game = asymmetric_triangle()
-        point = utilitarian_solution(game)
-        totals = game.payoffs.sum(axis=1)
-        assert point.payoff[0] + point.payoff[1] == pytest.approx(float(totals.max()))
-
-    def test_all_rules_agree_on_symmetric_games(self):
-        game = dense_triangle()
-        nash = nash_bargaining_solution(game)
-        kalai = kalai_smorodinsky_solution(game)
-        egal = egalitarian_solution(game)
-        for point in (kalai, egal):
-            assert point.payoff[0] == pytest.approx(nash.payoff[0], abs=0.3)
-            assert point.payoff[1] == pytest.approx(nash.payoff[1], abs=0.3)
-
-    def test_rules_reject_hopeless_games(self):
-        game = BargainingGame([(0.0, 0.0)], disagreement=(1.0, 1.0))
-        for rule in (kalai_smorodinsky_solution, egalitarian_solution, utilitarian_solution):
-            with pytest.raises(BargainingError):
-                rule(game)
-
-    def test_rules_differ_on_asymmetric_games(self):
-        game = asymmetric_triangle()
-        nash = nash_bargaining_solution(game)
-        egal = egalitarian_solution(game)
-        assert abs(nash.payoff[0] - egal.payoff[0]) > 0.5

@@ -106,6 +106,20 @@ def test_only_the_batched_simulator_is_loaded(code):
     assert [name for name in loaded if name.startswith("scalar_reference")] == []
 
 
+def test_every_src_module_is_loaded_by_a_front_door():
+    """No orphan module: the CLI, the service and the two ``-m`` generators
+    load every module under ``src/repro``, so code that no run can reach
+    does not sit in the package."""
+    src = ROOT / "src"
+    modules = set()
+    for path in src.rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    code = "import repro.cli, repro.service, repro.validation.report, repro.scenarios.docs\n"
+    loaded = _loaded_after(code, roots=("repro",))
+    assert sorted(modules - set(loaded)) == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_example_spec_loads_scipy(workers):
     # Cold, so every game is solved and every campaign quantile computed;

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from finite_bargaining import BargainingGame, check_all_axioms, nash_bargaining_solution
 from repro.analysis.validation import validate_protocol
 from repro.cli import main as cli_main
 from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
-from repro.gametheory.game import BargainingGame
-from repro.gametheory.nash import nash_bargaining_solution
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, XMACModel
 from repro.protocols.registry import paper_protocols
@@ -32,7 +31,8 @@ class TestFullGamePipeline:
             assert abs(solution.bargaining.fairness_residual) < 0.15
 
     def test_continuous_nbs_agrees_with_discrete_nbs_on_sampled_frontier(self, xmac):
-        """The (P4) solver and the generic finite-game NBS must agree."""
+        """The (P4) solver and the generic finite-game NBS must agree, and the
+        finite game's Nash point satisfies all four axioms."""
         requirements = ApplicationRequirements(energy_budget=0.06, max_delay=6.0)
         game = EnergyDelayGame(xmac, requirements, **FAST)
         solution = game.solve()
@@ -56,6 +56,8 @@ class TestFullGamePipeline:
         discrete_energy, discrete_delay = -discrete.payoff[0], -discrete.payoff[1]
         assert discrete_energy == pytest.approx(solution.energy_star, rel=0.05)
         assert discrete_delay == pytest.approx(solution.delay_star, rel=0.05)
+        checks = check_all_axioms(finite_game)
+        assert all(check.satisfied for check in checks.values()), checks
 
     def test_energy_ordering_of_protocols_at_delay_optimum(self, paper_scenario):
         """X-MAC spends the least energy when pushed to its fastest setting."""

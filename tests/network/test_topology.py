@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deployment_fixtures import chain_deployment, generate_deployment
 from repro.exceptions import ConfigurationError
 from repro.network.deployment import (
     MAX_DEPLOYMENT_NODES,
     _unit_disk_graph,
-    chain_deployment,
     check_node_count,
-    generate_deployment,
     ring_deployment,
 )
 from repro.network.topology import (

@@ -13,14 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deployment_fixtures import DeploymentConfig, chain_deployment, generate_deployment
 from repro.exceptions import ConfigurationError
 from repro.network import deployment as deployment_module
-from repro.network.deployment import (
-    DeploymentConfig,
-    chain_deployment,
-    generate_deployment,
-    ring_deployment,
-)
+from repro.network.deployment import ring_deployment
 from repro.network.topology import build_gathering_tree, hop_distances
 
 nx = pytest.importorskip("networkx")

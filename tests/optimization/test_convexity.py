@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.parameters import Parameter, ParameterSpace
-from repro.optimization.convexity import (
+from convexity_probes import (
     is_convex_on_grid,
     is_quasiconcave_on_segment,
     sample_hessian_definiteness,
 )
+from repro.core.parameters import Parameter, ParameterSpace
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
-"""The vectorized grid-search path: equivalence and detection.
+"""The vectorized grid search: equivalence and detection.
 
-``grid_search`` evaluates a grid whole when every function carries a
-``.many`` twin, and must be interchangeable bit for bit with the scalar
-reference ``grid_search_scalar``, down to the local minima they report;
-these tests pin the contract
+``grid_search`` evaluates a grid whole through each function's ``.many``
+twin, and must be interchangeable bit for bit with the point-by-point
+reference ``grid_search_scalar`` (``tests/grid_reference.py``), down to the
+local minima they report; these tests pin the contract
 on the real solver problems (P1, P2, P4) and on synthetic objectives that
 exercise the corner cases the scalar loop defines: non-finite margins,
 non-finite objectives, infeasible-only grids, exact ties (first optimum
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from grid_reference import grid_search_scalar
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.problems import (
     DelayMinimizationProblem,
@@ -25,7 +26,7 @@ from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import SolverError
 from repro.optimization import hybrid
-from repro.optimization.grid import batched, grid_search, grid_search_scalar
+from repro.optimization.grid import batched, grid_search
 from repro.protocols.registry import PAPER_PROTOCOL_NAMES, create_protocol
 from repro.scenario import default_scenario
 
@@ -124,7 +125,7 @@ def test_batched_wrapper_forwards_and_carries_many():
 
 
 def test_auto_detection_falls_back_without_many():
-    """A plain (un-batched) constraint forces the scalar loop; results match."""
+    """A plain (un-batched) constraint is called point by point; results match."""
     objective = _with_many(lambda x: float(x[0]), lambda grid: grid[:, 0])
     plain_constraint = lambda x: float(x[0]) - 0.25  # noqa: E731 - no .many twin
     result = grid_search(objective, _space(), [plain_constraint], points_per_dimension=17)

@@ -139,7 +139,7 @@ def reference_solve(
         upper - 0.05 * span,
         lower + 0.25 * span,
         upper - 0.25 * span,
-        *space.random_points(6, seed=0),
+        *(lower + np.random.default_rng(0).uniform(0.0, 1.0, size=(6, space.dimension)) * span),
     ]
     candidates: List[SolverResult] = []
     try:

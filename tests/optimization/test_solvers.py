@@ -7,13 +7,7 @@ import pytest
 
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.exceptions import SolverError
-from repro.optimization import (
-    batched,
-    grid_search,
-    hybrid_solve,
-    polish,
-    weighted_sum_scan,
-)
+from repro.optimization import batched, grid_search, hybrid_solve, polish
 
 
 @pytest.fixture
@@ -202,26 +196,3 @@ class TestHybrid:
         result = hybrid_solve(u_shaped, box_1d, [margin], grid_points_per_dimension=11)
         assert result.feasible
         assert 4.2 <= result.x[0] <= 4.25
-
-
-class TestWeightedSum:
-    def test_scan_traces_a_tradeoff(self, box_1d):
-        # first objective favours small x, second favours large x.
-        points = weighted_sum_scan(
-            lambda p: float(p[0]),
-            lambda p: float(10.0 - p[0]),
-            box_1d,
-            weights=[0.0, 0.5, 1.0],
-            grid_points_per_dimension=40,
-        )
-        assert len(points) == 3
-        # Full weight on the first objective drives x to its minimum and
-        # full weight on the second drives it to its maximum.
-        assert points[-1].first <= points[0].first
-        assert points[0].second <= points[-1].second
-
-    def test_invalid_weight_rejected(self, box_1d):
-        with pytest.raises(SolverError):
-            weighted_sum_scan(
-                lambda p: float(p[0]), lambda p: float(-p[0]), box_1d, weights=[1.5]
-            )

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from finite_bargaining import BargainingGame, nash_bargaining_solution
 from repro.core.fairness import proportional_fairness_residual
 from repro.core.parameters import Parameter, ParameterSpace
-from repro.core.pareto import is_pareto_efficient, pareto_frontier
-from repro.gametheory.game import BargainingGame
-from repro.gametheory.nash import nash_bargaining_solution
 from repro.network.topology import RingTopology
 from repro.network.traffic import TrafficModel
 from repro.protocols import XMACModel
@@ -82,57 +80,6 @@ class TestParameterSpaceProperties:
         )
         as_dict = {f"p{i}": v for i, v in enumerate(values)}
         assert space.to_dict(space.to_array(as_dict)) == pytest.approx(as_dict)
-
-    @COMMON_SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=10_000), count=st.integers(1, 50))
-    def test_random_points_always_inside_box(self, seed, count):
-        space = ParameterSpace([Parameter("a", 0.5, 1.5), Parameter("b", -3.0, -1.0)])
-        points = space.random_points(count, seed=seed)
-        for point in points:
-            assert space.contains(point)
-
-
-class TestParetoProperties:
-    @COMMON_SETTINGS
-    @given(
-        points=st.lists(
-            st.tuples(finite_floats, finite_floats), min_size=1, max_size=60
-        )
-    )
-    def test_frontier_points_are_mutually_nondominating(self, points):
-        frontier = pareto_frontier(points)
-        for i in range(frontier.shape[0]):
-            for j in range(frontier.shape[0]):
-                if i == j:
-                    continue
-                dominates = np.all(frontier[j] <= frontier[i]) and np.any(
-                    frontier[j] < frontier[i]
-                )
-                assert not dominates
-
-    @COMMON_SETTINGS
-    @given(
-        points=st.lists(
-            st.tuples(finite_floats, finite_floats), min_size=1, max_size=60
-        )
-    )
-    def test_every_point_is_dominated_by_some_frontier_point(self, points):
-        frontier = pareto_frontier(points)
-        for point in points:
-            assert np.any(
-                np.all(frontier <= np.asarray(point) + 1e-12, axis=1)
-            )
-
-    @COMMON_SETTINGS
-    @given(
-        points=st.lists(
-            st.tuples(finite_floats, finite_floats), min_size=1, max_size=40
-        )
-    )
-    def test_mask_is_permutation_invariant(self, points):
-        mask = is_pareto_efficient(points)
-        reversed_mask = is_pareto_efficient(list(reversed(points)))
-        assert list(mask) == list(reversed(list(reversed_mask)))
 
 
 class TestNashSolutionProperties:

@@ -134,15 +134,6 @@ class TestCommonProtocolProperties:
         params = midpoint(shallow)
         assert deep.system_latency(params) > shallow.system_latency(params)
 
-    def test_evaluate_report_is_consistent(self, cls):
-        model = make_model(cls)
-        params = midpoint(model)
-        report = model.evaluate(params)
-        assert report["protocol"] == model.name
-        assert report["energy_j_per_s"] == pytest.approx(model.system_energy(params))
-        assert report["delay_s"] == pytest.approx(model.system_latency(params))
-        assert report["admissible"] is True
-
     def test_lifetime_decreases_with_energy(self, cls):
         model = make_model(cls)
         space = model.parameter_space

@@ -49,14 +49,11 @@ BREAKDOWN_FIELDS = tuple(EnergyBreakdown.__dataclass_fields__)
 def golden_points(model) -> np.ndarray:
     """The grid, the seeded random points and two points outside the box."""
     space = model.parameter_space
+    lower, upper = space.lower_bounds, space.upper_bounds
     per_dimension = 24 if space.dimension == 1 else 5
+    unit = np.random.default_rng(20).uniform(0.0, 1.0, size=(64, space.dimension))
     return np.vstack(
-        [
-            space.grid(per_dimension),
-            space.random_points(64, seed=20),
-            0.5 * space.lower_bounds,
-            2.0 * space.upper_bounds,
-        ]
+        [space.grid(per_dimension), lower + unit * (upper - lower), 0.5 * lower, 2.0 * upper]
     )
 
 

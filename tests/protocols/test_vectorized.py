@@ -107,58 +107,6 @@ def test_bursty_traffic_tightens_capacity_only():
         ), protocol
 
 
-@pytest.mark.parametrize("protocol", available_protocols())
-def test_is_admissible_many_matches_scalar(protocol):
-    model = create_protocol(protocol, default_scenario())
-    grid = model.parameter_space.grid(9)
-    # Include points outside the box so both branches of the check matter.
-    shifted = np.vstack([grid, grid * 1.5, grid * 0.0])
-    expected = np.array([model.is_admissible(row) for row in shifted])
-    assert np.array_equal(model.is_admissible_many(shifted), expected)
-
-
-def test_is_admissible_many_honours_custom_constraints():
-    """A subclass extending constraint_margins must not be silently ignored."""
-    from repro.protocols.xmac import XMACModel
-
-    class CappedXMAC(XMACModel):
-        """X-MAC with an extra constraint: wake-up interval at most 1 s."""
-
-        def constraint_margins(self, params):
-            margins = super().constraint_margins(params)
-            margins.append(1.0 - self.coerce(params)[self.WAKEUP_INTERVAL])
-            return margins
-
-    model = CappedXMAC(default_scenario())
-    grid = model.parameter_space.grid(15)
-    expected = np.array([model.is_admissible(row) for row in grid])
-    actual = model.is_admissible_many(grid)
-    assert np.array_equal(actual, expected)
-    assert not actual.all(), "the cap must exclude some grid points"
-    assert not actual[grid[:, 0] > 1.0 + 1e-9].any()
-
-
-def test_frontier_respects_custom_constraints():
-    """frontier() must filter through the subclass's own admissibility."""
-    from repro.core.requirements import ApplicationRequirements
-    from repro.core.tradeoff import EnergyDelayGame
-    from repro.protocols.xmac import XMACModel
-
-    class CappedXMAC(XMACModel):
-        def constraint_margins(self, params):
-            margins = super().constraint_margins(params)
-            margins.append(1.0 - self.coerce(params)[self.WAKEUP_INTERVAL])
-            return margins
-
-    scenario = default_scenario()
-    requirements = ApplicationRequirements(
-        energy_budget=0.06, max_delay=6.0, sampling_rate=scenario.sampling_rate
-    )
-    capped = EnergyDelayGame(CappedXMAC(scenario), requirements)
-    for point in capped.frontier(samples_per_dimension=40):
-        assert point.parameters["wakeup_interval"] <= 1.0 + 1e-9
-
-
 def test_unit_burstiness_is_bit_identical_to_periodic():
     """``burstiness=1.0`` must not move any capacity margin by a single bit."""
     plain = Scenario(sampling_rate=1.0 / 600.0)

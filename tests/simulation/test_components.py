@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from deployment_fixtures import chain_deployment
 from repro.exceptions import SimulationError
-from repro.network.deployment import chain_deployment
 from repro.network.radio import cc2420
 from scalar_reference.channel import Channel
 from scalar_reference.energy import EnergyAccount

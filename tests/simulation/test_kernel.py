@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deployment_fixtures import chain_deployment
 from repro.exceptions import SimulationError
-from repro.network.deployment import chain_deployment, ring_deployment
+from repro.network.deployment import ring_deployment
 from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel

@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from deployment_fixtures import chain_deployment
 from repro.exceptions import SimulationError
-from repro.network.deployment import chain_deployment
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, XMACModel
 from repro.scenario import Scenario

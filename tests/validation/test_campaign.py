@@ -285,6 +285,8 @@ class TestRunCampaign:
         serial = run_campaign(spec, build_runner(workers=1, use_cache=False))
         pooled = run_campaign(spec, build_runner(workers=3, use_cache=False))
         assert campaign_to_json(serial) == campaign_to_json(pooled)
+        # At the Nash point the model agrees with the simulator in every cell.
+        assert len(serial.feasible_cells) == 2 and serial.passed
 
     def test_pooled_campaign_forks_one_pool_and_leaves_no_worker(self, monkeypatch):
         sizes = []
