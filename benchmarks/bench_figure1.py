@@ -25,7 +25,8 @@ from benchmarks.conftest import (
 )
 from repro.api import ExperimentSpec, ResultSet, run
 from repro.experiments.config import FIGURE_DELAY_BOUNDS, FIGURE_ENERGY_BUDGET_FIXED
-from repro.runtime import BatchRunner, SolveCache, build_runner
+from repro.runtime import build_runner
+from repro.store import ResultStore
 
 
 def _spec(grid: int, *protocols: str) -> ExperimentSpec:
@@ -124,34 +125,33 @@ def test_figure1_parallel_speedup(benchmark, figure_grid, bench_workers):
     assert_speedup_if_required(speedup)
 
 
-def test_figure1_cache_hit_path(benchmark, figure_grid):
-    """A warm solve cache answers the whole figure grid in near-zero time."""
+def test_figure1_cache_hit_path(benchmark, figure_grid, tmp_path):
+    """A warm result store answers the whole figure grid in near-zero time."""
     spec = _spec(figure_grid)
-    cache = SolveCache()
 
     started = time.perf_counter()
-    cold = run(spec, runner=BatchRunner(cache=cache))
+    cold = run(spec, runner=build_runner(store=ResultStore(tmp_path / "store")))
     cold_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     warm = benchmark.pedantic(
         run,
         args=(spec,),
-        kwargs={"runner": BatchRunner(cache=cache)},
+        kwargs={"runner": build_runner(store=ResultStore(tmp_path / "store"))},
         rounds=1,
         iterations=1,
     )
     warm_seconds = time.perf_counter() - started
 
     print_series(
-        "Figure 1: cold vs warm solve cache",
+        "Figure 1: cold vs warm result store",
         [
             {"cache": "cold", "seconds": cold_seconds},
             {"cache": "warm", "seconds": warm_seconds},
         ],
     )
-    # The counters are the shared cache's: the cold run hit nothing, so
-    # every hit is the warm run's, one per unit.
-    assert warm.telemetry["cache_hits"] == len(warm)
+    # Every distinct unit is one store hit of the warm run.
+    assert warm.telemetry["store_misses"] == warm.telemetry["store_puts"] == 0
+    assert warm.telemetry["cache_hits"] == cold.telemetry["cache_misses"]
     assert warm.rows() == cold.rows()
     assert warm_seconds < cold_seconds / 10.0, "cache-hit path should be >10x faster"

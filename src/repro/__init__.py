@@ -28,7 +28,7 @@ Package layout:
 * :mod:`repro.network` — topology, traffic, radio and packet substrates.
 * :mod:`repro.optimization` — the constrained solvers.
 * :mod:`repro.simulation` — packet-level discrete-event simulator.
-* :mod:`repro.runtime` — parallel executor policies, solve cache, batch runner.
+* :mod:`repro.runtime` — parallel executor policies, result identity, batch runner.
 * :mod:`repro.scenarios` — named scenario presets.
 * :mod:`repro.analysis` — model-vs-simulator validation and reporting.
 * :mod:`repro.experiments` — the paper's evaluation grids.
@@ -58,9 +58,7 @@ from repro.exceptions import (
 )
 from repro.runtime import (
     BatchRunner,
-    CacheStats,
     ExecutorPolicy,
-    SolveCache,
     SolveTask,
     TaskOutcome,
     build_runner,
@@ -79,7 +77,7 @@ from repro.api import (
     run_experiment,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "ApplicationRequirements",
@@ -98,9 +96,7 @@ __all__ = [
     "ScenarioPreset",
     "default_scenario",
     "BatchRunner",
-    "CacheStats",
     "ExecutorPolicy",
-    "SolveCache",
     "SolveTask",
     "TaskOutcome",
     "build_runner",

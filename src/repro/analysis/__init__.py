@@ -6,17 +6,12 @@
   by the examples, the CLI and the benches.
 """
 
-from repro.analysis.validation import (
-    ValidationReport,
-    validate_protocol,
-    validate_protocols,
-)
+from repro.analysis.validation import ValidationReport, validate_protocol
 from repro.analysis.reporting import format_table, write_csv
 
 __all__ = [
     "ValidationReport",
     "validate_protocol",
-    "validate_protocols",
     "format_table",
     "write_csv",
 ]

@@ -15,12 +15,11 @@ see :mod:`repro.validation` (``repro-mac-game validate-campaign``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional
 
-from repro.exceptions import ValidationError
+from repro.exceptions import SimulationError, ValidationError
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
-from repro.runtime.executor import ExecutorPolicy, SerialExecutor
-from repro.simulation.runner import SimulationConfig, SimulationResult, simulate_protocol
+from repro.simulation.runner import ReplicationMeasurement, SimulationConfig, simulate_protocol
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,39 @@ class ValidationReport:
         """Whether both relative errors are within the given tolerances."""
         return self.energy_error <= energy_tolerance and self.delay_error <= delay_tolerance
 
+    @classmethod
+    def from_measurement(
+        cls,
+        model: DutyCycledMACModel,
+        params: ParameterVector,
+        measurement: ReplicationMeasurement,
+    ) -> "ValidationReport":
+        """Compare one simulated replication against the analytical model.
+
+        The comparison uses the mean ring-1 node power (the analytical
+        bottleneck quantity) and the mean end-to-end delay of packets
+        generated in the farthest delivering ring (the analytical ``L``).
+
+        Raises:
+            SimulationError: if the replication delivered no packet (use
+                :mod:`repro.validation` campaigns to record zero delivery as
+                data instead).
+        """
+        if measurement.delay is None:
+            raise SimulationError("no packet was delivered during the simulation")
+        params_dict = model.coerce(params)
+        return cls(
+            protocol=model.name,
+            parameters=params_dict,
+            analytical_energy=model.node_energy(
+                params_dict, model.scenario.topology.bottleneck_ring
+            ),
+            simulated_energy=measurement.energy,
+            analytical_delay=model.system_latency(params_dict),
+            simulated_delay=measurement.delay,
+            delivery_ratio=measurement.delivery_ratio,
+        )
+
     def as_dict(self) -> Mapping[str, object]:
         """Flat summary used by reports and benches."""
         return {
@@ -85,62 +117,21 @@ def validate_protocol(
 ) -> ValidationReport:
     """Simulate one configuration and compare it against the analytical model.
 
-    The comparison uses the mean ring-1 node power (the analytical bottleneck
-    quantity) and the mean end-to-end delay of packets generated in the
-    outermost ring (the analytical ``L``).
-
     Args:
         model: Analytical protocol model (defines scenario and timing).
         params: Parameter vector to validate at (mapping or array).
         config: Simulation configuration; defaults to a 2000-second run.
 
     Returns:
-        A :class:`ValidationReport` comparing prediction and measurement.
+        A :class:`ValidationReport` comparing prediction and measurement
+        (:meth:`ValidationReport.from_measurement`).
 
     Raises:
         SimulationError: if the protocol has no simulated behaviour or the
-            run delivers no packet (use :mod:`repro.validation` campaigns to
-            record zero delivery as data instead).
+            run delivers no packet.
     """
-    simulation: SimulationResult = simulate_protocol(model, params, config)
-    params_dict = model.coerce(params)
-    return ValidationReport(
-        protocol=model.name,
-        parameters=params_dict,
-        analytical_energy=model.node_energy(params_dict, model.scenario.topology.bottleneck_ring),
-        simulated_energy=simulation.bottleneck_ring_energy,
-        analytical_delay=model.system_latency(params_dict),
-        simulated_delay=simulation.max_ring_delay(),
-        delivery_ratio=simulation.delivery_ratio,
+    config = config or SimulationConfig()
+    result = simulate_protocol(model, params, config)
+    return ValidationReport.from_measurement(
+        model, params, ReplicationMeasurement.from_result(result, config.seed)
     )
-
-
-#: One batched validation job: the model and the parameter vector to run at.
-ValidationJob = Tuple[DutyCycledMACModel, ParameterVector]
-
-
-def _validate_payload(payload: Tuple[ValidationJob, Optional[SimulationConfig]]) -> ValidationReport:
-    """Module-level worker so process-pool executors can import it."""
-    (model, params), config = payload
-    return validate_protocol(model, params, config)
-
-
-def validate_protocols(
-    jobs: Sequence[ValidationJob],
-    config: Optional[SimulationConfig] = None,
-    executor: Optional[ExecutorPolicy] = None,
-) -> List[ValidationReport]:
-    """Validate several (model, parameters) configurations as one batch.
-
-    Each job runs an independent packet-level simulation, which dominates
-    the cost; fanning the batch out over a process pool
-    (``executor=ProcessExecutor(4)``) cuts the wall-clock time while the
-    submission-ordered reassembly keeps the report list deterministic.
-    """
-    executor = executor if executor is not None else SerialExecutor()
-    payloads = [(job, config) for job in jobs]
-    # Simulations draw from numpy.random: import it before a pool forks,
-    # once, instead of in every worker.
-    import numpy.random  # noqa: F401
-
-    return executor.map_ordered(_validate_payload, payloads)

@@ -11,9 +11,10 @@ One programmable front door for every workflow the library offers::
   :class:`ExperimentPlan` of :class:`WorkUnit`\\ s — count, filter and
   shard the work *before* spending compute.
 * :func:`run` executes a spec or plan through the shared
-  :mod:`repro.runtime` batch layer (solve cache, process-pool fan-out,
-  bit-identical to serial) and returns a uniform :class:`ResultSet` with
-  tagged rows, metadata and the spec's SHA-256 provenance.
+  :mod:`repro.runtime` batch layer (in-batch dedup, an optional result
+  store, process-pool fan-out bit-identical to serial) and returns a
+  uniform :class:`ResultSet` with tagged rows, metadata and the spec's
+  SHA-256 provenance.
 
 Example:
     >>> from repro.api import ExperimentSpec, plan, run

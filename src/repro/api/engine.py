@@ -4,20 +4,22 @@ One executor per workload kind turns an
 :class:`~repro.api.plan.ExperimentPlan` into records.  The game-solving
 executors build one :class:`~repro.runtime.batch.SolveTask` per work unit
 (tagged with the unit) and push the whole batch through the shared
-:class:`~repro.runtime.batch.BatchRunner` (solve cache, in-batch dedup,
-process-pool fan-out with submission-order reassembly, and the library-wide
-error policy: unbuildable models and infeasible games are *data*).
-:func:`run` resolves the plan, assembles a runner from the spec's runtime
-policy (unless one is passed in), dispatches to the kind's executor and
-wraps everything into a :class:`ResultSet` with provenance, plus the
-runner, cache and store counters as telemetry.
+:class:`~repro.runtime.batch.BatchRunner` (in-batch dedup, the result store
+when one is attached, process-pool fan-out with submission-order
+reassembly, and the library-wide error policy: unbuildable models and
+infeasible games are *data*); the ``validate`` and ``campaign`` kinds send
+their simulations through the same runner's fan-out.  :func:`run` resolves
+the plan, assembles a runner from the spec's runtime policy (unless one is
+passed in), dispatches to the kind's executor and wraps everything into a
+:class:`ResultSet` with provenance, plus the runner's description and this
+run's own cache and store counters as telemetry.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.validation import validate_protocols
+from repro.analysis.validation import ValidationReport
 from repro.api.plan import (
     ExperimentPlan,
     WorkUnit,
@@ -36,7 +38,7 @@ from repro.runtime import BatchRunner, SolveTask, build_runner
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset
 from repro.simulation.runner import SimulationConfig
-from repro.validation.campaign import CampaignSpec, run_campaign
+from repro.validation.campaign import CampaignSpec, run_campaign, simulate_replications
 
 #: What :func:`run` accepts: a spec (planned implicitly) or an explicit plan.
 Runnable = Union[ExperimentSpec, ExperimentPlan]
@@ -233,20 +235,21 @@ def _execute_validate(
     spec: ExperimentSpec, plan: ExperimentPlan, runner: BatchRunner
 ) -> Tuple[List[ResultRecord], Any]:
     _, scenario = resolve_scenario(spec.scenario)
-    jobs = []
+    config = SimulationConfig(
+        horizon=float(spec.simulation.horizon), seed=int(spec.simulation.seed)
+    )
+    payloads = []
     for unit in plan.units:
         model = create_protocol(unit.protocol, scenario)
         parameters = unit.settings.get("parameters")
         if parameters is None:
             space = model.parameter_space
             parameters = space.to_dict(space.midpoint())
-        jobs.append((model, dict(parameters)))
-    config = SimulationConfig(
-        horizon=float(spec.simulation.horizon), seed=int(spec.simulation.seed)
-    )
-    reports = validate_protocols(jobs, config, executor=runner.executor)
+        payloads.append((model, model.coerce(parameters), config))
+    measurements = simulate_replications(payloads, runner)
     records = []
-    for unit, report in zip(plan.units, reports):
+    for unit, (model, params, _), measurement in zip(plan.units, payloads, measurements):
+        report = ValidationReport.from_measurement(model, params, measurement)
         summary = dict(report.as_dict())
         parameters = summary.pop("parameters")
         row = {
@@ -322,9 +325,9 @@ def runner_for(spec: ExperimentSpec, store: Optional[Any] = None) -> BatchRunner
     Args:
         spec: The spec whose runtime policy (workers, cache) applies.
         store: Optional persistent result store
-            (:class:`repro.store.ResultStore`) to back the solve cache —
-            ignored when the policy disables caching (``--no-cache``
-            bypasses *both* layers).
+            (:class:`repro.store.ResultStore`) the cache reads through and
+            writes behind — ignored when the policy disables caching
+            (``--no-cache`` bypasses the store too).
     """
     return build_runner(
         workers=spec.runtime.workers, use_cache=spec.runtime.cache, store=store
@@ -343,8 +346,9 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
 
     Returns:
         The uniform :class:`ResultSet`: one tagged record per work unit,
-        the plan as metadata, the spec's provenance hash, and the runner,
-        cache and store counters as telemetry.
+        the plan as metadata, the spec's provenance hash, and as telemetry
+        the runner's description and this run's own cache counters (with a
+        store attached, its hits, misses and puts as well).
 
     Raises:
         ConfigurationError: on an incomplete or inconsistent spec/plan.
@@ -355,24 +359,20 @@ def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:
     spec = plan_obj.spec
     if runner is None:
         runner = runner_for(spec)
-    store = runner.cache.store if runner.cache is not None else None
-    store_before = store.traffic() if store is not None else None
+    before = runner.traffic()
     records, raw = _EXECUTORS[spec.kind](spec, plan_obj, runner)
-    stats = runner.cache_stats()
+    # The runner counts only the lookups made through it, so a runner
+    # passed to several runs still reports each run's own traffic, and
+    # "zero fresh results" is checkable per run: a fully warm run shows
+    # store_misses == store_puts == 0.
+    hits, misses, puts = (after - earlier for after, earlier in zip(runner.traffic(), before))
     telemetry: Dict[str, object] = {
         "runner": runner.describe(),
-        "cache_hits": stats.hits,
-        "cache_misses": stats.misses,
+        "cache_hits": hits,
+        "cache_misses": misses,
     }
-    if store is not None:
-        # Deltas over this run only (the store counts every lookup —
-        # solve reads through the cache *and* campaign replications), so
-        # "zero fresh results" is checkable per invocation: a fully warm
-        # run shows store_misses == store_puts == 0.
-        for name, after, before in zip(
-            ("store_hits", "store_misses", "store_puts"), store.traffic(), store_before
-        ):
-            telemetry[name] = after - before
+    if runner.store is not None:
+        telemetry.update(store_hits=hits, store_misses=misses, store_puts=puts)
     return ResultSet(
         spec=spec,
         records=records,

@@ -67,9 +67,9 @@ class ResultSet:
         raw: The ``CampaignResult`` of a ``campaign`` run (the campaign
             artifact's schema); ``None`` for every other kind.
         telemetry: How this process ran the spec (runner description,
-            cache and store counters).  Never serialized, so a warm,
-            resumed, or sharded-then-merged run of a spec writes bytes
-            identical to a cold serial run.
+            and this run's own cache and store counters).  Never
+            serialized, so a warm, resumed, or sharded-then-merged run of
+            a spec writes bytes identical to a cold serial run.
     """
 
     spec: ExperimentSpec

@@ -126,7 +126,9 @@ class RuntimePolicy:
 
     Attributes:
         workers: Worker processes (``1`` = serial, ``0`` = one per CPU).
-        cache: Whether solves are memoized in the solve cache.
+        cache: Whether results (game solves and simulations) are memoized:
+            each distinct one computed once per run and, with a result
+            store attached, remembered across runs.
     """
 
     workers: int = 1

@@ -15,12 +15,12 @@
 * ``store``     — maintain persistent result stores (merge/verify/gc/stats),
 * ``serve``     — run the experiment service (HTTP job server + worker pool).
 
-Workload subcommands accept ``--store DIR`` to back the solve cache with a
+Workload subcommands accept ``--store DIR`` to remember results in a
 persistent, content-addressed result store: warm runs skip already-solved
 work (``run --require-warm`` turns "zero fresh results" into an exit-code
 assertion), interrupted campaigns resume incrementally, and ``--shard I/N``
 runs from separate machines merge byte-identically with ``store merge``.
-``--no-cache`` bypasses *both* layers — memory cache and store — explicitly.
+``--no-cache`` turns the cache off and bypasses the store with it.
 
 Every workload subcommand is a thin *spec builder*: it assembles an
 :class:`repro.api.ExperimentSpec` from its arguments and pushes it through
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.api import ExperimentSpec, ResultSet, plan as plan_experiment, run as run_experiment
@@ -42,7 +42,6 @@ from repro.exceptions import ConfigurationError, ReproError
 from repro.protocols.registry import available_protocols
 from repro.scenarios import available_scenarios, scenario_presets
 from repro.simulation.batched.kernels import available_mac_protocols
-from repro.store import ResultStore, merge_stores
 from repro.validation import write_campaign
 
 #: The CLI's documented exit-code contract.  The experiment service maps
@@ -62,13 +61,13 @@ def _print_runtime_summary(result: ResultSet) -> None:
     print(line)
 
 
-def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
+def _open_store(args: argparse.Namespace) -> Optional[Any]:
     """The persistent store the run should use, honouring ``--no-cache``.
 
-    ``--no-cache`` disables *both* caching layers: combining it with
-    ``--store`` prints an explicit note and runs with neither, instead of
-    silently keeping one layer (or resetting its stats) behind the user's
-    back.
+    ``--no-cache`` turns the cache off, and the store with it: combining it
+    with ``--store`` prints an explicit note and runs with neither, instead
+    of silently keeping the store behind the user's back.  The store
+    package is imported only when a run uses one.
     """
     path = getattr(args, "store", None)
     if not path:
@@ -76,6 +75,8 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
     if getattr(args, "no_cache", False):
         print("# --no-cache: solve cache and result store both bypassed")
         return None
+    from repro.store import ResultStore
+
     return ResultStore(path)
 
 
@@ -126,10 +127,13 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="application sampling period in seconds (default 3600)",
     )
     parser.add_argument("--radio", default="cc2420", help="radio preset (cc2420, cc1100, tr1001)")
+
+
+def _add_grid_argument(parser: argparse.ArgumentParser, default: int = 60) -> None:
     parser.add_argument(
         "--grid-points",
         type=int,
-        default=60,
+        default=default,
         help="grid resolution per parameter dimension for the hybrid solver",
     )
 
@@ -145,7 +149,7 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help=(
-            "disable the solve cache (every solve is recomputed); "
+            "disable the result cache (every result is recomputed); "
             "also bypasses --store"
         ),
     )
@@ -361,7 +365,16 @@ def _cmd_validate_campaign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _existing_store(path: str) -> Any:
+    """The store a maintenance command names; a missing one is an error."""
+    from repro.store import ResultStore
+
+    return ResultStore(path, create=False)
+
+
 def _cmd_store_merge(args: argparse.Namespace) -> int:
+    from repro.store import merge_stores
+
     report = merge_stores(args.sources, args.out)
     print(
         f"# merged {report.sources} store(s) into {args.out}: "
@@ -371,7 +384,7 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store_dir, create=False)
+    store = _existing_store(args.store_dir)
     report = store.verify()
     if report.ok:
         print(f"# verified {report.checked} record(s): all clean")
@@ -383,7 +396,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store_dir, create=False)
+    store = _existing_store(args.store_dir)
     report = store.gc(drop_corrupt=args.drop_corrupt)
     print(
         f"# gc {args.store_dir}: removed {report.tmp_removed} temp file(s), "
@@ -393,7 +406,7 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store_dir, create=False)
+    store = _existing_store(args.store_dir)
     stats = store.stats()
     counts = store.counts_by_kind()
     parts = ", ".join(f"{kind}: {count}" for kind, count in sorted(counts.items())) or "empty"
@@ -449,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="override the spec to disable the solve cache (bypasses --store too)",
+        help="override the spec to disable the result cache (bypasses --store too)",
     )
     run_parser.add_argument(
         "--store",
@@ -491,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--energy-budget", type=float, default=0.06)
     solve_parser.add_argument("--max-delay", type=float, default=6.0)
     _add_scenario_arguments(solve_parser)
+    _add_grid_argument(solve_parser)
     solve_parser.set_defaults(handler=_cmd_solve)
 
     sweep_parser = subparsers.add_parser("sweep", help="sweep a requirement")
@@ -501,18 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--max-delay", type=float, default=6.0)
     sweep_parser.add_argument("--csv", default=None, help="optional CSV output path")
     _add_scenario_arguments(sweep_parser)
+    _add_grid_argument(sweep_parser)
     _add_runtime_arguments(sweep_parser)
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     figure1_parser = subparsers.add_parser("figure1", help="regenerate the paper's Figure 1")
     figure1_parser.add_argument("--csv", default=None)
-    _add_scenario_arguments(figure1_parser)
+    _add_grid_argument(figure1_parser)
     _add_runtime_arguments(figure1_parser)
     figure1_parser.set_defaults(handler=lambda args: _cmd_figure(args, 1))
 
     figure2_parser = subparsers.add_parser("figure2", help="regenerate the paper's Figure 2")
     figure2_parser.add_argument("--csv", default=None)
-    _add_scenario_arguments(figure2_parser)
+    _add_grid_argument(figure2_parser)
     _add_runtime_arguments(figure2_parser)
     figure2_parser.set_defaults(handler=lambda args: _cmd_figure(args, 2))
 
@@ -550,12 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override every preset's suggested delay bound (s)",
     )
-    suite_parser.add_argument(
-        "--grid-points",
-        type=int,
-        default=60,
-        help="grid resolution per parameter dimension for the hybrid solver",
-    )
+    _add_grid_argument(suite_parser)
     suite_parser.add_argument("--csv", default=None, help="optional CSV output path")
     _add_runtime_arguments(suite_parser)
     suite_parser.set_defaults(handler=_cmd_suite)
@@ -614,12 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.95,
         help="two-sided confidence level of the Student-t intervals",
     )
-    campaign_parser.add_argument(
-        "--grid-points",
-        type=int,
-        default=40,
-        help="grid resolution per parameter dimension for the hybrid solver",
-    )
+    _add_grid_argument(campaign_parser, default=40)
     campaign_parser.add_argument(
         "--out",
         default=None,

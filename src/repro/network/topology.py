@@ -76,11 +76,6 @@ class RingTopology:
         self._check_ring(ring)
         return float(self.density * (2 * ring - 1))
 
-    def nodes_beyond_ring(self, ring: int) -> float:
-        """Expected number of nodes strictly farther than ring ``ring``."""
-        self._check_ring(ring)
-        return float(self.density * (self.depth**2 - ring**2))
-
     def total_nodes(self) -> float:
         """Expected total number of nodes in the network (excluding the sink)."""
         return float(self.density * self.depth**2)

@@ -46,15 +46,6 @@ class SolverResult:
         if not np.isfinite(self.value):
             raise SolverError(f"solver produced a non-finite objective value: {self.value!r}")
 
-    def require_feasible(self) -> "SolverResult":
-        """Return ``self`` if feasible, otherwise raise :class:`SolverError`."""
-        if not self.feasible:
-            raise SolverError(
-                f"{self.method} returned an infeasible point "
-                f"(violation {self.constraint_violation:.3g}): {self.message}"
-            )
-        return self
-
     def better_than(self, other: Optional["SolverResult"]) -> bool:
         """Whether this result should replace ``other`` as the incumbent.
 

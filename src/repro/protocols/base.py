@@ -184,7 +184,7 @@ class DutyCycledMACModel(abc.ABC):
         The rates depend on the scenario only, never on the parameters, yet
         every energy, duty-cycle and capacity evaluation reads them.  A
         ``cached_property`` memo stays out of the model's store identity
-        (see :func:`repro.runtime.cache.model_fingerprint`).
+        (see :func:`repro.runtime.keys.model_fingerprint`).
         """
         return self._traffic.all_rings()
 

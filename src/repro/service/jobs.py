@@ -87,7 +87,8 @@ class Job:
         error_kind: Exception class name of the failure (what the HTTP
             layer maps to a status code).
         progress: Engine counters of the finished run (unit counts plus
-            the cache/store hit/miss/put deltas from the run telemetry).
+            the job's own cache/store hits, misses and puts from its run
+            telemetry).
     """
 
     job_id: str

@@ -6,7 +6,9 @@ shared :class:`~repro.store.ResultStore`, so the whole service behaves like
 one long-lived warm cache: the first submission of a spec solves it, every
 later submission — same spec or one sharing work units — is answered from
 the store in O(read), and the status endpoint's ``store_hits``/``misses``/
-``puts`` counters come straight from the run telemetry.
+``puts`` counters come straight from the run telemetry.  Each job gets a
+runner of its own, which counts only the job's own lookups, however many
+jobs share the store at once.
 
 A worker thread never dies to an exception: :class:`~repro.exceptions.ReproError`
 subclasses (infeasible solve, bad spec) *and* unexpected errors both mark

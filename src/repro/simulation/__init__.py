@@ -16,8 +16,9 @@ simulated quantities are directly comparable.
 * :mod:`repro.simulation.runner` — the entry point
   :func:`~repro.simulation.runner.simulate_protocol`, its
   :class:`~repro.simulation.runner.SimulationConfig` and
-  :class:`~repro.simulation.runner.SimulationResult`, and the checks that
-  refuse a run before anything is built.
+  :class:`~repro.simulation.runner.SimulationResult`, the
+  :class:`~repro.simulation.runner.ReplicationMeasurement` a validation
+  compares, and the checks that refuse a run before anything is built.
 * :mod:`repro.simulation.batched` — the simulator itself: a flat-array
   replication loop and one kernel per protocol.
 
@@ -27,12 +28,14 @@ to, bit for bit, lives in ``tests/scalar_reference/``.
 
 from repro.simulation.batched import simulate_protocol_batched
 from repro.simulation.runner import (
+    ReplicationMeasurement,
     SimulationConfig,
     SimulationResult,
     simulate_protocol,
 )
 
 __all__ = [
+    "ReplicationMeasurement",
     "SimulationConfig",
     "SimulationResult",
     "simulate_protocol",

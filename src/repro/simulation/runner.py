@@ -5,7 +5,9 @@ deployment and returns a :class:`SimulationResult` with the same quantities
 the analytical model predicts (per-node average power, end-to-end delays per
 source ring), so the two can be compared directly by
 :mod:`repro.analysis.validation`.  It runs on the array-batched engine
-(:mod:`repro.simulation.batched`), the one simulator of the package.
+(:mod:`repro.simulation.batched`), the one simulator of the package.  A
+:class:`ReplicationMeasurement` is the part of a result that the spot check
+and the validation campaigns compare, and that a result store keeps.
 
 This module also holds the checks that refuse a run before anything is
 built: :class:`SimulationConfig` validates its own fields,
@@ -23,7 +25,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError, SimulationError, StoreError
 from repro.network.deployment import check_node_count
 from repro.network.topology import UnitDiskDeployment
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
@@ -232,6 +234,88 @@ class SimulationResult:
             "deferrals": self.channel_deferrals,
             "events": self.processed_events,
         }
+
+
+@dataclass(frozen=True)
+class ReplicationMeasurement:
+    """Metrics of one seeded simulation replication.
+
+    Attributes:
+        seed: The replication's simulation seed.
+        energy: Measured mean ring-1 per-node power (J/s).
+        delay: Measured mean end-to-end delay of the farthest delivering
+            ring (s), or ``None`` when the replication delivered no packet.
+        delivery_ratio: Fraction of generated packets delivered.
+        generated: Packets generated.
+        delivered: Packets delivered to the sink.
+        dropped: Packets dropped at full queues.
+    """
+
+    seed: int
+    energy: float
+    delay: Optional[float]
+    delivery_ratio: float
+    generated: int
+    delivered: int
+    dropped: int
+
+    @classmethod
+    def from_result(cls, result: SimulationResult, seed: int) -> "ReplicationMeasurement":
+        """The metrics of one run of :func:`simulate_protocol` at ``seed``.
+
+        A run that delivered no packet yields ``delay=None`` instead of
+        raising: zero delivery is a campaign finding, not a crash.
+        """
+        delivered_any = any(values for values in result.delays_by_ring.values())
+        return cls(
+            seed=seed,
+            energy=result.bottleneck_ring_energy,
+            delay=result.max_ring_delay() if delivered_any else None,
+            delivery_ratio=result.delivery_ratio,
+            generated=result.generated_packets,
+            delivered=result.delivered_packets,
+            dropped=result.dropped_packets,
+        )
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready payload for the persistent result store.
+
+        Every field round-trips exactly through JSON (floats keep their
+        shortest round-tripping ``repr``), so a measurement read back from
+        the store is indistinguishable from a freshly simulated one — the
+        property resume/shard-merge byte-identity rests on.
+        """
+        return {
+            "seed": self.seed,
+            "energy": self.energy,
+            "delay": self.delay,
+            "delivery_ratio": self.delivery_ratio,
+            "generated": self.generated,
+            "delivered": self.delivered,
+            "dropped": self.dropped,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "ReplicationMeasurement":
+        """Rebuild a measurement from its stored payload.
+
+        Raises:
+            StoreError: if the payload is missing fields or has the wrong
+                shape (e.g. a record of another kind filed under this key).
+        """
+        try:
+            delay = payload["delay"]
+            return cls(
+                seed=int(payload["seed"]),  # type: ignore[arg-type]
+                energy=float(payload["energy"]),  # type: ignore[arg-type]
+                delay=None if delay is None else float(delay),  # type: ignore[arg-type]
+                delivery_ratio=float(payload["delivery_ratio"]),  # type: ignore[arg-type]
+                generated=int(payload["generated"]),  # type: ignore[arg-type]
+                delivered=int(payload["delivered"]),  # type: ignore[arg-type]
+                dropped=int(payload["dropped"]),  # type: ignore[arg-type]
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise StoreError(f"malformed replication payload: {error!r}") from error
 
 
 def simulate_protocol(

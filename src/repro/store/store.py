@@ -12,8 +12,9 @@ published with :func:`os.replace`, so readers never observe a partial file
 and two processes racing to store the same key simply last-write an
 identical record.  Reads degrade instead of crashing: a record that fails
 any integrity check is a *miss* plus a :class:`StoreWarning` — a damaged
-store behaves like a cold one.  ``verify()`` re-hashes every record and
-``gc()`` sweeps orphaned temp files (optionally corrupt records too).
+store behaves like a cold one, and the run that recomputes a damaged record
+rewrites it.  ``verify()`` re-hashes every record and ``gc()`` sweeps
+orphaned temp files (optionally corrupt records too).
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from repro.core.results import GameSolution
 from repro.exceptions import StoreError
-from repro.runtime.cache import CacheKey
-from repro.store.codec import solution_from_payload, solution_to_payload
-from repro.store.keys import key_digest
 from repro.store.records import decode_record, encode_record
 
 __all__ = ["GcReport", "ResultStore", "StoreStats", "StoreWarning", "VerifyReport"]
@@ -55,18 +52,18 @@ class StoreStats:
     """One snapshot of a :class:`ResultStore`: traffic counters + contents.
 
     The counter fields (``hits``/``misses``/``puts``/``corrupt``) are
-    per-instance — they start at zero when the store is opened, so a CLI
-    invocation's stats describe exactly that run.  The content fields
+    per-instance — they start at zero when the store is opened and count
+    every lookup of every thread using the instance.  The content fields
     (``records``/``bytes``) describe the store *directory* at snapshot
     time, shared by every process using it.  ``repro store stats`` and the
-    service's health endpoint read it; the engine's per-run deltas read the
-    cheaper :meth:`ResultStore.traffic` instead, which skips the disk walk.
+    service's status and queue endpoints read it; a run's own traffic is
+    counted by its runner instead (:meth:`repro.runtime.BatchRunner.traffic`).
 
     Attributes:
         hits: Lookups answered from disk.
         misses: Lookups that found no (readable) record.
-        puts: Records actually written (existing keys are skipped, not
-            rewritten).
+        puts: Records actually written (an existing record is kept, not
+            rewritten, unless it could not be read).
         corrupt: Records that failed an integrity check on the read path.
         records: Record files currently on disk.
         bytes: Total size of those record files in bytes.
@@ -206,13 +203,23 @@ class ResultStore:
     # Core get/put
     # ------------------------------------------------------------------ #
 
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The payload stored under ``digest``, or ``None``.
+    def get(
+        self, digest: str, decode: Optional[Callable[[Dict[str, Any]], Any]] = None
+    ) -> Any:
+        """The result stored under ``digest``, or ``None``.
 
-        A record that exists but fails any integrity check is counted as
-        corrupt, reported via :class:`StoreWarning`, and treated as a miss
-        — the caller re-solves and the record is eventually overwritten by
-        :meth:`gc`/a fresh :meth:`put` cycle, never crashed on.
+        Args:
+            digest: The record's key digest.
+            decode: Turns the verified payload into the caller's result
+                (raising :class:`~repro.exceptions.StoreError` on a payload
+                of the wrong shape); without it the payload is returned.
+
+        A record that exists but fails any integrity check, or whose payload
+        ``decode`` rejects, is counted as corrupt, reported via
+        :class:`StoreWarning`, and treated as a miss — the caller recomputes,
+        never crashes, and the runner's fan-out rewrites the record
+        (``put(..., replace=True)``); ``gc --drop-corrupt`` removes a record
+        that fails its integrity check.
         """
         path = self._record_path(digest)
         try:
@@ -223,6 +230,7 @@ class ResultStore:
             return None
         try:
             _, payload = decode_record(text, expected_digest=digest)
+            result = payload if decode is None else decode(payload)
         except StoreError as error:
             with self._lock:
                 self._corrupt += 1
@@ -233,29 +241,34 @@ class ResultStore:
             return None
         with self._lock:
             self._hits += 1
-        return payload
+        return result
 
-    def put(self, digest: str, payload: Mapping[str, Any], kind: str) -> bool:
+    def put(
+        self, digest: str, payload: Mapping[str, Any], kind: str, replace: bool = False
+    ) -> bool:
         """Store ``payload`` under ``digest`` atomically.
 
-        Existing records are left untouched (content-addressing guarantees
-        an existing record for the same key holds the same result), so puts
-        are idempotent and concurrent writers cannot interleave partial
-        files: each stages its own temp file and publishes it with an
-        atomic rename.
+        Existing records are left untouched unless ``replace`` is set
+        (content-addressing guarantees an existing record for the same key
+        holds the same result), so puts are idempotent and concurrent
+        writers cannot interleave partial files: each stages its own temp
+        file and publishes it with an atomic rename.
 
         Args:
-            digest: The record's key digest (see :mod:`repro.store.keys`).
+            digest: The record's key digest (see :mod:`repro.runtime.keys`).
             payload: JSON-ready result payload.
             kind: Record family, one of
                 :data:`repro.store.records.RECORD_KINDS`.
+            replace: Overwrite an existing record; the fan-out sets it for
+                a record :meth:`get` could not read, which is thereby
+                repaired.
 
         Returns:
             ``True`` if a record was written, ``False`` if one already
-            existed.
+            existed and was kept.
         """
         path = self._record_path(digest)
-        if path.exists():
+        if not replace and path.exists():
             return False
         text = encode_record(digest, kind, payload)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -281,27 +294,6 @@ class ResultStore:
         return self._record_path(digest).exists()
 
     __contains__ = contains
-
-    # ------------------------------------------------------------------ #
-    # Typed convenience layer (what SolveCache plugs into)
-    # ------------------------------------------------------------------ #
-
-    def get_solution(self, key: CacheKey) -> Optional[GameSolution]:
-        """Look a game solution up by its solve key (read-through path)."""
-        payload = self.get(key_digest(key))
-        if payload is None:
-            return None
-        try:
-            return solution_from_payload(payload)
-        except StoreError as error:
-            with self._lock:
-                self._corrupt += 1
-            warnings.warn(f"ignoring undecodable solve record: {error}", StoreWarning)
-            return None
-
-    def put_solution(self, key: CacheKey, solution: GameSolution) -> bool:
-        """Persist a game solution under its solve key (write-behind path)."""
-        return self.put(key_digest(key), solution_to_payload(solution), kind="solve")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -343,11 +335,6 @@ class ResultStore:
             return self._record_path(digest).read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
-
-    def traffic(self) -> Tuple[int, int, int]:
-        """``(hits, misses, puts)`` of this instance, without walking the disk."""
-        with self._lock:
-            return self._hits, self._misses, self._puts
 
     def stats(self) -> StoreStats:
         """Snapshot of the instance counters plus the on-disk contents."""

@@ -17,6 +17,7 @@ The campaign inherits the runtime's core guarantee: a ``--workers N`` run
 produces a byte-identical artifact to a serial run.
 """
 
+from repro.simulation.runner import ReplicationMeasurement
 from repro.validation.artifacts import (
     CAMPAIGN_SCHEMA,
     CAMPAIGN_SCHEMA_VERSION,
@@ -30,7 +31,6 @@ from repro.validation.campaign import (
     CampaignResult,
     CampaignSpec,
     MetricCheck,
-    ReplicationMeasurement,
     aggregate_measurements,
     campaign_rows,
     replication_seed,

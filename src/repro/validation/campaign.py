@@ -3,10 +3,10 @@
 :mod:`repro.analysis.validation` compares the analytical model against the
 simulator at *one* seed and *one* configuration — a spot check.  A campaign
 scales that into a statistically quantified sweep: for every
-(scenario preset × protocol), solve the bargaining game through the shared
-:class:`~repro.runtime.batch.BatchRunner` (so the solve stage is cached and
-deduplicated), then run R independently seeded packet-level replications at
-the Nash bargaining point, aggregate each metric with streaming Welford
+(scenario preset × protocol), solve the bargaining game, then run R
+independently seeded packet-level replications at the Nash bargaining point
+(both stages through the shared :class:`~repro.runtime.batch.BatchRunner`'s
+memoized fan-out), aggregate each metric with streaming Welford
 moments and Student-t confidence intervals, and gate the cell with
 per-metric tolerance checks.
 
@@ -29,14 +29,20 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import ConfigurationError, StoreError, ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.protocols.registry import canonical_name, protocol_class
-from repro.runtime import BatchRunner, SolveTask, build_runner
+from repro.runtime import BatchRunner, Memo, SolveTask, build_runner
+from repro.runtime.keys import Key, replication_record_key
 from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.batched.kernels import available_mac_protocols, has_behaviour_for
-from repro.simulation.runner import SimulationConfig, check_horizon, simulate_protocol
+from repro.simulation.runner import (
+    ReplicationMeasurement,
+    SimulationConfig,
+    check_horizon,
+    simulate_protocol,
+)
 from repro.validation.stats import MetricAggregate, StreamingMoments
 
 #: Metrics every campaign cell aggregates, in artifact order.
@@ -143,11 +149,6 @@ class CampaignSpec:
                 f"min_delivery_ratio must lie in [0, 1], got {self.min_delivery_ratio!r}"
             )
 
-    @property
-    def cell_count(self) -> int:
-        """Number of (scenario, protocol) cells the campaign covers."""
-        return len(self.scenarios) * len(self.protocols)
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (embedded in the campaign artifact)."""
         return {
@@ -172,70 +173,6 @@ def _simulable_protocols() -> Tuple[str, ...]:
     kernel) are excluded.
     """
     return tuple(available_mac_protocols())
-
-
-@dataclass(frozen=True)
-class ReplicationMeasurement:
-    """Metrics of one seeded simulation replication.
-
-    Attributes:
-        seed: The replication's simulation seed.
-        energy: Measured mean ring-1 per-node power (J/s).
-        delay: Measured mean end-to-end delay of the farthest delivering
-            ring (s), or ``None`` when the replication delivered no packet.
-        delivery_ratio: Fraction of generated packets delivered.
-        generated: Packets generated.
-        delivered: Packets delivered to the sink.
-        dropped: Packets dropped at full queues.
-    """
-
-    seed: int
-    energy: float
-    delay: Optional[float]
-    delivery_ratio: float
-    generated: int
-    delivered: int
-    dropped: int
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready payload for the persistent result store.
-
-        Every field round-trips exactly through JSON (floats keep their
-        shortest round-tripping ``repr``), so a measurement read back from
-        the store is indistinguishable from a freshly simulated one — the
-        property resume/shard-merge byte-identity rests on.
-        """
-        return {
-            "seed": self.seed,
-            "energy": self.energy,
-            "delay": self.delay,
-            "delivery_ratio": self.delivery_ratio,
-            "generated": self.generated,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ReplicationMeasurement":
-        """Rebuild a measurement from its stored payload.
-
-        Raises:
-            StoreError: if the payload is missing fields or has the wrong
-                shape (e.g. a record of another kind filed under this key).
-        """
-        try:
-            delay = payload["delay"]
-            return cls(
-                seed=int(payload["seed"]),  # type: ignore[arg-type]
-                energy=float(payload["energy"]),  # type: ignore[arg-type]
-                delay=None if delay is None else float(delay),  # type: ignore[arg-type]
-                delivery_ratio=float(payload["delivery_ratio"]),  # type: ignore[arg-type]
-                generated=int(payload["generated"]),  # type: ignore[arg-type]
-                delivered=int(payload["delivered"]),  # type: ignore[arg-type]
-                dropped=int(payload["dropped"]),  # type: ignore[arg-type]
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreError(f"malformed replication payload: {error!r}") from error
 
 
 @dataclass(frozen=True)
@@ -490,76 +427,56 @@ _SimPayload = Tuple[object, Mapping[str, float], SimulationConfig]
 def _simulate_payload(payload: _SimPayload) -> ReplicationMeasurement:
     """Run one seeded replication and extract its metrics.
 
-    Module-level so process-pool workers can resolve it by reference.  A
-    replication that delivers no packet yields ``delay=None`` instead of
-    raising — zero delivery is a campaign finding, not a crash.
+    Module-level so process-pool workers can resolve it by reference.
     """
     model, params, config = payload
     result = simulate_protocol(model, params, config)
-    delivered_any = any(values for values in result.delays_by_ring.values())
-    return ReplicationMeasurement(
-        seed=config.seed,
-        energy=result.bottleneck_ring_energy,
-        delay=result.max_ring_delay() if delivered_any else None,
-        delivery_ratio=result.delivery_ratio,
-        generated=result.generated_packets,
-        delivered=result.delivered_packets,
-        dropped=result.dropped_packets,
-    )
+    return ReplicationMeasurement.from_result(result, config.seed)
 
 
-def _run_replications(
-    payloads: Sequence[_SimPayload],
-    runner: BatchRunner,
-    store: Optional[object],
-) -> List[ReplicationMeasurement]:
-    """Run the replication grid, answering what the store already holds.
+def _replication_key(payload: _SimPayload, fingerprint: Callable[[Any], Any]) -> Key:
+    """The replication key of a payload whose config sets only horizon and seed.
 
-    Without a store this is a plain ordered fan-out.  With one, every
-    payload is first looked up by its content key; only misses are
-    dispatched to the executor, fresh measurements are written behind, and
-    the combined list is reassembled in submission order — so the result
-    is element-for-element identical to an uncached run.
+    The key names the horizon and the seed of the run, not its other
+    simulation settings, so a payload that changes those is refused rather
+    than filed under the key of a default run.
     """
-    if store is None:
-        return runner.executor.map_ordered(_simulate_payload, payloads)
-
-    from repro.store.keys import key_digest, replication_record_key
-
-    measurements: List[Optional[ReplicationMeasurement]] = [None] * len(payloads)
-    digests: List[str] = []
-    fresh: List[_SimPayload] = []
-    fresh_positions: List[int] = []
-    for position, payload in enumerate(payloads):
-        model, params, config = payload
-        digest = key_digest(
-            replication_record_key(model, params, config.horizon, config.seed)
+    model, parameters, config = payload
+    if config != SimulationConfig(horizon=config.horizon, seed=config.seed):
+        raise ConfigurationError(
+            "a remembered replication may set only the horizon and the seed of "
+            "its simulation; run other simulation settings with the cache off"
         )
-        digests.append(digest)
-        stored = store.get(digest)  # type: ignore[attr-defined]
-        if stored is not None:
-            try:
-                measurements[position] = ReplicationMeasurement.from_dict(stored)
-                continue
-            except StoreError:
-                # Undecodable payload under a valid record: treat as a
-                # miss, like the store's own corruption policy.
-                pass
-        fresh.append(payload)
-        fresh_positions.append(position)
-    def _persist(index: int, measurement: ReplicationMeasurement) -> None:
-        # Write behind as each replication completes (not after the whole
-        # fan-out): a campaign killed mid-stage keeps everything that
-        # finished, which is what makes an interrupted run resumable.
-        store.put(  # type: ignore[attr-defined]
-            digests[fresh_positions[index]], measurement.as_dict(), kind="replication"
-        )
+    return replication_record_key(model, parameters, config.horizon, config.seed, fingerprint)
 
-    for position, measurement in zip(
-        fresh_positions, runner.executor.map_ordered(_simulate_payload, fresh, _persist)
-    ):
-        measurements[position] = measurement
-    return [measurement for measurement in measurements if measurement is not None]
+
+#: A replication is remembered as its measurement, under its replication key.
+REPLICATIONS = Memo(
+    kind="replication",
+    key=_replication_key,
+    encode=ReplicationMeasurement.as_dict,
+    decode=ReplicationMeasurement.from_dict,
+)
+
+
+def simulate_replications(
+    payloads: Sequence[_SimPayload], runner: BatchRunner
+) -> List[ReplicationMeasurement]:
+    """Simulate every replication through the runner's memoized fan-out.
+
+    Args:
+        payloads: ``(model, coerced parameters, config)`` per replication.
+        runner: The runner whose executor runs the simulations and whose
+            cache (and store, if any) remembers them.
+
+    Returns:
+        One measurement per payload, in submission order.
+    """
+    # Simulations draw from numpy.random: import it before a pool forks,
+    # once, instead of in every worker.
+    import numpy.random  # noqa: F401
+
+    return runner.fan_out(_simulate_payload, payloads, REPLICATIONS)
 
 
 def aggregate_measurements(
@@ -677,37 +594,30 @@ def _delivery_check(aggregate: MetricAggregate, floor: float) -> MetricCheck:
 def run_campaign(
     spec: Optional[CampaignSpec] = None,
     runner: Optional[BatchRunner] = None,
-    store: Optional[object] = None,
 ) -> CampaignResult:
     """Execute a Monte-Carlo validation campaign.
 
-    Two batched stages share one runner: the (scenario × protocol) game
-    solves go through the runner's :class:`~repro.runtime.batch.BatchRunner`
-    machinery (solve cache, in-batch dedup), and the
-    cells × replications simulation grid fans out over the *same* executor
-    policy, so ``--workers`` accelerates both stages.  Both run in one
-    executor session: a process pool is forked once per campaign and shut
-    down before this returns, on error too.
+    Two batched stages go through the one runner's memoized fan-out: the
+    (scenario × protocol) game solves (:meth:`BatchRunner.run`) and the
+    cells × replications simulation grid (:func:`simulate_replications`),
+    so ``--workers`` accelerates both stages.  Both run in one executor
+    session: a process pool is forked once per campaign and shut down
+    before this returns, on error too.
 
-    Both stages are store-addressable: with a persistent result store
-    attached, the solve stage reads through the runner's cache into the
-    store, and every replication is looked up by its content key
-    (:func:`repro.store.keys.replication_record_key`) before being
-    simulated — only missing replications are dispatched, and fresh ones
-    are written behind.  That is what makes an interrupted campaign
-    resumable and a sharded one mergeable, byte-identically.
+    With a result store attached to the runner, both stages are
+    store-addressable: every solve and every replication is looked up by
+    its key (:mod:`repro.runtime.keys`) before it is computed — only
+    missing ones are dispatched, and fresh ones are written behind as they
+    land.  That is what makes an interrupted campaign resumable and a
+    sharded one mergeable, byte-identically.
 
     Args:
         spec: The campaign specification (default: every scenario preset ×
             every simulable protocol, 5 replications).
-        runner: Batch runner for the solve stage and executor for the
-            replications; defaults to the serial cached runner.  Pass
-            ``build_runner(workers=4)`` for a process pool — the resulting
-            artifact stays byte-identical.
-        store: Persistent result store for the replication stage; defaults
-            to the store backing the runner's cache, if any (so a runner
-            built with ``build_runner(store=...)`` campaigns end-to-end
-            through it with no extra wiring).
+        runner: Batch runner of both stages; defaults to the serial cached
+            runner.  Pass ``build_runner(workers=4)`` for a process pool —
+            the resulting artifact stays byte-identical — and
+            ``build_runner(store=...)`` to campaign through a result store.
 
     Returns:
         The :class:`CampaignResult`, one cell per (scenario, protocol) pair
@@ -717,15 +627,13 @@ def run_campaign(
     """
     spec = spec if spec is not None else CampaignSpec()
     runner = runner if runner is not None else build_runner()
-    if store is None and runner.cache is not None:
-        store = runner.cache.store
-    # Replications draw from numpy.random: import it before a pool forks,
-    # once, instead of in every worker.
+    # Replications draw from numpy.random: import it before the solve
+    # stage forks a pool, once, instead of in every worker.
     import numpy.random  # noqa: F401
 
     with runner.executor.session():
-        # Stage 1: solve every cell's bargaining game in one batch (cached,
-        # deduplicated, construction failures and infeasibility as data).
+        # Stage 1: solve every cell's bargaining game in one batch
+        # (construction failures and infeasibility as data).
         outcomes = runner.run(
             [
                 SolveTask.build(
@@ -795,7 +703,7 @@ def run_campaign(
                         SimulationConfig(horizon=spec.horizon, seed=seed),
                     )
                 )
-        flat_measurements = _run_replications(payloads, runner, store)
+        flat_measurements = simulate_replications(payloads, runner)
 
     # Stage 3: aggregate per cell, in replication order.
     aggregated: List[CampaignCell] = []

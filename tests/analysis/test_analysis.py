@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.reporting import format_table, write_csv
-from repro.analysis.validation import validate_protocol, validate_protocols
+from repro.analysis.validation import validate_protocol
 from repro.api import ExperimentSpec, ResultSet, run
 from repro.core.requirements import ApplicationRequirements
 from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError
 from repro.network.topology import RingTopology
 from repro.protocols import XMACModel
-from repro.runtime import ProcessExecutor, build_runner
+from repro.protocols.registry import create_protocol
+from repro.runtime import build_runner
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig
 
@@ -136,13 +137,23 @@ class TestValidation:
         assert not report.within(energy_tolerance=1e-9, delay_tolerance=1e-9)
 
     def test_batched_validation_matches_individual(self, small_scenario):
-        model = XMACModel(small_scenario)
+        # A validate spec's units run serially and on two workers alike, and
+        # each report equals the spot check of its configuration.
+        spec = (
+            ExperimentSpec.experiment("validate")
+            .with_scenario(SMALL)
+            .with_protocols("xmac", "dmac")
+            .with_simulation(horizon=800.0, seed=3)
+        )
+        serial = run(spec, runner=build_runner(workers=1, use_cache=False))
+        pooled = run(spec, runner=build_runner(workers=2, use_cache=False))
+        assert serial.rows() == pooled.rows()
+        assert [record.value.protocol for record in serial] == ["X-MAC", "DMAC"]
         config = SimulationConfig(horizon=800.0, seed=3)
-        jobs = [(model, {"wakeup_interval": 0.4}), (model, {"wakeup_interval": 0.6})]
-        serial = validate_protocols(jobs, config)
-        pooled = validate_protocols(jobs, config, executor=ProcessExecutor(workers=2))
-        assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
-        assert [r.parameters["wakeup_interval"] for r in serial] == [0.4, 0.6]
+        for record in serial:
+            model = create_protocol(record.unit.protocol, small_scenario)
+            report = validate_protocol(model, record.value.parameters, config)
+            assert report.as_dict() == record.value.as_dict()
 
 
 class TestScalability:

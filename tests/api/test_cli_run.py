@@ -366,3 +366,39 @@ class TestNameListSplitting:
         from repro.cli import _split_names
 
         assert _split_names(values) == expected
+
+
+#: Each subcommand with flags it reads, so a run that took an extra flag
+#: would finish quickly.
+_FAST_ARGV = {
+    "figure1": ["figure1", "--grid-points", "6"],
+    "figure2": ["figure2", "--grid-points", "6"],
+    "validate": [
+        "validate", "xmac", "--depth", "2", "--density", "3",
+        "--sampling-period", "60", "--horizon", "300",
+    ],
+}
+
+
+class TestFlagsOnlyWhereRead:
+    """A subcommand accepts only the flags it reads; argparse names the rest."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (figure, flag, value)
+            for figure in ("figure1", "figure2")
+            for flag, value in (
+                ("--depth", "2"),
+                ("--density", "3"),
+                ("--sampling-period", "60"),
+                ("--radio", "cc1100"),
+            )
+        ]
+        + [("validate", "--grid-points", "6")],
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*_FAST_ARGV[command], flag, value])
+        assert exit_info.value.code == EXIT_ERROR
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

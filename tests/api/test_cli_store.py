@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.api import ExperimentSpec, run, runner_for
 from repro.cli import main as cli_main
+from repro.store import ResultStore, StoreWarning, encode_record
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 SWEEP = {
     "kind": "sweep",
@@ -117,6 +122,56 @@ class TestRequireWarm:
         uncached = write_spec(tmp_path, dict(SWEEP, runtime={"cache": False}), "uncached.json")
         assert cli_main(["run", uncached, "--store", store, "--require-warm"]) == 2
         assert "--require-warm needs --store and the solve cache" in capsys.readouterr().err
+
+
+class TestEveryKindReadsThroughTheStore:
+    def test_validate_spec_is_stored_and_replayed(self, capsys, tmp_path):
+        spec = str(EXAMPLES / "validate.json")
+        store = str(tmp_path / "store")
+        assert cli_main(["run", spec, "--store", store, "--require-warm"]) == 3
+        assert "# store: 0 hits / 1 misses / 1 puts" in capsys.readouterr().out
+        assert cli_main(["run", spec, "--store", store, "--require-warm"]) == 0
+        out = capsys.readouterr().out
+        assert "# store: 1 hits / 0 misses / 0 puts" in out
+        assert "satisfied (zero fresh results)" in out
+        assert ResultStore(store).counts_by_kind() == {"replication": 1}
+
+    @pytest.mark.parametrize(
+        "name, counts", [("solve", {"solve": 3}), ("campaign", {"solve": 4, "replication": 8})]
+    )
+    def test_undecodable_payloads_are_misses(self, capsys, tmp_path, name, counts):
+        # Every record keeps a valid envelope and integrity hash around a
+        # payload of the wrong shape: each lookup is a warned, corrupt miss,
+        # and the run that recomputes the result rewrites the record.
+        spec = str(EXAMPLES / f"{name}.json")
+        store = tmp_path / "store"
+        assert cli_main(["run", spec, "--store", str(store)]) == 0
+        records = sorted((store / "records").rglob("*.json"))
+
+        def spoil():
+            for path in records:
+                record = json.loads(path.read_text())
+                path.write_text(encode_record(path.stem, record["kind"], {"shape": "wrong"}))
+
+        spoil()
+        assert ResultStore(store).counts_by_kind() == counts
+        reopened = ResultStore(store)
+        loaded = ExperimentSpec.from_file(spec)
+        with pytest.warns(StoreWarning) as warned:
+            run(loaded, runner=runner_for(loaded, store=reopened))
+        assert reopened.stats().corrupt == len(records)
+        malformed = {str(w.message).split("malformed ")[1].split(" payload")[0] for w in warned}
+        assert malformed == set(counts)
+
+        spoil()
+        capsys.readouterr()
+        with pytest.warns(StoreWarning):
+            assert cli_main(["run", spec, "--store", str(store), "--require-warm"]) == 3
+        n = len(records)
+        assert f"# store: 0 hits / {n} misses / {n} puts" in capsys.readouterr().out
+        # The records were repaired: the next run is warm.
+        assert cli_main(["run", spec, "--store", str(store), "--require-warm"]) == 0
+        assert f"# store: {n} hits / 0 misses / 0 puts" in capsys.readouterr().out
 
 
 class TestWarmArtifactIdentity:

@@ -26,7 +26,7 @@ GRID = 25
 
 
 def fresh_runner():
-    """A private, cache-isolated serial runner (no process-wide memo)."""
+    """An uncached serial runner."""
     return build_runner(workers=1, use_cache=False)
 
 

@@ -5,11 +5,11 @@ and the graphs are plain dicts, so importing the front doors, planning a
 spec and running any example spec load neither.  Every simulation runs on the
 batched engine, so no front door or run loads any other simulation module,
 nor the scalar reference simulator of ``tests/scalar_reference/`` (which
-the fresh interpreter could import: ``tests/`` is on its path).  And a
-pool task imports nothing at all: a pool lives for one run, so whatever a
-task imports lazily every worker of every pool imports again.  Each case
-runs in a fresh interpreter, since the test session itself has long
-imported all of these.
+the fresh interpreter could import: ``tests/`` is on its path).  The result
+store is loaded only by a run that uses one.  And a pool task imports
+nothing at all: a pool lives for one run, so whatever a task imports lazily
+every worker of every pool imports again.  Each case runs in a fresh
+interpreter, since the test session itself has long imported all of these.
 """
 
 from __future__ import annotations
@@ -106,6 +106,20 @@ def test_only_the_batched_simulator_is_loaded(code):
     assert [name for name in loaded if name.startswith("scalar_reference")] == []
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.api",
+        "from repro.cli import main\n"
+        "assert main(['run', 'examples/specs/solve.json', '--no-cache']) == 0\n",
+    ],
+    ids=["import-api", "run-solve-no-cache"],
+)
+def test_only_a_run_with_a_store_loads_the_store(code):
+    loaded = _loaded_after(code, roots=("repro",))
+    assert [name for name in loaded if name.startswith("repro.store")] == []
+
+
 def test_every_src_module_is_loaded_by_a_front_door():
     """No orphan module: the CLI, the service and the two ``-m`` generators
     load every module under ``src/repro``, so code that no run can reach
@@ -140,7 +154,7 @@ def test_no_example_spec_loads_scipy(workers):
 #: task imported; then runs the specs on two workers with SciPy shadowed.
 _POOL_TASKS = """
 import contextlib, functools, io, json, os, sys
-import repro.analysis.validation, repro.runtime.batch, repro.validation.campaign
+import repro.runtime.batch, repro.validation.campaign
 from repro.cli import main
 
 def record(module, name):
@@ -160,7 +174,6 @@ def record(module, name):
 
 record(repro.runtime.batch, "_solve_chunk")
 record(repro.validation.campaign, "_simulate_payload")
-record(repro.analysis.validation, "_validate_payload")
 print(os.getpid())
 for spec in {specs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -189,10 +202,6 @@ def test_pool_tasks_import_nothing(tmp_path):
     assert completed.returncode == 0, completed.stderr
     parent = int(completed.stdout.split()[0])
     tasks = [json.loads(line) for line in log.read_text().splitlines()]
-    assert {name for name, _, _ in tasks} == {
-        "_solve_chunk",
-        "_simulate_payload",
-        "_validate_payload",
-    }
+    assert {name for name, _, _ in tasks} == {"_solve_chunk", "_simulate_payload"}
     assert all(pid != parent for _, pid, _ in tasks)
     assert [(name, imported) for name, _, imported in tasks if imported] == []

@@ -2,7 +2,7 @@
 
 A ``sweep`` spec run through the batch runner must produce bit-identical
 rows whether it runs serially or on a process pool — and whether the
-solutions come from fresh solves or from the cache.
+solutions come from fresh solves or from a result store.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import pytest
 
 from repro.api import ExperimentSpec, ResultSet, run
 from repro.protocols.registry import available_protocols
-from repro.runtime import BatchRunner, ProcessExecutor, SolveCache, build_runner
+from repro.runtime import BatchRunner, build_runner
+from repro.store import ResultStore
 
 #: Small inline scenario (matches the ``small_scenario`` fixture).
 SMALL = {"depth": 4, "density": 6, "sampling_period": 600.0, "radio": "cc2420"}
@@ -73,30 +74,46 @@ class TestInfeasibleEquivalence:
 
 
 class TestCacheDeterminism:
-    def test_cache_hit_rows_identical_to_fresh_solve(self):
+    def test_cache_hit_rows_identical_to_fresh_solve(self, tmp_path):
         spec = _sweep("xmac", "max_delay", DELAYS)
-        cache = SolveCache()
-        runner = BatchRunner(cache=cache)
+        runner = build_runner(store=ResultStore(tmp_path / "store"))
         fresh = run(spec, runner=runner)
         assert (fresh.telemetry["cache_hits"], fresh.telemetry["cache_misses"]) == (
             0,
             len(DELAYS),
         )
         cached = run(spec, runner=runner)
-        # The counters are the shared cache's, so they accumulate: the
-        # second run adds one hit per value and no miss.
+        # Each run reports its own counters: the second one only read.
         assert (cached.telemetry["cache_hits"], cached.telemetry["cache_misses"]) == (
             len(DELAYS),
-            len(DELAYS),
+            0,
         )
         assert cached.rows() == fresh.rows()
         assert _solutions(cached) == _solutions(fresh)
 
-    def test_cache_warmed_by_parallel_run_serves_serial_run(self):
+    def test_cache_warmed_by_parallel_run_serves_serial_run(self, tmp_path):
         spec = _sweep("xmac", "max_delay", DELAYS)
-        cache = SolveCache()
-        warm = run(spec, runner=BatchRunner(executor=ProcessExecutor(workers=2), cache=cache))
-        served = run(spec, runner=BatchRunner(cache=cache))
+        warm = run(spec, runner=build_runner(workers=2, store=ResultStore(tmp_path / "store")))
+        served = run(spec, runner=build_runner(store=ResultStore(tmp_path / "store")))
         assert served.telemetry["cache_hits"] == len(DELAYS)
-        assert served.telemetry["cache_misses"] == len(DELAYS)
+        assert served.telemetry["cache_misses"] == 0
         assert served.rows() == warm.rows()
+
+    def test_each_run_reports_its_own_counters(self, tmp_path):
+        # Without a store nothing outlives a run: repeating a spec solves it
+        # again, and a third run of a new game counts only that game.
+        first, again = _sweep("xmac", "max_delay", [2.0]), _sweep("xmac", "max_delay", [2.0])
+        other = _sweep("xmac", "max_delay", [4.0])
+        counts = [
+            (result.telemetry["cache_hits"], result.telemetry["cache_misses"])
+            for result in (run(first), run(again), run(other))
+        ]
+        assert counts == [(0, 1), (0, 1), (0, 1)]
+        # One runner over a store, passed to three runs: each run's own.
+        runner = BatchRunner(cache=True, store=ResultStore(tmp_path / "store"))
+        results = [run(spec, runner=runner) for spec in (first, again, other)]
+        traffic = [
+            tuple(result.telemetry[key] for key in ("store_hits", "store_misses", "store_puts"))
+            for result in results
+        ]
+        assert traffic == [(0, 1, 1), (1, 0, 0), (0, 1, 1)]

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.api import ExperimentSpec, ResultSet, plan, run
 from repro.exceptions import ConfigurationError
-from repro.runtime import BatchRunner, SolveCache, build_runner
+from repro.runtime import build_runner
 from repro.scenario import Scenario
 from repro.scenarios import (
     ScenarioPreset,
@@ -15,6 +15,7 @@ from repro.scenarios import (
     register_scenario_preset,
     unregister_scenario_preset,
 )
+from repro.store import ResultStore
 
 #: Coarse solver grid: the suite tests exercise plumbing, not precision.
 GRID = 25
@@ -152,11 +153,11 @@ class TestRun:
             assert record.value.max_delay == 2.0
         assert result.records[0].value.energy_budget == _tiny_preset().energy_budget
 
-    def test_suite_reuses_the_solve_cache(self):
-        cache = SolveCache()
-        cold = _suite(("paper-default",), ("xmac",), runner=BatchRunner(cache=cache))
-        warm = _suite(("paper-default",), ("xmac",), runner=BatchRunner(cache=cache))
-        assert (warm.telemetry["cache_hits"], warm.telemetry["cache_misses"]) == (1, 1)
+    def test_suite_reuses_the_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        cold = _suite(("paper-default",), ("xmac",), runner=build_runner(store=store))
+        warm = _suite(("paper-default",), ("xmac",), runner=build_runner(store=store))
+        assert (warm.telemetry["cache_hits"], warm.telemetry["cache_misses"]) == (1, 0)
         assert cold.rows() == warm.rows()
 
     def test_suggested_requirements_feasible_for_paper_protocols(self):

@@ -146,6 +146,48 @@ class TestConcurrentSubmission:
         assert client.status(job_id)["attempts"] == 1  # executed exactly once
 
 
+class TestProgressCountsOwnTraffic:
+    SUITE = {
+        "kind": "suite",
+        "scenarios": ["paper-default"],
+        "protocols": ["xmac", "lmac"],
+        "solver": {"grid_points": 12},
+    }
+    CAMPAIGN = {
+        "kind": "campaign",
+        "name": "cold-campaign",
+        "scenarios": ["paper-default"],
+        "protocols": ["xmac", "lmac"],
+        "campaign": {"replications": 6, "base_seed": 3, "horizon": 600.0},
+        "solver": {"grid_points": 12},
+    }
+
+    def test_warm_jobs_beside_a_cold_campaign(self, tmp_path):
+        # Two workers share one store: one runs a cold campaign, whose
+        # misses and puts land throughout, while the other answers warm
+        # suite jobs.  Each warm job reports exactly its own store traffic.
+        store_dir = tmp_path / "store"
+        direct_bytes(self.SUITE, store_dir)
+        with ExperimentService(store_dir=store_dir, workers=2) as service:
+            client = ServiceClient(service.url, timeout=60.0)
+            campaign, _ = client.submit(self.CAMPAIGN)
+            warm = [client.submit(dict(self.SUITE, name=f"warm-{n}"))[0] for n in range(20)]
+            for job in [*warm, campaign]:
+                client.wait(str(job["job_id"]), timeout=120)
+            traffic = [
+                tuple(
+                    client.status(str(job["job_id"]))["progress"][key]
+                    for key in ("store_hits", "store_misses", "store_puts")
+                )
+                for job in warm
+            ]
+            cold = client.status(str(campaign["job_id"]))["progress"]
+        assert traffic == [(2, 0, 0)] * len(warm)
+        # The campaign's 2 solves are the suite's games; its 12
+        # replications were all fresh.
+        assert (cold["store_hits"], cold["store_misses"], cold["store_puts"]) == (2, 12, 12)
+
+
 class TestKillAndRestart:
     def test_restart_replays_journal_and_completes_queued_job(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import validation
 from repro.api import ExperimentSpec, run
 from repro.exceptions import SimulationError
 from repro.network.topology import RingTopology
@@ -248,7 +247,7 @@ class TestProductionPath:
             runs.append((model, params, config or SimulationConfig(), result))
             return result
 
-        monkeypatch.setattr(validation, "simulate_protocol", recording)
+        # Validate and campaign replications share one simulation path.
         monkeypatch.setattr(campaign, "simulate_protocol", recording)
         run(
             ExperimentSpec.from_dict(

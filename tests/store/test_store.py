@@ -146,6 +146,14 @@ class TestCorruption:
             assert store.get(digest) is None
         assert store.stats().corrupt == 1
 
+    def test_replace_rewrites_a_corrupt_record(self, tmp_path):
+        store, digest, path = self._stored(tmp_path)
+        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        assert not store.put(digest, PAYLOAD, kind="replication")
+        assert store.put(digest, PAYLOAD, kind="replication", replace=True)
+        assert store.get(digest) == PAYLOAD
+        assert store.verify().ok
+
     def test_tampered_payload_fails_integrity(self, tmp_path):
         store, digest, path = self._stored(tmp_path)
         record = json.loads(path.read_text())
