@@ -1,6 +1,6 @@
 """Solver ablation: grid search vs the hybrid default (grid + line-search polish).
 
-DESIGN.md calls out the solver as a substitution (the paper only says
+docs/paper_map.md calls out the solver as a substitution (the paper only says
 "convex programming"), so this bench checks that the choice does not matter:
 both land on the same (P1) optimum for every protocol, and the hybrid is
 never worse than its grid.

@@ -77,7 +77,7 @@ from repro.api import (
     run_experiment,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "ApplicationRequirements",

@@ -17,28 +17,27 @@ run's own cache and store counters as telemetry.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.validation import ValidationReport
-from repro.api.plan import (
-    ExperimentPlan,
-    WorkUnit,
-    campaign_spec_of,
-    plan as expand_plan,
-    resolve_scenario,
-)
+from repro.api.plan import ExperimentPlan, WorkUnit, plan as expand_plan, resolve_scenario
 from repro.api.results import ResultRecord, ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
-from repro.exceptions import ConfigurationError
 from repro.protocols.base import DutyCycledMACModel
 from repro.protocols.registry import create_protocol
-from repro.runtime import BatchRunner, SolveTask, build_runner
+from repro.runtime import BatchRunner, SolveTask, TaskOutcome, build_runner
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset
-from repro.simulation.runner import SimulationConfig
-from repro.validation.campaign import CampaignSpec, run_campaign, simulate_replications
+from repro.simulation.runner import ReplicationMeasurement, SimulationConfig
+from repro.validation.campaign import (
+    CampaignCell,
+    CampaignResult,
+    aggregate_measurements,
+    replication_seed,
+    simulate_replications,
+)
 
 #: What :func:`run` accepts: a spec (planned implicitly) or an explicit plan.
 Runnable = Union[ExperimentSpec, ExperimentPlan]
@@ -194,30 +193,27 @@ def _execute_sweep_family(
     return records, None
 
 
+def _preset_task(spec: ExperimentSpec, unit: WorkUnit) -> SolveTask:
+    """The game solve of a ``suite`` or ``campaign`` unit: its preset's
+    requirements with the spec's overrides, at the unit's grid."""
+    preset = scenario_preset(unit.scenario)
+    requirements = preset.requirements()
+    if unit.settings.get("energy_budget") is not None:
+        requirements = requirements.with_energy_budget(float(unit.settings["energy_budget"]))
+    if unit.settings.get("max_delay") is not None:
+        requirements = requirements.with_max_delay(float(unit.settings["max_delay"]))
+    return SolveTask.build(
+        protocol=unit.protocol,
+        scenario=preset.scenario,
+        requirements=requirements,
+        solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
+        tag=unit,
+    )
+
+
 def _execute_suite(
     spec: ExperimentSpec, plan: ExperimentPlan, runner: BatchRunner
 ) -> Tuple[List[ResultRecord], Any]:
-    tasks = []
-    for unit in plan.units:
-        preset = scenario_preset(unit.scenario)
-        requirements = preset.requirements()
-        if unit.settings.get("energy_budget") is not None:
-            requirements = requirements.with_energy_budget(
-                float(unit.settings["energy_budget"])
-            )
-        if unit.settings.get("max_delay") is not None:
-            requirements = requirements.with_max_delay(
-                float(unit.settings["max_delay"])
-            )
-        tasks.append(
-            SolveTask.build(
-                protocol=unit.protocol,
-                scenario=preset.scenario,
-                requirements=requirements,
-                solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
-                tag=unit,
-            )
-        )
     records = [
         ResultRecord(
             unit=outcome.tag,
@@ -226,7 +222,7 @@ def _execute_suite(
             error=outcome.error_message,
             value=outcome.solution,
         )
-        for outcome in runner.run(tasks)
+        for outcome in runner.run([_preset_task(spec, unit) for unit in plan.units])
     ]
     return records, None
 
@@ -263,35 +259,103 @@ def _execute_validate(
     return records, None
 
 
+def _nash_parameters(outcome: TaskOutcome) -> Dict[str, float]:
+    """The Nash bargaining point a feasible cell's replications run at."""
+    return outcome.task.model.coerce(outcome.solution.bargaining.point.parameters)
+
+
+def _replication_seeds(spec: ExperimentSpec, unit: WorkUnit) -> Tuple[int, ...]:
+    campaign = spec.campaign
+    return tuple(
+        replication_seed(campaign.base_seed, unit.scenario, unit.protocol, replication)
+        for replication in range(campaign.replications)
+    )
+
+
+def _campaign_cell(
+    spec: ExperimentSpec,
+    outcome: TaskOutcome,
+    measurements: Sequence[ReplicationMeasurement],
+) -> CampaignCell:
+    """One cell, its replications folded in replication order."""
+    unit = outcome.tag
+    if not outcome.ok:
+        # A model that could not be built or an infeasible game is data.
+        return CampaignCell(
+            scenario=unit.scenario,
+            protocol=unit.protocol,
+            feasible=False,
+            solve_error=outcome.error_message,
+        )
+    model, params = outcome.task.model, _nash_parameters(outcome)
+    energy = model.node_energy(params, model.scenario.topology.bottleneck_ring)
+    delay = model.system_latency(params)
+    metrics, checks = aggregate_measurements(spec.campaign, energy, delay, measurements)
+    return CampaignCell(
+        scenario=unit.scenario,
+        protocol=unit.protocol,
+        feasible=True,
+        parameters=dict(params),
+        analytical_energy=energy,
+        analytical_delay=delay,
+        seeds=_replication_seeds(spec, unit),
+        metrics=metrics,
+        checks=checks,
+        generated=sum(m.generated for m in measurements),
+        delivered=sum(m.delivered for m in measurements),
+        dropped=sum(m.dropped for m in measurements),
+    )
+
+
+def _campaign_section(spec: ExperimentSpec, plan: ExperimentPlan) -> Dict[str, object]:
+    """The campaign artifact's ``spec`` section: the settings the plan ran."""
+    campaign = spec.campaign
+    return {
+        "scenarios": plan.scenario_names,
+        "protocols": plan.protocol_names,
+        "replications": campaign.replications,
+        "base_seed": campaign.base_seed,
+        "horizon_s": campaign.horizon,
+        "confidence": campaign.confidence,
+        "grid_points_per_dimension": spec.solver.grid_points,
+        "energy_tolerance": campaign.energy_tolerance,
+        "delay_tolerance": campaign.delay_tolerance,
+        "min_delivery_ratio": campaign.min_delivery_ratio,
+    }
+
+
 def _execute_campaign(
     spec: ExperimentSpec, plan: ExperimentPlan, runner: BatchRunner
 ) -> Tuple[List[ResultRecord], Any]:
     if not plan.units:
-        # An empty (fully filtered/sharded-away) plan must not fall through
-        # to CampaignSpec, whose empty scenario/protocol tuples mean "all".
+        # A fully filtered or sharded-away plan has no campaign artifact.
         return [], None
-    scenarios = plan.scenario_names
-    protocols = plan.protocol_names
-    if len(plan.units) != len(scenarios) * len(protocols):
-        raise ConfigurationError(
-            "a campaign plan must stay rectangular (every scenario × every "
-            f"protocol); got {len(plan.units)} unit(s) over "
-            f"{len(scenarios)} scenario(s) × {len(protocols)} protocol(s)"
-        )
-    full = campaign_spec_of(spec)
-    campaign_spec = CampaignSpec(
-        scenarios=tuple(scenarios),
-        protocols=tuple(protocols),
-        replications=full.replications,
-        base_seed=full.base_seed,
-        horizon=full.horizon,
-        confidence=full.confidence,
-        grid_points_per_dimension=full.grid_points_per_dimension,
-        energy_tolerance=full.energy_tolerance,
-        delay_tolerance=full.delay_tolerance,
-        min_delivery_ratio=full.min_delivery_ratio,
+    # Replications draw from numpy.random: import it before the solve
+    # stage forks a pool, once, instead of in every worker.
+    import numpy.random  # noqa: F401
+
+    # Both stages share one executor session: a pool forks once per run.
+    with runner.executor.session():
+        outcomes = runner.run([_preset_task(spec, unit) for unit in plan.units])
+        payloads = []
+        for outcome in outcomes:
+            if outcome.ok:
+                model, params = outcome.task.model, _nash_parameters(outcome)
+                payloads.extend(
+                    (model, params, SimulationConfig(horizon=spec.campaign.horizon, seed=seed))
+                    for seed in _replication_seeds(spec, outcome.tag)
+                )
+        measurements = simulate_replications(payloads, runner)
+    # Each feasible cell owns the next ``replications`` measurements.
+    count = spec.campaign.replications
+    per_cell = (measurements[start : start + count] for start in range(0, len(measurements), count))
+    result = CampaignResult(
+        spec=_campaign_section(spec, plan),
+        cells=[
+            _campaign_cell(spec, outcome, next(per_cell) if outcome.ok else ())
+            for outcome in outcomes
+        ],
     )
-    result = run_campaign(campaign_spec, runner)
     records = []
     for unit, cell, row in zip(plan.units, result.cells, result.rows()):
         ok = cell.feasible and cell.passed

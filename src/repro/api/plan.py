@@ -20,7 +20,8 @@ part (model construction, game solves, simulations) is deferred to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from itertools import product
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.spec import (
     SWEEP_PARAMETERS,
@@ -43,10 +44,9 @@ from repro.protocols.registry import (
     protocol_class,
 )
 from repro.scenario import Scenario
-from repro.scenarios.presets import scenario_preset
+from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.batched.kernels import available_mac_protocols, has_behaviour_for
 from repro.simulation.runner import check_horizon
-from repro.validation.campaign import CampaignSpec
 
 #: Default application requirements of the ``solve``/``sweep`` kinds (the
 #: CLI's historical defaults).
@@ -240,26 +240,52 @@ def _requirement(spec: ExperimentSpec, name: str, default: float) -> float:
     return default if value is None else value
 
 
-def campaign_spec_of(spec: ExperimentSpec) -> CampaignSpec:
-    """Assemble the :class:`CampaignSpec` a ``campaign`` spec describes.
+def _preset_names(spec: ExperimentSpec) -> List[str]:
+    """The scenario presets of a ``suite`` or ``campaign`` spec (default: all)."""
+    names = list(spec.scenarios) or available_scenarios()
+    for name in names:
+        scenario_preset(name)  # raises ConfigurationError on unknown names
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"duplicate scenarios in spec: {names}")
+    return names
 
-    Carries over every campaign setting plus the solver grid; the
-    CampaignSpec constructor performs the deep validation (known scenarios,
-    simulable protocols, parameter ranges).
-    """
-    settings = spec.campaign
-    return CampaignSpec(
-        scenarios=tuple(spec.scenarios),
-        protocols=tuple(spec.protocols),
-        replications=settings.replications,
-        base_seed=settings.base_seed,
-        horizon=settings.horizon,
-        confidence=settings.confidence,
-        grid_points_per_dimension=spec.solver.grid_points,
-        energy_tolerance=settings.energy_tolerance,
-        delay_tolerance=settings.delay_tolerance,
-        min_delivery_ratio=settings.min_delivery_ratio,
-    )
+
+def _check_simulable(protocols: Sequence[str]) -> None:
+    """Refuse a protocol the simulator has no kernel for, before any work runs."""
+    for protocol in protocols:
+        if not has_behaviour_for(protocol_class(protocol)):
+            raise ConfigurationError(
+                f"protocol {protocol!r} has no simulated behaviour and cannot "
+                f"be validated by simulation; protocols with a simulator: "
+                f"{', '.join(available_mac_protocols())}"
+            )
+
+
+def _preset_units(
+    spec: ExperimentSpec,
+    kind: str,
+    scenario_names: Sequence[str],
+    protocols: Sequence[str],
+    settings: Mapping[str, object],
+) -> List[WorkUnit]:
+    """One unit per (preset × protocol), scenario-major, each carrying the
+    spec's requirement overrides after ``settings``."""
+    requirements = spec.requirements
+    overrides = {} if requirements is None else requirements.as_dict()
+    settings = {
+        **settings,
+        **{name: value for name, value in overrides.items() if value is not None},
+    }
+    return [
+        WorkUnit(
+            kind=kind,
+            scenario=scenario_name,
+            protocol=protocol,
+            index=index,
+            settings=settings,
+        )
+        for index, (scenario_name, protocol) in enumerate(product(scenario_names, protocols))
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -355,48 +381,19 @@ def _plan_sweep_family(spec: ExperimentSpec) -> List[WorkUnit]:
 
 
 def _plan_suite(spec: ExperimentSpec) -> List[WorkUnit]:
-    from repro.scenarios.presets import available_scenarios
-
-    scenario_names = list(spec.scenarios) or available_scenarios()
-    for name in scenario_names:
-        scenario_preset(name)  # raises ConfigurationError on unknown names
-    if len(set(scenario_names)) != len(scenario_names):
-        raise ConfigurationError(f"duplicate scenarios in spec: {scenario_names}")
-    protocols = _resolved_protocols(spec, default=tuple(available_protocols()))
-    overrides = {
-        "energy_budget": _requirement(spec, "energy_budget", None)
-        if spec.requirements
-        else None,
-        "max_delay": _requirement(spec, "max_delay", None) if spec.requirements else None,
-    }
-    units: List[WorkUnit] = []
-    for scenario_name in scenario_names:
-        for protocol in protocols:
-            units.append(
-                WorkUnit(
-                    kind="game-solve",
-                    scenario=scenario_name,
-                    protocol=protocol,
-                    index=len(units),
-                    settings={
-                        "grid_points": spec.solver.grid_points,
-                        **{k: v for k, v in overrides.items() if v is not None},
-                    },
-                )
-            )
-    return units
+    return _preset_units(
+        spec,
+        "game-solve",
+        _preset_names(spec),
+        _resolved_protocols(spec, default=tuple(available_protocols())),
+        {"grid_points": spec.solver.grid_points},
+    )
 
 
 def _plan_validate(spec: ExperimentSpec) -> List[WorkUnit]:
     label, scenario = resolve_scenario(spec.scenario)
     protocols = _resolved_protocols(spec)
-    for protocol in protocols:
-        if not has_behaviour_for(protocol_class(protocol)):
-            raise ConfigurationError(
-                f"protocol {protocol!r} has no simulated behaviour and cannot "
-                f"be validated by simulation; protocols with a simulator: "
-                f"{', '.join(available_mac_protocols())}"
-            )
+    _check_simulable(protocols)
     simulation = spec.simulation
     check_horizon(scenario, simulation.horizon, "simulation.horizon", label)
     return [
@@ -420,25 +417,24 @@ def _plan_validate(spec: ExperimentSpec) -> List[WorkUnit]:
 
 
 def _plan_campaign(spec: ExperimentSpec) -> List[WorkUnit]:
-    campaign = campaign_spec_of(spec)  # validates names/simulability/ranges
-    units: List[WorkUnit] = []
-    for scenario_name in campaign.scenarios:
-        for protocol in campaign.protocols:
-            units.append(
-                WorkUnit(
-                    kind="campaign-cell",
-                    scenario=scenario_name,
-                    protocol=protocol,
-                    index=len(units),
-                    settings={
-                        "replications": campaign.replications,
-                        "base_seed": campaign.base_seed,
-                        "horizon": campaign.horizon,
-                        "grid_points": campaign.grid_points_per_dimension,
-                    },
-                )
-            )
-    return units
+    scenario_names = _preset_names(spec)
+    protocols = _resolved_protocols(spec, default=tuple(available_mac_protocols()))
+    _check_simulable(protocols)
+    campaign = spec.campaign
+    for name in scenario_names:
+        check_horizon(scenario_preset(name).scenario, campaign.horizon, "campaign.horizon", name)
+    return _preset_units(
+        spec,
+        "campaign-cell",
+        scenario_names,
+        protocols,
+        {
+            "replications": campaign.replications,
+            "base_seed": campaign.base_seed,
+            "horizon": campaign.horizon,
+            "grid_points": spec.solver.grid_points,
+        },
+    )
 
 
 _EXPANDERS: Dict[str, Callable[[ExperimentSpec], List[WorkUnit]]] = {

@@ -285,7 +285,7 @@ class SimulationSettings:
 
     Attributes:
         horizon: Simulated duration in seconds.
-        seed: Simulation seed.
+        seed: Simulation seed, an integer >= 0.
         parameters: Explicit parameter vector to validate at; ``None`` uses
             the midpoint of the protocol's parameter space.
     """
@@ -302,6 +302,8 @@ class SimulationSettings:
             raise ConfigurationError(
                 f"simulation.seed must be an integer, got {self.seed!r}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"simulation.seed must be >= 0, got {self.seed!r}")
         if self.parameters is not None:
             if not isinstance(self.parameters, Mapping):
                 raise ConfigurationError(
@@ -337,9 +339,21 @@ class SimulationSettings:
 class CampaignSettings:
     """Settings of the ``campaign`` workload (Monte-Carlo validation).
 
-    Mirrors :class:`repro.validation.campaign.CampaignSpec`; the full
-    cross-validation (simulability, duplicates) happens when the campaign
-    spec is assembled at plan time.
+    The one definition of a campaign's settings, each checked here against
+    its range; what depends on the scenarios and protocols (known names,
+    simulability, the horizon's event budget) is checked at plan time.
+
+    Attributes:
+        replications: Independently seeded simulation runs per cell (>= 1).
+        base_seed: Base seed every replication seed is hashed from (any
+            integer).
+        horizon: Simulated duration of each replication, in seconds (> 0).
+        confidence: Two-sided confidence level of the Student-t intervals,
+            in (0, 1).
+        energy_tolerance: Allowed relative error of the analytical energy
+            against the simulated mean (> 0).
+        delay_tolerance: Allowed relative error of the delay (> 0).
+        min_delivery_ratio: Floor on the mean delivery ratio, in [0, 1].
     """
 
     replications: int = 5
@@ -353,8 +367,28 @@ class CampaignSettings:
     def __post_init__(self) -> None:
         # Checks only: the fields keep the values given (their spelling is
         # part of the spec hash).
-        for f in fields(self):
-            _convert("campaign", f.name, getattr(self, f.name), type(f.default))
+        value = {
+            f.name: _convert("campaign", f.name, getattr(self, f.name), type(f.default))
+            for f in fields(self)
+        }
+        if value["replications"] < 1:
+            raise ConfigurationError(
+                f"campaign.replications must be >= 1, got {self.replications!r}"
+            )
+        for name in ("horizon", "energy_tolerance", "delay_tolerance"):
+            if value[name] <= 0:
+                raise ConfigurationError(
+                    f"campaign.{name} must be positive, got {getattr(self, name)!r}"
+                )
+        if not 0.0 < value["confidence"] < 1.0:
+            raise ConfigurationError(
+                f"campaign.confidence must lie in (0, 1), got {self.confidence!r}"
+            )
+        if not 0.0 <= value["min_delivery_ratio"] <= 1.0:
+            raise ConfigurationError(
+                f"campaign.min_delivery_ratio must lie in [0, 1], "
+                f"got {self.min_delivery_ratio!r}"
+            )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSettings":

@@ -15,7 +15,7 @@ each cluster of points in the paper's figures.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.fairness import proportional_fairness_residual
 from repro.core.problems import (
@@ -26,30 +26,22 @@ from repro.core.problems import (
 )
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import BargainingOutcome, GameSolution, OptimizationOutcome
-from repro.exceptions import ConfigurationError
 from repro.optimization.hybrid import hybrid_solve
-from repro.optimization.result import SolverResult
 from repro.protocols.base import DutyCycledMACModel
 
 
 class NashBargainingSolver:
     """Solves the full energy-delay bargaining game for one protocol.
 
+    (P1), (P2) and (P4) are each solved by the grid-seeded hybrid,
+    :func:`~repro.optimization.hybrid.hybrid_solve`.
+
     Args:
-        solver: Constrained-optimization backend used for (P1), (P2) and
-            (P4); defaults to the grid-seeded hybrid.
-        solver_options: Extra keyword arguments forwarded to the backend
-            (e.g. ``grid_points_per_dimension``).
+        solver_options: Keyword arguments forwarded to the hybrid (e.g.
+            ``grid_points_per_dimension``).
     """
 
-    def __init__(
-        self,
-        solver: Callable[..., SolverResult] = hybrid_solve,
-        **solver_options: object,
-    ) -> None:
-        if not callable(solver):
-            raise ConfigurationError("solver must be callable")
-        self._solver = solver
+    def __init__(self, **solver_options: object) -> None:
         self._solver_options = dict(solver_options)
 
     # ------------------------------------------------------------------ #
@@ -68,7 +60,7 @@ class NashBargainingSolver:
     ) -> OptimizationOutcome:
         """Solve (P1): minimize energy subject to the delay bound."""
         problem = EnergyMinimizationProblem(model, requirements, evaluations)
-        return problem.solve(self._solver, **self._solver_options)
+        return problem.solve(hybrid_solve, **self._solver_options)
 
     def solve_delay_problem(
         self,
@@ -79,7 +71,7 @@ class NashBargainingSolver:
     ) -> OptimizationOutcome:
         """Solve (P2): minimize delay subject to the energy budget."""
         problem = DelayMinimizationProblem(model, requirements, evaluations)
-        return problem.solve(self._solver, **self._solver_options)
+        return problem.solve(hybrid_solve, **self._solver_options)
 
     def solve_bargaining_problem(
         self,
@@ -100,7 +92,7 @@ class NashBargainingSolver:
             disagreement_delay=disagreement_delay,
             evaluations=evaluations,
         )
-        point, solver_result = problem.solve(self._solver, **self._solver_options)
+        point, solver_result = problem.solve(hybrid_solve, **self._solver_options)
         residual = proportional_fairness_residual(
             energy_star=point.energy,
             delay_star=point.delay,

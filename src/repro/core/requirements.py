@@ -1,7 +1,7 @@
 """Application requirements.
 
 The framework's inputs are the application requirements: the per-node energy
-budget ``Ebudget`` (joules per second of operation, see DESIGN.md §3.1), the
+budget ``Ebudget`` (joules per second of operation, i.e. watts), the
 maximum tolerated end-to-end packet delay ``Lmax`` (seconds), and the
 application sampling rate ``Fs`` (packets per second per source).
 """

@@ -18,13 +18,10 @@ Example:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.core.bargaining import NashBargainingSolver
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
 from repro.exceptions import ConfigurationError
-from repro.optimization.result import SolverResult
 from repro.protocols.base import DutyCycledMACModel
 
 
@@ -34,16 +31,14 @@ class EnergyDelayGame:
     Args:
         model: Analytical model of the protocol under study.
         requirements: Application requirements ``(Ebudget, Lmax, Fs)``.
-        solver: Optional custom constrained-optimization backend; defaults to
-            the grid-seeded hybrid in :mod:`repro.optimization.hybrid`.
-        solver_options: Extra options forwarded to the backend.
+        solver_options: Options forwarded to the grid-seeded hybrid solver
+            (:func:`repro.optimization.hybrid.hybrid_solve`).
     """
 
     def __init__(
         self,
         model: DutyCycledMACModel,
         requirements: ApplicationRequirements,
-        solver: Optional[Callable[..., SolverResult]] = None,
         **solver_options: object,
     ) -> None:
         if not isinstance(model, DutyCycledMACModel):
@@ -56,10 +51,7 @@ class EnergyDelayGame:
             )
         self._model = model
         self._requirements = requirements
-        if solver is None:
-            self._bargaining_solver = NashBargainingSolver(**solver_options)
-        else:
-            self._bargaining_solver = NashBargainingSolver(solver, **solver_options)
+        self._bargaining_solver = NashBargainingSolver(**solver_options)
 
     # ------------------------------------------------------------------ #
     # Accessors

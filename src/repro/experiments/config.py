@@ -4,9 +4,9 @@ The paper's evaluation fixes ``Ebudget = 0.06 J`` while sweeping
 ``Lmax`` over 1..6 seconds (Figure 1) and fixes ``Lmax = 6 s`` while sweeping
 ``Ebudget`` over 0.01..0.06 J (Figure 2), for X-MAC, DMAC and LMAC.  The
 underlying network scenario is not stated in the brief announcement; the
-values below (documented in DESIGN.md §3) are chosen so that the published
-qualitative behaviour — which constraint binds for which requirement value —
-is reproduced.
+values below (the ``paper-default`` preset of docs/scenarios.md) are chosen
+so that the published qualitative behaviour — which constraint binds for
+which requirement value — is reproduced.
 """
 
 from __future__ import annotations

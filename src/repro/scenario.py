@@ -128,10 +128,12 @@ class Scenario:
 
 
 def default_scenario() -> Scenario:
-    """The default evaluation scenario used by the figure reproductions.
+    """A ready-made scenario for examples and quick checks.
 
     Five rings, eight neighbours per node, one sample per node every five
-    minutes on a CC2420-class radio with 32-byte payloads.  See DESIGN.md §3.
+    minutes on a CC2420-class radio with 32-byte payloads.  The figures run
+    on the hourly ``paper-default`` preset instead
+    (:func:`repro.experiments.config.figure_scenario`).
     """
     return Scenario(
         topology=RingTopology(depth=5, density=8),

@@ -38,7 +38,8 @@ class SimulationConfig:
 
     Attributes:
         horizon: Simulated duration in seconds (finite and positive).
-        seed: Random seed (phases, traffic offsets, backoffs).
+        seed: Random seed (phases, traffic offsets, backoffs); an integer
+            >= 0.
         deployment: Optional concrete deployment; when omitted, one is
             generated to match the model's scenario (same depth and density).
         generation_cutoff: Fraction of the horizon after which no new packets
@@ -63,6 +64,8 @@ class SimulationConfig:
             raise SimulationError(f"horizon must be finite, got {self.horizon!r}")
         if self.horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {self.horizon!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise SimulationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (0.0 < self.generation_cutoff <= 1.0):
             raise SimulationError("generation_cutoff must lie in (0, 1]")
         for name in ("queue_capacity", "max_events"):

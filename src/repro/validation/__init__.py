@@ -6,9 +6,13 @@ over the whole scenario suite:
 
 * :mod:`repro.validation.stats` — streaming Welford moments and Student-t
   confidence intervals;
-* :mod:`repro.validation.campaign` — :func:`run_campaign`: solve every
-  (scenario × protocol) game through the batch runner, replicate the
-  simulation with derived seeds, aggregate and tolerance-gate each cell;
+* :mod:`repro.validation.campaign` — what a campaign is made of: derived
+  replication seeds, the memoized replication fan-out, the aggregation and
+  tolerance gates of each (scenario × protocol) cell, and the
+  :class:`CampaignCell` / :class:`CampaignResult` records.  The
+  ``campaign`` spec kind (:func:`repro.api.run`) is the one way to run a
+  campaign: it solves every cell's game and simulates its replications
+  through one batch runner;
 * :mod:`repro.validation.artifacts` — versioned JSON artifact + CSV rows;
 * :mod:`repro.validation.report` — ``docs/validation.md`` generator
   (``python -m repro.validation.report``).
@@ -29,12 +33,10 @@ from repro.validation.campaign import (
     CAMPAIGN_METRICS,
     CampaignCell,
     CampaignResult,
-    CampaignSpec,
     MetricCheck,
     aggregate_measurements,
     campaign_rows,
     replication_seed,
-    run_campaign,
 )
 from repro.validation.stats import MetricAggregate, StreamingMoments, student_t_critical
 
@@ -44,7 +46,6 @@ __all__ = [
     "CAMPAIGN_METRICS",
     "CampaignCell",
     "CampaignResult",
-    "CampaignSpec",
     "MetricAggregate",
     "MetricCheck",
     "ReplicationMeasurement",
@@ -54,7 +55,6 @@ __all__ = [
     "campaign_to_json",
     "load_campaign_dict",
     "replication_seed",
-    "run_campaign",
     "student_t_critical",
     "write_campaign",
 ]

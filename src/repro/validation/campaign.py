@@ -1,14 +1,17 @@
-"""Monte-Carlo validation campaigns across the scenario suite.
+"""Monte-Carlo validation campaigns: seeds, cells, gates and artifacts.
 
 :mod:`repro.analysis.validation` compares the analytical model against the
 simulator at *one* seed and *one* configuration — a spot check.  A campaign
 scales that into a statistically quantified sweep: for every
-(scenario preset × protocol), solve the bargaining game, then run R
+(scenario preset × protocol) cell, the ``campaign`` spec kind
+(:mod:`repro.api.engine`) solves the bargaining game, then runs R
 independently seeded packet-level replications at the Nash bargaining point
 (both stages through the shared :class:`~repro.runtime.batch.BatchRunner`'s
-memoized fan-out), aggregate each metric with streaming Welford
-moments and Student-t confidence intervals, and gate the cell with
-per-metric tolerance checks.
+memoized fan-out).  This module holds what that run is made of: the
+replication seeds, :func:`simulate_replications` with its ``REPLICATIONS``
+memo, the aggregation of each metric with streaming Welford moments and
+Student-t confidence intervals, the per-metric tolerance gates, and the
+:class:`CampaignCell` / :class:`CampaignResult` records.
 
 Disagreement is **data, not an exception**: a cell whose game is infeasible,
 whose replications deliver no packets, or whose simulated mean falls outside
@@ -21,28 +24,21 @@ Determinism: replication seeds are derived by hashing
 ``(base_seed, scenario, protocol, replication)``, each simulation is fully
 determined by its seed, and aggregation always folds samples in replication
 order — so a campaign run with ``--workers N`` is byte-identical to a serial
-run (``tests/validation/test_campaign.py`` and CI's ``specs`` job assert it).
+run, and each cell is the same whichever plan or shard it runs in
+(``tests/validation/test_campaign.py`` and CI's ``specs`` job assert it).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.protocols.registry import canonical_name, protocol_class
-from repro.runtime import BatchRunner, Memo, SolveTask, build_runner
+from repro.protocols.registry import canonical_name
+from repro.runtime import BatchRunner, Memo
 from repro.runtime.keys import Key, replication_record_key
-from repro.scenarios.presets import available_scenarios, scenario_preset
-from repro.simulation.batched.kernels import available_mac_protocols, has_behaviour_for
-from repro.simulation.runner import (
-    ReplicationMeasurement,
-    SimulationConfig,
-    check_horizon,
-    simulate_protocol,
-)
+from repro.simulation.runner import ReplicationMeasurement, SimulationConfig, simulate_protocol
 from repro.validation.stats import MetricAggregate, StreamingMoments
 
 #: Metrics every campaign cell aggregates, in artifact order.
@@ -71,108 +67,6 @@ def replication_seed(base_seed: int, scenario: str, protocol: str, replication: 
     identity = f"{base_seed}:{scenario}:{protocol}:{replication}".encode("utf-8")
     digest = hashlib.sha256(identity).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Declarative description of one validation campaign.
-
-    Attributes:
-        scenarios: Scenario preset names to cover (default: all registered).
-        protocols: Protocol names to cover (default: every registered
-            protocol with a simulated behaviour — all four built-ins,
-            including SCP-MAC).
-        replications: Independently seeded simulation runs per cell.
-        base_seed: Base seed every replication seed is derived from.
-        horizon: Simulated duration of each replication (seconds).
-        confidence: Two-sided confidence level of the Student-t intervals.
-        grid_points_per_dimension: Grid resolution of the game solver.
-        energy_tolerance: Allowed relative error of the analytical energy
-            prediction against the simulated mean.
-        delay_tolerance: Allowed relative error of the delay prediction.
-        min_delivery_ratio: Floor on the mean delivery ratio.
-    """
-
-    scenarios: Tuple[str, ...] = ()
-    protocols: Tuple[str, ...] = ()
-    replications: int = 5
-    base_seed: int = 1
-    horizon: float = 1500.0
-    confidence: float = 0.95
-    grid_points_per_dimension: int = 40
-    energy_tolerance: float = 0.35
-    delay_tolerance: float = 0.6
-    min_delivery_ratio: float = 0.9
-
-    def __post_init__(self) -> None:
-        scenarios = tuple(self.scenarios) or tuple(available_scenarios())
-        protocols = tuple(
-            canonical_name(name) for name in (self.protocols or _simulable_protocols())
-        )
-        for name in scenarios:
-            scenario_preset(name)  # raises ConfigurationError on unknown names
-        for name in protocols:
-            # Reject analytical-only protocols up front: discovering mid-
-            # campaign (after the solve stage) that a cell cannot be
-            # simulated would abort the whole run.
-            if not has_behaviour_for(protocol_class(name)):
-                raise ConfigurationError(
-                    f"protocol {name!r} has no simulated behaviour and cannot "
-                    f"be validated by simulation; simulable protocols: "
-                    f"{', '.join(available_mac_protocols())}"
-                )
-        object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "protocols", protocols)
-        if len(set(scenarios)) != len(scenarios):
-            raise ConfigurationError(f"duplicate scenarios in campaign: {scenarios}")
-        if len(set(protocols)) != len(protocols):
-            raise ConfigurationError(f"duplicate protocols in campaign: {protocols}")
-        if self.replications < 1:
-            raise ConfigurationError(
-                f"replications must be >= 1, got {self.replications}"
-            )
-        for name in ("horizon", "energy_tolerance", "delay_tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon!r}")
-        for name in scenarios:
-            check_horizon(scenario_preset(name).scenario, self.horizon, "campaign.horizon", name)
-        if not (0.0 < self.confidence < 1.0):
-            raise ConfigurationError(
-                f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
-        if self.energy_tolerance <= 0 or self.delay_tolerance <= 0:
-            raise ConfigurationError("tolerances must be positive")
-        if not (0.0 <= self.min_delivery_ratio <= 1.0):
-            raise ConfigurationError(
-                f"min_delivery_ratio must lie in [0, 1], got {self.min_delivery_ratio!r}"
-            )
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (embedded in the campaign artifact)."""
-        return {
-            "scenarios": list(self.scenarios),
-            "protocols": list(self.protocols),
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "horizon_s": self.horizon,
-            "confidence": self.confidence,
-            "grid_points_per_dimension": self.grid_points_per_dimension,
-            "energy_tolerance": self.energy_tolerance,
-            "delay_tolerance": self.delay_tolerance,
-            "min_delivery_ratio": self.min_delivery_ratio,
-        }
-
-
-def _simulable_protocols() -> Tuple[str, ...]:
-    """Registered protocols that have a simulated behaviour.
-
-    Delegates to :func:`repro.simulation.batched.kernels.available_mac_protocols`,
-    so analytical-only models (user-registered protocols without a batch
-    kernel) are excluded.
-    """
-    return tuple(available_mac_protocols())
 
 
 @dataclass(frozen=True)
@@ -258,13 +152,6 @@ class CampaignCell:
         """Whether the cell is feasible and no check failed."""
         return self.feasible and all(check.status != "fail" for check in self.checks)
 
-    def check(self, metric: str) -> Optional[MetricCheck]:
-        """The cell's check for one metric, or ``None`` if absent."""
-        for check in self.checks:
-            if check.metric == metric:
-                return check
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (the artifact's per-cell record)."""
         return {
@@ -289,11 +176,12 @@ class CampaignResult:
     """All cells of one campaign run, in (scenario-major) submission order.
 
     Attributes:
-        spec: The campaign specification that produced the result.
+        spec: The artifact's ``spec`` section: the scenarios, protocols and
+            campaign settings of the run.
         cells: One :class:`CampaignCell` per (scenario, protocol) pair.
     """
 
-    spec: CampaignSpec
+    spec: Mapping[str, object]
     cells: List[CampaignCell] = field(default_factory=list)
 
     @property
@@ -346,7 +234,7 @@ class CampaignResult:
         return {
             "schema": "repro.validation.campaign",
             "schema_version": 1,
-            "spec": self.spec.as_dict(),
+            "spec": dict(self.spec),
             "summary": {
                 "cells": len(self.cells),
                 "feasible_cells": len(self.feasible_cells),
@@ -480,7 +368,7 @@ def simulate_replications(
 
 
 def aggregate_measurements(
-    spec: CampaignSpec,
+    settings: Any,
     analytical_energy: float,
     analytical_delay: float,
     measurements: Sequence[ReplicationMeasurement],
@@ -492,7 +380,10 @@ def aggregate_measurements(
     byte-identical across worker counts.
 
     Args:
-        spec: The campaign specification (tolerances, confidence level).
+        settings: Any object with the campaign's ``confidence``,
+            ``energy_tolerance``, ``delay_tolerance`` and
+            ``min_delivery_ratio`` (the ``campaign`` kind passes its spec's
+            :class:`~repro.api.spec.CampaignSettings`).
         analytical_energy: Model-predicted ring-1 power (J/s).
         analytical_delay: Model-predicted end-to-end delay (s).
         measurements: The cell's replications, in replication order.
@@ -513,17 +404,17 @@ def aggregate_measurements(
             moments["delay"].add(measurement.delay)
         moments["delivery_ratio"].add(measurement.delivery_ratio)
     metrics = {
-        name: MetricAggregate.from_moments(name, moments[name], spec.confidence)
+        name: MetricAggregate.from_moments(name, moments[name], settings.confidence)
         for name in CAMPAIGN_METRICS
     }
     checks = (
         _relative_error_check(
-            "energy", metrics["energy"], analytical_energy, spec.energy_tolerance
+            "energy", metrics["energy"], analytical_energy, settings.energy_tolerance
         ),
         _relative_error_check(
-            "delay", metrics["delay"], analytical_delay, spec.delay_tolerance
+            "delay", metrics["delay"], analytical_delay, settings.delay_tolerance
         ),
-        _delivery_check(metrics["delivery_ratio"], spec.min_delivery_ratio),
+        _delivery_check(metrics["delivery_ratio"], settings.min_delivery_ratio),
     )
     return metrics, checks
 
@@ -589,151 +480,3 @@ def _delivery_check(aggregate: MetricAggregate, floor: float) -> MetricCheck:
         reference=floor,
         detail=detail,
     )
-
-
-def run_campaign(
-    spec: Optional[CampaignSpec] = None,
-    runner: Optional[BatchRunner] = None,
-) -> CampaignResult:
-    """Execute a Monte-Carlo validation campaign.
-
-    Two batched stages go through the one runner's memoized fan-out: the
-    (scenario × protocol) game solves (:meth:`BatchRunner.run`) and the
-    cells × replications simulation grid (:func:`simulate_replications`),
-    so ``--workers`` accelerates both stages.  Both run in one executor
-    session: a process pool is forked once per campaign and shut down
-    before this returns, on error too.
-
-    With a result store attached to the runner, both stages are
-    store-addressable: every solve and every replication is looked up by
-    its key (:mod:`repro.runtime.keys`) before it is computed — only
-    missing ones are dispatched, and fresh ones are written behind as they
-    land.  That is what makes an interrupted campaign resumable and a
-    sharded one mergeable, byte-identically.
-
-    Args:
-        spec: The campaign specification (default: every scenario preset ×
-            every simulable protocol, 5 replications).
-        runner: Batch runner of both stages; defaults to the serial cached
-            runner.  Pass ``build_runner(workers=4)`` for a process pool —
-            the resulting artifact stays byte-identical — and
-            ``build_runner(store=...)`` to campaign through a result store.
-
-    Returns:
-        The :class:`CampaignResult`, one cell per (scenario, protocol) pair
-        in scenario-major order.  Infeasible games, un-constructible models
-        and out-of-tolerance cells are recorded as data; any non-infeasibility
-        solver error is re-raised.
-    """
-    spec = spec if spec is not None else CampaignSpec()
-    runner = runner if runner is not None else build_runner()
-    # Replications draw from numpy.random: import it before the solve
-    # stage forks a pool, once, instead of in every worker.
-    import numpy.random  # noqa: F401
-
-    with runner.executor.session():
-        # Stage 1: solve every cell's bargaining game in one batch
-        # (construction failures and infeasibility as data).
-        outcomes = runner.run(
-            [
-                SolveTask.build(
-                    protocol=protocol,
-                    scenario=scenario_preset(scenario_name).scenario,
-                    requirements=scenario_preset(scenario_name).requirements(),
-                    solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
-                    tag=(scenario_name, protocol),
-                )
-                for scenario_name in spec.scenarios
-                for protocol in spec.protocols
-            ]
-        )
-
-        # Stage 2: fan every feasible cell's replications out over the
-        # executor.  ``pending`` keeps (scenario, protocol, model, params,
-        # analytical E/L, seeds) per feasible cell, in submission order;
-        # ``placements`` records, per grid cell, either the pending index or
-        # the finished infeasible cell, so stage 3 can reassemble in
-        # submission order.
-        pending: List[
-            Tuple[str, str, object, Dict[str, float], float, float, Tuple[int, ...]]
-        ] = []
-        placements: List[Tuple[str, object]] = []
-        for outcome in outcomes:
-            scenario_name, protocol = outcome.tag
-            if outcome.ok:
-                model = outcome.task.model
-                params = model.coerce(outcome.solution.bargaining.point.parameters)
-                seeds = tuple(
-                    replication_seed(spec.base_seed, scenario_name, protocol, replication)
-                    for replication in range(spec.replications)
-                )
-                placements.append(("sim", len(pending)))
-                pending.append(
-                    (
-                        scenario_name,
-                        protocol,
-                        model,
-                        params,
-                        model.node_energy(params, model.scenario.topology.bottleneck_ring),
-                        model.system_latency(params),
-                        seeds,
-                    )
-                )
-            else:
-                # Build failure or infeasible game: the cell is data.
-                placements.append(
-                    (
-                        "cell",
-                        CampaignCell(
-                            scenario=scenario_name,
-                            protocol=protocol,
-                            feasible=False,
-                            solve_error=outcome.error_message,
-                        ),
-                    )
-                )
-
-        payloads: List[_SimPayload] = []
-        for scenario_name, protocol, model, params, _, _, seeds in pending:
-            for seed in seeds:
-                payloads.append(
-                    (
-                        model,
-                        params,
-                        SimulationConfig(horizon=spec.horizon, seed=seed),
-                    )
-                )
-        flat_measurements = simulate_replications(payloads, runner)
-
-    # Stage 3: aggregate per cell, in replication order.
-    aggregated: List[CampaignCell] = []
-    cursor = 0
-    for scenario_name, protocol, model, params, energy, delay, seeds in pending:
-        measurements = flat_measurements[cursor : cursor + len(seeds)]
-        cursor += len(seeds)
-        metrics, checks = aggregate_measurements(spec, energy, delay, measurements)
-        aggregated.append(
-            CampaignCell(
-                scenario=scenario_name,
-                protocol=protocol,
-                feasible=True,
-                parameters=dict(params),
-                analytical_energy=energy,
-                analytical_delay=delay,
-                seeds=seeds,
-                metrics=metrics,
-                checks=checks,
-                generated=sum(m.generated for m in measurements),
-                delivered=sum(m.delivered for m in measurements),
-                dropped=sum(m.dropped for m in measurements),
-            )
-        )
-
-    # Reassemble in submission order.
-    cells: List[CampaignCell] = []
-    for disposition, payload in placements:
-        if disposition == "sim":
-            cells.append(aggregated[payload])  # type: ignore[index]
-        else:
-            cells.append(payload)  # type: ignore[arg-type]
-    return CampaignResult(spec=spec, cells=cells)

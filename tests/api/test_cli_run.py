@@ -212,6 +212,11 @@ class TestRunErrorPaths:
             ({"protocols": [1e-300]}, "protocols[0] must be a string"),
             ({"protocols": ["xmac", True]}, "protocols[1] must be a string"),
             ({"kind": "suite", "scenarios": [["paper-default"]]}, "scenarios[0] must be a string"),
+            # NumPy would refuse it only inside the run, with a traceback.
+            (
+                {"kind": "validate", "simulation": {"seed": -1, "horizon": 300}},
+                "simulation.seed must be >= 0, got -1",
+            ),
         ],
     )
     def test_malformed_value(self, capsys, tmp_path, patch, field):

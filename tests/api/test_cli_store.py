@@ -186,6 +186,20 @@ class TestWarmArtifactIdentity:
 
 
 class TestShardMergeIdentity:
+    def _merge_shards(self, capsys, tmp_path, spec, count):
+        """Run ``count`` round-robin shards into their own stores, merge them."""
+        for index in range(count):
+            assert cli_main(
+                ["run", spec, "--shard", f"{index}/{count}",
+                 "--store", str(tmp_path / f"shard{index}")]
+            ) == 0
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        shards = [str(tmp_path / f"shard{index}") for index in range(count)]
+        assert cli_main(["store", "merge", *shards, "--out", str(merged)]) == 0
+        assert f"# merged {count} store(s)" in capsys.readouterr().out
+        return merged
+
     def test_sharded_campaign_merges_to_cold_identical_state(self, capsys, tmp_path):
         spec = write_spec(tmp_path, CAMPAIGN)
         cold_store = tmp_path / "cold-store"
@@ -194,20 +208,8 @@ class TestShardMergeIdentity:
             ["run", spec, "--store", str(cold_store), "--out", str(cold_out)]
         ) == 0
 
-        # The 1×2 campaign round-robins into two rectangular 1×1 shards.
-        for index in range(2):
-            assert cli_main(
-                ["run", spec, "--shard", f"{index}/2",
-                 "--store", str(tmp_path / f"shard{index}")]
-            ) == 0
-        capsys.readouterr()
-
-        merged = tmp_path / "merged"
-        assert cli_main(
-            ["store", "merge", str(tmp_path / "shard0"), str(tmp_path / "shard1"),
-             "--out", str(merged)]
-        ) == 0
-        assert "# merged 2 store(s)" in capsys.readouterr().out
+        # The 1×2 campaign round-robins into two 1×1 shards.
+        merged = self._merge_shards(capsys, tmp_path, spec, 2)
         assert trees_identical(cold_store, merged)
 
         # Replaying the full spec against the merged store is fully warm
@@ -219,6 +221,22 @@ class TestShardMergeIdentity:
         )
         assert code == 0
         assert cold_out.read_bytes() == warm_out.read_bytes()
+
+    def test_three_shards_of_a_two_by_two_campaign_merge_to_the_cold_store(
+        self, capsys, tmp_path
+    ):
+        # Shard 0/3 holds paper-default/xmac and high-rate/lmac: no shard
+        # is a full scenario × protocol grid, and each runs just its cells.
+        spec = write_spec(tmp_path, dict(CAMPAIGN, scenarios=["paper-default", "high-rate"]))
+        cold_store = tmp_path / "cold-store"
+        assert cli_main(["run", spec, "--store", str(cold_store)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", spec, "--shard", "0/3", "--no-cache"]) == 0
+        shard = capsys.readouterr().out
+        assert "campaign: 2 unit(s), 2 scenario(s) × 2 protocol(s)" in shard
+        merged = self._merge_shards(capsys, tmp_path, spec, 3)
+        assert trees_identical(cold_store, merged)
+        assert cli_main(["run", spec, "--store", str(merged), "--require-warm"]) == 0
 
 
 class TestStoreSubcommands:

@@ -12,11 +12,10 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, plan, run
-from repro.exceptions import ConfigurationError, InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError
 from repro.protocols.registry import register_protocol, unregister_protocol
 from repro.protocols.xmac import XMACModel
 from repro.runtime import build_runner
-from repro.validation import CampaignSpec, run_campaign
 
 #: Small inline scenario shared by the fast tests (matches the
 #: ``small_scenario`` fixture).
@@ -158,45 +157,51 @@ class TestCampaignKind:
             .with_solver(grid_points=20)
         )
 
-    def test_campaign_matches_legacy_artifact_byte_for_byte(self):
-        result = run(self.spec(), runner=fresh_runner())
-        legacy = run_campaign(
-            CampaignSpec(
-                scenarios=("paper-default", "high-rate"),
-                protocols=("xmac",),
-                replications=2,
-                base_seed=1,
-                horizon=600.0,
-                grid_points_per_dimension=20,
-            ),
-            fresh_runner(),
-        )
-        assert json.dumps(result.raw.as_dict(), sort_keys=True) == json.dumps(
-            legacy.as_dict(), sort_keys=True
-        )
-
     def test_empty_campaign_plan_runs_nothing(self):
-        # A shard beyond the unit count must not fall through to the
-        # "empty means all scenarios/protocols" campaign defaults.
+        # A shard beyond the unit count has no campaign artifact.
         empty = plan(self.spec()).shard(1, 3).shard(0, 2).filter(lambda _: False)
         result = run(empty, runner=fresh_runner())
         assert result.records == []
         assert result.raw is None
 
-    def test_non_rectangular_campaign_plan_is_rejected(self):
-        lopsided = plan(self.spec()).filter(
-            lambda unit: not (unit.scenario == "high-rate")
-        )
-        full = plan(self.spec())
-        # Dropping a whole scenario keeps the plan rectangular…
-        assert run(lopsided, runner=fresh_runner()).raw.cells
-        # …dropping a single cell of a 2×1 grid does not exist; fake a
-        # non-rectangular shape with two protocols instead.
+    def test_non_rectangular_campaign_plan_runs_exactly_its_units(self):
         spec = self.spec().with_protocols("xmac", "lmac")
-        broken = plan(spec).filter(lambda unit: unit.index != 1)
-        with pytest.raises(ConfigurationError, match="rectangular"):
-            run(broken, runner=fresh_runner())
-        assert full.count == 2
+        full = run(spec, runner=fresh_runner())
+        cells = {(cell.scenario, cell.protocol): cell for cell in full.raw.cells}
+        # Shard 0/3 of the 2×2 grid holds paper-default/xmac and
+        # high-rate/lmac; dropping unit 1 leaves three cells of four.
+        for lopsided in (plan(spec).shard(0, 3), plan(spec).filter(lambda u: u.index != 1)):
+            result = run(lopsided, runner=fresh_runner())
+            assert [record.unit for record in result.records] == list(lopsided.units)
+            assert [(c.scenario, c.protocol) for c in result.raw.cells] == [
+                (unit.scenario, unit.protocol) for unit in lopsided.units
+            ]
+            # Each cell is the same cell the full run computes.
+            for cell in result.raw.cells:
+                assert cell.as_dict() == cells[cell.scenario, cell.protocol].as_dict()
+            assert result.raw.as_dict()["spec"]["scenarios"] == lopsided.scenario_names
+            assert result.raw.as_dict()["spec"]["protocols"] == lopsided.protocol_names
+
+    def test_campaign_solves_with_the_spec_requirements_and_solver_options(self):
+        # A campaign cell's game is the suite's game of the same preset,
+        # protocol, requirement overrides and solver settings.
+        def overridden(spec):
+            return (
+                spec.with_scenarios("paper-default")
+                .with_protocols("xmac")
+                .with_requirements(max_delay=2.0)
+                .with_solver(grid_points=20, feasibility_tolerance=1e-3)
+            )
+
+        campaign = overridden(self.spec())
+        (cell,) = run(campaign, runner=fresh_runner()).raw.cells
+        (record,) = run(overridden(ExperimentSpec.experiment("suite")), runner=fresh_runner()).records
+        assert cell.parameters == dict(record.value.bargaining.point.parameters)
+        # The preset's own requirements and the default tolerance give
+        # another Nash point, so the overrides reached the campaign's solve.
+        default = self.spec().with_scenarios("paper-default")
+        (plain,) = run(default, runner=fresh_runner()).raw.cells
+        assert plain.parameters != cell.parameters
 
 
 class TestResultSet:

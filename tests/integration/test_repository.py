@@ -1,4 +1,5 @@
-"""Repository records that must agree: one version string, no idle bench."""
+"""Repository records that must agree: one version string, no idle bench, no
+markdown page named in the program that the repository does not have."""
 
 from __future__ import annotations
 
@@ -33,3 +34,25 @@ def test_ci_bench_smoke_runs_every_bench():
     benches = sorted(path.name for path in (ROOT / "benchmarks").glob("bench_*.py"))
     assert benches
     assert [name for name in benches if f"benchmarks/{name}" not in steps] == []
+
+
+#: A markdown page named in program text: a path or a bare file name.
+_MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_every_markdown_page_named_in_the_program_exists():
+    # A docstring or message that sends its reader to a page the repository
+    # does not have points nowhere.
+    pages = [
+        path.relative_to(ROOT).as_posix()
+        for path in ROOT.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
+    ]
+    missing = []
+    for folder in ("src", "examples", "benchmarks", "tools"):
+        for source in sorted((ROOT / folder).rglob("*.py")):
+            text = source.read_text(encoding="utf-8")
+            for name in sorted(set(_MARKDOWN_NAME.findall(text))):
+                if not any(page == name or page.endswith("/" + name) for page in pages):
+                    missing.append(f"{source.relative_to(ROOT)}: {name}")
+    assert missing == []

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExperimentSpec, run
 from repro.exceptions import SimulationError
 from repro.network.deployment import ring_deployment
 from repro.network.topology import RingTopology
@@ -29,7 +30,6 @@ from repro.scenario import Scenario
 from repro.simulation import SimulationConfig, simulate_protocol
 from repro.simulation.batched import batch_kernel_for, simulate_protocol_batched
 from repro.simulation.batched.engine import ReplicationState
-from repro.validation.campaign import CampaignSpec, run_campaign
 from scalar_reference import simulate_scalar
 
 PROTOCOL_PARAMS = {
@@ -171,17 +171,17 @@ class TestDeterminism:
     def test_campaign_bytes_identical_across_worker_counts(self):
         from repro.runtime.batch import build_runner
 
-        spec = CampaignSpec(
-            scenarios=("high-rate",),
-            protocols=NEW_KERNEL_PROTOCOLS,
-            replications=2,
-            horizon=150.0,
-            grid_points_per_dimension=12,
+        spec = (
+            ExperimentSpec.experiment("campaign")
+            .with_scenarios("high-rate")
+            .with_protocols(*NEW_KERNEL_PROTOCOLS)
+            .with_campaign(replications=2, horizon=150.0)
+            .with_solver(grid_points=12)
         )
         artifacts = []
         for workers in (1, 2):
             runner = build_runner(workers=workers, use_cache=False)
-            result = run_campaign(spec, runner=runner)
+            result = run(spec, runner=runner).raw
             artifacts.append(json.dumps(result.as_dict(), sort_keys=True))
         assert artifacts[0] == artifacts[1]
 

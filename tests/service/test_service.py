@@ -385,6 +385,78 @@ class TestErrorStatuses:
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
         assert "simulation.horizon must be finite" in excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"kind": "validate", "protocols": ["xmac"], "simulation": {"seed": -1}},
+                "simulation.seed must be >= 0, got -1",
+            ),
+            ({"kind": "campaign", "campaign": {"replications": 0}}, "campaign.replications"),
+            ({"kind": "campaign", "campaign": {"horizon": 0.0}}, "campaign.horizon"),
+            ({"kind": "campaign", "campaign": {"confidence": 1.0}}, "campaign.confidence"),
+            (
+                {"kind": "campaign", "campaign": {"energy_tolerance": 0.0}},
+                "campaign.energy_tolerance",
+            ),
+            (
+                {"kind": "campaign", "campaign": {"min_delivery_ratio": 1.5}},
+                "campaign.min_delivery_ratio",
+            ),
+            (
+                {"kind": "campaign", "scenarios": ["paper-default", "paper-default"]},
+                "duplicate scenarios",
+            ),
+            ({"kind": "campaign", "scenarios": ["no-such-preset"]}, "unknown scenario"),
+        ],
+    )
+    def test_submit_refused_simulation_setting_is_400_naming_it(self, client, spec, message):
+        jobs = len(client.queue()["jobs"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert message in excinfo.value.payload["error"]
+        assert len(client.queue()["jobs"]) == jobs
+
+    def test_submit_unsimulable_campaign_is_400(self, client, analytical_only_protocol):
+        from repro.network.topology import RingTopology
+        from repro.scenario import Scenario
+        from repro.scenarios.presets import (
+            ScenarioPreset,
+            register_scenario_preset,
+            unregister_scenario_preset,
+        )
+
+        oversized = ScenarioPreset(
+            name="oversized-ring",
+            title="More nodes than a deployment may hold",
+            description="Depth 300, density 300: 27M nodes.",
+            scenario=Scenario(
+                topology=RingTopology(depth=300, density=300), sampling_rate=1.0 / 600.0
+            ),
+            energy_budget=0.06,
+            max_delay=6.0,
+        )
+        register_scenario_preset(oversized)
+        try:
+            for spec, message in (
+                (
+                    {"kind": "campaign", "scenarios": ["oversized-ring"]},
+                    "scenario 'oversized-ring' is too large to simulate",
+                ),
+                (
+                    {"kind": "campaign", "protocols": [analytical_only_protocol]},
+                    "no simulated behaviour",
+                ),
+            ):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(spec)
+                assert excinfo.value.status == 400
+                assert message in excinfo.value.payload["error"]
+        finally:
+            unregister_scenario_preset("oversized-ring")
+
     @pytest.mark.parametrize("kind, section", [("validate", "simulation"), ("campaign", "campaign")])
     def test_submit_horizon_past_event_budget_is_400_naming_it(self, client, kind, section):
         # Planned at submit: refused before a worker could build 1e20 s of

@@ -49,7 +49,6 @@ from repro.simulation import (
     simulate_protocol_batched,
 )
 from repro.validation import campaign
-from repro.validation.campaign import CampaignSpec, run_campaign
 from scalar_reference import simulate_scalar
 
 #: Mid-box parameter vectors, one per protocol (the bench's choices).
@@ -219,18 +218,18 @@ class TestFuzzedIdentityFull:
 class TestCampaignIdentity:
     """Campaign results do not depend on which driver ran the replications."""
 
-    SPEC = CampaignSpec(
-        scenarios=("high-rate",),
-        protocols=PROTOCOLS,
-        replications=2,
-        horizon=200.0,
-        grid_points_per_dimension=12,
+    SPEC = (
+        ExperimentSpec.experiment("campaign")
+        .with_scenarios("high-rate")
+        .with_protocols(*PROTOCOLS)
+        .with_campaign(replications=2, horizon=200.0)
+        .with_solver(grid_points=12)
     )
 
     def test_cells_and_artifact_bytes_identical(self, monkeypatch):
-        production = run_campaign(self.SPEC)
+        production = run(self.SPEC).raw
         monkeypatch.setattr(campaign, "simulate_protocol", simulate_scalar)
-        reference = run_campaign(self.SPEC)
+        reference = run(self.SPEC).raw
         assert json.dumps(production.as_dict(), sort_keys=True) == json.dumps(
             reference.as_dict(), sort_keys=True
         )

@@ -102,6 +102,12 @@ class TestSimulationRunner:
         with pytest.raises(SimulationError, match="horizon must be finite"):
             SimulationConfig(horizon=horizon)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # NumPy would refuse a negative seed only once the run starts.
+        with pytest.raises(SimulationError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            SimulationConfig(seed=seed)
+
     @pytest.mark.parametrize("field", ["queue_capacity", "max_events"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5, 64.0, 0, -3, True, "64"])
     def test_counts_must_be_integers_of_at_least_one(self, field, value):

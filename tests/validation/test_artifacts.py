@@ -6,32 +6,31 @@ import json
 
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.exceptions import ValidationError
 from repro.runtime import build_runner
 from repro.validation import (
     CAMPAIGN_SCHEMA,
     CAMPAIGN_SCHEMA_VERSION,
-    CampaignSpec,
     campaign_rows,
     campaign_to_json,
     load_campaign_dict,
-    run_campaign,
     write_campaign,
 )
 from repro.validation.report import GENERATED_MARKER, main, render_validation_markdown
 
-FAST_SPEC = CampaignSpec(
-    scenarios=("paper-default",),
-    protocols=("xmac",),
-    replications=2,
-    horizon=300.0,
-    grid_points_per_dimension=15,
+FAST_SPEC = (
+    ExperimentSpec.experiment("campaign")
+    .with_scenarios("paper-default")
+    .with_protocols("xmac")
+    .with_campaign(replications=2, horizon=300.0)
+    .with_solver(grid_points=15)
 )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_campaign(FAST_SPEC, build_runner(workers=1, use_cache=False))
+    return run(FAST_SPEC, runner=build_runner(workers=1, use_cache=False)).raw
 
 
 class TestArtifacts:

@@ -1,12 +1,19 @@
-"""Monte-Carlo campaign machinery: seeds, aggregation gates, determinism."""
+"""Monte-Carlo campaigns: seeds, settings, aggregation gates, determinism.
+
+Every campaign runs as a ``campaign`` spec through :func:`repro.api.run`,
+the one way to run one.
+"""
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from repro.api import ExperimentSpec, plan, run
+from repro.api.spec import CampaignSettings
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
@@ -16,29 +23,37 @@ from repro.scenario import Scenario
 from repro.scenarios import scenario_preset
 from repro.scenarios.presets import (
     ScenarioPreset,
+    available_scenarios,
     register_scenario_preset,
     unregister_scenario_preset,
 )
 from repro.simulation.runner import SimulationConfig
 from repro.validation import (
-    CampaignSpec,
     MetricCheck,
     ReplicationMeasurement,
     aggregate_measurements,
     campaign_to_json,
     replication_seed,
-    run_campaign,
 )
 from repro.validation.campaign import _simulate_payload
 
-#: Small-but-real campaign used by the integration tests below.
-FAST_SPEC = dict(
-    scenarios=("paper-default",),
-    protocols=("xmac",),
-    replications=2,
-    horizon=300.0,
-    grid_points_per_dimension=15,
-)
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def campaign(scenarios=("paper-default",), protocols=("xmac",), grid_points=15, **settings):
+    """A small-but-real campaign spec: 2 replications of 300 s unless given."""
+    return (
+        ExperimentSpec.experiment("campaign")
+        .with_scenarios(*scenarios)
+        .with_protocols(*protocols)
+        .with_campaign(**{"replications": 2, "horizon": 300.0, **settings})
+        .with_solver(grid_points=grid_points)
+    )
+
+
+def campaign_result(spec, workers=1):
+    """The spec's :class:`CampaignResult`, run uncached on ``workers``."""
+    return run(spec, runner=build_runner(workers=workers, use_cache=False)).raw
 
 
 class TestReplicationSeeds:
@@ -62,32 +77,43 @@ class TestReplicationSeeds:
         assert 0 <= seed < 2**32
 
 
-class TestCampaignSpec:
-    def test_defaults_cover_all_four_simulable_protocols(self):
-        spec = CampaignSpec()
-        assert spec.scenarios  # every registered preset
-        assert {"xmac", "dmac", "lmac", "scpmac"} <= set(spec.protocols)
+class TestCampaignRefusals:
+    """Every campaign setting is checked once: ranges in ``CampaignSettings``,
+    names, simulability and the horizon's event budget at plan time."""
+
+    def test_defaults_cover_every_preset_and_all_four_simulable_protocols(self):
+        default = plan(ExperimentSpec.experiment("campaign"))
+        assert default.scenario_names == available_scenarios()
+        assert {"xmac", "dmac", "lmac", "scpmac"} <= set(default.protocol_names)
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CampaignSpec(scenarios=("no-such-preset",))
+        with pytest.raises(ConfigurationError, match="unknown scenario"):
+            plan(campaign(scenarios=("no-such-preset",)))
+
+    def test_duplicate_scenarios_rejected(self):
+        with pytest.raises(ConfigurationError, match="duplicate scenarios"):
+            plan(campaign(scenarios=("paper-default", "paper-default")))
 
     def test_horizon_past_the_event_budget_rejected_up_front(self):
         with pytest.raises(ConfigurationError, match="campaign.horizon 1e\\+20 .*'high-rate'"):
-            CampaignSpec(scenarios=("high-rate",), horizon=1e20)
+            plan(campaign(scenarios=("high-rate",), horizon=1e20))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_horizon_refused_by_name(self, value):
         # Before the event-budget check, which would call nan "too long".
-        with pytest.raises(ConfigurationError, match=f"^horizon must be finite, got {value!r}$"):
-            CampaignSpec(scenarios=("paper-default",), horizon=value)
+        with pytest.raises(
+            ConfigurationError, match=f"^campaign.horizon must be finite, got {value!r}$"
+        ):
+            ExperimentSpec.from_dict({"kind": "campaign", "campaign": {"horizon": value}})
 
     @pytest.mark.parametrize("field", ["energy_tolerance", "delay_tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tolerance_refused_by_name(self, field, value):
         # A nan tolerance would make every cell's check fail silently.
-        with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value!r}$"):
-            CampaignSpec(scenarios=("paper-default",), **{field: value})
+        with pytest.raises(
+            ConfigurationError, match=f"^campaign.{field} must be finite, got {value!r}$"
+        ):
+            ExperimentSpec.experiment("campaign").with_campaign(**{field: value})
 
     def test_oversized_scenario_rejected_up_front(self):
         preset = ScenarioPreset(
@@ -107,31 +133,43 @@ class TestCampaignSpec:
                 match="^scenario 'oversized-ring' is too large to simulate: "
                 "27000000 sensor nodes exceed the deployment limit of 4000$",
             ):
-                CampaignSpec(scenarios=("oversized-ring",), horizon=600.0)
+                plan(campaign(scenarios=("oversized-ring",), horizon=600.0))
         finally:
             unregister_scenario_preset("oversized-ring")
 
     def test_analytical_only_protocol_rejected_up_front(self, analytical_only_protocol):
         # A behaviour-less protocol cannot be validated by simulation;
         # discovering that after the solve stage would abort the campaign,
-        # so the spec refuses early.
+        # so the plan refuses early.
+        spec = ExperimentSpec.experiment("campaign").with_protocols(
+            analytical_only_protocol, "xmac"
+        )
         with pytest.raises(ConfigurationError, match="no simulated behaviour"):
-            CampaignSpec(protocols=(analytical_only_protocol, "xmac"))
+            plan(spec)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "settings, message",
         [
-            {"replications": 0},
-            {"horizon": 0.0},
-            {"confidence": 1.0},
-            {"energy_tolerance": 0.0},
-            {"min_delivery_ratio": 1.5},
-            {"scenarios": ("paper-default", "paper-default")},
+            ({"replications": 0}, "campaign.replications must be >= 1, got 0"),
+            ({"horizon": 0.0}, "campaign.horizon must be positive, got 0.0"),
+            ({"confidence": 1.0}, "campaign.confidence must lie in (0, 1), got 1.0"),
+            ({"energy_tolerance": 0.0}, "campaign.energy_tolerance must be positive, got 0.0"),
+            (
+                {"min_delivery_ratio": 1.5},
+                "campaign.min_delivery_ratio must lie in [0, 1], got 1.5",
+            ),
         ],
     )
-    def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            CampaignSpec(**kwargs)
+    def test_out_of_range_settings_refused_by_name(self, settings, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExperimentSpec.from_dict({"kind": "campaign", "campaign": settings})
+        assert str(excinfo.value) == message
+
+    def test_negative_base_seed_is_valid(self):
+        # The base seed is hashed into every replication seed, never handed
+        # to NumPy, so any integer will do.
+        assert plan(campaign(base_seed=-1)).units[0].settings["base_seed"] == -1
+        assert 0 <= replication_seed(-1, "paper-default", "xmac", 0) < 2**32
 
 
 def _measurement(seed=1, energy=0.002, delay=0.25, delivery=1.0, generated=10, delivered=10):
@@ -148,7 +186,7 @@ def _measurement(seed=1, energy=0.002, delay=0.25, delivery=1.0, generated=10, d
 
 class TestAggregation:
     def _spec(self, **overrides):
-        return CampaignSpec(scenarios=("paper-default",), protocols=("xmac",), **overrides)
+        return CampaignSettings(**overrides)
 
     def test_zero_delivered_packets_is_data_not_a_crash(self):
         # Every replication delivered nothing: the delay aggregate is empty,
@@ -225,16 +263,16 @@ class TestSimulatePayload:
         assert measurement.energy > 0.0  # idle listening still costs power
 
 
-class TestRunCampaign:
+class TestCampaignRuns:
     def test_small_campaign_end_to_end(self):
-        spec = CampaignSpec(**FAST_SPEC)
-        result = run_campaign(spec, build_runner(workers=1, use_cache=False))
+        spec = campaign()
+        result = campaign_result(spec)
         assert len(result.cells) == 1
         cell = result.cells[0]
         assert cell.feasible
         assert cell.seeds == tuple(
-            replication_seed(spec.base_seed, "paper-default", "xmac", r)
-            for r in range(spec.replications)
+            replication_seed(spec.campaign.base_seed, "paper-default", "xmac", r)
+            for r in range(spec.campaign.replications)
         )
         assert set(cell.metrics) == {"energy", "delay", "delivery_ratio"}
         assert len(cell.checks) == 3
@@ -256,13 +294,9 @@ class TestRunCampaign:
             )
         )
         try:
-            spec = CampaignSpec(
-                scenarios=("campaign-infeasible-test",),
-                protocols=("xmac",),
-                replications=1,
-                grid_points_per_dimension=15,
+            result = campaign_result(
+                campaign(scenarios=("campaign-infeasible-test",), replications=1)
             )
-            result = run_campaign(spec, build_runner(workers=1, use_cache=False))
         finally:
             unregister_scenario_preset("campaign-infeasible-test")
         cell = result.cells[0]
@@ -275,15 +309,9 @@ class TestRunCampaign:
         assert result.rows()[0]["status"] == "infeasible"
 
     def test_serial_and_pool_artifacts_byte_identical(self):
-        spec = CampaignSpec(
-            scenarios=("paper-default",),
-            protocols=("xmac", "lmac"),
-            replications=3,
-            horizon=300.0,
-            grid_points_per_dimension=15,
-        )
-        serial = run_campaign(spec, build_runner(workers=1, use_cache=False))
-        pooled = run_campaign(spec, build_runner(workers=3, use_cache=False))
+        spec = campaign(protocols=("xmac", "lmac"), replications=3)
+        serial = campaign_result(spec, workers=1)
+        pooled = campaign_result(spec, workers=3)
         assert campaign_to_json(serial) == campaign_to_json(pooled)
         # At the Nash point the model agrees with the simulator in every cell.
         assert len(serial.feasible_cells) == 2 and serial.passed
@@ -297,17 +325,31 @@ class TestRunCampaign:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
-        spec = CampaignSpec(**{**FAST_SPEC, "protocols": ("xmac", "lmac")})
-        pooled = run_campaign(spec, build_runner(workers=2, use_cache=False))
+        spec = campaign(protocols=("xmac", "lmac"))
+        pooled = campaign_result(spec, workers=2)
         # The solve and the replication stage share one two-worker pool.
         assert sizes == [2]
         assert multiprocessing.active_children() == []
-        serial = run_campaign(spec, build_runner(workers=1, use_cache=False))
+        serial = campaign_result(spec, workers=1)
         assert campaign_to_json(pooled) == campaign_to_json(serial)
 
     def test_artifact_excludes_runner_identity(self):
-        spec = CampaignSpec(**FAST_SPEC)
-        result = run_campaign(spec, build_runner(workers=1, use_cache=False))
-        payload = campaign_to_json(result)
+        payload = campaign_to_json(campaign_result(campaign()))
         assert "workers" not in payload
         assert "seconds" not in payload
+
+
+class TestCommittedCampaign:
+    def test_committed_artifact_regenerates_byte_for_byte(self):
+        # docs/validation_campaign.json is this spec's artifact; the verify
+        # recipe regenerates it with validate-campaign on two workers.
+        spec = campaign(
+            scenarios=("paper-default", "high-rate"),
+            protocols=("xmac", "lmac", "dmac", "scpmac"),
+            grid_points=40,
+            replications=3,
+            base_seed=1,
+            horizon=1500.0,
+        )
+        committed = (ROOT / "docs" / "validation_campaign.json").read_text(encoding="utf-8")
+        assert campaign_to_json(campaign_result(spec)) == committed

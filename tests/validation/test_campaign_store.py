@@ -4,22 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec, plan, run
 from repro.runtime import SerialExecutor, build_runner
 from repro.store import ResultStore, merge_stores
-from repro.validation import CampaignSpec, campaign_to_json, run_campaign
-from repro.validation.campaign import _simulate_payload
+from repro.validation import campaign_to_json
 
-FAST_SPEC = dict(
-    scenarios=("paper-default",),
-    protocols=("xmac",),
-    replications=3,
-    horizon=300.0,
-    grid_points_per_dimension=15,
-)
+REPLICATIONS = 3
 
 
-def campaign_bytes(result):
-    return campaign_to_json(result)
+def campaign(*protocols):
+    """The campaign these tests store: paper-default, 3 replications of 300 s."""
+    return (
+        ExperimentSpec.experiment("campaign")
+        .with_scenarios("paper-default")
+        .with_protocols(*(protocols or ("xmac",)))
+        .with_campaign(replications=REPLICATIONS, horizon=300.0)
+        .with_solver(grid_points=15)
+    )
+
+
+def campaign_bytes(source, runner):
+    """The campaign artifact of a spec or plan run on ``runner``."""
+    return campaign_to_json(run(source, runner=runner).raw)
 
 
 class DiesMidCampaign(Exception):
@@ -78,37 +84,36 @@ class _CountingExecutor(SerialExecutor):
 
 class TestWarmReplay:
     def test_second_run_simulates_nothing(self, tmp_path):
-        spec = CampaignSpec(**FAST_SPEC)
+        spec = campaign()
         store = ResultStore(tmp_path / "store")
-        cold = run_campaign(spec, runner=build_runner(workers=1, store=store))
+        cold = campaign_bytes(spec, build_runner(workers=1, store=store))
         assert store.stats().puts > 0
 
         counting = _CountingExecutor()
         warm_store = ResultStore(tmp_path / "store")
         warm_runner = build_runner(workers=1, store=warm_store)
         warm_runner._executor = counting  # inject: count replication dispatches
-        warm = run_campaign(spec, runner=warm_runner)
+        warm = campaign_bytes(spec, warm_runner)
         assert counting.calls == 0  # every replication answered from disk
         assert warm_store.stats().puts == 0
-        assert campaign_bytes(warm) == campaign_bytes(cold)
+        assert warm == cold
 
     def test_store_replay_matches_uncached_run(self, tmp_path):
-        spec = CampaignSpec(**FAST_SPEC)
-        baseline = run_campaign(spec, runner=build_runner(workers=1))
+        spec = campaign()
+        baseline = campaign_bytes(spec, build_runner(workers=1))
         store = ResultStore(tmp_path / "store")
-        stored = run_campaign(spec, runner=build_runner(workers=1, store=store))
-        replayed = run_campaign(
-            spec, runner=build_runner(workers=1, store=ResultStore(tmp_path / "store"))
+        stored = campaign_bytes(spec, build_runner(workers=1, store=store))
+        replayed = campaign_bytes(
+            spec, build_runner(workers=1, store=ResultStore(tmp_path / "store"))
         )
-        assert campaign_bytes(stored) == campaign_bytes(baseline)
-        assert campaign_bytes(replayed) == campaign_bytes(baseline)
+        assert stored == baseline
+        assert replayed == baseline
 
 
 class TestResumeAfterKill:
     def test_killed_campaign_resumes_byte_identically(self, tmp_path):
-        spec = CampaignSpec(**FAST_SPEC)
-        cold = run_campaign(spec, runner=build_runner(workers=1))
-        cold_bytes = campaign_bytes(cold)
+        spec = campaign()
+        cold_bytes = campaign_bytes(spec, build_runner(workers=1))
 
         # First attempt dies after one replication; that replication must
         # already be on disk (write-behind happens per payload batch, and
@@ -117,7 +122,7 @@ class TestResumeAfterKill:
         runner = build_runner(workers=1, store=store)
         runner._executor = _KillingExecutor(survive=1)
         with pytest.raises(DiesMidCampaign):
-            run_campaign(spec, runner=runner)
+            run(spec, runner=runner)
 
         # Resume with a fresh process-equivalent state over the same store:
         # only the never-simulated replications run, and the artifact is
@@ -126,26 +131,24 @@ class TestResumeAfterKill:
         counting = _CountingExecutor()
         resumed_runner = build_runner(workers=1, store=resumed_store)
         resumed_runner._executor = counting
-        resumed = run_campaign(spec, runner=resumed_runner)
-        total = FAST_SPEC["replications"]
+        resumed = campaign_bytes(spec, resumed_runner)
         # Exactly the work the kill destroyed is redone: the one completed
         # replication (and the stage-1 solve) come from the store.
-        assert counting.calls == total - 1
+        assert counting.calls == REPLICATIONS - 1
         assert resumed_store.stats().hits >= 2  # solve + surviving replication
-        assert campaign_bytes(resumed) == cold_bytes
+        assert resumed == cold_bytes
 
 
 class TestShardedCampaign:
     def test_shards_merge_to_cold_identical_artifact(self, tmp_path):
         # Shard by protocol (the round-robin ``--shard I/N`` shape), merge
         # the two stores, then replay the full campaign warm.
-        full = CampaignSpec(**dict(FAST_SPEC, protocols=("xmac", "lmac")))
-        cold = run_campaign(full, runner=build_runner(workers=1))
+        full = campaign("xmac", "lmac")
+        cold = campaign_bytes(full, build_runner(workers=1))
 
-        for index, protocol in enumerate(("xmac", "lmac")):
-            shard_spec = CampaignSpec(**dict(FAST_SPEC, protocols=(protocol,)))
+        for index in range(2):
             shard_store = ResultStore(tmp_path / f"shard{index}")
-            run_campaign(shard_spec, runner=build_runner(workers=1, store=shard_store))
+            run(plan(full).shard(index, 2), runner=build_runner(workers=1, store=shard_store))
 
         merge_stores([tmp_path / "shard0", tmp_path / "shard1"], tmp_path / "merged")
         counting = _CountingExecutor()
@@ -153,6 +156,6 @@ class TestShardedCampaign:
             workers=1, store=ResultStore(tmp_path / "merged")
         )
         warm_runner._executor = counting
-        warm = run_campaign(full, runner=warm_runner)
+        warm = campaign_bytes(full, warm_runner)
         assert counting.calls == 0
-        assert campaign_bytes(warm) == campaign_bytes(cold)
+        assert warm == cold
