@@ -308,9 +308,14 @@ def _campaign_cell(
 
 
 def _campaign_section(spec: ExperimentSpec, plan: ExperimentPlan) -> Dict[str, object]:
-    """The campaign artifact's ``spec`` section: the settings the plan ran."""
+    """The campaign artifact's ``spec`` section: the settings the plan ran.
+
+    The ``requirements`` overrides and the ``solver_options`` reach every
+    solve, so they are written too, but only when the spec sets them: a
+    spec without them keeps the section's bytes.
+    """
     campaign = spec.campaign
-    return {
+    section: Dict[str, object] = {
         "scenarios": plan.scenario_names,
         "protocols": plan.protocol_names,
         "replications": campaign.replications,
@@ -322,6 +327,15 @@ def _campaign_section(spec: ExperimentSpec, plan: ExperimentPlan) -> Dict[str, o
         "delay_tolerance": campaign.delay_tolerance,
         "min_delivery_ratio": campaign.min_delivery_ratio,
     }
+    if spec.requirements is not None:
+        overrides = {
+            name: value for name, value in spec.requirements.as_dict().items() if value is not None
+        }
+        if overrides:
+            section["requirements"] = overrides
+    if spec.solver.options:
+        section["solver_options"] = dict(spec.solver.options)
+    return section
 
 
 def _execute_campaign(
@@ -330,22 +344,16 @@ def _execute_campaign(
     if not plan.units:
         # A fully filtered or sharded-away plan has no campaign artifact.
         return [], None
-    # Replications draw from numpy.random: import it before the solve
-    # stage forks a pool, once, instead of in every worker.
-    import numpy.random  # noqa: F401
-
-    # Both stages share one executor session: a pool forks once per run.
-    with runner.executor.session():
-        outcomes = runner.run([_preset_task(spec, unit) for unit in plan.units])
-        payloads = []
-        for outcome in outcomes:
-            if outcome.ok:
-                model, params = outcome.task.model, _nash_parameters(outcome)
-                payloads.extend(
-                    (model, params, SimulationConfig(horizon=spec.campaign.horizon, seed=seed))
-                    for seed in _replication_seeds(spec, outcome.tag)
-                )
-        measurements = simulate_replications(payloads, runner)
+    outcomes = runner.run([_preset_task(spec, unit) for unit in plan.units])
+    payloads = []
+    for outcome in outcomes:
+        if outcome.ok:
+            model, params = outcome.task.model, _nash_parameters(outcome)
+            payloads.extend(
+                (model, params, SimulationConfig(horizon=spec.campaign.horizon, seed=seed))
+                for seed in _replication_seeds(spec, outcome.tag)
+            )
+    measurements = simulate_replications(payloads, runner)
     # Each feasible cell owns the next ``replications`` measurements.
     count = spec.campaign.replications
     per_cell = (measurements[start : start + count] for start in range(0, len(measurements), count))

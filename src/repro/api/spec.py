@@ -48,6 +48,14 @@ WORKLOAD_KINDS = (
     "campaign",
 )
 
+#: The settings sections only some kinds read, with the kinds that read
+#: each.  Every other kind ignores the section: the plan hands none of it to
+#: a unit, and :meth:`ExperimentSpec.spec_hash` hashes it at its default.
+SECTION_READERS: Mapping[str, Tuple[str, ...]] = {
+    "simulation": ("validate",),
+    "campaign": ("campaign",),
+}
+
 #: Requirement parameters a sweep axis may vary (canonical spelling).
 SWEEP_PARAMETERS = ("max_delay", "energy_budget")
 
@@ -702,9 +710,14 @@ class ExperimentSpec:
 
         The runtime policy is *excluded*: a spec run with ``--workers 4``
         carries the same provenance as the serial run it is bit-identical
-        to.
+        to.  A section the kind does not read (:data:`SECTION_READERS`)
+        is hashed at its default, so it cannot tell two specs of the same
+        work apart (the service keys its jobs by this hash).
         """
         payload = self.to_dict()
         payload.pop("runtime")
+        for section, kinds in SECTION_READERS.items():
+            if self.kind not in kinds:
+                payload[section] = type(getattr(self, section))().as_dict()
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -91,7 +91,9 @@ def register_protocol(
     beyond the built-in ones; see ``examples/custom_protocol.py``.  A
     registered protocol is addressable everywhere names are — including the
     ``protocols`` field of an :class:`~repro.api.spec.ExperimentSpec`,
-    which resolves through this registry at plan time.
+    which resolves through this registry at plan time.  Registering joins
+    the process's kept pool, so the next parallel run forks workers that
+    know the class.
 
     Args:
         name: Registry key (normalized to lower case).
@@ -121,6 +123,7 @@ def register_protocol(
         raise ConfigurationError("protocol class must derive from DutyCycledMACModel")
     _REGISTRY[key] = cls
     PROTOCOL_FAMILIES[key] = cls.family
+    _retire_pools()
 
 
 def unregister_protocol(name: str) -> None:
@@ -130,3 +133,13 @@ def unregister_protocol(name: str) -> None:
         raise ConfigurationError(f"built-in protocol {name!r} cannot be unregistered")
     _REGISTRY.pop(key, None)
     PROTOCOL_FAMILIES.pop(key, None)
+    _retire_pools()
+
+
+def _retire_pools() -> None:
+    """Join the kept process pool: its workers were forked before this
+    change, so they could not unpickle a model class registered after it."""
+    # Imported here: the runtime imports this module.
+    from repro.runtime.executor import shutdown_pools
+
+    shutdown_pools()

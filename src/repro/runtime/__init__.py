@@ -6,7 +6,8 @@ scenario suite, validation runs, campaigns and the CLI.  Three pieces
 compose:
 
 * :mod:`repro.runtime.executor` — the executor a worker count describes
-  (serial for one worker, a process pool otherwise) with deterministic,
+  (serial for one worker, otherwise the process pool the process keeps,
+  joined by :func:`shutdown_pools` or at exit) with deterministic,
   submission-ordered reassembly;
 * :mod:`repro.runtime.keys` — result identity: the key of a solve or a
   replication, and the digest a result store files it under;
@@ -27,6 +28,7 @@ from repro.runtime.executor import (
     ProcessExecutor,
     SerialExecutor,
     resolve_executor,
+    shutdown_pools,
 )
 from repro.runtime.keys import freeze, key_digest, model_fingerprint, solve_key
 
@@ -44,4 +46,5 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "resolve_executor",
+    "shutdown_pools",
 ]

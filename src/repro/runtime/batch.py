@@ -206,8 +206,10 @@ class BatchRunner:
             (:class:`repro.store.ResultStore`); ignored without the cache.
 
     A runner counts its own cache traffic (:meth:`traffic`), so a run that
-    owns its runner reports exactly its own hits, misses and puts.  Like
-    its executor's session, a runner belongs to one thread at a time.
+    owns its runner reports exactly its own hits, misses and puts; it
+    belongs to one thread at a time.  Its executor holds no pool: a process
+    policy runs on the one pool the process keeps, which every runner, run
+    and thread shares (see :mod:`repro.runtime.executor`).
     """
 
     def __init__(

@@ -12,27 +12,52 @@ the :class:`SerialExecutor` (the reference semantics), ``N`` to a
 :class:`ProcessExecutor` of ``N`` workers, and ``0`` to one worker per CPU
 in the affinity mask.
 
-A process pool lives for one :meth:`ExecutorPolicy.session`: it is forked
-at the session's first parallel call, reused by every later call, and shut
-down (waiting for its workers) when the outermost session exits, on error
-too.  A call made outside a session is a session of its own, and a
-campaign holds one across its solve and replication stages.  On Linux,
-before a pool forks, every OpenBLAS mapped into the process is set to one
-thread and left there: a forked worker would otherwise start an OpenBLAS
-helper thread at its first BLAS call (a task's, or a caller's SciPy), which
-busy-waits on the CPU the other workers need.
+One process pool is kept for the life of the process.  It is made at the
+process's first parallel call, for as many workers as that call has items
+(at most its worker count), and every later call, run, CLI command and
+service job reuses it while it fits: a call runs on the kept pool when the
+pool has no more processes than the call's worker count and at least as
+many as its items and workers (the smaller of the two).  A call it does not
+fit retires it and makes one that does, so a call never runs on more
+processes than it asked for, and the process keeps one pool, never more
+processes than its largest call has needed.  The pool keeps these
+guarantees:
+
+* No worker outlives the process.  At interpreter exit
+  :mod:`concurrent.futures` joins the workers, and on Linux each worker
+  watches a lifeline pipe whose only write end the parent holds, so it
+  exits by itself once the parent is gone, however it ended (``SIGKILL``
+  included).  Any process forked from this one closes its copy of that
+  write end and starts with no pool of its own.
+* A registry change retires the pool: a worker forked before a protocol or
+  scenario preset was (un)registered does not know it, so the registries
+  call :func:`shutdown_pools` and the next parallel call forks afresh.
+* :func:`shutdown_pools` joins the pool's workers; the service calls it
+  when it stops.
+* A pool found broken (a worker died) is dropped by the call that finds it,
+  which raises; the next call forks a fresh pool.
+* Threads share the pool.  A call takes its pool and submits all its items
+  under one lock, and a pool is retired only between submissions, so a call
+  in flight finishes on the pool it started on.
+
+On Linux, before a pool forks, ``numpy.random`` is imported (replications
+draw from it, so no worker imports it on its own) and every OpenBLAS mapped
+into the process is set to one thread and left there: a forked worker would
+otherwise start an OpenBLAS helper thread at its first BLAS call (a task's,
+or a caller's SciPy), which busy-waits on the CPU the other workers need.
 """
 
 from __future__ import annotations
 
 import abc
-import contextlib
 import ctypes
 import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+import threading
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -136,15 +161,6 @@ class ExecutorPolicy(abc.ABC):
                 executor's).
         """
 
-    @contextlib.contextmanager
-    def session(self) -> Iterator["ExecutorPolicy"]:
-        """Keep what the policy starts alive across calls until the exit.
-
-        Reentrant: only the outermost exit releases anything.  The serial
-        policy starts nothing, so its session does nothing.
-        """
-        yield self
-
     def describe(self) -> str:
         """Short human-readable label, e.g. ``"process[4]"``."""
         return f"{self.name}[{self.workers}]"
@@ -174,6 +190,109 @@ class SerialExecutor(ExecutorPolicy):
         return results
 
 
+#: ``(processes, pool)`` of the kept pool, or ``None``.  A call holds the
+#: lock while it takes the pool and submits its items; the pool is replaced
+#: only under it.
+_POOL: Optional[Tuple[int, ProcessPoolExecutor]] = None
+_POOL_LOCK = threading.Lock()
+#: ``(read end, write end)`` of the pool workers' lifeline pipe, made at the
+#: first fork.  Only this process keeps the write end: every process forked
+#: from it closes its copy in :func:`_forget_pool_in_child`.
+_LIFELINE: Optional[Tuple[int, int]] = None
+
+
+def shutdown_pools() -> None:
+    """Join the kept pool's workers; the next parallel call forks afresh.
+
+    A call in flight on another thread still finishes on its pool: its
+    items are submitted, and a pool runs what it was given before its
+    workers exit.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        kept, _POOL = _POOL, None
+    if kept is not None:
+        kept[1].shutdown(wait=True)
+
+
+def _take_pool(
+    workers: int, items: int
+) -> Tuple[ProcessPoolExecutor, Optional[ProcessPoolExecutor]]:
+    """The pool a call of ``workers`` workers and ``items`` items runs on,
+    and the pool it retires, if any (the caller holds :data:`_POOL_LOCK`)."""
+    global _POOL
+    size = min(workers, items)
+    if _POOL is not None and size <= _POOL[0] <= workers:
+        return _POOL[1], None
+    retired = None if _POOL is None else _POOL[1]
+    _POOL = (size, _new_pool(size))
+    return _POOL[1], retired
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool, unless it was replaced already, and join it."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[1] is pool:
+            _POOL = None
+    pool.shutdown(wait=True)
+
+
+def _forget_pool_in_child() -> None:
+    """In a forked child: hold no write end of the parent's lifeline, so the
+    parent's workers still end with the parent, and start with no pool and
+    an unheld lock (the parent's pool and manager thread are not the
+    child's, and a fork from a pooled call copies the lock held)."""
+    global _POOL, _POOL_LOCK, _LIFELINE
+    if _LIFELINE is not None:
+        os.close(_LIFELINE[1])
+    _POOL, _POOL_LOCK, _LIFELINE = None, threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _exit_with_parent(read_end: int) -> None:
+    """Pool initializer: end this worker once its parent is gone.
+
+    The parent holds the only write end (this worker closed its copy when
+    it forked) and never writes, so the read returns only at EOF, when the
+    parent has exited, however it ended.
+    """
+
+    def watch() -> None:
+        os.read(read_end, 1)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-lifeline", daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of at most ``workers`` processes, forked as it is submitted to.
+
+    With the ``fork`` start method, Python 3.11.1 and later fork them all at
+    the first submission; earlier versions fork one per submission that
+    finds no worker idle.
+    """
+    global _LIFELINE
+    if sys.platform != "linux" or "fork" not in multiprocessing.get_all_start_methods():
+        return ProcessPoolExecutor(max_workers=workers)
+    # Replications draw from numpy.random: imported before the fork, it is
+    # inherited by every worker instead of imported by each.
+    import numpy.random  # noqa: F401
+
+    _cap_openblas_threads()
+    if _LIFELINE is None:
+        _LIFELINE = os.pipe()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(_LIFELINE[0],),
+    )
+
+
 class _PoolExecutor(ExecutorPolicy):
     """Submit/reassemble mechanics of the process pool.
 
@@ -182,54 +301,21 @@ class _PoolExecutor(ExecutorPolicy):
     ``_PoolExecutor.map_ordered`` by that name.  On Linux the pool uses
     the ``fork`` start method so workers inherit the parent's imports
     (NumPy and the whole library) and the submitted callables only need to
-    be picklable by
-    reference.  Elsewhere the platform default is kept: forking is unsafe
-    on macOS (Objective-C runtime aborts post-fork) and unavailable on
-    Windows.
+    be picklable by reference.  Elsewhere the platform default is kept:
+    forking is unsafe on macOS (Objective-C runtime aborts post-fork) and
+    unavailable on Windows.
 
-    The pool is forked at the first call of a :meth:`session`, with as many
-    workers as that call has items (at most :attr:`workers`), and reused by
-    later calls; a call with more items than the pool has workers replaces
-    it with a larger one, so no call runs on fewer processes than it has
-    items and workers.  A session belongs to one thread at a time.
+    The policy holds only its worker count: every instance runs on the
+    process's kept pool while that pool fits its calls (see the module
+    docstring).
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self._workers = _effective_workers(workers)
-        self._depth = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
 
     @property
     def workers(self) -> int:
         return self._workers
-
-    @contextlib.contextmanager
-    def session(self) -> Iterator["ExecutorPolicy"]:
-        self._depth += 1
-        try:
-            yield self
-        finally:
-            self._depth -= 1
-            if self._depth == 0:
-                self._shutdown()
-
-    def _shutdown(self) -> None:
-        pool, self._pool, self._pool_size = self._pool, None, 0
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _pool_for(self, items: int) -> ProcessPoolExecutor:
-        size = min(self._workers, items)
-        if self._pool_size < size:
-            self._shutdown()
-            context = None
-            if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-                _cap_openblas_threads()
-            self._pool = ProcessPoolExecutor(max_workers=size, mp_context=context)
-            self._pool_size = size
-        return self._pool  # type: ignore[return-value]
 
     def map_ordered(
         self,
@@ -241,9 +327,13 @@ class _PoolExecutor(ExecutorPolicy):
         if not items:
             return []
         results: List[Any] = [None] * len(items)
-        with self.session():
-            pool = self._pool_for(len(items))
-            pending = {pool.submit(fn, item): index for index, item in enumerate(items)}
+        pending: Dict[Future, int] = {}
+        retired: Optional[ProcessPoolExecutor] = None
+        try:
+            with _POOL_LOCK:
+                pool, retired = _take_pool(self._workers, len(items))
+                for index, item in enumerate(items):
+                    pending[pool.submit(fn, item)] = index
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -251,6 +341,16 @@ class _PoolExecutor(ExecutorPolicy):
                     results[index] = future.result()
                     if on_result is not None:
                         on_result(index, results[index])
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
+        finally:
+            # After an error, no worker takes this call's remaining items.
+            for future in pending:
+                future.cancel()
+            # A retired pool still runs what other threads' calls gave it.
+            if retired is not None:
+                retired.shutdown(wait=True)
         return results
 
 

@@ -38,6 +38,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import figure_scenario
 from repro.network.radio import cc1100, cc2420, tr1001
 from repro.network.topology import RingTopology
+from repro.runtime.executor import shutdown_pools
 from repro.scenario import Scenario
 
 #: Preset names must be kebab-case identifiers (they appear on the CLI).
@@ -124,6 +125,8 @@ def register_scenario_preset(preset: ScenarioPreset) -> None:
 
     This is the extension point for adding deployment-specific environments
     without touching the library; see ``examples/scenario_suite.py``.
+    Registering joins the process's kept pool, so the next parallel run
+    forks workers that know the preset.
 
     Raises:
         ConfigurationError: if the name is already taken or the argument is
@@ -138,6 +141,8 @@ def register_scenario_preset(preset: ScenarioPreset) -> None:
             f"scenario preset {preset.name!r} is already registered"
         )
     _REGISTRY[preset.name] = preset
+    # A kept pool's workers were forked without this preset.
+    shutdown_pools()
 
 
 def unregister_scenario_preset(name: str) -> None:
@@ -149,6 +154,7 @@ def unregister_scenario_preset(name: str) -> None:
     if name in _BUILTIN_NAMES:
         raise ConfigurationError(f"built-in preset {name!r} cannot be unregistered")
     _REGISTRY.pop(name, None)
+    shutdown_pools()
 
 
 def scenario_preset(name: str) -> ScenarioPreset:
@@ -319,6 +325,5 @@ _BUILTINS = (
     ),
 )
 
-for _preset in _BUILTINS:
-    register_scenario_preset(_preset)
+_REGISTRY.update((preset.name, preset) for preset in _BUILTINS)
 _BUILTIN_NAMES = tuple(preset.name for preset in _BUILTINS)

@@ -46,6 +46,7 @@ from repro import __version__
 from repro.api.plan import plan
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ReproError
+from repro.runtime.executor import shutdown_pools
 from repro.service.jobs import JobQueue
 from repro.service.workers import WorkerPool
 from repro.store import ResultStore
@@ -363,10 +364,13 @@ class ExperimentService:
                 self._thread.join(0.5)
 
     def stop(self) -> None:
-        """Stop serving, drain the workers, close the journal.
+        """Stop serving, drain the workers, join the process pool, close the
+        journal.
 
         Neither the serving thread nor an idle worker is polled: both are
         woken, so this returns as soon as any job still running finishes.
+        Pooled jobs share the process's kept pool, and no pool is left once
+        this returns.
         """
         if self._httpd is not None:
             self._httpd.stop_serving()
@@ -376,6 +380,7 @@ class ExperimentService:
             self._httpd.server_close()
             self._httpd = None
         self.pool.stop()
+        shutdown_pools()
         self.queue.close()
 
     def __enter__(self) -> "ExperimentService":

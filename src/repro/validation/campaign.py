@@ -360,10 +360,6 @@ def simulate_replications(
     Returns:
         One measurement per payload, in submission order.
     """
-    # Simulations draw from numpy.random: import it before a pool forks,
-    # once, instead of in every worker.
-    import numpy.random  # noqa: F401
-
     return runner.fan_out(_simulate_payload, payloads, REPLICATIONS)
 
 

@@ -57,6 +57,11 @@ def _fmt_percent(value: object) -> str:
     return f"{float(value) * 100.0:.1f}%"
 
 
+def _fmt_settings(settings: Mapping[str, object]) -> str:
+    """``name`` = value pairs, in name order."""
+    return ", ".join(f"`{name}` = {_fmt(value)}" for name, value in sorted(settings.items()))
+
+
 def render_validation_markdown(artifact: Mapping[str, object]) -> str:
     """Render a loaded campaign artifact into the validation report page.
 
@@ -104,6 +109,14 @@ def render_validation_markdown(artifact: Mapping[str, object]) -> str:
         f"| Energy tolerance | {_fmt_percent(spec['energy_tolerance'])} relative |",
         f"| Delay tolerance | {_fmt_percent(spec['delay_tolerance'])} relative |",
         f"| Delivery floor | {_fmt_percent(spec['min_delivery_ratio'])} |",
+        *(
+            f"| {label} | {_fmt_settings(spec[key])} |"
+            for key, label in (
+                ("requirements", "Requirement overrides"),
+                ("solver_options", "Solver options"),
+            )
+            if key in spec
+        ),
         "",
         f"**{summary['cells']}** cells ({summary['feasible_cells']} feasible), "
         f"**{summary['checks_pass']}** checks passed, "

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from repro.api import WORKLOAD_KINDS, ExperimentSpec
+from repro.api import WORKLOAD_KINDS, ExperimentSpec, plan
+from repro.api.spec import SECTION_READERS
 from repro.exceptions import ConfigurationError
+
+ROOT = Path(__file__).resolve().parents[2]
+SPECS = sorted((ROOT / "examples" / "specs").glob("*.json"))
 
 
 class TestFromDict:
@@ -192,6 +199,72 @@ class TestHash:
         base = ExperimentSpec.experiment("suite").with_protocols("xmac")
         parallel = base.with_runtime(workers=8, cache=False)
         assert base.spec_hash() == parallel.spec_hash()
+
+    def test_a_section_the_kind_does_not_read_does_not_change_provenance(self):
+        # The service keys jobs by this hash: a suite that carries a
+        # simulation seed is the same work as one that does not.
+        suite = {"kind": "suite", "protocols": ["xmac"]}
+        assert _hash(dict(suite, simulation={"seed": 3})) == _hash(suite)
+        assert _hash(dict(suite, campaign={"replications": 7})) == _hash(suite)
+        validate = {"kind": "validate", "protocols": ["xmac"]}
+        assert _hash(dict(validate, campaign={"base_seed": 9})) == _hash(validate)
+        campaign = {"kind": "campaign", "protocols": ["xmac"]}
+        assert _hash(dict(campaign, simulation={"horizon": 50.0})) == _hash(campaign)
+
+    def test_a_section_the_kind_reads_changes_provenance(self):
+        validate = {"kind": "validate", "protocols": ["xmac"]}
+        assert _hash(dict(validate, simulation={"seed": 3})) != _hash(validate)
+        campaign = {"kind": "campaign", "protocols": ["xmac"]}
+        assert _hash(dict(campaign, campaign={"replications": 7})) != _hash(campaign)
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda path: path.stem)
+    def test_example_spec_hashes_every_section_it_carries(self, path):
+        # Each example carries only sections its kind reads, so its hash is
+        # the digest of its whole canonical form, runtime aside.
+        spec = ExperimentSpec.from_file(path)
+        assert spec.spec_hash() == _whole_form_hash(spec)
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda path: path.stem)
+    @pytest.mark.parametrize("section", sorted(SECTION_READERS))
+    def test_the_sections_a_kind_plans_with_are_the_ones_it_hashes(self, path, section):
+        # A section reaches a kind's plan exactly when SECTION_READERS names
+        # the kind, and exactly then does it move the hash: a kind that
+        # starts reading a section fails here until the table says so.
+        spec = ExperimentSpec.from_file(path)
+        moved = _RESEEDS[section](spec)
+        reads = spec.kind in SECTION_READERS[section]
+        assert (plan(moved).units != plan(spec).units) is reads
+        assert (moved.spec_hash() != spec.spec_hash()) is reads
+
+    def test_benchmark_input_hashes_every_section_it_carries(self, tmp_path):
+        loader = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(workloads)
+        for name, workload in workloads.WORKLOADS.items():
+            for seed in range(1, 6):
+                for item in workload(seed, tmp_path).items:
+                    spec = ExperimentSpec.from_dict(item)
+                    assert spec.spec_hash() == _whole_form_hash(spec), (name, seed)
+
+
+#: Moves a seed every reader of the section hands its units.
+_RESEEDS = {
+    "simulation": lambda spec: spec.with_simulation(seed=spec.simulation.seed + 1),
+    "campaign": lambda spec: spec.with_campaign(base_seed=spec.campaign.base_seed + 1),
+}
+
+
+def _hash(payload):
+    return ExperimentSpec.from_dict(payload).spec_hash()
+
+
+def _whole_form_hash(spec):
+    payload = spec.to_dict()
+    payload.pop("runtime")
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 #: Every float field of a spec document, as a JSON fragment whose ``%s`` is

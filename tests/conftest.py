@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 
 import pytest
@@ -17,6 +18,8 @@ from repro.protocols.lmac import LMACModel
 from repro.protocols.registry import register_protocol, unregister_protocol
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
+from repro.runtime import executor as executor_module
+from repro.runtime.executor import shutdown_pools
 from repro.scenario import Scenario
 
 
@@ -133,3 +136,23 @@ def analytical_only_protocol():
     register_protocol("analyticalonly", AnalyticalOnlyMAC, overwrite=True)
     yield "analyticalonly"
     unregister_protocol("analyticalonly")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool forked during the test.
+
+    The test starts from no kept pool, so its first pooled call forks
+    through the recording class, and it leaves none behind.
+    """
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    shutdown_pools()
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+    yield sizes
+    shutdown_pools()

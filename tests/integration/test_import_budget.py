@@ -7,9 +7,10 @@ batched engine, so no front door or run loads any other simulation module,
 nor the scalar reference simulator of ``tests/scalar_reference/`` (which
 the fresh interpreter could import: ``tests/`` is on its path).  The result
 store is loaded only by a run that uses one.  And a pool task imports
-nothing at all: a pool lives for one run, so whatever a task imports lazily
-every worker of every pool imports again.  Each case runs in a fresh
-interpreter, since the test session itself has long imported all of these.
+nothing at all: a pool is kept for the life of the process, so whatever a
+task imports lazily, and its parent had not imported when the pool forked,
+every worker imports on its own.  Each case runs in a fresh interpreter,
+since the test session itself has long imported all of these.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def test_pool_tasks_import_nothing(tmp_path):
     shadow.mkdir(parents=True)
     (shadow / "__init__.py").write_text("raise ImportError('SciPy is shadowed')\n")
     log = tmp_path / "tasks.jsonl"
-    specs = [f"examples/specs/{name}.json" for name in ("campaign", "validate", "suite")]
+    # The suite forks the pool, before any simulation has run in this
+    # process: the replications that follow run on workers forked then.
+    specs = [f"examples/specs/{name}.json" for name in ("suite", "campaign", "validate")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(shadow.parent), str(ROOT / "src"), env.get("PYTHONPATH")])

@@ -8,6 +8,7 @@ check uses.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import ExperimentSpec, run as run_experiment
 from repro.api.engine import runner_for
+from repro.runtime.executor import shutdown_pools
 from repro.service import (
     ExperimentService,
     JobFailedError,
@@ -215,6 +217,17 @@ class TestKillAndRestart:
 
 
 class TestStop:
+    def test_stop_leaves_no_pool_worker(self, tmp_path):
+        # The job forks the process's kept two-worker pool; stop() joins it.
+        shutdown_pools()
+        campaign = dict(TestProgressCountsOwnTraffic.CAMPAIGN, runtime={"workers": 2})
+        with ExperimentService(store_dir=tmp_path / "store", workers=1) as service:
+            client = ServiceClient(service.url, timeout=60.0)
+            job, _ = client.submit(campaign)
+            client.wait(str(job["job_id"]), timeout=120)
+            assert 1 <= len(multiprocessing.active_children()) <= 2
+        assert multiprocessing.active_children() == []
+
     def test_stop_wakes_idle_threads_at_once(self, tmp_path):
         service = ExperimentService(store_dir=tmp_path / "store", workers=2)
         service.start()

@@ -6,8 +6,7 @@ the one way to run one.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from repro.exceptions import ConfigurationError, ValidationError
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.runtime import build_runner
-from repro.runtime import executor as executor_module
 from repro.scenario import Scenario
 from repro.scenarios import scenario_preset
 from repro.scenarios.presets import (
@@ -36,6 +34,7 @@ from repro.validation import (
     replication_seed,
 )
 from repro.validation.campaign import _simulate_payload
+from repro.validation.report import render_validation_markdown
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -316,27 +315,71 @@ class TestCampaignRuns:
         # At the Nash point the model agrees with the simulator in every cell.
         assert len(serial.feasible_cells) == 2 and serial.passed
 
-    def test_pooled_campaign_forks_one_pool_and_leaves_no_worker(self, monkeypatch):
-        sizes = []
+    def test_pooled_campaigns_share_one_pool(self, pool_sizes):
+        # Solves and replications of every run go to the one kept pool, and
+        # each run still equals its serial run.
+        for base_seed in (1, 2, 3):
+            spec = campaign(protocols=("xmac", "lmac"), base_seed=base_seed)
+            pooled = campaign_result(spec, workers=2)
+            assert campaign_to_json(pooled) == campaign_to_json(campaign_result(spec))
+        assert pool_sizes == [2]
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+    def test_threads_run_pooled_campaigns_at_once(self):
+        specs = [campaign(protocols=("xmac", "lmac"), base_seed=seed) for seed in (4, 5)]
+        barrier = threading.Barrier(len(specs))
+        pooled = {}
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
-        spec = campaign(protocols=("xmac", "lmac"))
-        pooled = campaign_result(spec, workers=2)
-        # The solve and the replication stage share one two-worker pool.
-        assert sizes == [2]
-        assert multiprocessing.active_children() == []
-        serial = campaign_result(spec, workers=1)
-        assert campaign_to_json(pooled) == campaign_to_json(serial)
+        def pooled_run(index):
+            barrier.wait()
+            pooled[index] = campaign_to_json(campaign_result(specs[index], workers=2))
+
+        threads = [threading.Thread(target=pooled_run, args=(i,)) for i in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+        assert pooled == {i: campaign_to_json(campaign_result(spec)) for i, spec in enumerate(specs)}
 
     def test_artifact_excludes_runner_identity(self):
         payload = campaign_to_json(campaign_result(campaign()))
         assert "workers" not in payload
         assert "seconds" not in payload
+
+
+class TestCampaignSection:
+    """The artifact's ``spec`` section names everything that reached a solve."""
+
+    SPEC = campaign(grid_points=20, replications=1)
+
+    def test_requirement_overrides_and_solver_options_are_written(self):
+        plain = campaign_result(self.SPEC)
+        tuned = campaign_result(
+            self.SPEC.with_requirements(max_delay=2.0).with_solver(feasibility_tolerance=1e-3)
+        )
+        # They move the Nash point, so two such artifacts must tell them apart.
+        assert tuned.cells[0].parameters != plain.cells[0].parameters
+        assert tuned.spec == {
+            **plain.spec,
+            "requirements": {"max_delay": 2.0},
+            "solver_options": {"feasibility_tolerance": 1e-3},
+        }
+        report = render_validation_markdown(tuned.as_dict())
+        assert "| Requirement overrides | `max_delay` = 2 |" in report
+        assert "| Solver options | `feasibility_tolerance` = 0.001 |" in report
+
+    def test_a_spec_without_them_keeps_its_section(self):
+        assert sorted(campaign_result(self.SPEC.with_requirements()).spec) == [
+            "base_seed",
+            "confidence",
+            "delay_tolerance",
+            "energy_tolerance",
+            "grid_points_per_dimension",
+            "horizon_s",
+            "min_delivery_ratio",
+            "protocols",
+            "replications",
+            "scenarios",
+        ]
 
 
 class TestCommittedCampaign:
