@@ -7,11 +7,11 @@ and asserts the runtime guarantee extended to simulation workloads: the
 per-replication metrics of a parallel fan-out are identical to a serial
 loop.  Both stages run the scalar reference simulator (``simulate_scalar``
 from ``tests/scalar_reference/``, which ``benchmarks/conftest.py`` puts on
-the path), so their numbers stay comparable with the committed baseline.
-A third stage times the array-batched replication engine — the production
-path — against a scalar loop over the same seeds, asserts the results are
-bit-identical, and records the ``speedup_vs_scalar`` that
-``tools/check_bench.py`` gates (≥5× by default).  The measurements are written to
+the path).  A third stage times the array-batched replication engine — the
+production path — against a scalar loop over the same seeds, asserts the
+results are bit-identical, and records the ``speedup_vs_scalar`` that
+``tools/check_bench.py`` gates (≥5× for every protocol; absolute events/s
+follow the host and are not gated).  The measurements are written to
 ``BENCH_simulator.json`` (uploaded by the CI bench-smoke job).
 """
 
@@ -184,7 +184,7 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
             }
         )
         # Sanity floor only — the real ≥5x gate lives in tools/check_bench.py
-        # (--min-batched-speedup), where it is configurable per runner.
+        # (--min-batched-speedup).
         assert engine_speedup > 1.0, (
             f"batched {name} slower than scalar ({engine_speedup:.2f}x)"
         )

@@ -77,7 +77,7 @@ from repro.api import (
     run_experiment,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "ApplicationRequirements",

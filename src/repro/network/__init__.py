@@ -10,17 +10,19 @@ in:
   and protocol overheads into on-air durations.
 * :mod:`repro.network.topology` — the ring ("concentric circles around the
   sink") abstraction used by the paper, plus a concrete unit-disk-graph
-  deployment and its BFS gathering tree, kept as plain dicts (an adjacency
-  dict and a ``{child: parent}`` dict) so no graph library is needed.
+  deployment as index arrays: positions, the graph in CSR form, each
+  node's ring and its gathering-tree parent, row 0 the sink.
 * :mod:`repro.network.traffic` — the periodic-traffic load equations
   (per-ring output, input, background traffic and input link counts).
 * :mod:`repro.network.deployment` — the ring deployment the simulator runs
-  on, with every node on its analytical ring.
+  on, with every node on its analytical ring; it builds the graph, the
+  rings and the tree with NumPy and plain lists, so no graph library is
+  needed.
 """
 
 from repro.network.radio import RadioMode, RadioModel, cc2420, cc1100, tr1001
 from repro.network.packets import PacketModel
-from repro.network.topology import RingTopology, UnitDiskDeployment, build_gathering_tree
+from repro.network.topology import RingTopology, UnitDiskDeployment
 from repro.network.traffic import TrafficModel, RingTraffic
 from repro.network.deployment import ring_deployment
 
@@ -33,7 +35,6 @@ __all__ = [
     "PacketModel",
     "RingTopology",
     "UnitDiskDeployment",
-    "build_gathering_tree",
     "TrafficModel",
     "RingTraffic",
     "ring_deployment",

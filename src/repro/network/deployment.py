@@ -1,21 +1,23 @@
 """Concrete node deployments for the simulator.
 
 The packet-level simulator needs a concrete topology: node positions, the
-unit-disk graph and the gathering tree.  :func:`ring_deployment` places
-every node on the ring of a :class:`~repro.network.topology.RingTopology`
-that the analytical models assume, so analytical predictions and
-simulation results can be compared apples-to-apples.
+unit-disk graph and the gathering tree, all index arrays of a
+:class:`~repro.network.topology.UnitDiskDeployment`.  :func:`ring_deployment`
+places every node on the ring of a
+:class:`~repro.network.topology.RingTopology` that the analytical models
+assume, so analytical predictions and simulation results can be compared
+apples-to-apples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.topology import UnitDiskDeployment, build_gathering_tree, hop_distances
+from repro.network.topology import UnitDiskDeployment
 from repro.units import require_positive
 
 #: Most sensor nodes a generated deployment may hold.  Building one holds an
@@ -39,16 +41,15 @@ def check_node_count(nodes: int) -> None:
         )
 
 
-def _unit_disk_graph(
-    positions: Dict[int, Tuple[float, float]], radius: float
-) -> Dict[int, Tuple[int, ...]]:
-    """Unit-disk adjacency of the given positions, neighbours ascending."""
-    ids = sorted(positions)
-    coords = np.array([positions[node] for node in ids])
+def _unit_disk_graph(coords: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit-disk graph of ``(n, 2)`` coordinates as CSR ``(indptr, indices)``.
+
+    Row ``i`` lists node ``i``'s neighbours, ascending.
+    """
     # Pair (i, j), i < j, is measured once, as coords[j] - coords[i]: each
     # band of rows meets only the columns from its first row on, so the
     # lower triangle is mostly never computed.
-    size = len(ids)
+    size = len(coords)
     linked = np.zeros((size, size), dtype=bool)
     band = max(64, -(-size // 16))
     for start in range(0, size, band):
@@ -59,29 +60,62 @@ def _unit_disk_graph(
     linked |= linked.T
     # One row-major nonzero lists every row's neighbours in ascending
     # order; the row sums split it into rows.
-    _, columns = np.nonzero(linked)
-    neighbours = [ids[j] for j in columns.tolist()]
-    ends = np.cumsum(linked.sum(axis=1)).tolist()
-    return {
-        node: tuple(neighbours[start:end])
-        for node, start, end in zip(ids, [0] + ends, ends)
-    }
+    _, indices = np.nonzero(linked)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(linked.sum(axis=1), out=indptr[1:])
+    return indptr, indices
 
 
-def _connected_deployment(
-    positions: Dict[int, Tuple[float, float]], radius: float, graph: Dict[int, Tuple[int, ...]]
-) -> Optional[UnitDiskDeployment]:
-    """The deployment on ``graph``, or ``None`` if the sink does not reach every node.
+def _rings_and_tree(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[List[int], Optional[List[int]]]:
+    """Hop distances from the sink (row 0), and the gathering tree's parents.
 
-    One breadth-first search from the sink gives the connectivity verdict,
-    the gathering tree's rings and the deployment's ``ring_of``.
+    A breadth-first search gives each node's ring (``-1`` where the sink
+    does not reach it).  When it reaches every node, the tree is built
+    ring by ring in id order: each node's parent is the neighbour one ring
+    inward with the fewest children so far, a tie going to the smaller id,
+    so relayed traffic splits evenly over a ring as the analytical model
+    assumes.  The parents are ``None`` when the graph is disconnected.
     """
-    ring_of = hop_distances(graph, 0)
-    if len(ring_of) != len(graph):
+    flat = indices.tolist()
+    starts = indptr.tolist()
+    neighbours = [flat[start:end] for start, end in zip(starts, starts[1:])]
+    ring = [-1] * len(neighbours)
+    ring[0] = 0
+    order = [0]
+    for node in order:
+        hops = ring[node] + 1
+        for neighbour in neighbours[node]:
+            if ring[neighbour] < 0:
+                ring[neighbour] = hops
+                order.append(neighbour)
+    if len(order) < len(ring):
+        return ring, None
+    parent = [-1] * len(ring)
+    children = [0] * len(ring)
+    for node in sorted(range(1, len(ring)), key=ring.__getitem__):
+        inward = ring[node] - 1
+        best = -1
+        # Neighbours are ascending, so a strict `<` keeps the smaller id.
+        for neighbour in neighbours[node]:
+            if ring[neighbour] == inward and (
+                best < 0 or children[neighbour] < children[best]
+            ):
+                best = neighbour
+        children[best] += 1
+        parent[node] = best
+    return ring, parent
+
+
+def _connected_deployment(coords: np.ndarray, radius: float) -> Optional[UnitDiskDeployment]:
+    """The deployment of ``coords`` (row 0 the sink), or ``None`` if it is disconnected."""
+    indptr, indices = _unit_disk_graph(coords, radius)
+    ring, parent = _rings_and_tree(indptr, indices)
+    if parent is None:
         return None
-    tree = build_gathering_tree(graph, sink=0, distances=ring_of)
     return UnitDiskDeployment(
-        positions=positions, radius=radius, graph=graph, tree=tree, ring_of=ring_of
+        positions=coords, radius=radius, indptr=indptr, indices=indices, ring=ring, parent=parent
     )
 
 
@@ -126,8 +160,7 @@ def ring_deployment(
         )
     check_node_count(density * depth**2)
     rng = np.random.default_rng(seed)
-    positions: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
-    node_id = 1
+    positions: List[Tuple[float, float]] = [(0.0, 0.0)]
     for ring in range(1, depth + 1):
         ring_radius = ring * spacing_factor * radius
         count = density * (2 * ring - 1)
@@ -135,20 +168,19 @@ def ring_deployment(
         jitter = rng.uniform(-angular_jitter, angular_jitter, size=count) * (
             2.0 * math.pi / count
         )
-        for angle in base_angles + jitter:
-            positions[node_id] = (
-                float(ring_radius * math.cos(angle)),
-                float(ring_radius * math.sin(angle)),
+        # Per node with math.cos/math.sin: NumPy's vectorized trig may round
+        # differently, and every position bit is pinned.
+        for angle in (base_angles + jitter).tolist():
+            positions.append(
+                (ring_radius * math.cos(angle), ring_radius * math.sin(angle))
             )
-            node_id += 1
-    deployment = _connected_deployment(positions, radius, _unit_disk_graph(positions, radius))
+    deployment = _connected_deployment(np.array(positions), radius)
+    shape = f"ring deployment of depth {depth}, density {density}, seed {seed}"
     if deployment is None:
-        raise ConfigurationError(
-            "ring deployment is disconnected; lower spacing_factor or raise density"
-        )
+        raise ConfigurationError(f"{shape} is disconnected; raise the density")
     if deployment.depth != depth:
-        raise ConfigurationError(
-            f"ring deployment produced depth {deployment.depth}, expected {depth}; "
-            "lower spacing_factor"
-        )
+        # The default spacing keeps every ring out of reach of the ring two
+        # inward, so only a smaller spacing_factor makes a shallower graph.
+        advice = "raise the density" if deployment.depth > depth else "raise spacing_factor"
+        raise ConfigurationError(f"{shape} produced depth {deployment.depth}; {advice}")
     return deployment

@@ -123,14 +123,6 @@ class RadioModel:
         """On-air duration (seconds) of a frame of ``n_bytes`` bytes."""
         return self.airtime_bits(bytes_to_bits(n_bytes))
 
-    def tx_energy_bytes(self, n_bytes: float) -> float:
-        """Energy (joules) to transmit a frame of ``n_bytes`` bytes."""
-        return self.airtime_bytes(n_bytes) * self.power_tx
-
-    def rx_energy_bytes(self, n_bytes: float) -> float:
-        """Energy (joules) to receive a frame of ``n_bytes`` bytes."""
-        return self.airtime_bytes(n_bytes) * self.power_rx
-
     def energy(self, mode: RadioMode, duration: float) -> float:
         """Energy (joules) spent staying ``duration`` seconds in ``mode``."""
         if duration < 0:

@@ -11,23 +11,19 @@ Two levels of fidelity are provided:
 
 * :class:`RingTopology` — the purely analytical abstraction (only ``D`` and
   ``C`` matter).  This is what the closed-form energy/latency models consume.
-* :class:`UnitDiskDeployment` — a concrete random deployment with node
-  positions, a unit-disk connectivity graph (a plain adjacency dict) and a
-  BFS gathering tree (a ``{child: parent}`` dict).  This is what the
-  discrete-event simulator consumes, and it can be *summarized back* into a
-  :class:`RingTopology` so the analytical and simulated worlds stay
-  comparable.
-
-Graphs are plain mappings from a node id to its neighbours, so the
-standard library (a :class:`collections.deque` BFS) covers every graph
-operation the package needs.
+* :class:`UnitDiskDeployment` — a concrete deployment as index arrays: node
+  positions, the unit-disk graph in CSR form, each node's ring and its
+  gathering-tree parent.  Node ``i`` is row ``i`` of every array and row
+  ``0`` is the sink, so the discrete-event simulator reads the arrays
+  directly.  :mod:`repro.network.deployment` builds them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.units import require_positive
@@ -117,11 +113,6 @@ class RingTopology:
         """Ring that carries the most traffic per node (always ring 1)."""
         return 1
 
-    @property
-    def delay_critical_ring(self) -> int:
-        """Ring whose packets travel the most hops (always ring ``D``)."""
-        return self.depth
-
     def describe(self) -> Mapping[str, float]:
         """Summary used in reports and experiment headers."""
         return {
@@ -137,206 +128,110 @@ class RingTopology:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class UnitDiskDeployment:
-    """A concrete node deployment with unit-disk connectivity.
+    """A concrete node deployment with unit-disk connectivity, as index arrays.
+
+    Node ``i`` is row ``i`` of every array; row ``0`` is the sink.  The
+    arrays are checked, copied read-only and compared by value, so two
+    deployments of the same nodes are equal.
 
     Attributes:
-        positions: Mapping from node id to ``(x, y)`` coordinates.  Node ``0``
-            is always the sink and sits at the origin.
+        positions: ``(n, 2)`` float coordinates.
         radius: Communication (unit-disk) radius.
-        graph: Undirected connectivity graph as an adjacency dict: every
-            node id maps to the tuple of its neighbours (stored sorted).
-        tree: Gathering tree as a ``{child: parent}`` dict, one entry per
-            non-sink node (edges point toward the sink).
-        ring_of: Mapping from node id to its ring index (hop distance to the
-            sink); the sink maps to ``0``.
+        indptr: ``(n + 1,)`` CSR row pointers of the unit-disk graph.
+        indices: CSR column indices: node ``i``'s neighbours are
+            ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+        ring: ``(n,)`` hops to the sink along the tree (``0`` at the sink);
+            the builders of :mod:`repro.network.deployment` make it the
+            shortest hop distance.
+        parent: ``(n,)`` gathering-tree parent, a neighbour one ring inward
+            (``-1`` at the sink).
+
+    Raises:
+        ConfigurationError: if the arrays disagree on the node count, row
+            ``0`` is not the sink, or a node's ring or parent breaks the
+            rules above (naming the node).
     """
 
-    positions: Dict[int, Tuple[float, float]]
+    positions: np.ndarray
     radius: float
-    graph: Dict[int, Tuple[int, ...]] = field(repr=False)
-    tree: Dict[int, int] = field(repr=False)
-    ring_of: Dict[int, int] = field(default_factory=dict)
-
-    SINK: int = field(default=0, init=False, repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    ring: np.ndarray
+    parent: np.ndarray
 
     def __post_init__(self) -> None:
         require_positive("radius", self.radius)
-        if self.SINK not in self.positions:
-            raise ConfigurationError("deployment must contain the sink (node 0)")
-        self.graph = {node: tuple(sorted(nodes)) for node, nodes in self.graph.items()}
-        if not self.ring_of:
-            self.ring_of = hop_distances(self.graph, self.SINK)
-        children: Dict[int, List[int]] = {}
-        for child, parent in self.tree.items():
-            children.setdefault(parent, []).append(child)
-        self._children = {parent: tuple(sorted(nodes)) for parent, nodes in children.items()}
+        for name, dtype in _ARRAYS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        count = self.ring.size
+        shapes = {
+            "ring": (count,),
+            "positions": (count, 2),
+            "indptr": (count + 1,),
+            "parent": (count,),
+        }
+        for name, expected in shapes.items():
+            shape = getattr(self, name).shape
+            if shape != expected:
+                raise ConfigurationError(
+                    f"deployment {name} has shape {shape}, expected {expected} "
+                    f"for {count} node(s)"
+                )
+        indptr, indices, ring, parent = self.indptr, self.indices, self.ring, self.parent
+        if (
+            indptr[0] != 0
+            or indices.shape != (indptr[-1],)
+            or np.any(np.diff(indptr) < 0)
+            or np.any((indices < 0) | (indices >= count))
+        ):
+            raise ConfigurationError(
+                f"deployment indptr and indices are not a graph of {count} node(s)"
+            )
+        if count == 0 or ring[0] != 0 or parent[0] != -1:
+            raise ConfigurationError(
+                "deployment row 0 must be the sink, with ring 0 and parent -1"
+            )
+        # Every other node's parent is a neighbour one ring inward, so each
+        # node's ring counts the hops of its path up the tree.
+        rows = np.repeat(np.arange(count), np.diff(indptr))
+        linked = np.zeros(count, dtype=bool)
+        linked[rows[indices == parent[rows]]] = True
+        inward = ring[np.clip(parent, 0, count - 1)] == ring - 1
+        orphans = np.flatnonzero(~(linked & inward)[1:]) + 1
+        if len(orphans):
+            node = int(orphans[0])
+            raise ConfigurationError(
+                f"deployment node {node} (ring {ring[node]}) has no parent one ring "
+                f"inward: its parent is {parent[node]}"
+            )
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def node_ids(self) -> List[int]:
-        """All node ids, sink first, then sorted ascending."""
-        others = sorted(n for n in self.positions if n != self.SINK)
-        return [self.SINK] + others
-
-    @property
-    def sensor_ids(self) -> List[int]:
-        """All non-sink node ids, sorted ascending."""
-        return [n for n in self.node_ids if n != self.SINK]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnitDiskDeployment):
+            return NotImplemented
+        return self.radius == other.radius and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _ARRAYS
+        )
 
     @property
     def depth(self) -> int:
-        """Maximum hop distance from any connected node to the sink."""
-        reachable = [ring for node, ring in self.ring_of.items() if node != self.SINK]
-        if not reachable:
-            raise ConfigurationError("deployment has no sensor connected to the sink")
-        return max(reachable)
-
-    def parent_of(self, node: int) -> Optional[int]:
-        """Return the tree parent of ``node`` (``None`` for the sink)."""
-        if node == self.SINK:
-            return None
-        parent = self.tree.get(node)
-        if parent is None:
-            raise ConfigurationError(f"node {node} is not connected to the sink")
-        return parent
-
-    def children_of(self, node: int) -> List[int]:
-        """Return the tree children of ``node``, ascending (may be empty)."""
-        return list(self._children.get(node, ()))
+        """Maximum hop distance from any node to the sink."""
+        return int(self.ring.max())
 
     def neighbours_of(self, node: int) -> List[int]:
         """Return the unit-disk neighbours of ``node``, ascending."""
-        return list(self.graph[node])
-
-    def path_to_sink(self, node: int) -> List[int]:
-        """Return the tree path from ``node`` to the sink, inclusive."""
-        path = [node]
-        current = node
-        while current != self.SINK:
-            parent = self.parent_of(current)
-            if parent is None:
-                break
-            path.append(parent)
-            current = parent
-        return path
-
-    def nodes_in_ring(self, ring: int) -> List[int]:
-        """Return the node ids whose hop distance to the sink equals ``ring``."""
-        return sorted(n for n, r in self.ring_of.items() if r == ring and n != self.SINK)
-
-    def subtree_size(self, node: int) -> int:
-        """Number of nodes (including ``node``) whose traffic crosses ``node``."""
-        size = 1
-        for child in self.children_of(node):
-            size += self.subtree_size(child)
-        return size
-
-    # ------------------------------------------------------------------ #
-    # Summaries
-    # ------------------------------------------------------------------ #
-
-    def average_degree(self) -> float:
-        """Average unit-disk degree of the sensor nodes."""
-        sensors = self.sensor_ids
-        if not sensors:
-            return 0.0
-        return sum(len(self.graph[n]) for n in sensors) / len(sensors)
-
-    def to_ring_topology(self) -> RingTopology:
-        """Summarize this deployment into the analytical ring abstraction.
-
-        ``depth`` is the observed maximum hop count; ``density`` is the
-        rounded average degree (minimum 1).  This is the bridge used when
-        validating the analytical models against the simulator.
-        """
-        density = max(1, round(self.average_degree()))
-        return RingTopology(depth=self.depth, density=density)
+        return self.indices[self.indptr[node] : self.indptr[node + 1]].tolist()
 
 
-# ---------------------------------------------------------------------- #
-# Tree construction
-# ---------------------------------------------------------------------- #
-
-
-def hop_distances(graph: Mapping[int, Sequence[int]], source: int) -> Dict[int, int]:
-    """Hop distance from ``source`` to every node it reaches, in BFS order.
-
-    ``graph`` maps each node to its neighbours; nodes ``source`` cannot
-    reach are absent from the result.
-    """
-    distances = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        hops = distances[node] + 1
-        for neighbour in graph[node]:
-            if neighbour not in distances:
-                distances[neighbour] = hops
-                frontier.append(neighbour)
-    return distances
-
-
-def build_gathering_tree(
-    graph: Mapping[int, Sequence[int]],
-    sink: int = 0,
-    distances: Optional[Mapping[int, int]] = None,
-) -> Dict[int, int]:
-    """Build a shortest-path (BFS) gathering tree rooted at the sink.
-
-    ``graph`` maps each node to its neighbours.  Every node picks a parent
-    among its neighbours that are strictly closer to the sink.  To mirror
-    the analytical assumption that relayed traffic is split evenly over the
-    nodes of a ring, the parent chosen is the candidate that currently has
-    the fewest children (ties broken by the smaller id).  The returned
-    ``{child: parent}`` dict has one entry per non-sink node.  A caller
-    that already holds ``hop_distances(graph, sink)`` passes it as
-    ``distances`` and the graph is not searched again.
-
-    Raises:
-        ConfigurationError: if some node has no path to the sink.
-    """
-    if sink not in graph:
-        raise ConfigurationError(f"sink node {sink!r} is not in the graph")
-    if distances is None:
-        distances = hop_distances(graph, sink)
-    unreachable = set(graph) - set(distances)
-    if unreachable:
-        raise ConfigurationError(
-            f"{len(unreachable)} node(s) have no path to the sink: "
-            f"{sorted(unreachable)[:5]}..."
-        )
-    tree: Dict[int, int] = {}
-    child_count: Dict[int, int] = {node: 0 for node in graph}
-    # Attach nodes ring by ring so parents' loads are known before deeper
-    # rings choose; within a ring process in id order for determinism.
-    for node in sorted(graph, key=lambda n: (distances[n], n)):
-        if node == sink:
-            continue
-        closer = [
-            neighbour
-            for neighbour in graph[node]
-            if distances[neighbour] == distances[node] - 1
-        ]
-        if not closer:
-            raise ConfigurationError(
-                f"node {node} at distance {distances[node]} has no parent candidate"
-            )
-        parent = min(closer, key=lambda candidate: (child_count[candidate], candidate))
-        child_count[parent] += 1
-        tree[node] = parent
-    return tree
-
-
-def ring_histogram(deployment: UnitDiskDeployment) -> Dict[int, int]:
-    """Return ``{ring: node count}`` for a deployment (sink excluded)."""
-    histogram: Dict[int, int] = {}
-    for node, ring in deployment.ring_of.items():
-        if node == deployment.SINK:
-            continue
-        histogram[ring] = histogram.get(ring, 0) + 1
-    return dict(sorted(histogram.items()))
+#: The array fields of :class:`UnitDiskDeployment` and their dtypes.
+_ARRAYS = (
+    ("positions", np.float64),
+    ("indptr", np.int64),
+    ("indices", np.int64),
+    ("ring", np.int64),
+    ("parent", np.int64),
+)

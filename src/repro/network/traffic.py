@@ -85,13 +85,6 @@ class RingTraffic:
                 f"peak_input={self.peak_input!r} < input={self.input!r}"
             )
 
-    @property
-    def relay_fraction(self) -> float:
-        """Fraction of the transmitted traffic that is relayed (not own)."""
-        if self.output == 0:
-            return 0.0
-        return self.input / self.output
-
 
 class TrafficModel:
     """Periodic (optionally bursty) traffic load over a ring topology.

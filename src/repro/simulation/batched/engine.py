@@ -110,41 +110,27 @@ def _run_replication(
     )
     kernel = kernel_class(model, params)
 
-    node_ids = list(deployment.node_ids)
-    count = len(node_ids)
-    index_of = {node_id: index for index, node_id in enumerate(node_ids)}
-    rings = [deployment.ring_of[node_id] for node_id in node_ids]
-    raw_parents = [deployment.parent_of(node_id) for node_id in node_ids]
-    is_sink = [
-        parent is None and ring == 0 for parent, ring in zip(raw_parents, rings)
-    ]
+    # Node i is row i of the deployment's arrays, and row 0 is the sink.
+    rings = deployment.ring.tolist()
+    parent_ix = deployment.parent.tolist()
+    count = len(rings)
+    is_sink = [parent < 0 for parent in parent_ix]
     # Draw order: the kernel's phase draws (SCP-MAC's one network phase, or
     # one phase per node, sink included), then one traffic offset per
     # non-sink node — each as a single vectorized draw.
     phases = kernel.assign_phases(rng, count, rings, is_sink)
 
-    parent_ix: List[int] = []
+    indices = deployment.indices.tolist()
+    starts = deployment.indptr.tolist()
     interference: List[Tuple[int, ...]] = []
     overhearers: List[Tuple[int, ...]] = []
-    for index, node_id in enumerate(node_ids):
-        neighbours = deployment.neighbours_of(node_id)
-        interference.append(
-            (index,) + tuple(index_of[neighbour] for neighbour in neighbours)
-        )
-        if is_sink[index]:
-            parent_ix.append(-1)
-            overhearers.append(())
-            continue
-        parent = raw_parents[index]
-        if parent is None:
-            raise SimulationError(f"node {node_id} has no route to the sink")
-        parent_ix.append(index_of[parent])
+    for index, parent in enumerate(parent_ix):
+        neighbours = indices[starts[index] : starts[index + 1]]
+        interference.append((index, *neighbours))
         overhearers.append(
-            tuple(
-                index_of[neighbour]
-                for neighbour in neighbours
-                if neighbour not in (parent, 0)
-            )
+            ()
+            if parent < 0
+            else tuple(n for n in neighbours if n != parent and n != 0)
         )
 
     period = model.scenario.sampling_period
@@ -255,7 +241,7 @@ def _run_replication(
         if residual_sleep < 0.0:
             residual_sleep = 0.0
         power = (active_energy + residual_sleep * power_sleep) / horizon
-        node_power[node_ids[index]] = power
+        node_power[index] = power
         ring_members.setdefault(rings[index], []).append(power)
         dropped_total += dropped[index]
     ring_power = {
@@ -303,8 +289,7 @@ def simulate_protocol_batched(
 
     Raises:
         SimulationError: if ``configs`` is empty, the model has no kernel
-            (an analytical-only protocol), the event budget runs out, or a
-            node has no route to the sink.
+            (an analytical-only protocol), or the event budget runs out.
     """
     configs = list(configs)
     if not configs:

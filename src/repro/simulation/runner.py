@@ -152,7 +152,8 @@ class SimulationResult:
         protocol: Protocol name.
         parameters: Simulated parameter vector.
         horizon: Simulated duration in seconds.
-        node_power: Average radio power (J/s) per node id.
+        node_power: Average radio power (J/s) per node, keyed by its
+            deployment row.
         ring_power: Mean of the node powers per ring.
         delays_by_ring: Delivered end-to-end delays per source ring.
         generated_packets: Number of packets generated.

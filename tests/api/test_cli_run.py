@@ -116,6 +116,31 @@ class TestRunErrorPaths:
         path = write_spec(tmp_path, dict(GOOD_SOLVE, protocols=["nosuchmac"]))
         self.assert_clean_error(capsys, ["run", path], "unknown protocol")
 
+    @pytest.mark.parametrize(
+        "density, message",
+        [
+            (3, "ring deployment of depth 3, density 3, seed 1 produced depth 5; "
+                "raise the density"),
+            (2, "ring deployment of depth 3, density 2, seed 1 is disconnected; "
+                "raise the density"),
+        ],
+        ids=["too-deep", "disconnected"],
+    )
+    def test_too_sparse_validate_scenario_says_what_to_raise(
+        self, capsys, tmp_path, density, message
+    ):
+        # Only the density is a spec's to change: from density 4 on, every
+        # ring of a depth-3 deployment reaches the ring inward.
+        spec = {
+            "kind": "validate",
+            "scenario": {"depth": 3, "density": density},
+            "protocols": ["xmac"],
+            "solver": {"grid_points": 16},
+        }
+        code = cli_main(["run", write_spec(tmp_path, spec), "--no-cache"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_solve_spec(self, capsys, tmp_path):
         infeasible = dict(
             GOOD_SOLVE,

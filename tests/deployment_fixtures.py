@@ -2,9 +2,9 @@
 
 Production simulations run on :func:`repro.network.deployment.ring_deployment`,
 which places every node on its analytical ring.  The tests also need
-irregular and minimal topologies, built on the same unit-disk graph, BFS
-tree and node limit (called through the module, so a test that wraps
-``_unit_disk_graph`` there sees every graph these build):
+irregular and minimal topologies, built on the same unit-disk graph, rings
+and tree and the same node limit (called through the module, so a test
+that wraps ``_unit_disk_graph`` there sees every graph these build):
 
 * :func:`generate_deployment` — a random uniform-density deployment on a
   disk around the sink, re-sampled until it is connected; the oracle tests
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.network import deployment as network_deployment
-from repro.network.topology import UnitDiskDeployment, build_gathering_tree
+from repro.network.topology import UnitDiskDeployment
 from repro.units import require_positive
 
 
@@ -69,19 +69,19 @@ class DeploymentConfig:
         return self.depth * self.radius
 
 
-def _sample_positions(config: DeploymentConfig, rng: np.random.Generator) -> Dict[int, Tuple[float, float]]:
-    """Sample sensor positions uniformly on the deployment disk."""
+def _sample_positions(config: DeploymentConfig, rng: np.random.Generator) -> np.ndarray:
+    """The sink at the origin, then sensors sampled uniformly on the deployment disk."""
     count = config.target_node_count
     # Uniform sampling on a disk: radius ~ sqrt(U) * R, angle ~ U * 2*pi.
     radii = config.field_radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    positions: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
-    for index in range(count):
-        positions[index + 1] = (
-            float(radii[index] * math.cos(angles[index])),
-            float(radii[index] * math.sin(angles[index])),
-        )
-    return positions
+    return np.array(
+        [(0.0, 0.0)]
+        + [
+            (radius * math.cos(angle), radius * math.sin(angle))
+            for radius, angle in zip(radii.tolist(), angles.tolist())
+        ]
+    )
 
 
 def generate_deployment(
@@ -129,8 +129,7 @@ def generate_deployment(
     for attempt in range(config.max_attempts):
         rng = np.random.default_rng(config.seed + attempt)
         positions = _sample_positions(config, rng)
-        graph = network_deployment._unit_disk_graph(positions, config.radius)
-        deployment = network_deployment._connected_deployment(positions, config.radius, graph)
+        deployment = network_deployment._connected_deployment(positions, config.radius)
         if deployment is None:
             last_error = ConfigurationError("sampled unit-disk graph is disconnected")
             continue
@@ -155,9 +154,7 @@ def chain_deployment(depth: int, spacing: Optional[float] = None, radius: float 
         spacing = 0.9 * radius
     if spacing > radius:
         raise ConfigurationError("spacing larger than radius would disconnect the chain")
-    positions: Dict[int, Tuple[float, float]] = {
-        node: (node * spacing, 0.0) for node in range(depth + 1)
-    }
-    graph = network_deployment._unit_disk_graph(positions, radius)
-    tree = build_gathering_tree(graph, sink=0)
-    return UnitDiskDeployment(positions=positions, radius=radius, graph=graph, tree=tree)
+    positions = np.array([(node * spacing, 0.0) for node in range(depth + 1)])
+    deployment = network_deployment._connected_deployment(positions, radius)
+    assert deployment is not None, "a chain within the radius is connected"
+    return deployment

@@ -50,11 +50,6 @@ class TestRadioModel:
         with pytest.raises(ConfigurationError):
             cc2420().airtime_bits(-1)
 
-    def test_tx_and_rx_energy_use_matching_powers(self):
-        radio = cc2420()
-        assert radio.tx_energy_bytes(50) == pytest.approx(radio.airtime_bytes(50) * radio.power_tx)
-        assert radio.rx_energy_bytes(50) == pytest.approx(radio.airtime_bytes(50) * radio.power_rx)
-
     def test_energy_rejects_negative_duration(self):
         with pytest.raises(ConfigurationError):
             cc2420().energy(RadioMode.RX, -0.5)

@@ -1,11 +1,11 @@
-"""Differential test: the stdlib unit-disk graph and gathering tree vs networkx.
+"""Differential test: the CSR unit-disk graph, rings and gathering tree vs networkx.
 
-The package builds deployments on plain dicts.  networkx is not one of its
-dependencies; where it is installed it serves as an independent oracle.
-Every unit-disk graph the deployment builders make — including the
-disconnected attempts ``generate_deployment`` discards and the graphs of
-calls that raise — is rebuilt pair by pair in networkx, and the adjacency,
-hop distances, connectivity verdict, parents and children must agree.
+The package builds deployments as index arrays with NumPy and plain lists.
+networkx is not one of its dependencies; where it is installed it serves as
+an independent oracle.  Every unit-disk graph the deployment builders make —
+including the disconnected attempts ``generate_deployment`` discards and the
+graphs of calls that raise — is rebuilt pair by pair in networkx, and the
+adjacency, hop distances, connectivity verdict and parents must agree.
 """
 
 from __future__ import annotations
@@ -16,24 +16,32 @@ import pytest
 from deployment_fixtures import DeploymentConfig, chain_deployment, generate_deployment
 from repro.exceptions import ConfigurationError
 from repro.network import deployment as deployment_module
-from repro.network.deployment import ring_deployment
-from repro.network.topology import build_gathering_tree, hop_distances
+from repro.network.deployment import _rings_and_tree, ring_deployment
 
 nx = pytest.importorskip("networkx")
 
 
-def _oracle_graph(positions, radius):
+def _oracle_graph(coords, radius):
     """The unit-disk graph, one networkx edge per pair within ``radius``."""
     graph = nx.Graph()
-    graph.add_nodes_from(positions)
-    ids = sorted(positions)
-    coords = np.array([positions[node] for node in ids])
-    for i, node in enumerate(ids):
+    graph.add_nodes_from(range(len(coords)))
+    for i in range(len(coords)):
         deltas = coords[i + 1 :] - coords[i]
         distances = np.hypot(deltas[:, 0], deltas[:, 1])
         for offset in np.flatnonzero(distances <= radius):
-            graph.add_edge(node, ids[i + 1 + int(offset)])
+            graph.add_edge(i, i + 1 + int(offset))
     return graph
+
+
+def _rows(indptr, indices):
+    """One neighbour list per node of a CSR graph."""
+    return [indices[start:end].tolist() for start, end in zip(indptr, indptr[1:])]
+
+
+def _oracle_rings(graph):
+    """Hop distance to node 0 per node, ``-1`` where networkx finds no path."""
+    distances = nx.shortest_path_length(graph, source=0)
+    return [distances.get(node, -1) for node in range(len(graph))]
 
 
 def _oracle_tree(graph, sink=0):
@@ -58,13 +66,13 @@ def _oracle_tree(graph, sink=0):
 
 @pytest.fixture
 def built_graphs(monkeypatch):
-    """Every ``(positions, radius, graph)`` the deployment builders make."""
+    """Every ``(coords, radius, (indptr, indices))`` the deployment builders make."""
     calls = []
     original = deployment_module._unit_disk_graph
 
-    def recording(positions, radius):
-        graph = original(positions, radius)
-        calls.append((dict(positions), radius, graph))
+    def recording(coords, radius):
+        graph = original(coords, radius)
+        calls.append((coords.copy(), radius, graph))
         return graph
 
     monkeypatch.setattr(deployment_module, "_unit_disk_graph", recording)
@@ -115,30 +123,28 @@ def test_deployments_match_the_networkx_oracle(built_graphs, builder, raises):
         deployment = None
     assert built_graphs, "the builder made no unit-disk graph"
 
-    for positions, radius, graph in built_graphs:
-        oracle = _oracle_graph(positions, radius)
-        assert graph == {node: tuple(sorted(oracle[node])) for node in oracle}
-        assert hop_distances(graph, 0) == nx.shortest_path_length(oracle, source=0)
-        connected = nx.is_connected(oracle)
-        assert (len(hop_distances(graph, 0)) == len(graph)) == connected
-        if not connected:
-            with pytest.raises(ConfigurationError, match="no path to the sink"):
-                build_gathering_tree(graph, sink=0)
+    for coords, radius, (indptr, indices) in built_graphs:
+        oracle = _oracle_graph(coords, radius)
+        assert _rows(indptr, indices) == [sorted(oracle[node]) for node in oracle]
+        ring, parent = _rings_and_tree(indptr, indices)
+        assert ring == _oracle_rings(oracle)
+        assert (parent is not None) == nx.is_connected(oracle)
 
     if deployment is None:
         return
-    positions, radius, graph = built_graphs[-1]
-    oracle = _oracle_graph(positions, radius)
+    coords, radius, (indptr, indices) = built_graphs[-1]
+    oracle = _oracle_graph(coords, radius)
     tree = _oracle_tree(oracle)
-    assert deployment.graph == graph
-    assert deployment.ring_of == nx.shortest_path_length(oracle, source=0)
-    for node in deployment.node_ids:
+    assert np.array_equal(deployment.positions, coords)
+    assert _rows(deployment.indptr, deployment.indices) == [
+        sorted(oracle[node]) for node in oracle
+    ]
+    assert deployment.ring.tolist() == _oracle_rings(oracle)
+    assert deployment.parent.tolist() == [
+        next(iter(tree.successors(node)), -1) for node in tree
+    ]
+    for node in oracle:
         assert deployment.neighbours_of(node) == sorted(oracle.neighbors(node))
-        expected_parent = next(iter(tree.successors(node)), None)
-        assert deployment.parent_of(node) == expected_parent
-        assert deployment.children_of(node) == sorted(tree.predecessors(node))
-    sensors = deployment.sensor_ids
-    assert deployment.average_degree() == sum(oracle.degree(n) for n in sensors) / len(sensors)
 
 
 def test_generate_deployment_discards_the_attempts_the_oracle_finds_disconnected(
@@ -147,19 +153,20 @@ def test_generate_deployment_discards_the_attempts_the_oracle_finds_disconnected
     config = DeploymentConfig(depth=4, density=6, seed=3)
     generate_deployment(config)
     verdicts = [
-        nx.is_connected(_oracle_graph(positions, radius))
-        for positions, radius, _ in built_graphs
+        nx.is_connected(_oracle_graph(coords, radius)) for coords, radius, _ in built_graphs
     ]
     # Every attempt before the last was disconnected; the last is the one kept.
     assert len(verdicts) > 1
     assert verdicts == [False] * (len(verdicts) - 1) + [True]
 
 
-def test_disconnected_plain_dict_graph_matches_the_oracle():
-    graph = {0: (1,), 1: (0, 2), 2: (1,), 3: (4,), 4: (3,)}
+def test_disconnected_csr_graph_matches_the_oracle():
+    rows = [(1,), (0, 2), (1,), (4,), (3,)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([node for row in rows for node in row])
     oracle = nx.Graph()
-    oracle.add_nodes_from(graph)
-    oracle.add_edges_from((node, other) for node in graph for other in graph[node])
-    assert hop_distances(graph, 0) == nx.shortest_path_length(oracle, source=0)
-    with pytest.raises(ConfigurationError, match=r"2 node\(s\) have no path"):
-        build_gathering_tree(graph, sink=0)
+    oracle.add_nodes_from(range(len(rows)))
+    oracle.add_edges_from((node, other) for node, row in enumerate(rows) for other in row)
+    ring, parent = _rings_and_tree(indptr, indices)
+    assert ring == _oracle_rings(oracle) == [0, 1, 2, -1, -1]
+    assert parent is None

@@ -54,7 +54,6 @@ class TestTrafficModel:
     def test_ring_traffic_bundle_consistency(self, traffic: TrafficModel):
         bundle = traffic.ring_traffic(2)
         assert bundle.output == pytest.approx(traffic.output_rate(2))
-        assert bundle.relay_fraction == pytest.approx(bundle.input / bundle.output)
 
     def test_all_rings_returns_every_ring(self, traffic: TrafficModel):
         assert sorted(traffic.all_rings()) == [1, 2, 3, 4, 5]

@@ -95,36 +95,28 @@ class TestEnergyAccounting:
         kernel = batch_kernel_for(model)(model, PROTOCOL_PARAMS[protocol])
         rng = np.random.default_rng(seed)
         deployment = ring_deployment(depth=3, density=4, seed=seed)
-        node_ids = list(deployment.node_ids)
-        index_of = {node_id: i for i, node_id in enumerate(node_ids)}
-        rings = [deployment.ring_of[node_id] for node_id in node_ids]
-        parents = [deployment.parent_of(node_id) for node_id in node_ids]
-        is_sink = [p is None and r == 0 for p, r in zip(parents, rings)]
-        phases = kernel.assign_phases(rng, len(node_ids), rings, is_sink)
+        rings = deployment.ring.tolist()
+        parents = deployment.parent.tolist()
+        is_sink = [p < 0 for p in parents]
+        phases = kernel.assign_phases(rng, len(rings), rings, is_sink)
         interference = []
         overhearers = []
-        for index, node_id in enumerate(node_ids):
-            neighbours = deployment.neighbours_of(node_id)
-            interference.append(
-                (index,) + tuple(index_of[n] for n in neighbours)
-            )
+        for index, parent in enumerate(parents):
+            neighbours = deployment.neighbours_of(index)
+            interference.append((index,) + tuple(neighbours))
             if is_sink[index]:
                 overhearers.append(())
             else:
                 overhearers.append(
-                    tuple(
-                        index_of[n]
-                        for n in neighbours
-                        if n not in (parents[index], 0)
-                    )
+                    tuple(n for n in neighbours if n not in (parent, 0))
                 )
         state = ReplicationState(rng, phases, rings, interference, overhearers)
         plan = kernel.make_hop_planner(state)
-        senders = [i for i in range(len(node_ids)) if not is_sink[i]]
+        senders = [i for i in range(len(rings)) if not is_sink[i]]
         now = 0.0
         for hop in range(hops):
             sender = senders[hop % len(senders)]
-            now = plan(sender, index_of[parents[sender]], now)
+            now = plan(sender, parents[sender], now)
         assert state.transmissions == hops
         assert state.deferrals >= 0
         assert all(value >= 0.0 for value in state.rx)

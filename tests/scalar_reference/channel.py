@@ -28,7 +28,7 @@ class Channel:
 
     def __init__(self, deployment: UnitDiskDeployment) -> None:
         self._deployment = deployment
-        self._busy_until: Dict[int, float] = {node: 0.0 for node in deployment.node_ids}
+        self._busy_until: Dict[int, float] = {node: 0.0 for node in range(len(deployment.ring))}
         self._transmissions = 0
         self._deferrals = 0
 

@@ -54,13 +54,13 @@ class _SimulationRun:
         self._log = PacketLog()
         self._packet_counter = 0
         self._nodes: Dict[int, SensorNode] = {}
-        for node_id in self._deployment.node_ids:
-            ring = self._deployment.ring_of[node_id]
-            parent = self._deployment.parent_of(node_id)
+        rings = self._deployment.ring.tolist()
+        parents = self._deployment.parent.tolist()
+        for node_id, (ring, parent) in enumerate(zip(rings, parents)):
             node = SensorNode(
                 node_id=node_id,
                 ring=ring,
-                parent=parent,
+                parent=None if parent < 0 else parent,
                 energy=EnergyAccount(radio=model.scenario.radio),
                 queue_capacity=config.queue_capacity,
             )
@@ -138,7 +138,7 @@ class _SimulationRun:
                     DeliveryRecord(
                         packet_id=packet.packet_id,
                         source=packet.source,
-                        source_ring=self._deployment.ring_of[packet.source],
+                        source_ring=int(self._deployment.ring[packet.source]),
                         created_at=packet.created_at,
                         delivered_at=self._simulator.now,
                         hops=packet.hops,

@@ -305,12 +305,14 @@ class TestContentionCollision:
         channel = Channel(deployment)
         # Find two same-ring neighbours: they share the transmit slot and
         # sense each other's carrier.
+        rings = deployment.ring.tolist()
+        parents = deployment.parent.tolist()
         pair = None
-        for node_id in deployment.node_ids:
-            if deployment.ring_of[node_id] != 2:
+        for node_id, ring in enumerate(rings):
+            if ring != 2:
                 continue
             for neighbour in deployment.neighbours_of(node_id):
-                if neighbour != 0 and deployment.ring_of.get(neighbour) == 2:
+                if neighbour != 0 and rings[neighbour] == 2:
                     pair = (node_id, neighbour)
                     break
             if pair:
@@ -318,11 +320,11 @@ class TestContentionCollision:
         assert pair is not None, "deployment has no same-ring neighbour pair"
         nodes = {}
         for node_id in pair:
-            node = make_node(node_id, 2, deployment.parent_of(node_id))
+            node = make_node(node_id, 2, parents[node_id])
             node.phase = behaviour.assign_phase(node)
             nodes[node_id] = node
         receivers = {
-            node_id: make_node(deployment.parent_of(node_id), 1, 0)
+            node_id: make_node(parents[node_id], 1, 0)
             for node_id in pair
         }
         first = behaviour.plan_hop(nodes[pair[0]], receivers[pair[0]], 0.0, channel, [])
