@@ -8,10 +8,13 @@ per-replication metrics of a parallel fan-out are identical to a serial
 loop.  Both stages run the scalar reference simulator (``simulate_scalar``
 from ``tests/scalar_reference/``, which ``benchmarks/conftest.py`` puts on
 the path).  A third stage times the array-batched replication engine — the
-production path — against a scalar loop over the same seeds, asserts the
-results are bit-identical, and records the ``speedup_vs_scalar`` that
-``tools/check_bench.py`` gates (≥5× for every protocol; absolute events/s
-follow the host and are not gated).  The measurements are written to
+production path — against a scalar loop over the same seeds, best of
+:data:`ROUNDS` each, asserts the results are bit-identical, and records the
+``speedup_vs_scalar`` that ``tools/check_bench.py`` gates against each
+protocol's own floor (absolute events/s follow the host and are not gated).
+The horizon keeps each replication's event loop busy enough to outweigh
+its set-up, so an event loop that takes 3× its time cuts every protocol's
+speedup to about 0.4 of its own.  The measurements are written to
 ``BENCH_simulator.json`` (uploaded by the CI bench-smoke job).
 """
 
@@ -43,8 +46,10 @@ PROTOCOL_PARAMS = {
     "scpmac": {"poll_interval": 0.3},
 }
 
-HORIZON = 600.0
+HORIZON = 1200.0
 REPLICATIONS = 6
+#: Timings per side of the batched-vs-scalar comparison; the best counts.
+ROUNDS = 3
 
 #: Protocols with an array-batched kernel (see repro.simulation.batched) —
 #: since the engine-completion PR, all four of them.
@@ -150,13 +155,15 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
             for seed in range(1, REPLICATIONS + 1)
         ]
 
-        scalar_started = time.perf_counter()
-        scalar_results = [simulate_scalar(model, params, config) for config in configs]
-        scalar_seconds = time.perf_counter() - scalar_started
+        scalar_seconds = batched_seconds = float("inf")
+        for _ in range(ROUNDS):
+            scalar_started = time.perf_counter()
+            scalar_results = [simulate_scalar(model, params, config) for config in configs]
+            scalar_seconds = min(scalar_seconds, time.perf_counter() - scalar_started)
 
-        batched_started = time.perf_counter()
-        batched_results = simulate_protocol_batched(model, params, configs)
-        batched_seconds = time.perf_counter() - batched_started
+            batched_started = time.perf_counter()
+            batched_results = simulate_protocol_batched(model, params, configs)
+            batched_seconds = min(batched_seconds, time.perf_counter() - batched_started)
 
         for config, scalar_result, batched_result in zip(
             configs, scalar_results, batched_results
@@ -183,8 +190,8 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
                 "speedup": round(engine_speedup, 1),
             }
         )
-        # Sanity floor only — the real ≥5x gate lives in tools/check_bench.py
-        # (--min-batched-speedup).
+        # Sanity floor only — each protocol's own floor is gated by
+        # tools/check_bench.py (BATCHED_SPEEDUP_FLOORS).
         assert engine_speedup > 1.0, (
             f"batched {name} slower than scalar ({engine_speedup:.2f}x)"
         )

@@ -6,26 +6,28 @@ Since the batched evaluation layer (``energy_many`` / ``latency_many`` /
 ``capacity_margin_many``) landed, that happens in a handful of NumPy calls
 instead of one Python call per point.
 
-These benches time ``grid_search`` (which takes the batched path, since the
-problem's objective and constraints carry ``.many`` twins) against the
-point-by-point reference ``grid_search_scalar`` (``tests/grid_reference.py``)
-on the paper's Figure-1 problem (P1 with ``Ebudget = 0.06``, ``Lmax = 6``)
-at the figure's grid resolution, assert the results are **bit-identical**
-(same point, value, feasibility, violation and evaluation count), and
-enforce the ≥5× speedup floor the vectorization exists for.  In practice
+These benches time ``grid_search``, handed the problem's batch objective and
+margins, against the point-by-point reference ``grid_search_scalar``
+(``tests/grid_reference.py``), handed the same functions built from the
+model's scalar methods, on the paper's Figure-1 problem (P1 with
+``Ebudget = 0.06``, ``Lmax = 6``) at the figure's grid resolution, assert
+the results are **bit-identical** (same point, value, feasibility,
+violation and evaluation count), and enforce the ≥5× speedup floor the
+vectorization exists for.  In practice
 the speedup is one to three orders of magnitude (largest for LMAC, whose 2-D
 grid has ``60² = 3600`` points).
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import print_series
-from grid_reference import grid_search_scalar
+from grid_reference import grid_search_scalar, scalar_forms
 from repro.core.problems import EnergyMinimizationProblem, NashBargainingProblem
 from repro.core.requirements import ApplicationRequirements
 from repro.experiments.config import FIGURE_ENERGY_BUDGET_FIXED, figure_scenario
@@ -50,8 +52,7 @@ def _figure1_problem(protocol: str) -> EnergyMinimizationProblem:
 
 def _time_both_paths(problem, grid_points: int):
     """Run the same grid search scalar and vectorized; return results + times."""
-    objective = problem._energy_objective()  # noqa: SLF001 - bench probes the solver wiring
-    constraints = problem.constraints()
+    objective, constraints = scalar_forms(problem)
     kwargs = {"points_per_dimension": grid_points}
 
     started = time.perf_counter()
@@ -59,7 +60,7 @@ def _time_both_paths(problem, grid_points: int):
     scalar_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    vectorized = grid_search(objective, problem.space, constraints, **kwargs)
+    vectorized = _grid_search(problem, grid_points)
     vectorized_seconds = time.perf_counter() - started
     return scalar, vectorized, scalar_seconds, vectorized_seconds
 
@@ -70,6 +71,16 @@ def _assert_bit_identical(scalar, vectorized) -> None:
     assert scalar.feasible == vectorized.feasible
     assert scalar.evaluations == vectorized.evaluations
     assert scalar.constraint_violation == vectorized.constraint_violation
+
+
+def _grid_search(problem: EnergyMinimizationProblem, grid_points: int):
+    """The production grid stage of (P1), on its batch functions."""
+    return grid_search(
+        problem._energy,  # noqa: SLF001 - bench probes the solver wiring
+        problem.space,
+        problem.constraints(),
+        points_per_dimension=grid_points,
+    )
 
 
 def test_vectorized_grid_figure1(benchmark, figure_grid):
@@ -83,15 +94,7 @@ def test_vectorized_grid_figure1(benchmark, figure_grid):
     problems = {name: _figure1_problem(name) for name in PAPER_PROTOCOL_NAMES}
 
     def run_vectorized():
-        return {
-            name: grid_search(
-                problem._energy_objective(),  # noqa: SLF001
-                problem.space,
-                problem.constraints(),
-                points_per_dimension=figure_grid,
-            )
-            for name, problem in problems.items()
-        }
+        return {name: _grid_search(problem, figure_grid) for name, problem in problems.items()}
 
     rows = []
     scalar_total = 0.0
@@ -139,16 +142,7 @@ def test_vectorized_grid_per_protocol(benchmark, figure_grid, protocol):
         problem, figure_grid
     )
     _assert_bit_identical(scalar, vectorized)
-    benchmark.pedantic(
-        lambda: grid_search(
-            problem._energy_objective(),  # noqa: SLF001
-            problem.space,
-            problem.constraints(),
-            points_per_dimension=figure_grid,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    benchmark.pedantic(lambda: _grid_search(problem, figure_grid), rounds=1, iterations=1)
     print_series(
         f"{protocol}: scalar vs vectorized grid",
         [
@@ -169,11 +163,12 @@ def test_vectorized_grid_per_protocol(benchmark, figure_grid, protocol):
 
 
 def test_vectorized_nash_objective_bit_identity(figure_grid):
-    """The (P4) log objective evaluates bit-identically point-wise vs batched.
+    """The (P4) log objective of a grid equals, bit for bit, libm's log of
+    each row's gains from the model's scalar methods.
 
-    ``np.log`` is not guaranteed to round like ``math.log``, so the batched
-    Nash objective computes the gains vectorized and applies ``math.log``
-    per element; this bench-side check pins that contract at the figure
+    ``np.log`` is not guaranteed to round like ``math.log``, so the Nash
+    objective computes the gains vectorized and applies ``math.log`` per
+    element; this bench-side check pins that contract at the figure
     resolution.
     """
     scenario = figure_scenario()
@@ -189,6 +184,13 @@ def test_vectorized_nash_objective_bit_identity(figure_grid):
             disagreement_delay=6.0,
         )
         grid = problem.space.grid(figure_grid)
-        batched_values = problem.objective_many(grid)
-        scalar_values = np.array([problem.objective(row) for row in grid])
-        assert np.array_equal(batched_values, scalar_values), name
+        energy_worst, delay_worst = problem.disagreement
+        floor = NashBargainingProblem._LOG_FLOOR  # noqa: SLF001 - pinning the floor
+        reference = np.array(
+            [
+                math.log(max(energy_worst - model.system_energy(row), floor * energy_worst))
+                + math.log(max(delay_worst - model.system_latency(row), floor * delay_worst))
+                for row in grid
+            ]
+        )
+        assert problem.objective(grid).tobytes() == reference.tobytes(), name

@@ -77,7 +77,7 @@ from repro.api import (
     run_experiment,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "ApplicationRequirements",

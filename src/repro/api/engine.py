@@ -103,9 +103,9 @@ _Executor = Callable[
 ]
 
 
-def _solver_options_of(spec: ExperimentSpec, grid_points: int) -> Dict[str, object]:
-    """The solver options one ``game-solve`` cell dispatches with."""
-    return {"grid_points_per_dimension": int(grid_points), **spec.solver.options}
+def _solver_options(unit: WorkUnit) -> Dict[str, object]:
+    """The solver options one ``game-solve`` unit dispatches with."""
+    return {"grid_points_per_dimension": int(unit.settings["grid_points"])}
 
 
 def _unit_requirements(
@@ -132,7 +132,7 @@ def _execute_solve(
         SolveTask(
             model=create_protocol(unit.protocol, scenario),  # errors propagate
             requirements=_unit_requirements(unit, scenario),
-            solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
+            solver_options=_solver_options(unit),
             tag=unit,
         )
         for unit in plan.units
@@ -165,7 +165,7 @@ def _execute_sweep_family(
             SolveTask(
                 model=models[unit.protocol],
                 requirements=_unit_requirements(unit, scenario),
-                solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
+                solver_options=_solver_options(unit),
                 tag=unit,
             )
         )
@@ -193,7 +193,7 @@ def _execute_sweep_family(
     return records, None
 
 
-def _preset_task(spec: ExperimentSpec, unit: WorkUnit) -> SolveTask:
+def _preset_task(unit: WorkUnit) -> SolveTask:
     """The game solve of a ``suite`` or ``campaign`` unit: its preset's
     requirements with the spec's overrides, at the unit's grid."""
     preset = scenario_preset(unit.scenario)
@@ -206,7 +206,7 @@ def _preset_task(spec: ExperimentSpec, unit: WorkUnit) -> SolveTask:
         protocol=unit.protocol,
         scenario=preset.scenario,
         requirements=requirements,
-        solver_options=_solver_options_of(spec, int(unit.settings["grid_points"])),
+        solver_options=_solver_options(unit),
         tag=unit,
     )
 
@@ -222,7 +222,7 @@ def _execute_suite(
             error=outcome.error_message,
             value=outcome.solution,
         )
-        for outcome in runner.run([_preset_task(spec, unit) for unit in plan.units])
+        for outcome in runner.run([_preset_task(unit) for unit in plan.units])
     ]
     return records, None
 
@@ -310,9 +310,9 @@ def _campaign_cell(
 def _campaign_section(spec: ExperimentSpec, plan: ExperimentPlan) -> Dict[str, object]:
     """The campaign artifact's ``spec`` section: the settings the plan ran.
 
-    The ``requirements`` overrides and the ``solver_options`` reach every
-    solve, so they are written too, but only when the spec sets them: a
-    spec without them keeps the section's bytes.
+    The ``requirements`` overrides reach every solve, so they are written
+    too, but only when the spec sets them: a spec without them keeps the
+    section's bytes.
     """
     campaign = spec.campaign
     section: Dict[str, object] = {
@@ -333,8 +333,6 @@ def _campaign_section(spec: ExperimentSpec, plan: ExperimentPlan) -> Dict[str, o
         }
         if overrides:
             section["requirements"] = overrides
-    if spec.solver.options:
-        section["solver_options"] = dict(spec.solver.options)
     return section
 
 
@@ -344,7 +342,7 @@ def _execute_campaign(
     if not plan.units:
         # A fully filtered or sharded-away plan has no campaign artifact.
         return [], None
-    outcomes = runner.run([_preset_task(spec, unit) for unit in plan.units])
+    outcomes = runner.run([_preset_task(unit) for unit in plan.units])
     payloads = []
     for outcome in outcomes:
         if outcome.ok:

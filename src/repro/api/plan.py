@@ -41,6 +41,7 @@ from repro.protocols.registry import (
     PAPER_PROTOCOL_NAMES,
     available_protocols,
     canonical_name,
+    create_protocol,
     protocol_class,
 )
 from repro.scenario import Scenario
@@ -261,6 +262,22 @@ def _check_simulable(protocols: Sequence[str]) -> None:
             )
 
 
+def _check_in_box(
+    protocols: Sequence[str], scenario: Scenario, label: str, parameters: Mapping[str, float]
+) -> None:
+    """Refuse explicit ``simulation.parameters`` outside a protocol's
+    parameter box (within its 1e-9 tolerance), before any work runs."""
+    for protocol in protocols:
+        space = create_protocol(protocol, scenario).parameter_space
+        for parameter, value in zip(space, space.to_array(parameters)):
+            if not parameter.contains(value):
+                raise ConfigurationError(
+                    f"simulation.parameters.{parameter.name} = {value:g} is outside "
+                    f"{protocol}'s box [{parameter.lower:.6g}, {parameter.upper:.6g}] "
+                    f"in scenario {label!r}"
+                )
+
+
 def _preset_units(
     spec: ExperimentSpec,
     kind: str,
@@ -396,6 +413,8 @@ def _plan_validate(spec: ExperimentSpec) -> List[WorkUnit]:
     _check_simulable(protocols)
     simulation = spec.simulation
     check_horizon(scenario, simulation.horizon, "simulation.horizon", label)
+    if simulation.parameters is not None:
+        _check_in_box(protocols, scenario, label, simulation.parameters)
     return [
         WorkUnit(
             kind="simulation",

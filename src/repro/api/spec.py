@@ -164,53 +164,33 @@ class RuntimePolicy:
         return {"workers": self.workers, "cache": self.cache}
 
 
-#: The ``hybrid_solve`` keywords a spec's ``solver`` section may forward,
-#: with the type each converts to.
-SOLVER_OPTION_TYPES: Dict[str, type] = {
-    "feasibility_tolerance": float,
-}
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    """Options forwarded to the hybrid game solver.
+    """Settings of the hybrid game solver.
 
     Attributes:
         grid_points: Grid resolution per parameter dimension.
-        options: Further ``hybrid_solve`` keywords, one of
-            :data:`SOLVER_OPTION_TYPES` each (``feasibility_tolerance``).
     """
 
     grid_points: int = 60
-    options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.grid_points, int) or self.grid_points < 2:
             raise ConfigurationError(
                 f"solver.grid_points must be an integer >= 2, got {self.grid_points!r}"
             )
-        _check_keys("solver", self.options, tuple(SOLVER_OPTION_TYPES))
-        object.__setattr__(
-            self,
-            "options",
-            {
-                name: _convert("solver", name, value, SOLVER_OPTION_TYPES[name])
-                for name, value in self.options.items()
-            },
-        )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "SolverSettings":
-        _check_keys("solver", payload, ("grid_points", *SOLVER_OPTION_TYPES))
+        _check_keys("solver", payload, ("grid_points",))
         return cls(
             grid_points=_convert(
                 "solver", "grid_points", payload.get("grid_points", cls.grid_points), int
             ),
-            options={key: value for key, value in payload.items() if key != "grid_points"},
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {"grid_points": self.grid_points, **dict(sorted(self.options.items()))}
+        return {"grid_points": self.grid_points}
 
 
 @dataclass(frozen=True)
@@ -562,18 +542,10 @@ class ExperimentSpec:
         """Update the ``campaign`` settings."""
         return replace(self, campaign=replace(self.campaign, **settings))
 
-    def with_solver(
-        self, grid_points: Optional[int] = None, **options: object
-    ) -> "ExperimentSpec":
-        """Update the game solver settings (``options``: :data:`SOLVER_OPTION_TYPES`)."""
-        current = self.solver
-        return replace(
-            self,
-            solver=SolverSettings(
-                grid_points=current.grid_points if grid_points is None else grid_points,
-                options={**current.options, **options},
-            ),
-        )
+    def with_solver(self, **settings: object) -> "ExperimentSpec":
+        """Update the game solver settings (``grid_points``)."""
+        solver = SolverSettings.from_dict({**self.solver.as_dict(), **settings})
+        return replace(self, solver=solver)
 
     def with_runtime(self, **settings: object) -> "ExperimentSpec":
         """Update the runtime policy (``workers``, ``cache``)."""

@@ -26,7 +26,6 @@ from repro.core.problems import (
 )
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import BargainingOutcome, GameSolution, OptimizationOutcome
-from repro.optimization.hybrid import hybrid_solve
 from repro.protocols.base import DutyCycledMACModel
 
 
@@ -60,7 +59,7 @@ class NashBargainingSolver:
     ) -> OptimizationOutcome:
         """Solve (P1): minimize energy subject to the delay bound."""
         problem = EnergyMinimizationProblem(model, requirements, evaluations)
-        return problem.solve(hybrid_solve, **self._solver_options)
+        return problem.solve(**self._solver_options)
 
     def solve_delay_problem(
         self,
@@ -71,7 +70,7 @@ class NashBargainingSolver:
     ) -> OptimizationOutcome:
         """Solve (P2): minimize delay subject to the energy budget."""
         problem = DelayMinimizationProblem(model, requirements, evaluations)
-        return problem.solve(hybrid_solve, **self._solver_options)
+        return problem.solve(**self._solver_options)
 
     def solve_bargaining_problem(
         self,
@@ -92,7 +91,7 @@ class NashBargainingSolver:
             disagreement_delay=disagreement_delay,
             evaluations=evaluations,
         )
-        point, solver_result = problem.solve(hybrid_solve, **self._solver_options)
+        point, solver_result = problem.solve(**self._solver_options)
         residual = proportional_fairness_residual(
             energy_star=point.energy,
             delay_star=point.delay,

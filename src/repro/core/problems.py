@@ -6,7 +6,8 @@ The decision variables are always the protocol's tunable parameters ``X``;
 the auxiliary variables ``(E1, L1)`` of the paper's (P4) are eliminated
 analytically (at the optimum ``E1 = E(X)`` and ``L1 = L(X)``), which leaves a
 smooth box-constrained program that the solvers in
-:mod:`repro.optimization` handle directly.
+:mod:`repro.optimization` handle directly.  Each objective and margin is a
+batch function: it maps an ``(n, dim)`` array of points to ``(n,)`` values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.core.parameters import ParameterSpace
 from repro.core.requirements import ApplicationRequirements
 from repro.core.results import OptimizationOutcome, TradeoffPoint
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
-from repro.optimization.grid import batched
+from repro.optimization.grid import Constraint
 from repro.optimization.hybrid import hybrid_solve
 from repro.optimization.result import SolverResult
 from repro.protocols.base import DutyCycledMACModel
@@ -30,27 +31,22 @@ _BINDING_TOLERANCE = 1e-3
 
 
 class GameEvaluations:
-    """``E(X)``, ``L(X)`` and the capacity margin of one game's model, each
-    evaluated at most once per point for the whole game.
+    """``E(X)``, ``L(X)`` and the capacity margin of one game's grid,
+    evaluated once for the whole game.
 
     :class:`~repro.core.bargaining.NashBargainingSolver` makes one per game
-    and hands it to (P1), (P2) and (P4), which then share:
+    and hands it to (P1), (P2) and (P4), which then share the three arrays
+    of the game's grid — the first batch of points any of its problems
+    evaluates, which in the hybrid is (P1)'s grid scan — so (P2) and (P4)
+    scan the same grid without evaluating it again.
 
-    * the scalar values, memoized on each point's float64 bytes;
-    * the three arrays of the game's grid — the first batch of points any of
-      its problems evaluates, which in the hybrid is (P1)'s grid scan — so
-      (P2) and (P4) scan the same grid without evaluating it again.
-
-    Later batches (polish rounds) stay with the problem that evaluated them
-    (see :class:`_ProblemBase`).  The memo dies with its game: nothing is
-    reused across games.
+    Later batches (polish rounds, a reported point's row) stay with the
+    problem that evaluated them (see :class:`_ProblemBase`).  The memo dies
+    with its game: nothing is reused across games.
     """
 
     def __init__(self, model: DutyCycledMACModel) -> None:
         self.model = model
-        self.energies: Dict[bytes, float] = {}
-        self.latencies: Dict[bytes, float] = {}
-        self.capacities: Dict[bytes, float] = {}
         self.grid_key: Optional[bytes] = None
         self.grid_values: Dict[str, np.ndarray] = {}
 
@@ -58,14 +54,13 @@ class GameEvaluations:
 class _ProblemBase:
     """Shared plumbing of the three optimization problems.
 
-    ``E(X)``, ``L(X)`` and the capacity margin are evaluated at most once
-    per point over the lifetime of the problem's :class:`GameEvaluations` —
-    its own, unless a game shares one.  Every scalar objective and margin
-    reads them through that memo, so (P4)'s objective and margins share
-    ``E`` and ``L`` at the point the solver reports.  The batched twins read
-    the game's grid from the memo too; any other batch (a polish round) is
-    shared by the problem's objective and margins, which a solver hands the
-    same batch in turn, until the next batch.  A shared batch result is
+    ``E(X)``, ``L(X)`` and the capacity margin are read through one batch
+    memo: the game's grid from its :class:`GameEvaluations` (the problem's
+    own, unless a game shares one), and any other batch — a polish round, or
+    the one row of the point a solver reports — shared by the problem's
+    objective and margins, which a solver hands the same batch in turn,
+    until the next batch.  The outcome then reads ``E``, ``L`` and the
+    margin at the reported point from that row.  A shared batch result is
     read-only.
     """
 
@@ -109,31 +104,13 @@ class _ProblemBase:
         return self._model.parameter_space
 
     # ------------------------------------------------------------------ #
-    # Memoized scalar evaluations
+    # Memoized batch evaluations
     # ------------------------------------------------------------------ #
 
-    def _memoized(
-        self, memo: Dict[bytes, float], evaluate: Callable[[np.ndarray], float], x: np.ndarray
-    ) -> float:
-        key = self._model.coerce_array(x).tobytes()
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = evaluate(x)
-        return value
-
-    def _system_energy(self, x: np.ndarray) -> float:
-        return self._memoized(self._game.energies, self._model.system_energy, x)
-
-    def _system_latency(self, x: np.ndarray) -> float:
-        return self._memoized(self._game.latencies, self._model.system_latency, x)
-
-    def _capacity_margin(self, x: np.ndarray) -> float:
-        return self._memoized(self._game.capacities, self._model.capacity_margin, x)
-
     def _shared_batch(
-        self, name: str, evaluate: Callable[[np.ndarray], np.ndarray], grid: np.ndarray
+        self, name: str, evaluate: Callable[[np.ndarray], np.ndarray], points: np.ndarray
     ) -> np.ndarray:
-        key = np.ascontiguousarray(grid, dtype=float).tobytes()
+        key = np.ascontiguousarray(points, dtype=float).tobytes()
         game = self._game
         if game.grid_key is None:
             game.grid_key = key
@@ -145,38 +122,42 @@ class _ProblemBase:
             memo = self._batch_values
         values = memo.get(name)
         if values is None:
-            values = memo[name] = np.asarray(evaluate(grid), dtype=float)
+            values = memo[name] = np.asarray(evaluate(points), dtype=float)
             values.flags.writeable = False
         return values
 
-    def _energy_many(self, grid: np.ndarray) -> np.ndarray:
-        return self._shared_batch("energy", self._model.energy_many, grid)
+    def _energy(self, points: np.ndarray) -> np.ndarray:
+        return self._shared_batch("energy", self._model.energy_many, points)
 
-    def _latency_many(self, grid: np.ndarray) -> np.ndarray:
-        return self._shared_batch("latency", self._model.latency_many, grid)
+    def _latency(self, points: np.ndarray) -> np.ndarray:
+        return self._shared_batch("latency", self._model.latency_many, points)
 
-    def _capacity_margin_many(self, grid: np.ndarray) -> np.ndarray:
-        return self._shared_batch("capacity", self._model.capacity_margin_many, grid)
+    def _capacity_margin(self, points: np.ndarray) -> np.ndarray:
+        return self._shared_batch("capacity", self._model.capacity_margin_many, points)
+
+    def _at(self, batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> float:
+        """``batch`` at the one point ``x``, read as a one-row batch."""
+        return float(batch(np.reshape(x, (1, -1)))[0])
 
     def _point(self, x: np.ndarray) -> TradeoffPoint:
         return TradeoffPoint(
             parameters=self._model.coerce(x),
-            energy=self._system_energy(x),
-            delay=self._system_latency(x),
+            energy=self._at(self._energy, x),
+            delay=self._at(self._latency, x),
         )
 
     def _binding_constraint(self, x: np.ndarray) -> str:
         """Classify which constraint is active at the point ``x``."""
         model = self._model
         requirements = self._requirements
-        energy = self._system_energy(x)
-        delay = self._system_latency(x)
+        energy = self._at(self._energy, x)
+        delay = self._at(self._latency, x)
         space = model.parameter_space
         if delay >= requirements.max_delay * (1.0 - _BINDING_TOLERANCE):
             return "delay-bound"
         if energy >= requirements.energy_budget * (1.0 - _BINDING_TOLERANCE):
             return "energy-budget"
-        if self._capacity_margin(x) <= _BINDING_TOLERANCE * model.max_utilization:
+        if self._at(self._capacity_margin, x) <= _BINDING_TOLERANCE * model.max_utilization:
             return "capacity"
         lower = space.lower_bounds
         upper = space.upper_bounds
@@ -186,20 +167,6 @@ class _ProblemBase:
         ):
             return "parameter-bound"
         return "interior"
-
-    # The objectives and constraints handed to the solvers carry batched
-    # ``.many`` twins (see :func:`repro.optimization.batched`) so the grid
-    # and every polish round evaluate a whole batch of points in a few NumPy
-    # calls instead of one Python call per point.
-
-    def _energy_objective(self) -> Callable[[np.ndarray], float]:
-        return batched(self._system_energy, self._energy_many)
-
-    def _latency_objective(self) -> Callable[[np.ndarray], float]:
-        return batched(self._system_latency, self._latency_many)
-
-    def _capacity_constraint(self) -> Callable[[np.ndarray], float]:
-        return batched(self._capacity_margin, self._capacity_margin_many)
 
 
 class EnergyMinimizationProblem(_ProblemBase):
@@ -212,34 +179,20 @@ class EnergyMinimizationProblem(_ProblemBase):
 
     name = "P1-energy"
 
-    def constraints(self) -> List[Callable[[np.ndarray], float]]:
+    def constraints(self) -> List[Constraint]:
         """Inequality margins (``>= 0`` feasible): delay bound and capacity."""
         max_delay = self._requirements.max_delay
-        return [
-            batched(
-                lambda x: max_delay - self._system_latency(x),
-                lambda grid: max_delay - self._latency_many(grid),
-            ),
-            self._capacity_constraint(),
-        ]
+        return [lambda points: max_delay - self._latency(points), self._capacity_margin]
 
-    def solve(
-        self,
-        solver: Callable[..., SolverResult] = hybrid_solve,
-        **solver_options: object,
-    ) -> OptimizationOutcome:
-        """Solve (P1) and return the energy-optimal operating point.
+    def solve(self, **solver_options: object) -> OptimizationOutcome:
+        """Solve (P1) with the hybrid and return the energy-optimal operating point.
 
         Raises:
             InfeasibleProblemError: if no admissible parameter vector meets
                 the delay bound.
         """
-        result = solver(
-            self._energy_objective(),
-            self.space,
-            self.constraints(),
-            maximize=False,
-            **solver_options,
+        result = hybrid_solve(
+            self._energy, self.space, self.constraints(), maximize=False, **solver_options
         )
         if not result.feasible:
             raise InfeasibleProblemError(
@@ -267,34 +220,20 @@ class DelayMinimizationProblem(_ProblemBase):
 
     name = "P2-delay"
 
-    def constraints(self) -> List[Callable[[np.ndarray], float]]:
+    def constraints(self) -> List[Constraint]:
         """Inequality margins (``>= 0`` feasible): energy budget and capacity."""
         budget = self._requirements.energy_budget
-        return [
-            batched(
-                lambda x: budget - self._system_energy(x),
-                lambda grid: budget - self._energy_many(grid),
-            ),
-            self._capacity_constraint(),
-        ]
+        return [lambda points: budget - self._energy(points), self._capacity_margin]
 
-    def solve(
-        self,
-        solver: Callable[..., SolverResult] = hybrid_solve,
-        **solver_options: object,
-    ) -> OptimizationOutcome:
-        """Solve (P2) and return the delay-optimal operating point.
+    def solve(self, **solver_options: object) -> OptimizationOutcome:
+        """Solve (P2) with the hybrid and return the delay-optimal operating point.
 
         Raises:
             InfeasibleProblemError: if no admissible parameter vector meets
                 the energy budget.
         """
-        result = solver(
-            self._latency_objective(),
-            self.space,
-            self.constraints(),
-            maximize=False,
-            **solver_options,
+        result = hybrid_solve(
+            self._latency, self.space, self.constraints(), maximize=False, **solver_options
         )
         if not result.feasible:
             raise InfeasibleProblemError(
@@ -360,27 +299,17 @@ class NashBargainingProblem(_ProblemBase):
     # Objective and constraints
     # ------------------------------------------------------------------ #
 
-    def objective(self, x: np.ndarray) -> float:
-        """``log(Eworst - E(X)) + log(Lworst - L(X))`` with a numerical floor."""
-        energy_gain = self._disagreement_energy - self._system_energy(x)
-        delay_gain = self._disagreement_delay - self._system_latency(x)
-        floor_energy = self._LOG_FLOOR * self._disagreement_energy
-        floor_delay = self._LOG_FLOOR * self._disagreement_delay
-        return math.log(max(energy_gain, floor_energy)) + math.log(
-            max(delay_gain, floor_delay)
-        )
-
-    def objective_many(self, grid: np.ndarray) -> np.ndarray:
-        """Batched twin of :meth:`objective` for a parameter grid.
+    def objective(self, points: np.ndarray) -> np.ndarray:
+        """``log(Eworst - E(X)) + log(Lworst - L(X))`` of every row of
+        ``points``, with a numerical floor.
 
         ``E(X)``, ``L(X)``, the gains and the floors are vectorized.  The
         logarithms are libm's ``math.log``, mapped over each column in one
         C-level pass, because ``np.log`` is not guaranteed to round
-        identically, and the grid stage must stay bit-identical to the
-        scalar path.
+        identically, and the solutions are pinned bit for bit.
         """
-        energy_gains = self._disagreement_energy - self._energy_many(grid)
-        delay_gains = self._disagreement_delay - self._latency_many(grid)
+        energy_gains = self._disagreement_energy - self._energy(points)
+        delay_gains = self._disagreement_delay - self._latency(points)
         return self._floored_logs(energy_gains, self._disagreement_energy) + self._floored_logs(
             delay_gains, self._disagreement_delay
         )
@@ -391,44 +320,31 @@ class NashBargainingProblem(_ProblemBase):
 
     def nash_product(self, x: np.ndarray) -> float:
         """The raw Nash product ``(Eworst - E(X)) (Lworst - L(X))`` (clipped at 0)."""
-        energy_gain = max(0.0, self._disagreement_energy - self._system_energy(x))
-        delay_gain = max(0.0, self._disagreement_delay - self._system_latency(x))
+        energy_gain = max(0.0, self._disagreement_energy - self._at(self._energy, x))
+        delay_gain = max(0.0, self._disagreement_delay - self._at(self._latency, x))
         return energy_gain * delay_gain
 
-    def constraints(self) -> List[Callable[[np.ndarray], float]]:
+    def constraints(self) -> List[Constraint]:
         """Inequality margins of (P4): requirements, disagreement bounds, capacity."""
         budget = min(self._requirements.energy_budget, self._disagreement_energy)
         delay_cap = min(self._requirements.max_delay, self._disagreement_delay)
         return [
-            batched(
-                lambda x: budget - self._system_energy(x),
-                lambda grid: budget - self._energy_many(grid),
-            ),
-            batched(
-                lambda x: delay_cap - self._system_latency(x),
-                lambda grid: delay_cap - self._latency_many(grid),
-            ),
-            self._capacity_constraint(),
+            lambda points: budget - self._energy(points),
+            lambda points: delay_cap - self._latency(points),
+            self._capacity_margin,
         ]
 
-    def solve(
-        self,
-        solver: Callable[..., SolverResult] = hybrid_solve,
-        **solver_options: object,
-    ) -> tuple[TradeoffPoint, SolverResult]:
-        """Solve (P4) and return the agreed operating point and solver detail.
+    def solve(self, **solver_options: object) -> tuple[TradeoffPoint, SolverResult]:
+        """Solve (P4) with the hybrid and return the agreed operating point
+        and solver detail.
 
         Raises:
             InfeasibleProblemError: if the feasible region is empty, which
                 can only happen when the two single-objective solutions are
                 inconsistent (e.g. the requirements changed between solves).
         """
-        result = solver(
-            batched(self.objective, self.objective_many),
-            self.space,
-            self.constraints(),
-            maximize=True,
-            **solver_options,
+        result = hybrid_solve(
+            self.objective, self.space, self.constraints(), maximize=True, **solver_options
         )
         if not result.feasible:
             raise InfeasibleProblemError(

@@ -5,10 +5,9 @@ is both affordable and an excellent robustness baseline: it cannot be fooled
 by local minima or by a badly scaled constraint, which makes it the seed and
 the cross-check for the polish.
 
-:func:`grid_search` evaluates the whole grid in a handful of NumPy calls
-through each function's batched twin (a ``.many(points)`` attribute,
-attached with :func:`batched`), and calls a function without one point by
-point.  Its skip/tie-break/violation semantics are those of a point-by-point
+Every objective and margin maps an ``(n, dim)`` batch of points to ``(n,)``
+values, so :func:`grid_search` evaluates the whole grid in one call of
+each.  Its skip/tie-break/violation semantics are those of a point-by-point
 loop, replicated operation for operation, so it returns **bit-identical**
 results to the reference loop in ``tests/grid_reference.py``;
 ``tests/optimization/test_grid_vectorized.py`` enforces this and
@@ -21,10 +20,8 @@ through one rule (:func:`_local_minima`), which the reference shares.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -32,64 +29,17 @@ from repro.core.parameters import ParameterSpace
 from repro.exceptions import SolverError
 from repro.optimization.result import SolverResult
 
-#: Signature of an objective: maps a solver-ordered array to a scalar.
-Objective = Callable[[np.ndarray], float]
-#: Signature of a constraint margin: ``>= 0`` means satisfied.
-Constraint = Callable[[np.ndarray], float]
-#: Signature of a batched twin: maps an ``(n, dim)`` grid to ``(n,)`` values.
-BatchedFunction = Callable[[np.ndarray], np.ndarray]
+#: Signature of an objective: maps an ``(n, dim)`` batch of solver-ordered
+#: points to their ``(n,)`` values.
+Objective = Callable[[np.ndarray], np.ndarray]
+#: Signature of a constraint margin, batched alike: ``>= 0`` means satisfied.
+Constraint = Callable[[np.ndarray], np.ndarray]
+
+#: Slack a grid point's margins may have and still count as feasible.
+FEASIBILITY_TOLERANCE = 1e-9
 
 #: Error message when no grid point evaluates to a finite objective.
 _NO_FINITE_POINT = "grid search found no grid point with a finite objective value"
-
-
-def batched(scalar: Callable[[np.ndarray], float], many: BatchedFunction) -> Objective:
-    """Attach a batched twin to a scalar objective or constraint.
-
-    Args:
-        scalar: The per-point callable the solvers use (e.g. a bound
-            ``model.system_energy``).
-        many: Its batched twin mapping an ``(n, dim)`` grid to an ``(n,)``
-            array, expected to be bit-identical to calling ``scalar`` per row.
-
-    Returns:
-        A wrapper that forwards per-point calls to ``scalar`` and carries
-        ``many`` as a ``.many`` attribute, which :func:`grid_search`
-        detects.  (A plain attribute cannot be set on a bound method,
-        hence the wrapper.)
-    """
-
-    @functools.wraps(scalar, assigned=("__doc__",), updated=())
-    def wrapper(x: np.ndarray) -> float:
-        return scalar(x)
-
-    wrapper.many = many  # type: ignore[attr-defined]
-    wrapper.scalar = scalar  # type: ignore[attr-defined]
-    return wrapper
-
-
-def _batched_twin(function: Callable) -> Optional[BatchedFunction]:
-    """The ``.many`` twin of an objective/constraint, or ``None``."""
-    return getattr(function, "many", None)
-
-
-def _grid_values(function: Callable, points: np.ndarray) -> np.ndarray:
-    """``function`` at every grid point: one call of its twin, or one call per point."""
-    many = _batched_twin(function)
-    if many is None:
-        return np.array([float(function(point)) for point in points])
-    return np.asarray(many(points), dtype=float).reshape(points.shape[0])
-
-
-def _violation(constraints: Sequence[Constraint], point: np.ndarray) -> float:
-    """Largest constraint violation at ``point`` (0 when all satisfied)."""
-    worst = 0.0
-    for constraint in constraints:
-        margin = float(constraint(point))
-        if not math.isfinite(margin):
-            return float("inf")
-        worst = max(worst, -margin)
-    return worst
 
 
 def _local_minima(
@@ -138,21 +88,17 @@ def grid_search(
     constraints: Sequence[Constraint] = (),
     points_per_dimension: int = 200,
     maximize: bool = False,
-    feasibility_tolerance: float = 1e-9,
 ) -> SolverResult:
     """Minimize (or maximize) an objective over a full-factorial grid.
 
     Args:
-        objective: Scalar objective of a solver-ordered parameter array.
-            When it (or a constraint) carries a batched ``.many`` twin — see
-            :func:`batched` — the twin evaluates the whole grid in one call;
-            a function without one is called point by point.
+        objective: Objective of a batch of solver-ordered points, called
+            once with the whole grid.
         space: The admissible box.
-        constraints: Margin functions; a point is feasible when every margin
-            is ``>= -feasibility_tolerance``.
+        constraints: Margin functions, batched alike; a point is feasible
+            when every margin is ``>= -FEASIBILITY_TOLERANCE``.
         points_per_dimension: Grid resolution along each axis.
         maximize: Maximize instead of minimize.
-        feasibility_tolerance: Slack allowed on constraint margins.
 
     Returns:
         The best *feasible* grid point if one exists; otherwise the point of
@@ -169,23 +115,22 @@ def grid_search(
     # feasible points, then smaller signed objective, then — among
     # infeasible points — smaller violation, keeping the *first* optimum on
     # exact ties.  ``np.argmin`` returns the first minimizing index, which
-    # reproduces the strict-``<`` incumbent updates of
-    # :meth:`SolverResult.better_than` exactly.
+    # reproduces that loop's strict-``<`` incumbent updates exactly.
     sign = -1.0 if maximize else 1.0
     points, shape = _grid(space, points_per_dimension)
     total = points.shape[0]
     violation = np.zeros(total)
     margins_finite = np.ones(total, dtype=bool)
     for constraint in constraints:
-        margins = _grid_values(constraint, points)
+        margins = np.asarray(constraint(points), dtype=float).reshape(total)
         margins_finite &= np.isfinite(margins)
         violation = np.maximum(violation, -margins)
-    raw = _grid_values(objective, points)
+    raw = np.asarray(objective(points), dtype=float).reshape(total)
     valid = margins_finite & np.isfinite(raw)
     if not bool(valid.any()):
         raise SolverError(_NO_FINITE_POINT)
 
-    feasible_mask = valid & (violation <= feasibility_tolerance)
+    feasible_mask = valid & (violation <= FEASIBILITY_TOLERANCE)
     feasible_signed = np.where(feasible_mask, sign * raw, np.inf)
     if bool(feasible_mask.any()):
         best_index = int(np.argmin(feasible_signed))

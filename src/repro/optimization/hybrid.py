@@ -30,7 +30,6 @@ def hybrid_solve(
     constraints: Sequence[Constraint] = (),
     maximize: bool = False,
     grid_points_per_dimension: int = 120,
-    feasibility_tolerance: float = 1e-7,
 ) -> SolverResult:
     """Grid scan, then polish the grid's best local minima (at most
     :data:`POLISHED_MINIMA`), each from its grid neighbours.
@@ -53,9 +52,7 @@ def hybrid_solve(
         upper = np.array([axis[min(i + 1, axis.size - 1)] for axis, i in zip(axes, index)])
         brackets.append((lower, upper))
     try:
-        polished = slsqp_solve(
-            objective, space, constraints, starts, brackets, maximize, feasibility_tolerance
-        )
+        polished = slsqp_solve(objective, space, constraints, starts, brackets, maximize)
     except SolverError:
         polished = None
     sign = -1.0 if maximize else 1.0

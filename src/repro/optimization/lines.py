@@ -5,14 +5,14 @@ point of the objective, a root of a binding margin, or an end of the line.
 The polish scans lines, then refines in rounds the bracket around each
 line's best sample (at its parabola's vertex) and each sign change of a
 margin (at the root's inverse quadratic interpolant), all lines of a round
-in one call of each ``.many`` twin.  It returns the best sample meeting
-every margin.  In one dimension each start's line spans its grid bracket;
-in more, lines cross the box along every axis through the best start and
-through the box corner nearest to it, then through each new best point
-until nothing improves, so an optimum on a face (LMAC's, where a
-requirement meets the least slot count) is found beyond the start's grid
-neighbours.  With no feasible start the rounds minimize the largest
-violation instead.
+in one batch: one call of the objective and of each margin.  It returns the
+best sample meeting every margin, valued as a one-row batch of its own.  In
+one dimension each start's line spans its grid bracket; in more, lines
+cross the box along every axis through the best start and through the box
+corner nearest to it, then through each new best point until nothing
+improves, so an optimum on a face (LMAC's, where a requirement meets the
+least slot count) is found beyond the start's grid neighbours.  With no
+feasible start the rounds minimize the largest violation instead.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.parameters import ParameterSpace
 from repro.exceptions import SolverError
-from repro.optimization.grid import Constraint, Objective, _batched_twin, _violation
+from repro.optimization.grid import Constraint, Objective
 from repro.optimization.result import SolverResult
 
 #: Samples of a line's first scan; most rounds of a search (and sweeps).
@@ -32,6 +32,8 @@ SCAN_POINTS, MAX_ROUNDS = 33, 8
 #: A minimum's bracket is refined until this narrow relative to its position
 #: (or to a thousandth of its line, near zero); a root's until ROOT_TOLERANCE.
 MINIMUM_TOLERANCE, ROOT_TOLERANCE = 1e-5, 1e-12
+#: Slack the reported point's margins may have and still count as feasible.
+FEASIBILITY_TOLERANCE = 1e-7
 #: A round puts 8 samples spread over each bracket, 9 packed around its estimate.
 _SPREAD, _PACKED = np.linspace(0.0, 1.0, 10)[1:-1], np.linspace(-1.0, 1.0, 9)
 
@@ -148,16 +150,17 @@ def _best(lines: Sequence[_Line]) -> Tuple[Optional[Tuple[bool, float]], int]:
     return ((infeasible, float(scores[index])) if finite.any() else None), index
 
 
-def _search(lines, evaluate, by_violation: Optional[bool], tolerance: float, searched=()) -> bool:
+def _search(lines, evaluate, by_violation: Optional[bool], searched=()) -> bool:
     """Scan, then refine, ``lines``, one evaluation per round, minimizing the violation when
-    ``by_violation`` (``None``: if no scanned sample is within ``tolerance``); returns it."""
+    ``by_violation`` (``None``: if no scanned sample is within the tolerance); returns it."""
     pending = [(line, line.scan) for line in lines]
     for _ in range(MAX_ROUNDS):
         if not pending:
             break
         rows = evaluate(np.concatenate([line.points(t) for line, t in pending]))
         if by_violation is None:
-            by_violation = not bool((np.isfinite(rows[0]) & (rows[1] <= tolerance)).any())
+            within = np.isfinite(rows[0]) & (rows[1] <= FEASIBILITY_TOLERANCE)
+            by_violation = not bool(within.any())
         start = 0
         for line, t in pending:
             line.absorb(t, rows[:, start : start + t.size])
@@ -180,7 +183,6 @@ def polish(
     starts: Optional[Sequence[np.ndarray]] = None,
     brackets: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
     maximize: bool = False,
-    feasibility_tolerance: float = 1e-7,
 ) -> SolverResult:
     """Refine ``starts`` (default: the box midpoint) to the best point near them.
 
@@ -193,11 +195,9 @@ def polish(
     starts = [space.clip(start) for start in starts] if starts else [space.midpoint()]
     brackets = brackets or [(space.lower_bounds, space.upper_bounds)] * len(starts)
     functions, sign = [objective, *constraints], -1.0 if maximize else 1.0
-    twins = all(_batched_twin(function) is not None for function in functions)
 
     def evaluate(points: np.ndarray) -> np.ndarray:  # rows: values, violations, margins
-        rows = [f.many(points) if twins else [f(point) for point in points] for f in functions]
-        rows = np.array([np.reshape(row, len(points)) for row in rows], dtype=float)
+        rows = np.array([np.reshape(f(points), len(points)) for f in functions], dtype=float)
         rows[~np.isfinite(rows)] = -np.inf
         values = np.where(rows[0] > -np.inf, sign * rows[0], np.inf)
         return np.vstack([values, np.maximum(0.0, -rows[1:].min(axis=0, initial=0.0)), rows[1:]])
@@ -207,20 +207,19 @@ def polish(
         for start, (lower, upper) in zip(starts, brackets):
             scan = np.append(np.linspace(lower[0], upper[0], SCAN_POINTS), start)
             lines.append(_Line(start, 0, scan, len(constraints)))
-        _search(lines, evaluate, None, feasibility_tolerance)
+        _search(lines, evaluate, None)
     else:
-        lines = _sweep(space, evaluate, starts[0], brackets[0], constraints, feasibility_tolerance)
+        lines = _sweep(space, evaluate, starts[0], brackets[0], constraints)
     rank, index = _best(lines)
     point = np.concatenate([line.points(line.t) for line in lines])[index]
-    value = float(objective(point))
+    value, violation = evaluate(point[None, :])[:2, 0].tolist()
     if rank is None or not math.isfinite(value):
         raise SolverError("polish found no point with a finite objective value")
-    violation = _violation(constraints, point)
     samples = sum(line.t.size for line in lines)
     return SolverResult(
         x=point,
-        value=value,
-        feasible=violation <= feasibility_tolerance,
+        value=sign * value,
+        feasible=violation <= FEASIBILITY_TOLERANCE,
         method="polish",
         evaluations=samples + 1,
         message=f"{samples} samples on {len(lines)} lines",
@@ -228,7 +227,7 @@ def polish(
     )
 
 
-def _sweep(space, evaluate, start, bracket, constraints, tolerance: float) -> List[_Line]:
+def _sweep(space, evaluate, start, bracket, constraints) -> List[_Line]:
     """The lines of a polish in two or more dimensions (see the module docstring)."""
     lines: dict = {}
     scans = space.axes(SCAN_POINTS)
@@ -244,7 +243,7 @@ def _sweep(space, evaluate, start, bracket, constraints, tolerance: float) -> Li
         add(start.tolist(), axis, (bracket[0][axis], start[axis], bracket[1][axis]))
         add(corner, axis, ())
     searched = list(lines.values())
-    by_violation = _search(searched, evaluate, None, tolerance)
+    by_violation = _search(searched, evaluate, None)
     rank, index = _best(searched)
     for _ in range(MAX_ROUNDS):
         point = np.concatenate([line.points(line.t) for line in searched])[index].tolist()
@@ -253,7 +252,7 @@ def _sweep(space, evaluate, start, bracket, constraints, tolerance: float) -> Li
         fresh = list(lines.values())[len(searched) :]
         if rank is None or not fresh:
             break
-        _search(fresh, evaluate, by_violation, tolerance, searched)
+        _search(fresh, evaluate, by_violation, searched)
         searched += fresh
         new_rank, index = _best(searched)
         if not new_rank < rank:

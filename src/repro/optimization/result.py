@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,29 +45,3 @@ class SolverResult:
             raise SolverError(f"solver produced a non-finite point: {self.x!r}")
         if not np.isfinite(self.value):
             raise SolverError(f"solver produced a non-finite objective value: {self.value!r}")
-
-    def better_than(self, other: Optional["SolverResult"]) -> bool:
-        """Whether this result should replace ``other`` as the incumbent.
-
-        Feasibility dominates the objective value; among equally (in)feasible
-        results the smaller objective (or the smaller violation) wins.
-        """
-        if other is None:
-            return True
-        if self.feasible != other.feasible:
-            return self.feasible
-        if self.feasible:
-            return self.value < other.value
-        return self.constraint_violation < other.constraint_violation
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dictionary view used by reports and benches."""
-        return {
-            "x": self.x.tolist(),
-            "value": self.value,
-            "feasible": self.feasible,
-            "method": self.method,
-            "evaluations": self.evaluations,
-            "constraint_violation": self.constraint_violation,
-            "message": self.message,
-        }

@@ -110,12 +110,9 @@ def render_validation_markdown(artifact: Mapping[str, object]) -> str:
         f"| Delay tolerance | {_fmt_percent(spec['delay_tolerance'])} relative |",
         f"| Delivery floor | {_fmt_percent(spec['min_delivery_ratio'])} |",
         *(
-            f"| {label} | {_fmt_settings(spec[key])} |"
-            for key, label in (
-                ("requirements", "Requirement overrides"),
-                ("solver_options", "Solver options"),
-            )
-            if key in spec
+            [f"| Requirement overrides | {_fmt_settings(spec['requirements'])} |"]
+            if "requirements" in spec
+            else []
         ),
         "",
         f"**{summary['cells']}** cells ({summary['feasible_cells']} feasible), "

@@ -199,6 +199,7 @@ class TestRunErrorPaths:
             ("solver", "vectorize", False),
             ("solver", "random_starts", 6),
             ("solver", "seed", 0),
+            ("solver", "feasibility_tolerance", 1e-3),
         ],
     )
     def test_unknown_section_key(self, capsys, tmp_path, section, key, value):
@@ -216,7 +217,7 @@ class TestRunErrorPaths:
         "patch, field",
         [
             ({"solver": {"grid_points": "abc"}}, "solver.grid_points"),
-            ({"solver": {"grid_points": 20, "feasibility_tolerance": "x"}}, "solver.feasibility_tolerance"),
+            ({"solver": {"grid_points": 1}}, "solver.grid_points"),
             ({"runtime": {"workers": [1]}}, "runtime.workers"),
             ({"kind": "campaign", "campaign": {"replications": "x"}}, "campaign.replications"),
             ({"kind": "suite", "scenarios": 5}, "scenarios"),
@@ -342,6 +343,16 @@ class TestExitCodeContract:
                 [],
                 EXIT_ERROR,
                 id="horizon-past-event-budget",
+            ),
+            pytest.param(
+                {
+                    "kind": "validate",
+                    "protocols": ["lmac"],
+                    "simulation": {"parameters": {"slot_length": 0.0001, "slot_count": 9}},
+                },
+                [],
+                EXIT_ERROR,
+                id="parameters-outside-the-box",
             ),
             pytest.param(
                 {

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.api import ExperimentSpec, plan
 from repro.exceptions import ConfigurationError
-from repro.scenarios import available_scenarios
-from repro.protocols.registry import available_protocols
+from repro.scenarios import available_scenarios, scenario_preset
+from repro.protocols.registry import available_protocols, create_protocol
 
 
 class TestCounts:
@@ -146,6 +148,38 @@ class TestResolutionErrors:
             plan(ExperimentSpec.from_dict(payload))
         payload[section] = {"horizon": 3.0e6}
         assert len(plan(ExperimentSpec.from_dict(payload))) == 1
+
+    @pytest.mark.parametrize(
+        "parameters, message",
+        [
+            # Far below the box: the simulator would run it and report a
+            # model delay less than half the simulated one.
+            (
+                {"slot_length": 0.0001, "slot_count": 9},
+                "simulation.parameters.slot_length = 0.0001 is outside lmac's box "
+                "[0.00466, 0.588235] in scenario 'paper-default'",
+            ),
+            # It would fail deep in the simulator, as a zero frame period.
+            (
+                {"slot_length": 0.01, "slot_count": 0.5},
+                "simulation.parameters.slot_count = 0.5 is outside lmac's box "
+                "[17, 34] in scenario 'paper-default'",
+            ),
+        ],
+        ids=["below-the-box", "fractional-slot-count"],
+    )
+    def test_validate_parameters_outside_the_box_are_refused_by_name(self, parameters, message):
+        spec = (
+            ExperimentSpec.experiment("validate")
+            .with_protocols("lmac")
+            .with_simulation(parameters=parameters)
+        )
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            plan(spec)
+        # The box's own corners (within its tolerance) are accepted.
+        space = create_protocol("lmac", scenario_preset("paper-default").scenario).parameter_space
+        for corner in (space.lower_bounds, space.upper_bounds + 1e-10):
+            assert len(plan(spec.with_simulation(parameters=space.to_dict(corner)))) == 1
 
     def test_oversized_scenario_is_refused_by_name(self):
         # 300 rings of density 300 are 27M nodes: the deployment's n×n

@@ -190,15 +190,15 @@ class TestCampaignKind:
                 spec.with_scenarios("paper-default")
                 .with_protocols("xmac")
                 .with_requirements(max_delay=2.0)
-                .with_solver(grid_points=20, feasibility_tolerance=1e-3)
+                .with_solver(grid_points=20)
             )
 
         campaign = overridden(self.spec())
         (cell,) = run(campaign, runner=fresh_runner()).raw.cells
         (record,) = run(overridden(ExperimentSpec.experiment("suite")), runner=fresh_runner()).records
         assert cell.parameters == dict(record.value.bargaining.point.parameters)
-        # The preset's own requirements and the default tolerance give
-        # another Nash point, so the overrides reached the campaign's solve.
+        # The preset's own requirements give another Nash point, so the
+        # overrides reached the campaign's solve.
         default = self.spec().with_scenarios("paper-default")
         (plain,) = run(default, runner=fresh_runner()).raw.cells
         assert plain.parameters != cell.parameters

@@ -149,21 +149,15 @@ class TestFluent:
         assert spec.requirements.energy_budget == 0.02
         assert spec.requirements.max_delay == 2.0
 
-    def test_with_solver_merges_extra_options(self):
-        spec = (
-            ExperimentSpec.experiment("solve")
-            .with_solver(grid_points=20, feasibility_tolerance=1e-6)
-            .with_solver(feasibility_tolerance=1e-8)
-        )
-        assert spec.solver.grid_points == 20
-        assert spec.solver.options == {"feasibility_tolerance": 1e-8}
-
     def test_with_solver_accepts_only_forwardable_keywords(self):
         # Anything else would reach hybrid_solve and fail at solve time.
         with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): method"):
             ExperimentSpec.experiment("solve").with_solver(method="exhaustive")
-        with pytest.raises(ConfigurationError, match="solver.feasibility_tolerance"):
-            ExperimentSpec.experiment("solve").with_solver(feasibility_tolerance="tight")
+        # The polish's feasibility tolerance is fixed; the key is gone.
+        with pytest.raises(
+            ConfigurationError, match=r"unknown solver key\(s\): feasibility_tolerance"
+        ):
+            ExperimentSpec.experiment("solve").with_solver(feasibility_tolerance=1e-3)
         with pytest.raises(ConfigurationError, match=r"unknown solver key\(s\): vectorize"):
             ExperimentSpec.experiment("solve").with_solver(vectorize=False)
         # The multistart these configured is gone; simulation.seed stays.
@@ -281,7 +275,6 @@ FLOAT_FIELDS = {
     "scenario.density": '"scenario": {"density": %s}',
     "scenario.sampling_period": '"scenario": {"sampling_period": %s}',
     "scenario.burstiness": '"scenario": {"burstiness": %s}',
-    "solver.feasibility_tolerance": '"solver": {"feasibility_tolerance": %s}',
     "campaign.horizon": '"campaign": {"horizon": %s}',
     "campaign.confidence": '"campaign": {"confidence": %s}',
     "campaign.energy_tolerance": '"campaign": {"energy_tolerance": %s}',

@@ -1,8 +1,10 @@
-"""One evaluation per game: (P1), (P2) and (P4) share their grid's model values."""
+"""One evaluation per game: (P1), (P2) and (P4) share their grid's model
+values, and value every point through the model's batch methods."""
 
 from __future__ import annotations
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -16,24 +18,38 @@ from repro.scenarios import scenario_preset
 
 GRID_POINTS = 24
 GRID_METHODS = ("energy_many", "latency_many", "capacity_margin_many")
+SCALAR_METHODS = ("system_energy", "system_latency", "capacity_margin")
 
 
 def _spy_model(protocol: str):
     """A model of ``protocol`` counting the calls of each ``.many`` method
-    that cover the full solver grid."""
+    that cover the full solver grid or one row, and of each scalar method."""
     base = protocol_class(protocol)
 
-    def counting(name):
+    def counting_many(name):
         def method(self, grid):
             if len(grid) == self.parameter_space.grid(GRID_POINTS).shape[0]:
                 self.full_grid_calls[name] += 1
+            elif len(grid) == 1:
+                self.row_calls[name] += 1
             return getattr(base, name)(self, grid)
 
         return method
 
-    spy = type(f"Spy{base.__name__}", (base,), {name: counting(name) for name in GRID_METHODS})
+    def counting_scalar(name):
+        def method(self, *args, **kwargs):
+            self.scalar_calls[name] += 1
+            return getattr(base, name)(self, *args, **kwargs)
+
+        return method
+
+    spies = {name: counting_many(name) for name in GRID_METHODS}
+    spies.update({name: counting_scalar(name) for name in SCALAR_METHODS})
+    spy = type(f"Spy{base.__name__}", (base,), spies)
     model = spy(scenario_preset("paper-default").scenario)
     model.full_grid_calls = collections.Counter()
+    model.row_calls = collections.Counter()
+    model.scalar_calls = collections.Counter()
     return model
 
 
@@ -48,6 +64,17 @@ def test_each_game_evaluates_its_grid_once(protocol):
     second = game.solve()
     assert model.full_grid_calls == {name: 2 for name in GRID_METHODS}
     assert first == second
+
+
+@pytest.mark.parametrize("protocol", ["xmac", "lmac"])
+def test_a_game_values_every_point_through_batches(protocol):
+    model = _spy_model(protocol)
+    requirements = scenario_preset("paper-default").requirements()
+    EnergyDelayGame(model, requirements, grid_points_per_dimension=GRID_POINTS).solve()
+    # No scalar call: each problem values its reported point as a one-row
+    # batch, and its outcome reads E, L and the margin there from the memo.
+    assert model.scalar_calls == {}
+    assert model.row_calls == {name: 3 for name in GRID_METHODS}
 
 
 def test_a_game_solves_like_its_stages_called_alone():
@@ -86,11 +113,20 @@ def test_p4_grid_objective_is_bit_identical_to_the_scalar_objective():
         disagreement_energy=float(np.median(energies)),
         disagreement_delay=float(np.median(latencies)),
     )
-    energy_floored = energies >= problem.disagreement[0]
-    delay_floored = latencies >= problem.disagreement[1]
+    energy_worst, delay_worst = problem.disagreement
+    energy_floored = energies >= energy_worst
+    delay_floored = latencies >= delay_worst
     assert energy_floored.any() and delay_floored.any()
     assert (~energy_floored & ~delay_floored).any()
     assert (energy_floored & delay_floored).any()
-    batch = problem.objective_many(grid)
-    scalar = np.array([problem.objective(row) for row in grid])
-    assert batch.tobytes() == scalar.tobytes()
+    # The reference: libm's log of each row's floored gains, from the
+    # model's scalar methods.
+    floor = NashBargainingProblem._LOG_FLOOR  # noqa: SLF001 - pinning the floor
+    reference = np.array(
+        [
+            math.log(max(energy_worst - model.system_energy(row), floor * energy_worst))
+            + math.log(max(delay_worst - model.system_latency(row), floor * delay_worst))
+            for row in grid
+        ]
+    )
+    assert problem.objective(grid).tobytes() == reference.tobytes()

@@ -1,13 +1,15 @@
 """The grid search's point-by-point reference.
 
-:func:`repro.optimization.grid.grid_search` evaluates a whole grid in a few
-array calls.  :func:`grid_search_scalar` takes the same arguments and
-returns the same result by looping over the grid, calling the objective and
-the constraint margins one point at a time and keeping the incumbent with
-:meth:`~repro.optimization.result.SolverResult.better_than`; it ignores any
-batched ``.many`` twins.  ``tests/optimization/test_grid_vectorized.py``
-and ``benchmarks/bench_vectorized_grid.py`` hold the production path to it
-bit for bit, down to the local minima it reports.
+:func:`repro.optimization.grid.grid_search` evaluates a whole grid in one
+call of each batch function.  :func:`grid_search_scalar` takes scalar
+functions — each maps one point to one value — with the same remaining
+arguments and returns the same result by looping over the grid, calling
+the objective and the constraint margins one point at a time and keeping
+the incumbent by its own rule (:func:`_better`).
+``tests/optimization/test_grid_vectorized.py`` and
+``benchmarks/bench_vectorized_grid.py`` hold the production path to it bit
+for bit, down to the local minima it reports, handing each side its own
+form of the same functions.
 
 pytest puts ``tests/`` on ``sys.path`` (``tests/conftest.py``), and
 ``benchmarks/conftest.py`` does the same for the benches, so this module is
@@ -16,27 +18,75 @@ imported as ``grid_reference``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.parameters import ParameterSpace
-from repro.exceptions import SolverError
-from repro.optimization.grid import (
-    _NO_FINITE_POINT,
-    Constraint,
-    Objective,
-    _grid,
-    _local_minima,
-    _violation,
+from repro.core.problems import (
+    DelayMinimizationProblem,
+    EnergyMinimizationProblem,
+    NashBargainingProblem,
 )
+from repro.exceptions import SolverError
+from repro.optimization.grid import _NO_FINITE_POINT, _grid, _local_minima
 from repro.optimization.result import SolverResult
+
+#: A scalar objective or margin: one solver-ordered point to one value.
+ScalarFunction = Callable[[np.ndarray], float]
+
+
+def scalar_forms(problem) -> Tuple[ScalarFunction, List[ScalarFunction]]:
+    """The objective and margins of a (P1), (P2) or (P4) problem, one point
+    at a time, from its model's scalar methods (and libm's ``math.log``)."""
+    model, requirements = problem.model, problem.requirements
+    energy, latency, capacity = model.system_energy, model.system_latency, model.capacity_margin
+    if isinstance(problem, EnergyMinimizationProblem):
+        return energy, [lambda x: requirements.max_delay - latency(x), capacity]
+    if isinstance(problem, DelayMinimizationProblem):
+        return latency, [lambda x: requirements.energy_budget - energy(x), capacity]
+    assert isinstance(problem, NashBargainingProblem)
+    energy_worst, delay_worst = problem.disagreement
+    floor = NashBargainingProblem._LOG_FLOOR  # noqa: SLF001 - the reference pins it
+
+    def objective(x: np.ndarray) -> float:
+        return math.log(max(energy_worst - energy(x), floor * energy_worst)) + math.log(
+            max(delay_worst - latency(x), floor * delay_worst)
+        )
+
+    budget = min(requirements.energy_budget, energy_worst)
+    delay_cap = min(requirements.max_delay, delay_worst)
+    return objective, [lambda x: budget - energy(x), lambda x: delay_cap - latency(x), capacity]
+
+
+def _violation(constraints: Sequence[ScalarFunction], point: np.ndarray) -> float:
+    """Largest constraint violation at ``point`` (0 when all satisfied)."""
+    worst = 0.0
+    for constraint in constraints:
+        margin = float(constraint(point))
+        if not math.isfinite(margin):
+            return float("inf")
+        worst = max(worst, -margin)
+    return worst
+
+
+def _better(candidate: SolverResult, incumbent: Optional[SolverResult]) -> bool:
+    """Whether ``candidate`` replaces ``incumbent``: feasibility first, then
+    the smaller objective (or, both infeasible, the smaller violation)."""
+    if incumbent is None:
+        return True
+    if candidate.feasible != incumbent.feasible:
+        return candidate.feasible
+    if candidate.feasible:
+        return candidate.value < incumbent.value
+    return candidate.constraint_violation < incumbent.constraint_violation
 
 
 def grid_search_scalar(
-    objective: Objective,
+    objective: ScalarFunction,
     space: ParameterSpace,
-    constraints: Sequence[Constraint] = (),
+    constraints: Sequence[ScalarFunction] = (),
     points_per_dimension: int = 200,
     maximize: bool = False,
     feasibility_tolerance: float = 1e-9,
@@ -67,7 +117,7 @@ def grid_search_scalar(
             evaluations=evaluations,
             constraint_violation=violation,
         )
-        if candidate.better_than(best):
+        if _better(candidate, best):
             best = candidate
     if best is None:
         raise SolverError(_NO_FINITE_POINT)

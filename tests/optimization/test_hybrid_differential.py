@@ -7,7 +7,10 @@ multistart from 5 fixed + 6 seeded random starts on every solve, keeping
 the best candidate.  Each SLSQP descent is wrapped as the library's polish
 was until it became NumPy line searches: the objective divided by its
 magnitude at the start, a non-finite value replaced by a 1e30 penalty, and
-every margin in one vector-valued inequality constraint.
+every margin in one vector-valued inequality constraint.  SciPy calls them
+one point at a time, so the problems' batch functions are wrapped to take
+one point as a one-row batch.  The problems are solved through their
+public ``solve``, with each solver patched in for the hybrid it calls.
 
 On every cell the hybrid must reach the same feasibility verdict, and its
 objective may trail the reference's by at most 1e-9 relative.  The one
@@ -29,10 +32,12 @@ from __future__ import annotations
 import math
 import random
 from typing import List, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from grid_reference import _better, _violation
 from repro.core.problems import (
     DelayMinimizationProblem,
     EnergyMinimizationProblem,
@@ -40,7 +45,7 @@ from repro.core.problems import (
 )
 from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import InfeasibleProblemError, SolverError
-from repro.optimization.grid import _violation, grid_search
+from repro.optimization.grid import grid_search
 from repro.optimization.hybrid import hybrid_solve
 from repro.optimization.result import SolverResult
 from repro.protocols.registry import create_protocol
@@ -84,9 +89,15 @@ def _cell_id(cell: Tuple[str, str, float]) -> str:
     return f"{preset}-{protocol}-{factor:g}xLmax"
 
 
+def _at_point(function):
+    """A batch function taking one point, as SciPy hands it, as a one-row batch."""
+    return lambda point: float(function(np.asarray(point, dtype=float)[None, :])[0])
+
+
 def slsqp(objective, space, constraints, start, maximize: bool) -> SolverResult:
     """One SLSQP descent from ``start``, wrapped as the library's polish was."""
     sign = -1.0 if maximize else 1.0
+    objective, constraints = _at_point(objective), [_at_point(c) for c in constraints]
     start = space.clip(start)
     scale = abs(float(objective(start)))
     if not math.isfinite(scale) or scale == 0.0:
@@ -161,7 +172,7 @@ def reference_solve(
             pass
     best: Optional[SolverResult] = None
     for candidate in candidates:
-        if best is None or _minimizing(candidate, sign).better_than(_minimizing(best, sign)):
+        if best is None or _better(_minimizing(candidate, sign), _minimizing(best, sign)):
             best = candidate
     assert best is not None
     return best
@@ -189,12 +200,14 @@ def _recording(solver, results: List[SolverResult]):
 
 
 def _solve(problem, solver) -> SolverResult:
-    """Solve a problem through its public ``solve`` and return the raw result."""
+    """Solve a problem through its public ``solve``, ``solver`` in place of
+    the hybrid, and return the raw result."""
     results: List[SolverResult] = []
-    try:
-        problem.solve(_recording(solver, results), grid_points_per_dimension=GRID_POINTS)
-    except InfeasibleProblemError:
-        pass
+    with mock.patch("repro.core.problems.hybrid_solve", _recording(solver, results)):
+        try:
+            problem.solve(grid_points_per_dimension=GRID_POINTS)
+        except InfeasibleProblemError:
+            pass
     assert len(results) == 1
     return results[0]
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import (
-    SOLVER_OPTION_TYPES,
     WORKLOAD_KINDS,
     CampaignSettings,
     ExperimentSpec,
@@ -56,7 +55,7 @@ PAYLOADS = st.fixed_dictionaries(
         "sweep": section("parameter", "values"),
         "simulation": section("horizon", "seed", "parameters"),
         "campaign": section(*(spec_field.name for spec_field in fields(CampaignSettings))),
-        "solver": section("grid_points", *SOLVER_OPTION_TYPES),
+        "solver": section("grid_points"),
         "runtime": section("workers", "cache"),
     },
 ) | JSON

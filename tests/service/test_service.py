@@ -364,6 +364,7 @@ class TestErrorStatuses:
             ("solver", "vectorize"),
             ("solver", "random_starts"),
             ("solver", "seed"),
+            ("solver", "feasibility_tolerance"),
             ("runtime", "sim_engine"),
             ("runtime", "solver_method"),
             ("runtime", "mode"),
@@ -483,6 +484,21 @@ class TestErrorStatuses:
         assert f"{section}.horizon 1e+20 is too long" in excinfo.value.payload["error"]
         assert len(client.queue()["jobs"]) == jobs
         assert client.healthz()["status"] == "ok"
+
+    def test_submit_validate_parameters_outside_the_box_is_400_naming_them(self, client):
+        spec = {
+            "kind": "validate",
+            "protocols": ["lmac"],
+            "simulation": {"parameters": {"slot_length": 0.01, "slot_count": 0.5}},
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert (
+            "simulation.parameters.slot_count = 0.5 is outside lmac's box [17, 34]"
+            in excinfo.value.payload["error"]
+        )
 
     def test_submit_oversized_simulated_scenario_is_400_naming_it(self, client):
         # Planned at submit: refused before a worker could build a

@@ -53,8 +53,8 @@ class TestBatchedGate:
     def test_every_kernel_above_the_floor_passes(self, tmp_path, capsys):
         assert run_gate(artifact(tmp_path)) == 0
         out = capsys.readouterr().out
-        assert "OK   batched xmac: 11.0x vs scalar (floor 5x)" in out
-        assert "OK   batched lmac: 8.2x vs scalar (floor 5x)" in out
+        assert "OK   batched xmac: 11.0x vs scalar (floor 7x)" in out
+        assert "OK   batched lmac: 8.2x vs scalar (floor 6x)" in out
         assert "all 4 gated entries within bounds" in out
 
     def test_absolute_throughput_is_not_gated(self, tmp_path):
@@ -67,8 +67,16 @@ class TestBatchedGate:
         fresh = artifact(tmp_path, dict(SPEEDUPS, **{protocol: 3.0}))
         assert run_gate(fresh) == 1
         out = capsys.readouterr().out
-        assert f"FAIL batched {protocol}: 3.0x vs scalar (floor 5x)" in out
+        floor = check_bench.BATCHED_SPEEDUP_FLOORS[protocol]
+        assert f"FAIL batched {protocol}: 3.0x vs scalar (floor {floor:g}x)" in out
         assert "bench gate: 1 failure(s)" in out
+
+    def test_an_event_loop_three_times_slower_fails_every_protocol(self, tmp_path, capsys):
+        # A loop taking 3x its time leaves about 0.4 of each speedup: SCP-MAC's
+        # 5.7x would have cleared one 5x floor for all protocols.
+        slow = {name: round(0.4 * speedup, 1) for name, speedup in SPEEDUPS.items()}
+        assert run_gate(artifact(tmp_path, slow)) == 1
+        assert "bench gate: 4 failure(s)" in capsys.readouterr().out
 
     def test_custom_speedup_floor(self, tmp_path):
         fresh = artifact(tmp_path, dict.fromkeys(SPEEDUPS, 6.0))

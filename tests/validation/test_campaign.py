@@ -351,21 +351,14 @@ class TestCampaignSection:
 
     SPEC = campaign(grid_points=20, replications=1)
 
-    def test_requirement_overrides_and_solver_options_are_written(self):
+    def test_requirement_overrides_are_written(self):
         plain = campaign_result(self.SPEC)
-        tuned = campaign_result(
-            self.SPEC.with_requirements(max_delay=2.0).with_solver(feasibility_tolerance=1e-3)
-        )
+        tuned = campaign_result(self.SPEC.with_requirements(max_delay=2.0))
         # They move the Nash point, so two such artifacts must tell them apart.
         assert tuned.cells[0].parameters != plain.cells[0].parameters
-        assert tuned.spec == {
-            **plain.spec,
-            "requirements": {"max_delay": 2.0},
-            "solver_options": {"feasibility_tolerance": 1e-3},
-        }
+        assert tuned.spec == {**plain.spec, "requirements": {"max_delay": 2.0}}
         report = render_validation_markdown(tuned.as_dict())
         assert "| Requirement overrides | `max_delay` = 2 |" in report
-        assert "| Solver options | `feasibility_tolerance` = 0.001 |" in report
 
     def test_a_spec_without_them_keeps_its_section(self):
         assert sorted(campaign_result(self.SPEC.with_requirements()).spec) == [
